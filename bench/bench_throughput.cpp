@@ -38,7 +38,7 @@
 #include "trace/parallel.hpp"
 #include "trace/reader.hpp"
 #include "trace/sink.hpp"
-#include "trace/stream.hpp"
+#include "trace/view.hpp"
 #include "trace/writer.hpp"
 #include "service/client.hpp"
 #include "service/daemon.hpp"
@@ -435,10 +435,8 @@ bool container_rows(obs::Registry& registry, std::uint64_t repeat) {
       return best_rate(kRecords, repeat, [&] {
         trace::TraceContext c;
         CountingSink sink;
-        trace::StreamOptions so;
-        so.jobs = jobs;
         benchmark::DoNotOptimize(
-            trace::stream_trace_file(c, path, sink, so).records);
+            trace::View::source(c, path, {.jobs = jobs}).drain(sink).records);
       });
     };
     const double seq_rate = decode_rate(1);
@@ -450,12 +448,8 @@ bool container_rows(obs::Registry& registry, std::uint64_t repeat) {
       trace::TraceContext c4;
       trace::VectorSink s1;
       trace::VectorSink s4;
-      trace::StreamOptions so1;
-      so1.jobs = 1;
-      trace::StreamOptions so4;
-      so4.jobs = kJobs;
-      (void)trace::stream_trace_file(c1, path, s1, so1);
-      (void)trace::stream_trace_file(c4, path, s4, so4);
+      (void)trace::View::source(c1, path, {.jobs = 1}).drain(s1);
+      (void)trace::View::source(c4, path, {.jobs = kJobs}).drain(s4);
       const auto b1 = trace::write_binary_trace(c1, s1.records());
       const auto b4 = trace::write_binary_trace(c4, s4.records());
       identical = b1 == b4 && b1 == plain;

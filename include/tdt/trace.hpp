@@ -32,14 +32,12 @@ using trace::VectorSink;
 
 /// Reads a whole trace file into memory (format guessed from the
 /// extension). `diags` selects the error-recovery policy; nullptr means
-/// strict fail-fast. For traces larger than memory, use
-/// trace::stream_trace_file with your own sink instead.
+/// strict fail-fast. For traces larger than memory, drain a
+/// trace::View::source into your own sink instead.
 inline std::vector<trace::TraceRecord> open_trace(trace::TraceContext& ctx,
                                                   const std::string& path,
                                                   DiagEngine* diags = nullptr) {
-  trace::VectorSink sink;
-  trace::stream_trace_file(ctx, path, sink, diags);
-  return sink.take();
+  return trace::View::source(ctx, path, {.diags = diags}).collect();
 }
 
 }  // namespace tdt

@@ -2,6 +2,8 @@
 // Lives in tdt_core (not tdt_trace) because tdt_core already links
 // against the trace library; view.hpp only forward-declares the core
 // types, so the header dependency stays one-way.
+#include <algorithm>
+
 #include "core/transformer.hpp"
 #include "trace/view.hpp"
 
@@ -22,9 +24,14 @@ class TransformStage final : public ViewStage {
 
   void on_batch(std::span<const TraceRecord> in,
                 std::vector<TraceRecord>& out) override {
+    // Rewrites are 1:1; injects add records, usually about as many as in
+    // the batch before, so size the vector for that rather than let it
+    // regrow (and copy) mid-batch.
+    out.reserve(std::max(in.size(), last_out_));
     collector_.target = &out;
     transformer_.push_batch(in);
     collector_.target = nullptr;
+    last_out_ = out.size();
   }
 
   void on_end(std::vector<TraceRecord>& out) override {
@@ -50,6 +57,7 @@ class TransformStage final : public ViewStage {
   Collector collector_;  // must precede transformer_ (bound by reference)
   core::TraceTransformer transformer_;
   core::TransformStats* stats_out_;
+  std::size_t last_out_ = 0;  // records the previous batch produced
 };
 
 }  // namespace

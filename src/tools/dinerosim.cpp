@@ -7,7 +7,7 @@
 //             --xform-out transformed_trace.out --per-set
 //   dinerosim --trace huge.tdtb --on-error=skip --max-errors 1000
 //
-// The trace is streamed record-by-record through the transformer and the
+// The trace streams in batches through the transformer and the
 // simulator (traces larger than memory work), with the error-recovery
 // policy from --on-error; exit code 0 = clean, 1 = completed with
 // recovered errors, 2 = fatal (docs/robustness.md).
@@ -27,7 +27,7 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
   {
     FlagParser flags("dinerosim",
                      "trace-driven cache simulator with transformations");
-    flags.set_streams(io.out, io.err);
+    flags.set_output(io.out);
     const auto* trace_path = flags.add_string("trace", "", "input trace file");
     const auto* rules_path =
         flags.add_string("rules", "", "transformation rule file (optional)");
@@ -86,9 +86,9 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
 
     trace::TraceContext ctx;
 
-    // The pipeline is built back to front: terminal simulator sink, an
-    // optional transformed-trace writer teed next to it, an optional
-    // transformer in front, then the streaming reader drives the chain.
+    // The pipeline is a view graph: source -> [transform -> save] ->
+    // terminal simulator sink, with the --progress heartbeat and the
+    // affinity profiler reading the raw records next to it.
     std::optional<core::RuleSet> rules;
     if (!rules_path->empty()) {
       obs::PhaseTimer phase(registry, "parse-rules");
@@ -176,55 +176,35 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
       }
     }
 
+    trace::ViewSourceOptions source_options;
+    source_options.diags = &diags;
+    source_options.ingest = common.ingest_mode();
+    source_options.jobs = static_cast<int>(*common.jobs);
+    const trace::View source =
+        trace::View::source(ctx, *trace_path, source_options);
     // Optional transformation stage in front of the terminal sink, with
-    // the transformed trace teed out to a file as it streams through.
-    std::ofstream xform_file;
-    std::optional<trace::WriterSink> xform_writer;
-    std::optional<trace::BinaryTraceSink> xform_binary;
-    std::optional<trace::TeeSink> tee;
-    std::optional<core::TraceTransformer> transformer;
-    trace::TraceSink* head = terminal;
+    // the transformed trace saved to a file as it streams through.
+    trace::View simulated = source;
+    std::optional<core::TransformStats> tstats;
     if (rules.has_value()) {
       const std::string out_path =
           xform_out->empty() ? "transformed_trace.out" : *xform_out;
       const bool binary_out =
-          out_path.size() > 5 &&
+          out_path.size() >= 5 &&
           out_path.compare(out_path.size() - 5, 5, ".tdtb") == 0;
       if (common.wants_compress() && !binary_out) {
         throw_config_error(
             "--compress applies to TDTB output; name the transformed "
             "trace *.tdtb (--xform-out x.tdtb)");
       }
-      xform_file.open(out_path, binary_out
-                                    ? std::ios::binary | std::ios::out
-                                    : std::ios::out);
-      if (!xform_file) {
-        throw_io_error("cannot open '" + out_path + "' for writing");
-      }
-      trace::TraceSink* writer_sink = nullptr;
-      if (binary_out) {
-        xform_binary.emplace(ctx, xform_file, /*pid=*/0,
-                             common.writer_options());
-        writer_sink = &*xform_binary;
-      } else {
-        xform_writer.emplace(ctx, xform_file);
-        writer_sink = &*xform_writer;
-      }
-      tee.emplace(std::vector<trace::TraceSink*>{writer_sink, terminal});
       core::TransformOptions xopt;
       xopt.diags = &diags;
-      transformer.emplace(*rules, ctx, *tee, xopt);
-      head = &*transformer;
+      simulated = source.transform(*rules, xopt, &tstats.emplace())
+                      .save(out_path, {.binary = common.writer_options()});
     }
 
-    // Outermost stage: --progress heartbeat on raw input records.
-    std::optional<obs::Heartbeat> heartbeat;
-    std::optional<trace::ProgressSink> progress_sink;
-    if (*common.progress) {
-      heartbeat.emplace("dinerosim", *io.errs);
-      progress_sink.emplace(*head, *heartbeat);
-      head = &*progress_sink;
-    }
+    std::optional<tools::HeartbeatSink> progress;
+    if (*common.progress) progress.emplace("dinerosim", *io.errs);
 
     // Optional second consumer of the same ingest: the affinity profiler
     // taps the raw records next to the simulation chain — a two-sink
@@ -239,14 +219,9 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     trace::GraphResult stream_result;
     {
       obs::PhaseTimer phase(registry, "stream");
-      trace::ViewSourceOptions source_options;
-      source_options.diags = &diags;
-      source_options.ingest = common.ingest_mode();
-      source_options.jobs = static_cast<int>(*common.jobs);
-      const trace::View source =
-          trace::View::source(ctx, *trace_path, source_options);
       trace::Graph graph;
-      graph.add_sink(source, *head);
+      if (progress.has_value()) graph.add_sink(source, *progress);
+      graph.add_sink(simulated, *terminal);
       if (affinity.has_value()) graph.add_sink(source, *affinity);
       stream_result =
           graph.run({.registry = registry, .governor = &governor});
@@ -258,16 +233,15 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
                    static_cast<unsigned long long>(stream_result.records));
     }
 
-    if (transformer.has_value()) {
-      const core::TransformStats& tstats = transformer->stats();
+    if (tstats.has_value()) {
       std::fprintf(io.err,
                    "dinerosim: transformed %llu records (%llu rewritten, "
                    "%llu inserted, %llu passthrough, %llu skipped)\n",
-                   static_cast<unsigned long long>(tstats.records_out),
-                   static_cast<unsigned long long>(tstats.rewritten),
-                   static_cast<unsigned long long>(tstats.inserted),
-                   static_cast<unsigned long long>(tstats.passthrough),
-                   static_cast<unsigned long long>(tstats.skipped));
+                   static_cast<unsigned long long>(tstats->records_out),
+                   static_cast<unsigned long long>(tstats->rewritten),
+                   static_cast<unsigned long long>(tstats->inserted),
+                   static_cast<unsigned long long>(tstats->passthrough),
+                   static_cast<unsigned long long>(tstats->skipped));
     }
 
     if (affinity.has_value()) {
@@ -343,9 +317,7 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
 
     if (registry != nullptr) {
       tools::fold_diags(registry, diags);
-      if (transformer.has_value()) {
-        tools::fold_transform(registry, transformer->stats());
-      }
+      if (tstats.has_value()) tools::fold_transform(registry, *tstats);
       if (sweep_engine.has_value()) {
         tools::fold_sweep(registry, *sweep_engine);
         registry->counter("sim.records_simulated")

@@ -50,7 +50,7 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
                             char** argv) {
   {
     FlagParser flags("gtracer", "synthetic Gleipnir trace generator");
-    flags.set_streams(io.out, io.err);
+    flags.set_output(io.out);
     const auto* kernel = flags.add_string("kernel", "t1_soa", "kernel name");
     const auto* source = flags.add_string(
         "source", "", "parse a C-subset kernel source file instead of "

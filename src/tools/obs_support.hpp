@@ -9,12 +9,14 @@
 // stay byte-identical when the flags are off.
 #pragma once
 
+#include <span>
 #include <string>
 
 #include "cache/cache.hpp"
 #include "cache/hierarchy.hpp"
 #include "cache/sweep.hpp"
 #include "core/transformer.hpp"
+#include "trace/sink.hpp"
 #include "util/diag.hpp"
 #include "util/flags.hpp"
 #include "util/obs.hpp"
@@ -51,6 +53,24 @@ struct ObsFlags {
     if (!metrics_json->empty()) registry.write_metrics_file(*metrics_json);
     if (!trace_spans->empty()) registry.write_spans_file(*trace_spans);
   }
+};
+
+/// The --progress heartbeat as a terminal sink: attach it to the source
+/// view next to the tool's real consumers. It ticks once per batch of
+/// raw input records and prints the final total at on_end.
+class HeartbeatSink final : public trace::TraceSink {
+ public:
+  HeartbeatSink(std::string label, std::ostream& out)
+      : heartbeat_(std::move(label), out) {}
+
+  void on_record(const trace::TraceRecord&) override { heartbeat_.tick(1); }
+  void push_batch(std::span<const trace::TraceRecord> batch) override {
+    heartbeat_.tick(batch.size());
+  }
+  void on_end() override { heartbeat_.finish(); }
+
+ private:
+  obs::Heartbeat heartbeat_;
 };
 
 /// Folds diagnostics totals and per-code counts into diag.* counters

@@ -64,7 +64,7 @@ int transform_digest_run(const service::ToolIO& io, int argc, char** argv) {
                    "digest of the transformed trace: streams the input "
                    "through the rule transformer and reports a CRC32 over "
                    "the canonical text rendering of the result");
-  flags.set_streams(io.out, io.err);
+  flags.set_output(io.out);
   const auto* trace_flag = flags.add_string(
       "trace", "", "input trace file (or pass it positionally)");
   const auto* rules_path =
@@ -103,14 +103,14 @@ int transform_digest_run(const service::ToolIO& io, int argc, char** argv) {
   DigestSink digest(ctx);
   core::TransformOptions xopt;
   xopt.diags = &diags;
-  core::TraceTransformer transformer(rules, ctx, digest, xopt);
-
-  trace::StreamOptions stream_options;
-  stream_options.diags = &diags;
-  stream_options.governor = &governor;
-  stream_options.ingest = common.ingest_mode();
-  const trace::StreamResult stream_result =
-      trace::stream_trace_file(ctx, trace_path, transformer, stream_options);
+  core::TransformStats stats;
+  trace::ViewSourceOptions source_options;
+  source_options.diags = &diags;
+  source_options.ingest = common.ingest_mode();
+  const trace::GraphResult stream_result =
+      trace::View::source(ctx, trace_path, source_options)
+          .transform(rules, xopt, &stats)
+          .drain(digest, {.governor = &governor});
   if (stream_result.deadline_hit) {
     std::fprintf(io.err,
                  "transform-digest: deadline expired after %llu records; "
@@ -118,7 +118,6 @@ int transform_digest_run(const service::ToolIO& io, int argc, char** argv) {
                  static_cast<unsigned long long>(stream_result.records));
   }
 
-  const core::TransformStats& stats = transformer.stats();
   std::fprintf(io.out,
                "transform-digest: crc32:%08x records_in=%llu "
                "records_out=%llu rewritten=%llu inserted=%llu\n",
@@ -203,7 +202,7 @@ int run_rpc(const service::ToolIO& io, const std::string& socket,
 int tdtd_run(const service::ToolIO& io, int argc, char** argv) {
   FlagParser flags("tdtd", "the tdt sweep/autotune daemon (tdt-rpc/1 over a "
                            "unix-domain socket; see docs/SERVICE.md)");
-  flags.set_streams(io.out, io.err);
+  flags.set_output(io.out);
   const auto* socket = flags.add_string(
       "socket", "", "unix-domain socket path to listen on (required)");
   const auto* workers = flags.add_uint(

@@ -30,7 +30,7 @@ int tdt::tools::tdtune_run(const tdt::service::ToolIO& io, int argc,
                      "trace-driven layout autotuner: profiles field affinity "
                      "and heat, generates candidate transformation rules, "
                      "and ranks them by simulated cache misses");
-    flags.set_streams(io.out, io.err);
+    flags.set_output(io.out);
     const auto* trace_flag =
         flags.add_string("trace", "", "input trace file (or pass it "
                                       "positionally)");
@@ -103,14 +103,8 @@ int tdt::tools::tdtune_run(const tdt::service::ToolIO& io, int argc,
     // The recorded trace is replayed once per candidate: a hard
     // requirement under --max-memory (exhaustion exits 2).
     trace::VectorSink recorder(&governor.memory);
-    trace::TraceSink* record_head = &recorder;
-    std::optional<obs::Heartbeat> heartbeat;
-    std::optional<trace::ProgressSink> progress_sink;
-    if (*common.progress) {
-      heartbeat.emplace("tdtune", *io.errs);
-      progress_sink.emplace(*record_head, *heartbeat);
-      record_head = &*progress_sink;
-    }
+    std::optional<tools::HeartbeatSink> progress;
+    if (*common.progress) progress.emplace("tdtune", *io.errs);
     trace::GraphResult stream_result;
     {
       obs::PhaseTimer phase(registry, "stream");
@@ -121,7 +115,8 @@ int tdt::tools::tdtune_run(const tdt::service::ToolIO& io, int argc,
       const trace::View source =
           trace::View::source(ctx, trace_path, source_options);
       trace::Graph graph;
-      graph.add_sink(source, *record_head);
+      if (progress.has_value()) graph.add_sink(source, *progress);
+      graph.add_sink(source, recorder);
       graph.add_sink(source, affinity);
       stream_result =
           graph.run({.registry = registry, .governor = &governor});

@@ -20,7 +20,7 @@ int tdt::tools::tracediff_run(const tdt::service::ToolIO& io, int argc,
   using namespace tdt;
   {
     FlagParser flags("tracediff", "side-by-side trace comparison");
-    flags.set_streams(io.out, io.err);
+    flags.set_output(io.out);
     const auto* max_rows =
         flags.add_uint("max-rows", 0, "limit printed rows (0 = all)");
     const auto* summary_only =
@@ -43,8 +43,10 @@ int tdt::tools::tracediff_run(const tdt::service::ToolIO& io, int argc,
 
     DiagEngine diags = common.make_diags(io.errs);
 
-    std::optional<obs::Heartbeat> heartbeat;
-    if (*common.progress) heartbeat.emplace("tracediff", *io.errs);
+    // The heartbeat covers the first (usually larger) read; finishing it
+    // again on the second would double-print the total.
+    std::optional<tools::HeartbeatSink> progress;
+    if (*common.progress) progress.emplace("tracediff", *io.errs);
 
     trace::TraceContext ctx;
     // Both traces must be memory-resident for the diff: a hard
@@ -54,24 +56,19 @@ int tdt::tools::tracediff_run(const tdt::service::ToolIO& io, int argc,
     trace::VectorSink transformed_sink(&governor.memory);
     bool deadline_hit = false;
     for (int side = 0; side < 2; ++side) {
-      trace::VectorSink& sink = side == 0 ? original_sink : transformed_sink;
-      trace::TraceSink* head = &sink;
-      std::optional<trace::ProgressSink> progress_sink;
-      if (heartbeat.has_value() && side == 0) {
-        // Heartbeat covers the first (usually larger) streaming read;
-        // finish() on the second would double-print the total.
-        progress_sink.emplace(sink, *heartbeat);
-        head = &*progress_sink;
-      }
       obs::PhaseTimer phase(registry,
                             side == 0 ? "stream-original" : "stream-transformed");
       trace::ViewSourceOptions source_options;
       source_options.diags = &diags;
       source_options.ingest = common.ingest_mode();
       source_options.jobs = static_cast<int>(*common.jobs);
+      const trace::View source =
+          trace::View::source(ctx, flags.positional()[side], source_options);
+      trace::Graph graph;
+      if (progress.has_value() && side == 0) graph.add_sink(source, *progress);
+      graph.add_sink(source, side == 0 ? original_sink : transformed_sink);
       const trace::GraphResult r =
-          trace::View::source(ctx, flags.positional()[side], source_options)
-              .drain(*head, {.registry = registry, .governor = &governor});
+          graph.run({.registry = registry, .governor = &governor});
       deadline_hit = deadline_hit || r.deadline_hit;
     }
     if (deadline_hit) {

@@ -108,7 +108,7 @@ int tdt::tools::traceinfo_run(const tdt::service::ToolIO& io, int argc,
   using namespace tdt;
   {
     FlagParser flags("traceinfo", "trace statistics");
-    flags.set_streams(io.out, io.err);
+    flags.set_output(io.out);
     const auto* block =
         flags.add_uint("block", 32, "footprint tracking granularity in bytes");
     const auto* top = flags.add_uint("top", 16, "rows per ranking table");
@@ -139,25 +139,21 @@ int tdt::tools::traceinfo_run(const tdt::service::ToolIO& io, int argc,
 
     trace::TraceContext ctx;
     StatsSink sink(*block);
-    trace::TraceSink* head = &sink;
-    std::optional<obs::Heartbeat> heartbeat;
-    std::optional<trace::ProgressSink> progress_sink;
-    if (*common.progress) {
-      heartbeat.emplace("traceinfo", *io.errs);
-      progress_sink.emplace(sink, *heartbeat);
-      head = &*progress_sink;
-    }
-    trace::StreamResult stream_result;
+    std::optional<tools::HeartbeatSink> progress;
+    if (*common.progress) progress.emplace("traceinfo", *io.errs);
+    trace::GraphResult stream_result;
     {
       obs::PhaseTimer phase(registry, "stream");
-      trace::StreamOptions stream_options;
-      stream_options.diags = &diags;
-      stream_options.registry = registry;
-      stream_options.governor = &governor;
-      stream_options.ingest = common.ingest_mode();
-      stream_options.jobs = static_cast<int>(*common.jobs);
-      stream_result = trace::stream_trace_file(ctx, path, *head,
-                                               stream_options);
+      trace::ViewSourceOptions source_options;
+      source_options.diags = &diags;
+      source_options.ingest = common.ingest_mode();
+      source_options.jobs = static_cast<int>(*common.jobs);
+      const trace::View source = trace::View::source(ctx, path, source_options);
+      trace::Graph graph;
+      if (progress.has_value()) graph.add_sink(source, *progress);
+      graph.add_sink(source, sink);
+      stream_result =
+          graph.run({.registry = registry, .governor = &governor});
     }
     if (stream_result.deadline_hit) {
       std::fprintf(io.err,

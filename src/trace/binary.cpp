@@ -492,20 +492,31 @@ void decode_frame_payload(std::string_view payload, DecodedFrame& out) {
   }
 }
 
-void bind_frame(TraceContext& ctx, DecodedFrame& frame,
-                std::vector<Symbol>& symbol_map) {
+bool intern_frame_defs(TraceContext& ctx, const DecodedFrame& frame,
+                       std::vector<Symbol>& symbol_map) {
   bool identity = true;
   for (const auto& [id, text] : frame.defs) {
     if (id >= symbol_map.size()) symbol_map.resize(id + 1);
     symbol_map[id] = ctx.intern(text);
     identity = identity && symbol_map[id].id() == id;
   }
+  return identity;
+}
+
+void bind_frame(TraceContext& ctx, DecodedFrame& frame,
+                std::vector<Symbol>& symbol_map) {
   // Decode enforces that records only reference ids defined in this
   // frame, so when every definition interned to its wire id (the common
   // fresh-context decode) the rewrite pass would be a no-op — skip the
   // walk over every record.
-  if (identity) return;
-  for (TraceRecord& rec : frame.records) {
+  if (!intern_frame_defs(ctx, frame, symbol_map)) {
+    remap_frame_records(frame.records, symbol_map);
+  }
+}
+
+void remap_frame_records(std::span<TraceRecord> records,
+                         const std::vector<Symbol>& symbol_map) {
+  for (TraceRecord& rec : records) {
     rec.function = symbol_map[rec.function.id()];
     if (rec.scope == VarScope::Unknown) continue;
     rec.var.base = symbol_map[rec.var.base.id()];
@@ -862,7 +873,7 @@ bool BinaryTraceReader::load_frame() {
   pending_.clear();
   pending_pos_ = 0;
   // Sample the frame-decode fault here, once per frame in frame order —
-  // the parallel decoder pre-samples the same sequence on its publisher
+  // the parallel decoder pre-samples the same sequence on its consuming
   // thread, so injected schedules match at any job count.
   const bool injected = fault::FaultInjector::enabled() &&
                         fault::should_fire(fault::Site::FrameDecode);

@@ -18,8 +18,8 @@
 // tag a frame index plus a fixed 28-byte footer (ending in the "TDTX"
 // magic) make the container seekable: a reader jumps straight to any
 // frame, and `--jobs N` decodes disjoint frames on worker threads while
-// a publisher binds and delivers them in frame order — bit-identical to
-// the sequential decode.
+// the consuming thread binds and hands them out in frame order —
+// bit-identical to the sequential decode.
 #pragma once
 
 #include <cstdint>
@@ -107,7 +107,7 @@ struct TdtbContainerInfo {
 /// the two-phase decode): record symbol fields carry *frame-local string
 /// ids* (not interned symbols) and `defs` lists the frame's string
 /// definitions in definition order, viewing into the payload buffer.
-/// Worker threads produce DecodedFrames concurrently; a single publisher
+/// Worker threads produce DecodedFrames concurrently; a single consumer
 /// thread calls bind_frame() in frame order, which makes interning
 /// single-writer and keeps symbol ids identical to a sequential decode.
 struct DecodedFrame {
@@ -136,6 +136,16 @@ void decode_frame_payload(std::string_view payload, DecodedFrame& out);
 /// from a single thread.
 void bind_frame(TraceContext& ctx, DecodedFrame& frame,
                 std::vector<Symbol>& symbol_map);
+
+/// bind_frame() in two steps, for callers that keep the frame's records
+/// elsewhere: intern_frame_defs() interns the definitions (same calling
+/// rules) and returns true when every id interned to itself, in which
+/// case the records need no rewrite; otherwise remap_frame_records()
+/// rewrites them.
+bool intern_frame_defs(TraceContext& ctx, const DecodedFrame& frame,
+                       std::vector<Symbol>& symbol_map);
+void remap_frame_records(std::span<TraceRecord> records,
+                         const std::vector<Symbol>& symbol_map);
 
 /// Streaming binary writer (v1, v2, or the v3 framed container).
 class BinaryTraceWriter {

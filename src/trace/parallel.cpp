@@ -378,31 +378,44 @@ void ParallelFanOut::on_record(const TraceRecord& rec) {
 }
 
 void ParallelFanOut::push_batch(std::span<const TraceRecord> batch) {
-  // Fast path: an already-full batch with nothing pending is forwarded
-  // (inline) or published (parallel) without restaging record-by-record.
-  if (pending_.empty() && batch.size() >= options_.batch_records) {
-    counters_.records += batch.size();
-    ++counters_.batches;
-    if (workers_.empty()) {
-      if (options_.registry != nullptr) {
+  // Any span, however long, goes out in batch_records slices: full
+  // slices are forwarded (inline) or published (parallel) without
+  // restaging, the rest tops up the pending batch. So no sink ever sees
+  // more than batch_records records at once, and the queues never hold
+  // more than queue_batches x batch_records copied records.
+  while (!batch.empty()) {
+    if (pending_.empty() && batch.size() >= options_.batch_records) {
+      const std::span<const TraceRecord> slice =
+          batch.first(options_.batch_records);
+      batch = batch.subspan(options_.batch_records);
+      counters_.records += slice.size();
+      ++counters_.batches;
+      if (!workers_.empty()) {
+        publish(
+            std::make_shared<const RecordBatch>(slice.begin(), slice.end()));
+      } else if (options_.registry != nullptr) {
         const auto begin = std::chrono::steady_clock::now();
-        for (TraceSink* sink : sinks_) deliver_batch(sink, batch);
+        for (TraceSink* sink : sinks_) deliver_batch(sink, slice);
         inline_latency_.record(
             elapsed_us(begin, std::chrono::steady_clock::now()));
       } else {
-        for (TraceSink* sink : sinks_) deliver_batch(sink, batch);
+        for (TraceSink* sink : sinks_) deliver_batch(sink, slice);
       }
-    } else {
-      publish(std::make_shared<const RecordBatch>(batch.begin(), batch.end()));
+      continue;
     }
-    return;
+    const std::size_t take =
+        std::min(batch.size(), options_.batch_records - pending_.size());
+    pending_.insert(pending_.end(), batch.begin(),
+                    batch.begin() + static_cast<std::ptrdiff_t>(take));
+    batch = batch.subspan(take);
+    if (pending_.size() >= options_.batch_records) flush_pending();
   }
-  for (const TraceRecord& rec : batch) on_record(rec);
 }
 
 void ParallelFanOut::push_batch_owned(std::vector<TraceRecord>&& batch) {
   // Same staging policy as push_batch, but a full owned batch becomes
-  // the published RecordBatch directly — no copy into a fresh vector.
+  // the published RecordBatch directly — no copy into a fresh vector, so
+  // it adds no second copy of its records whatever its size.
   if (pending_.empty() && batch.size() >= options_.batch_records &&
       !workers_.empty()) {
     counters_.records += batch.size();

@@ -25,7 +25,7 @@ class TraceSink {
   /// Receives a whole batch. Semantically identical to calling on_record
   /// once per record; hot terminal sinks (cache simulator, transformer)
   /// override it to amortize the per-record virtual dispatch, and the
-  /// streaming layer delivers batches by default.
+  /// view DAG delivers batches by default.
   virtual void push_batch(std::span<const TraceRecord> batch) {
     for (const TraceRecord& rec : batch) on_record(rec);
   }
@@ -92,26 +92,6 @@ class VectorSink final : public TraceSink {
   std::vector<TraceRecord> records_;
   Budget* budget_ = nullptr;
   std::uint64_t charged_ = 0;
-};
-
-/// Sink that forwards every record to several downstream sinks (e.g. a
-/// cache simulator and a file writer at once).
-class TeeSink final : public TraceSink {
- public:
-  explicit TeeSink(std::vector<TraceSink*> sinks) : sinks_(std::move(sinks)) {}
-
-  void on_record(const TraceRecord& rec) override {
-    for (TraceSink* s : sinks_) s->on_record(rec);
-  }
-  void push_batch(std::span<const TraceRecord> batch) override {
-    for (TraceSink* s : sinks_) s->push_batch(batch);
-  }
-  void on_end() override {
-    for (TraceSink* s : sinks_) s->on_end();
-  }
-
- private:
-  std::vector<TraceSink*> sinks_;
 };
 
 /// Sink that counts records and otherwise discards them.

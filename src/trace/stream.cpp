@@ -1,10 +1,10 @@
 #include "trace/stream.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <condition_variable>
 #include <fstream>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "trace/binary.hpp"
@@ -25,48 +25,6 @@ TraceFormat guess_trace_format(const std::string& path) noexcept {
 
 namespace {
 
-/// Records per batch handed to the sink by the streaming layer.
-constexpr std::size_t kStreamBatch = 4096;
-
-/// Batching shim shared by every streaming entry point: records are
-/// delivered through push_batch in fixed-size batches — one virtual call
-/// per kStreamBatch records instead of one per record — and batch-aware
-/// sinks (simulator, parallel fan-out) skip the per-record dispatch
-/// entirely.
-class BatchEmitter {
- public:
-  explicit BatchEmitter(TraceSink& sink, Governor* governor = nullptr)
-      : sink_(&sink), governor_(governor) {
-    batch_.reserve(kStreamBatch);
-  }
-
-  /// Stages one record; returns false when the governor's deadline
-  /// expired at the batch boundary just flushed — the caller must stop
-  /// reading and call finish() (partial-result contract).
-  [[nodiscard]] bool emit(TraceRecord&& rec) {
-    ++records_;
-    batch_.push_back(std::move(rec));
-    if (batch_.size() >= kStreamBatch) {
-      sink_->push_batch(batch_);
-      batch_.clear();
-      if (governor_ != nullptr && governor_->expired()) return false;
-    }
-    return true;
-  }
-
-  std::uint64_t finish() {
-    if (!batch_.empty()) sink_->push_batch(batch_);
-    sink_->on_end();
-    return records_;
-  }
-
- private:
-  TraceSink* sink_;
-  Governor* governor_;
-  std::vector<TraceRecord> batch_;
-  std::uint64_t records_ = 0;
-};
-
 /// Folds the reader-side ingestion counters into the metrics registry
 /// (the documented read.* counter family). A null registry is a no-op so
 /// uninstrumented runs stay byte-identical.
@@ -80,50 +38,103 @@ void fold_read_counters(obs::Registry* registry, std::uint64_t records,
   registry->counter("read.slow_parses").add(slow_parses);
 }
 
-/// Drains a Gleipnir reader (any byte-source backend) into a sink using
-/// the bulk next_batch entry point: records decode straight into the
-/// batch vector and ownership of the full batch passes to the sink
-/// (push_batch_owned), so batch-republishing sinks never copy. The
-/// governor deadline is checked at batch boundaries, exactly as the
-/// per-record emitter did.
-StreamResult drain_gleipnir(GleipnirReader& reader, TraceSink& sink,
-                            obs::Registry* registry, Governor* governor) {
-  StreamResult result;
-  std::vector<TraceRecord> batch;
-  batch.reserve(kStreamBatch);
-  for (;;) {
-    const std::size_t got = reader.next_batch(batch, kStreamBatch);
-    if (got == 0) break;
-    result.records += got;
-    sink.push_batch_owned(std::move(batch));
-    batch.clear();  // moved-from: reset to a known-empty state
-    batch.reserve(kStreamBatch);
-    if (governor != nullptr && governor->expired()) break;
+/// Gleipnir text (file, stdin, .gz, or in-memory) through the reader's
+/// bulk next_batch fast path: records decode straight into the batch.
+class GleipnirCursor final : public SourceCursor {
+ public:
+  GleipnirCursor(TraceContext& ctx, std::unique_ptr<ByteSource> source,
+                 DiagEngine* diags)
+      : reader_(ctx, std::move(source), diags) {}
+  GleipnirCursor(TraceContext& ctx, std::string_view text, DiagEngine* diags)
+      : reader_(ctx, text, diags) {}
+
+  std::size_t next_batch(std::vector<TraceRecord>& out,
+                         std::size_t max) override {
+    const std::size_t got = reader_.next_batch(out, max);
+    records_ += got;
+    return got;
   }
-  sink.on_end();
-  if (reader.saw_start()) result.pid = reader.start_pid();
-  result.deadline_hit = governor != nullptr && governor->deadline_hit();
-  fold_read_counters(registry, result.records, reader.counters().bytes,
-                     reader.counters().fast_records,
-                     reader.counters().slow_records);
-  return result;
-}
+
+  void finish(obs::Registry* registry) override {
+    if (reader_.saw_start()) {
+      have_pid_ = true;
+      pid_ = reader_.start_pid();
+    }
+    fold_read_counters(registry, records_, reader_.counters().bytes,
+                       reader_.counters().fast_records,
+                       reader_.counters().slow_records);
+  }
+
+ private:
+  GleipnirReader reader_;
+  std::uint64_t records_ = 0;
+};
+
+/// Sequential din / TDTB decode over an owned stream.
+class RecordLoopCursor final : public SourceCursor {
+ public:
+  RecordLoopCursor(TraceContext& ctx, std::ifstream in, TraceFormat format,
+                   DiagEngine* diags)
+      : in_(std::move(in)) {
+    if (format == TraceFormat::Din) {
+      din_.emplace(ctx, in_, /*default_size=*/4, diags);
+    } else {
+      binary_.emplace(ctx, in_, diags);
+      have_pid_ = true;
+      pid_ = binary_->pid();
+    }
+  }
+
+  std::size_t next_batch(std::vector<TraceRecord>& out,
+                         std::size_t max) override {
+    std::size_t got = 0;
+    TraceRecord rec;
+    while (got < max && (din_ ? din_->next(rec) : binary_->next(rec))) {
+      // Copy, not move: `rec` is the reader's reusable output slot.
+      out.push_back(rec);
+      ++got;
+    }
+    records_ += got;
+    return got;
+  }
+
+  void finish(obs::Registry* registry) override {
+    if (registry == nullptr) return;
+    registry->counter("read.records").add(records_);
+    if (binary_) {
+      registry->counter("read.bytes").add(binary_->bytes_read());
+      if (binary_->version() >= kTdtbVersionFramed) {
+        registry->counter("read.frames").add(binary_->frames_read());
+        registry->counter("read.compressed_bytes")
+            .add(binary_->compressed_bytes());
+      }
+    }
+  }
+
+ private:
+  std::ifstream in_;
+  std::optional<DinReader> din_;
+  std::optional<BinaryTraceReader> binary_;
+  std::uint64_t records_ = 0;
+};
 
 // --- TDTB v3 parallel (seekable) decode -------------------------------------
 
-/// Reusable decode scratch: the frame's records/defs plus the
-/// decompression buffer its defs view into. Buffers cycle worker ->
-/// publisher -> free list, so steady-state decoding performs no
-/// per-frame allocation — a large fresh vector per frame would serialize
-/// every worker on the allocator's mmap/page-zero path and erase the
-/// parallel speedup.
+/// One decoded frame waiting for the consumer: its string definitions,
+/// the decompression buffer they view into, and its records cut into
+/// slices of at most kViewBatch. Buffers cycle worker -> consumer -> free
+/// list, so steady-state decoding performs no per-frame allocation — a
+/// large fresh vector per frame would serialize every worker on the
+/// allocator's mmap/page-zero path and erase the parallel speedup.
 struct FrameBuf {
-  DecodedFrame frame;
+  DecodedFrame frame;   // defs; its records vector is lent by the decoder
   std::string payload;  // decompressed bytes frame.defs views into
+  std::vector<std::vector<TraceRecord>> slices;
+  std::size_t nslices = 0;  // slices[0, nslices) hold the frame's records
 };
 
 /// One frame's decode state in the parallel pipeline. Workers fill a
-/// slot; the publisher consumes it. `done` is guarded by the pool mutex.
+/// slot; the consumer drains it. `done` is guarded by the pool mutex.
 struct FrameSlot {
   FrameBuf* buf = nullptr;
   bool bad = false;
@@ -225,281 +236,299 @@ void decode_indexed_frame(std::string_view blob, const TdtbFrameInfo& fi,
   }
 }
 
-/// Parallel decode of a v3 container whose frame index validated.
-/// Workers claim frames in order and run the thread-safe phase-one
-/// decode; the calling thread binds (interns) and publishes frames
-/// strictly in frame order, so the string pool stays single-writer,
-/// symbol ids match a sequential decode, and the sink sees the exact
-/// byte-identical record stream at any job count. A claim window
-/// (2x workers) bounds decoded-but-unpublished memory. Error-policy
-/// semantics match the sequential reader: Strict throws, Repair drops
-/// the corrupt frame and resumes at the next one, Skip salvages the
-/// decoded prefix and ends the trace.
-StreamResult stream_tdtb_indexed(TraceContext& ctx, std::string_view blob,
-                                 const TdtbContainerInfo& info,
-                                 TraceSink& sink,
-                                 const StreamOptions& options) {
-  DiagEngine* diags = options.diags;
-  Governor* governor = options.governor;
-  const std::size_t nframes = info.frames.size();
-  StreamResult result;
-  result.pid = info.pid;
+/// Decodes frame `frame_no` into `slot`'s buffer and cuts its records
+/// into kViewBatch slices, on the decoding thread. The frame decodes
+/// into the thread's own `scratch` vector, so a buffer waiting for the
+/// consumer holds its records once, in the slices; the slices' storage
+/// is whatever empty batch vectors the consumer traded for earlier ones.
+void decode_frame_slices(std::string_view blob, const TdtbFrameInfo& fi,
+                         bool injected, std::uint64_t frame_no,
+                         FrameSlot& slot, std::vector<TraceRecord>& scratch) {
+  FrameBuf& buf = *slot.buf;
+  std::vector<TraceRecord>& records = buf.frame.records;
+  records.swap(scratch);
+  // Warm the scratch vector once per thread; a hostile index cannot
+  // drive a giant allocation (the cap).
+  records.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(fi.records, 64 * 1024)));
+  decode_indexed_frame(blob, fi, injected, frame_no, slot);
+  buf.nslices = (records.size() + kViewBatch - 1) / kViewBatch;
+  if (buf.slices.size() < buf.nslices) buf.slices.resize(buf.nslices);
+  for (std::size_t i = 0; i < buf.nslices; ++i) {
+    const auto first =
+        records.begin() + static_cast<std::ptrdiff_t>(i * kViewBatch);
+    const std::size_t n = std::min(kViewBatch, records.size() - i * kViewBatch);
+    buf.slices[i].assign(first, first + static_cast<std::ptrdiff_t>(n));
+  }
+  records.swap(scratch);
+}
 
-  // Pre-sample the frame-decode fault site here, once per frame in
-  // frame order — the same draw sequence the sequential reader makes —
-  // so injected schedules are identical at any job count.
-  std::vector<char> injected(nframes, 0);
-  if (fault::FaultInjector::enabled()) {
-    for (std::size_t i = 0; i < nframes; ++i) {
-      injected[i] = fault::should_fire(fault::Site::FrameDecode) ? 1 : 0;
+/// Seekable parallel decode of a v3 container whose frame index
+/// validated. Workers claim frames in order and run the thread-safe
+/// phase-one decode, slices included, ahead of the consumer;
+/// next_batch() binds (interns) frames strictly in frame order on the
+/// calling thread and hands out one slice per call — by swapping it with
+/// the caller's empty batch vector, so no record is copied on the
+/// consuming thread. So the string pool stays single-writer, symbol ids
+/// match a sequential decode, and the batches are byte-identical at any
+/// job count. A batch never spans two frames. A claim window (2x
+/// workers) bounds decoded-but-unconsumed memory to window + 1 frames.
+/// Error-policy semantics match the sequential reader: Strict throws,
+/// Repair drops the corrupt frame and resumes at the next one, Skip
+/// salvages the decoded prefix and ends the trace. finish() and the
+/// destructor cancel and join the workers, so a run that ends or stops
+/// early leaves no decode thread behind.
+class IndexedCursor final : public SourceCursor {
+ public:
+  IndexedCursor(TraceContext& ctx, std::unique_ptr<FileView> view,
+                TdtbContainerInfo info, const ViewSourceOptions& options)
+      : ctx_(&ctx),
+        view_(std::move(view)),
+        blob_(view_->bytes()),
+        info_(std::move(info)),
+        diags_(options.diags),
+        injected_(info_.frames.size(), 0) {
+    have_pid_ = true;
+    pid_ = info_.pid;
+    const std::size_t nframes = info_.frames.size();
+    // Pre-sample the frame-decode fault site here, once per frame in
+    // frame order — the same draw sequence the sequential reader makes —
+    // so injected schedules are identical at any job count.
+    if (fault::FaultInjector::enabled()) {
+      for (char& fire : injected_) {
+        fire = fault::should_fire(fault::Site::FrameDecode) ? 1 : 0;
+      }
+    }
+    const std::size_t requested =
+        std::min(static_cast<std::size_t>(std::clamp(options.jobs, 1, 256)),
+                 std::max<std::size_t>(nframes, 1));
+    // More decode workers than cores is pure scheduling overhead; clamp
+    // unless a test explicitly wants the threaded machinery exercised.
+    const std::size_t hw =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t nworkers =
+        options.clamp_jobs ? std::min(requested, hw) : requested;
+    // One effective worker decodes inline in next_batch(): no slots, no
+    // threads, no condition variables.
+    if (nworkers <= 1) return;
+    slots_.resize(nframes);
+    window_ = nworkers * 2;
+    pool_.reserve(nworkers);
+    for (std::size_t i = 0; i < nworkers; ++i) {
+      pool_.emplace_back([this] { worker_main(); });
     }
   }
 
-  std::vector<Symbol> symbol_map;
-  std::uint64_t frames_done = 0;
-  std::uint64_t stored_bytes = 0;
+  ~IndexedCursor() override { stop_workers(); }
 
-  // Delivers one decoded frame to the sink under the sequential
-  // reader's error-policy semantics. Returns true when the stream must
-  // end (Skip salvage). Shared by the inline and threaded paths so
-  // their diagnostics and output are identical by construction.
-  const auto publish_slot = [&](FrameSlot& slot) -> bool {
-    DecodedFrame& frame = slot.buf->frame;
+  IndexedCursor(const IndexedCursor&) = delete;
+  IndexedCursor& operator=(const IndexedCursor&) = delete;
+
+  std::size_t next_batch(std::vector<TraceRecord>& out,
+                         std::size_t max) override {
+    while (buf_ == nullptr || slice_ == buf_->nslices) {
+      if (!advance()) return 0;
+    }
+    std::vector<TraceRecord>& slice = buf_->slices[slice_];
+    std::size_t n = 0;
+    if (pos_ == 0 && out.empty() && slice.size() <= max) {
+      out.swap(slice);  // the caller's empty vector takes the slice's place
+      n = out.size();
+    } else {
+      n = std::min(max, slice.size() - pos_);
+      const auto first = slice.begin() + static_cast<std::ptrdiff_t>(pos_);
+      out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+      pos_ += n;
+    }
+    if (pos_ == slice.size()) {  // handed over whole, or copied to its end
+      ++slice_;
+      pos_ = 0;
+    }
+    records_ += n;
+    return n;
+  }
+
+  void finish(obs::Registry* registry) override {
+    stop_workers();
+    // read.bytes: a complete pass consumed the whole container; an early
+    // stop counts through the end of the last frame handed out (the
+    // start of the first untouched frame).
+    const std::uint64_t bytes = next_frame_ == info_.frames.size()
+                                    ? blob_.size()
+                                    : info_.frames[next_frame_].offset;
+    fold_read_counters(registry, records_, bytes, 0, 0);
+    if (registry != nullptr) {
+      registry->counter("read.frames").add(next_frame_);
+      registry->counter("read.compressed_bytes").add(stored_bytes_);
+    }
+  }
+
+ private:
+  /// Moves to the next frame in frame order and applies the sequential
+  /// reader's error policy to it. Returns false at end of trace.
+  bool advance() {
+    release_frame();
+    if (ended_ || next_frame_ == info_.frames.size()) return false;
+    const std::size_t i = next_frame_++;
+    FrameSlot& slot = pool_.empty() ? decode_inline(i) : await(i);
+    stored_bytes_ += info_.frames[i].csize;
+    slot_ = &slot;
+    buf_ = slot.buf;
+    slice_ = 0;
+    pos_ = 0;
     if (slot.bad) {
-      if (diags == nullptr || diags->strict()) {
+      if (diags_ == nullptr || diags_->strict()) {
         throw_parse_error(std::move(slot.error));
       }
-      diags->report(DiagSeverity::Error, slot.code, slot.error);
-      if (!diags->repair()) {
-        // Skip: salvage the decoded prefix of the bad frame, then end.
-        bind_frame(ctx, frame, symbol_map);
-        result.records += frame.records.size();
-        if (!frame.records.empty()) sink.push_batch(frame.records);
+      diags_->report(DiagSeverity::Error, slot.code, slot.error);
+      if (diags_->repair()) {
+        // Repair: frame isolation — drop it, resume at the next frame.
+        buf_->nslices = 0;
         return true;
       }
-      // Repair: frame isolation — drop it, resume at the next frame.
-      return false;
+      // Skip: salvage the decoded prefix of the bad frame, then end.
+      ended_ = true;
     }
-    bind_frame(ctx, frame, symbol_map);
-    result.records += frame.records.size();
-    if (!frame.records.empty()) sink.push_batch(frame.records);
-    return false;
-  };
-
-  const auto finish = [&]() {
-    sink.on_end();
-    result.deadline_hit = governor != nullptr && governor->deadline_hit();
-    // read.bytes: a complete pass consumed the whole container; an
-    // early stop counts through the end of the last frame processed
-    // (the start of the first untouched frame).
-    const std::uint64_t bytes =
-        frames_done == nframes
-            ? blob.size()
-            : info.frames[static_cast<std::size_t>(frames_done)].offset;
-    fold_read_counters(options.registry, result.records, bytes, 0, 0);
-    if (options.registry != nullptr) {
-      options.registry->counter("read.frames").add(frames_done);
-      options.registry->counter("read.compressed_bytes").add(stored_bytes);
+    if (!intern_frame_defs(*ctx_, buf_->frame, symbol_map_)) {
+      for (std::size_t k = 0; k < buf_->nslices; ++k) {
+        remap_frame_records(buf_->slices[k], symbol_map_);
+      }
     }
-  };
-
-  const std::size_t requested =
-      std::min(static_cast<std::size_t>(std::clamp(options.jobs, 1, 256)),
-               std::max<std::size_t>(nframes, 1));
-  // More decode workers than cores is pure scheduling overhead; clamp
-  // unless a test explicitly wants the threaded machinery exercised.
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t nworkers =
-      options.clamp_jobs ? std::min(requested, hw) : requested;
-
-  if (nworkers <= 1) {
-    // One effective worker: decode inline on this thread. No slots, no
-    // condition variables — the frame loop is the pipeline.
-    FrameBuf solo;
-    for (std::size_t i = 0; i < nframes; ++i) {
-      FrameSlot slot;
-      slot.buf = &solo;
-      solo.frame.records.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(info.frames[i].records, 64 * 1024)));
-      decode_indexed_frame(blob, info.frames[i], injected[i] != 0,
-                           static_cast<std::uint64_t>(i), slot);
-      ++frames_done;
-      stored_bytes += info.frames[i].csize;
-      if (publish_slot(slot)) break;
-      if (governor != nullptr && governor->expired()) break;
-    }
-    finish();
-    return result;
+    return true;
   }
 
-  std::vector<FrameSlot> slots(nframes);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::size_t next_claim = 0;  // next frame a worker decodes (under mu)
-  std::size_t published = 0;   // frames delivered to the sink (under mu)
-  bool cancel = false;         // publisher tells workers to quit (under mu)
-  const std::size_t window = nworkers * 2;
-  // Decode-buffer pool (under mu). The claim window bounds frames in
-  // flight, so at most window + 1 buffers ever exist; after warm-up the
-  // pipeline recycles them and steady-state decode allocates nothing.
-  std::vector<std::unique_ptr<FrameBuf>> buf_storage;
-  std::vector<FrameBuf*> free_bufs;
+  FrameSlot& decode_inline(std::size_t i) {
+    solo_slot_ = FrameSlot{};
+    solo_slot_.buf = &solo_buf_;
+    decode_frame_slices(blob_, info_.frames[i], injected_[i] != 0,
+                        static_cast<std::uint64_t>(i), solo_slot_, scratch_);
+    return solo_slot_;
+  }
 
-  auto worker_main = [&]() {
+  FrameSlot& await(std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return slots_[i].done; });
+    return slots_[i];
+  }
+
+  /// Hands the drained frame's buffer back to the workers and opens the
+  /// claim window by one frame.
+  void release_frame() {
+    if (slot_ == nullptr) return;
+    if (!pool_.empty()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        free_bufs_.push_back(slot_->buf);
+        released_ = next_frame_;
+      }
+      cv_.notify_all();
+    }
+    slot_->buf = nullptr;
+    slot_ = nullptr;
+    buf_ = nullptr;
+  }
+
+  void worker_main() {
+    const std::size_t nframes = info_.frames.size();
+    std::vector<TraceRecord> scratch;  // this worker's decode target
     for (;;) {
       std::size_t idx = 0;
       FrameBuf* buf = nullptr;
       {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] {
-          return cancel || next_claim >= nframes ||
-                 next_claim < published + window;
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] {
+          return cancel_ || next_claim_ >= nframes ||
+                 next_claim_ < released_ + window_;
         });
-        if (cancel || next_claim >= nframes) return;
-        idx = next_claim++;
-        if (!free_bufs.empty()) {
-          buf = free_bufs.back();
-          free_bufs.pop_back();
+        if (cancel_ || next_claim_ >= nframes) return;
+        idx = next_claim_++;
+        if (!free_bufs_.empty()) {
+          buf = free_bufs_.back();
+          free_bufs_.pop_back();
         }
       }
       if (buf == nullptr) {
         auto fresh = std::make_unique<FrameBuf>();
         buf = fresh.get();
-        std::lock_guard<std::mutex> lock(mu);
-        buf_storage.push_back(std::move(fresh));
+        std::lock_guard<std::mutex> lock(mu_);
+        buf_storage_.push_back(std::move(fresh));
       }
-      FrameSlot& slot = slots[idx];
+      FrameSlot& slot = slots_[idx];
       slot.buf = buf;
-      // Warm the record vector once per buffer; a hostile index cannot
-      // drive a giant allocation (the cap), and recycled buffers keep
-      // whatever capacity real frames needed.
-      buf->frame.records.reserve(static_cast<std::size_t>(
-          std::min<std::uint64_t>(info.frames[idx].records, 64 * 1024)));
       try {
-        decode_indexed_frame(blob, info.frames[idx], injected[idx] != 0,
-                             static_cast<std::uint64_t>(idx), slot);
+        decode_frame_slices(blob_, info_.frames[idx], injected_[idx] != 0,
+                            static_cast<std::uint64_t>(idx), slot, scratch);
       } catch (const std::exception& e) {
+        buf->nslices = 0;
         slot.bad = true;
         slot.code = DiagCode::BinFrameCorrupt;
         slot.error = e.what();
       }
       {
-        std::lock_guard<std::mutex> lock(mu);
+        std::lock_guard<std::mutex> lock(mu_);
         slot.done = true;
       }
-      cv.notify_all();
+      cv_.notify_all();
     }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(nworkers);
-  for (std::size_t i = 0; i < nworkers; ++i) pool.emplace_back(worker_main);
-  auto shutdown = [&]() {
-    {
-      std::lock_guard<std::mutex> lock(mu);
-      cancel = true;
-    }
-    cv.notify_all();
-    for (std::thread& t : pool) t.join();
-  };
-
-  try {
-    for (std::size_t i = 0; i < nframes; ++i) {
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return slots[i].done; });
-      }
-      FrameSlot& slot = slots[i];
-      ++frames_done;
-      stored_bytes += info.frames[i].csize;
-      const bool stop = publish_slot(slot);
-      {
-        // Recycle the decode buffer and open the claim window.
-        std::lock_guard<std::mutex> lock(mu);
-        free_bufs.push_back(slot.buf);
-        published = i + 1;
-      }
-      slot.buf = nullptr;
-      cv.notify_all();
-      if (stop) break;
-      if (governor != nullptr && governor->expired()) break;
-    }
-  } catch (...) {
-    shutdown();
-    throw;
   }
-  shutdown();
-  finish();
-  return result;
-}
+
+  void stop_workers() noexcept {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      cancel_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& t : pool_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  TraceContext* ctx_;
+  std::unique_ptr<FileView> view_;  // owns the bytes blob_ views
+  std::string_view blob_;
+  TdtbContainerInfo info_;
+  DiagEngine* diags_;
+  std::vector<char> injected_;  // pre-sampled frame-decode faults
+  std::vector<Symbol> symbol_map_;
+
+  // Consumer state (calling thread only).
+  std::size_t next_frame_ = 0;   // frames handed out or dropped so far
+  FrameSlot* slot_ = nullptr;    // slot of the frame being drained
+  FrameBuf* buf_ = nullptr;      // its decoded slices
+  std::size_t slice_ = 0;        // next slice of buf_ to hand out
+  std::size_t pos_ = 0;          // records of that slice already copied out
+  bool ended_ = false;           // Skip salvaged a bad frame
+  std::uint64_t records_ = 0;
+  std::uint64_t stored_bytes_ = 0;
+  FrameBuf solo_buf_;            // inline decode (one worker)
+  FrameSlot solo_slot_;
+  std::vector<TraceRecord> scratch_;
+
+  // Worker pool (empty when decoding inline). Everything below is
+  // guarded by mu_ except the slots' payloads, which `done` publishes.
+  std::vector<FrameSlot> slots_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t next_claim_ = 0;  // next frame a worker decodes
+  std::size_t released_ = 0;    // frames the consumer is done with
+  std::size_t window_ = 0;
+  bool cancel_ = false;
+  // Decode-buffer pool. After warm-up the pipeline recycles buffers and
+  // steady-state decode allocates nothing.
+  std::vector<std::unique_ptr<FrameBuf>> buf_storage_;
+  std::vector<FrameBuf*> free_bufs_;
+  std::vector<std::thread> pool_;
+};
 
 }  // namespace
 
-StreamResult stream_trace(TraceContext& ctx, std::istream& in,
-                          TraceFormat format, TraceSink& sink,
-                          DiagEngine* diags, obs::Registry* registry,
-                          Governor* governor) {
-  switch (format) {
-    case TraceFormat::Gleipnir: {
-      GleipnirReader reader(ctx, in, diags);
-      return drain_gleipnir(reader, sink, registry, governor);
-    }
-    case TraceFormat::Din: {
-      StreamResult result;
-      BatchEmitter emitter(sink, governor);
-      DinReader reader(ctx, in, /*default_size=*/4, diags);
-      TraceRecord rec;
-      // Copy, not move: `rec` is the reader's reusable output slot.
-      while (reader.next(rec)) {
-        if (!emitter.emit(TraceRecord(rec))) break;
-      }
-      result.records = emitter.finish();
-      result.deadline_hit = governor != nullptr && governor->deadline_hit();
-      if (registry != nullptr) {
-        registry->counter("read.records").add(result.records);
-      }
-      return result;
-    }
-    case TraceFormat::Tdtb: {
-      StreamResult result;
-      BatchEmitter emitter(sink, governor);
-      BinaryTraceReader reader(ctx, in, diags);
-      result.pid = reader.pid();
-      TraceRecord rec;
-      while (reader.next(rec)) {
-        if (!emitter.emit(TraceRecord(rec))) break;
-      }
-      result.records = emitter.finish();
-      result.deadline_hit = governor != nullptr && governor->deadline_hit();
-      fold_read_counters(registry, result.records, reader.bytes_read(), 0, 0);
-      if (registry != nullptr && reader.version() >= kTdtbVersionFramed) {
-        registry->counter("read.frames").add(reader.frames_read());
-        registry->counter("read.compressed_bytes")
-            .add(reader.compressed_bytes());
-      }
-      return result;
-    }
-  }
-  StreamResult result;
-  sink.on_end();
-  return result;
-}
-
-StreamResult stream_trace_text(TraceContext& ctx, std::string_view text,
-                               TraceSink& sink, DiagEngine* diags,
-                               obs::Registry* registry, Governor* governor) {
-  GleipnirReader reader(ctx, text, diags);
-  return drain_gleipnir(reader, sink, registry, governor);
-}
-
-StreamResult stream_trace_file(TraceContext& ctx, const std::string& path,
-                               TraceSink& sink, const StreamOptions& options) {
+std::unique_ptr<SourceCursor> open_trace_cursor(
+    TraceContext& ctx, const std::string& path,
+    const ViewSourceOptions& options) {
   const TraceFormat format = guess_trace_format(path);
   if (format == TraceFormat::Gleipnir) {
-    GleipnirReader reader(ctx, open_trace_byte_source(path, options.ingest),
-                          options.diags);
-    return drain_gleipnir(reader, sink, options.registry, options.governor);
+    return std::make_unique<GleipnirCursor>(
+        ctx, open_trace_byte_source(path, options.ingest), options.diags);
   }
   if (format == TraceFormat::Tdtb && path != "-") {
     // Probe and decode read the same mapped bytes (no reopen window). A
@@ -507,10 +536,11 @@ StreamResult stream_trace_file(TraceContext& ctx, const std::string& path,
     // path; everything else — v1/v2 blobs, a v3 whose index fails
     // validation — falls through to the sequential reader, which
     // produces the precise diagnostic under the chosen error policy.
-    if (const std::unique_ptr<FileView> view = FileView::open(path)) {
-      const std::optional<TdtbContainerInfo> info = probe_tdtb(view->bytes());
+    if (std::unique_ptr<FileView> view = FileView::open(path)) {
+      std::optional<TdtbContainerInfo> info = probe_tdtb(view->bytes());
       if (info && info->has_index) {
-        return stream_tdtb_indexed(ctx, view->bytes(), *info, sink, options);
+        return std::make_unique<IndexedCursor>(ctx, std::move(view),
+                                               std::move(*info), options);
       }
     }
   }
@@ -520,20 +550,14 @@ StreamResult stream_trace_file(TraceContext& ctx, const std::string& path,
   if (!in) {
     throw_io_error("cannot open trace file '" + path + "'");
   }
-  return stream_trace(ctx, in, format, sink, options.diags, options.registry,
-                      options.governor);
+  return std::make_unique<RecordLoopCursor>(ctx, std::move(in), format,
+                                            options.diags);
 }
 
-StreamResult stream_trace_file(TraceContext& ctx, const std::string& path,
-                               TraceSink& sink, DiagEngine* diags,
-                               obs::Registry* registry, Governor* governor,
-                               IngestMode ingest) {
-  StreamOptions options;
-  options.diags = diags;
-  options.registry = registry;
-  options.governor = governor;
-  options.ingest = ingest;
-  return stream_trace_file(ctx, path, sink, options);
+std::unique_ptr<SourceCursor> open_text_cursor(TraceContext& ctx,
+                                               std::string_view text,
+                                               DiagEngine* diags) {
+  return std::make_unique<GleipnirCursor>(ctx, text, diags);
 }
 
 }  // namespace tdt::trace

@@ -1,16 +1,19 @@
-// Format-dispatching streaming trace input. One call wires any trace
-// file — Gleipnir text, classic din, or TDTB binary — into a TraceSink
-// pipeline record-by-record, so recovery and simulation work on traces
-// larger than memory (no whole-file slurp, no whole-trace vector).
+// Pull cursors over trace input. This is the one place that turns a
+// trace — Gleipnir text, classic din, or TDTB binary, on disk or in
+// memory — into record batches. The view DAG's source nodes
+// (trace/view.hpp) drive these cursors; nothing else reads a trace, so
+// recovery and simulation work on traces larger than memory (no
+// whole-file slurp, no whole-trace vector).
 #pragma once
 
-#include <istream>
+#include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
-#include "trace/sink.hpp"
+#include "trace/record.hpp"
 #include "trace/source.hpp"
 #include "util/diag.hpp"
-#include "util/governor.hpp"
 #include "util/obs.hpp"
 
 namespace tdt::trace {
@@ -22,55 +25,24 @@ enum class TraceFormat : std::uint8_t { Gleipnir, Din, Tdtb };
 /// anything else -> Gleipnir text.
 [[nodiscard]] TraceFormat guess_trace_format(const std::string& path) noexcept;
 
-/// What a streaming pass delivered.
-struct StreamResult {
-  std::uint64_t records = 0;  ///< records pushed into the sink
-  std::uint64_t pid = 0;      ///< PID from START marker / binary header
-  /// The --deadline expired mid-stream: reading stopped at a batch
-  /// boundary, sinks were finished normally, `records` counts the prefix
-  /// actually delivered. The tool must report partial results and exit
-  /// with at least 1 (docs/robustness.md exit-code contract).
-  bool deadline_hit = false;
-};
+/// Records per batch the view DAG pulls from a source. The indexed TDTB
+/// v3 cursor decodes straight into slices of this size.
+inline constexpr std::size_t kViewBatch = 4096;
 
-/// Streams every record of `in` into `sink` (batched push_batch calls in
-/// trace order, then one on_end). `diags` selects the error-recovery
-/// policy (nullptr = strict fail-fast). When `registry` is non-null the
-/// reader-side ingestion counters (read.records, read.bytes,
-/// read.fast_parses, read.slow_parses) are folded into it after the pass;
-/// a null registry changes nothing. When `governor` is non-null its
-/// deadline is checked at batch granularity; expiry ends the stream
-/// early with deadline_hit set (sinks still get a clean on_end).
-StreamResult stream_trace(TraceContext& ctx, std::istream& in,
-                          TraceFormat format, TraceSink& sink,
-                          DiagEngine* diags = nullptr,
-                          obs::Registry* registry = nullptr,
-                          Governor* governor = nullptr);
-
-/// Streams an in-memory Gleipnir text trace into `sink` without copying
-/// it into a stream: lines are tokenized in place (the reader's zero-copy
-/// fast path). `text` must stay alive for the duration of the call.
-StreamResult stream_trace_text(TraceContext& ctx, std::string_view text,
-                               TraceSink& sink, DiagEngine* diags = nullptr,
-                               obs::Registry* registry = nullptr,
-                               Governor* governor = nullptr);
-
-/// Knobs for stream_trace_file beyond the positional basics.
-struct StreamOptions {
-  DiagEngine* diags = nullptr;
-  obs::Registry* registry = nullptr;
-  Governor* governor = nullptr;
+/// How a source opens its input.
+struct ViewSourceOptions {
+  DiagEngine* diags = nullptr;        ///< error-recovery policy (null = strict)
+  /// Byte-source backend for Gleipnir text (trace/source.hpp).
   IngestMode ingest = IngestMode::Auto;
   /// Worker threads decoding TDTB v3 frames concurrently when the
-  /// container carries a valid frame index (--jobs N). Frames publish
-  /// to the sink in frame order through one thread, so any job count
-  /// produces output byte-identical to the sequential decode; <= 1 runs
-  /// the same seekable path with a single worker. Ignored for text, din,
-  /// v1/v2 blobs, and v3 files whose index fails validation (those fall
-  /// back to the sequential reader and its diagnostics). The effective
-  /// worker count is clamped to the hardware concurrency (see
-  /// clamp_jobs); one effective worker decodes inline with no threads
-  /// at all.
+  /// container carries a valid frame index (--jobs N). Frames are bound
+  /// and handed out in frame order on the consuming thread, so any job
+  /// count yields output byte-identical to the sequential decode; <= 1
+  /// runs the same seekable path inline with no threads at all. Ignored
+  /// for text, din, v1/v2 blobs, and v3 files whose index fails
+  /// validation (those fall back to the sequential reader and its
+  /// diagnostics). The effective count is clamped to the hardware
+  /// concurrency (see clamp_jobs).
   int jobs = 1;
   /// Clamp the decode workers to std::thread::hardware_concurrency().
   /// Oversubscribing a small machine only adds scheduling overhead;
@@ -79,52 +51,44 @@ struct StreamOptions {
   bool clamp_jobs = true;
 };
 
-/// Opens `path`, guesses the format from its extension, and streams it
-/// into `sink`. Files open in binary mode for every format. Gleipnir
-/// text reads through the byte-source layer (trace/source.hpp):
-/// `options.ingest` picks the backend, "-" streams stdin through the
-/// overlapped reader, and gzip'd text inflates transparently. A TDTB v3
-/// container with a valid frame index decodes via the seekable parallel
-/// path (`options.jobs`). Throws Error{Io} when the file cannot be
-/// opened.
-StreamResult stream_trace_file(TraceContext& ctx, const std::string& path,
-                               TraceSink& sink, const StreamOptions& options);
-
-/// Positional-argument convenience overload (jobs = 1).
-StreamResult stream_trace_file(TraceContext& ctx, const std::string& path,
-                               TraceSink& sink, DiagEngine* diags = nullptr,
-                               obs::Registry* registry = nullptr,
-                               Governor* governor = nullptr,
-                               IngestMode ingest = IngestMode::Auto);
-
-/// Pass-through sink feeding a --progress heartbeat: forwards every
-/// record/batch downstream unchanged and ticks the heartbeat per batch,
-/// calling finish() at on_end. Neither pointer is owned.
-class ProgressSink final : public TraceSink {
+/// Pull side of a source: next_batch() appends at most `max` records to
+/// `out` and returns how many it appended; 0 means end of input.
+/// finish() folds the reader-side read.* counters (read.records,
+/// read.bytes, read.fast_parses, read.slow_parses, and read.frames /
+/// read.compressed_bytes for framed TDTB) into `registry` once the
+/// stream is done — at end of input or when the consumer stops early —
+/// and releases any decode threads; a null registry folds nothing.
+/// Destroying a cursor mid-stream also joins its threads.
+class SourceCursor {
  public:
-  ProgressSink(TraceSink& downstream, obs::Heartbeat& heartbeat)
-      : downstream_(&downstream), heartbeat_(&heartbeat) {}
+  virtual ~SourceCursor() = default;
+  virtual std::size_t next_batch(std::vector<TraceRecord>& out,
+                                 std::size_t max) = 0;
+  virtual void finish(obs::Registry* registry) = 0;
 
-  void on_record(const TraceRecord& rec) override {
-    heartbeat_->tick(1);
-    downstream_->on_record(rec);
-  }
-  void push_batch(std::span<const TraceRecord> batch) override {
-    heartbeat_->tick(batch.size());
-    downstream_->push_batch(batch);
-  }
-  void push_batch_owned(std::vector<TraceRecord>&& batch) override {
-    heartbeat_->tick(batch.size());
-    downstream_->push_batch_owned(std::move(batch));
-  }
-  void on_end() override {
-    heartbeat_->finish();
-    downstream_->on_end();
-  }
+  /// PID from the START marker or binary header; valid after finish().
+  [[nodiscard]] bool have_pid() const noexcept { return have_pid_; }
+  [[nodiscard]] std::uint64_t pid() const noexcept { return pid_; }
 
- private:
-  TraceSink* downstream_;
-  obs::Heartbeat* heartbeat_;
+ protected:
+  bool have_pid_ = false;
+  std::uint64_t pid_ = 0;
 };
+
+/// Opens `path` with the format guessed from its extension. Files open
+/// in binary mode for every format. Gleipnir text reads through the
+/// byte-source layer: `options.ingest` picks the backend, "-" streams
+/// stdin through the overlapped reader, and gzip'd text inflates
+/// transparently. A TDTB v3 container with a valid frame index decodes
+/// on the seekable parallel path (`options.jobs`). Throws Error{Io} when
+/// the file cannot be opened.
+[[nodiscard]] std::unique_ptr<SourceCursor> open_trace_cursor(
+    TraceContext& ctx, const std::string& path,
+    const ViewSourceOptions& options);
+
+/// In-memory Gleipnir text, tokenized in place (the reader's zero-copy
+/// fast path). `text` must outlive the cursor.
+[[nodiscard]] std::unique_ptr<SourceCursor> open_text_cursor(
+    TraceContext& ctx, std::string_view text, DiagEngine* diags);
 
 }  // namespace tdt::trace

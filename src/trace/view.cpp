@@ -1,18 +1,11 @@
 #include "trace/view.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <deque>
 #include <fstream>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 
-#include "trace/din.hpp"
-#include "trace/reader.hpp"
-#include "trace/stream.hpp"
 #include "trace/writer.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -90,235 +83,11 @@ namespace {
 using detail::BatchPtr;
 using detail::ViewNode;
 
-/// Records per batch pulled from a source; matches the streaming layer's
-/// batch size so sinks see the same push_batch boundaries either way.
-constexpr std::size_t kViewBatch = 4096;
-
 [[nodiscard]] std::uint64_t batch_bytes(std::size_t records) noexcept {
   return static_cast<std::uint64_t>(records) * sizeof(TraceRecord);
 }
 
-/// Same read.* counter family the streaming layer folds; a null registry
-/// is a no-op so uninstrumented runs stay byte-identical.
-void fold_read_counters(obs::Registry* registry, std::uint64_t records,
-                        std::uint64_t bytes, std::uint64_t fast_parses,
-                        std::uint64_t slow_parses) {
-  if (registry == nullptr) return;
-  registry->counter("read.records").add(records);
-  registry->counter("read.bytes").add(bytes);
-  registry->counter("read.fast_parses").add(fast_parses);
-  registry->counter("read.slow_parses").add(slow_parses);
-}
-
 // --- source cursors ---------------------------------------------------------
-
-/// Pull-side of a source node: appends up to `max` records per call,
-/// 0 = end of input. finish() folds the reader-side counters once the
-/// stream is done (EOF or deadline stop).
-class SourceCursor {
- public:
-  virtual ~SourceCursor() = default;
-  virtual std::size_t next_batch(std::vector<TraceRecord>& out,
-                                 std::size_t max) = 0;
-  virtual void finish(obs::Registry* registry) = 0;
-
-  [[nodiscard]] bool have_pid() const noexcept { return have_pid_; }
-  [[nodiscard]] std::uint64_t pid() const noexcept { return pid_; }
-
- protected:
-  bool have_pid_ = false;
-  std::uint64_t pid_ = 0;
-};
-
-/// Gleipnir text (file, stdin, .gz, or in-memory) through the reader's
-/// bulk next_batch fast path.
-class GleipnirCursor final : public SourceCursor {
- public:
-  GleipnirCursor(TraceContext& ctx, std::unique_ptr<ByteSource> source,
-                 DiagEngine* diags)
-      : reader_(ctx, std::move(source), diags) {}
-  GleipnirCursor(TraceContext& ctx, std::string_view text, DiagEngine* diags)
-      : reader_(ctx, text, diags) {}
-
-  std::size_t next_batch(std::vector<TraceRecord>& out,
-                         std::size_t max) override {
-    const std::size_t got = reader_.next_batch(out, max);
-    records_ += got;
-    return got;
-  }
-
-  void finish(obs::Registry* registry) override {
-    if (reader_.saw_start()) {
-      have_pid_ = true;
-      pid_ = reader_.start_pid();
-    }
-    fold_read_counters(registry, records_, reader_.counters().bytes,
-                       reader_.counters().fast_records,
-                       reader_.counters().slow_records);
-  }
-
- private:
-  GleipnirReader reader_;
-  std::uint64_t records_ = 0;
-};
-
-/// Sequential din / TDTB decode over an owned stream.
-class RecordLoopCursor final : public SourceCursor {
- public:
-  RecordLoopCursor(TraceContext& ctx, std::ifstream in, TraceFormat format,
-                   DiagEngine* diags)
-      : in_(std::move(in)) {
-    if (format == TraceFormat::Din) {
-      din_.emplace(ctx, in_, /*default_size=*/4, diags);
-    } else {
-      binary_.emplace(ctx, in_, diags);
-      have_pid_ = true;
-      pid_ = binary_->pid();
-    }
-  }
-
-  std::size_t next_batch(std::vector<TraceRecord>& out,
-                         std::size_t max) override {
-    std::size_t got = 0;
-    TraceRecord rec;
-    while (got < max && (din_ ? din_->next(rec) : binary_->next(rec))) {
-      // Copy, not move: `rec` is the reader's reusable output slot.
-      out.push_back(rec);
-      ++got;
-    }
-    records_ += got;
-    return got;
-  }
-
-  void finish(obs::Registry* registry) override {
-    if (registry == nullptr) return;
-    registry->counter("read.records").add(records_);
-    if (binary_) {
-      registry->counter("read.bytes").add(binary_->bytes_read());
-      if (binary_->version() >= kTdtbVersionFramed) {
-        registry->counter("read.frames").add(binary_->frames_read());
-        registry->counter("read.compressed_bytes")
-            .add(binary_->compressed_bytes());
-      }
-    }
-  }
-
- private:
-  std::ifstream in_;
-  std::optional<DinReader> din_;
-  std::optional<BinaryTraceReader> binary_;
-  std::uint64_t records_ = 0;
-};
-
-/// Inverts the push-only seekable TDTB v3 parallel decode into a pull
-/// cursor: a producer thread runs stream_trace_file into a small bounded
-/// hand-off queue. Batch boundaries (one per frame) and every counter,
-/// diagnostic and fault draw are the streaming layer's own, so the DAG
-/// source is behaviourally identical to the tools' previous direct call.
-class IndexedBridgeCursor final : public SourceCursor {
- public:
-  IndexedBridgeCursor(TraceContext& ctx, std::string path,
-                      const StreamOptions& options) {
-    producer_ = std::thread([this, &ctx, path = std::move(path), options] {
-      struct QueueSink final : TraceSink {
-        IndexedBridgeCursor* bridge;
-        void on_record(const TraceRecord& rec) override {
-          pending.push_back(rec);
-          if (pending.size() >= kViewBatch) flush();
-        }
-        void push_batch(std::span<const TraceRecord> batch) override {
-          flush();
-          bridge->push({batch.begin(), batch.end()});
-        }
-        void on_end() override { flush(); }
-        void flush() {
-          if (pending.empty()) return;
-          bridge->push(std::move(pending));
-          pending = {};
-        }
-        std::vector<TraceRecord> pending;
-      };
-      try {
-        QueueSink sink;
-        sink.bridge = this;
-        const StreamResult r = stream_trace_file(ctx, path, sink, options);
-        std::lock_guard<std::mutex> lock(mu_);
-        result_ = r;
-      } catch (const Cancelled&) {
-        // Consumer went away mid-stream; nothing to report.
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(mu_);
-        error_ = std::current_exception();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        done_ = true;
-      }
-      cv_.notify_all();
-    });
-  }
-
-  ~IndexedBridgeCursor() override {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      cancelled_ = true;
-    }
-    cv_.notify_all();
-    producer_.join();
-  }
-
-  std::size_t next_batch(std::vector<TraceRecord>& out,
-                         std::size_t) override {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return !queue_.empty() || done_; });
-    if (queue_.empty()) {
-      if (error_ != nullptr) std::rethrow_exception(error_);
-      have_pid_ = true;
-      pid_ = result_.pid;
-      deadline_hit_ = result_.deadline_hit;
-      return 0;
-    }
-    if (out.empty()) {
-      out = std::move(queue_.front());
-    } else {
-      out.insert(out.end(), queue_.front().begin(), queue_.front().end());
-    }
-    queue_.pop_front();
-    lock.unlock();
-    cv_.notify_all();
-    return out.size();
-  }
-
-  void finish(obs::Registry*) override {
-    // The streaming layer folded read.* in the producer thread.
-  }
-
-  [[nodiscard]] bool deadline_hit() const noexcept { return deadline_hit_; }
-
- private:
-  struct Cancelled {};
-
-  void push(std::vector<TraceRecord>&& batch) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return queue_.size() < kQueueBatches || cancelled_; });
-    if (cancelled_) throw Cancelled{};
-    queue_.push_back(std::move(batch));
-    lock.unlock();
-    cv_.notify_all();
-  }
-
-  static constexpr std::size_t kQueueBatches = 4;
-
-  std::thread producer_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::deque<std::vector<TraceRecord>> queue_;
-  bool done_ = false;
-  bool cancelled_ = false;
-  bool deadline_hit_ = false;
-  std::exception_ptr error_;
-  StreamResult result_;
-};
 
 /// In-memory records, sliced into kViewBatch batches.
 class RecordsCursor final : public SourceCursor {
@@ -342,51 +111,20 @@ class RecordsCursor final : public SourceCursor {
   std::size_t pos_ = 0;
 };
 
-/// Opens the pull cursor for a source node, dispatching exactly like
-/// stream_trace_file so diagnostics and counters match the push path.
-/// `eval` supplies the per-run registry/governor the bridge's inner
-/// streaming pass needs (the cursor folds read.* itself otherwise).
-std::unique_ptr<SourceCursor> open_cursor(ViewNode& node,
-                                          const EvalOptions& eval) {
+/// Opens the pull cursor for a source node.
+std::unique_ptr<SourceCursor> open_cursor(const ViewNode& node) {
   switch (node.kind) {
+    case ViewNode::Kind::SourceFile:
+      return open_trace_cursor(*node.ctx, node.path_or_text,
+                               node.source_options);
     case ViewNode::Kind::SourceText:
-      return std::make_unique<GleipnirCursor>(*node.ctx, node.path_or_text,
-                                              node.source_options.diags);
+      return open_text_cursor(*node.ctx, node.path_or_text,
+                              node.source_options.diags);
     case ViewNode::Kind::SourceRecords:
       return std::make_unique<RecordsCursor>(node.records);
-    case ViewNode::Kind::SourceFile:
-      break;
     default:
       throw_config_error("view node is not a source");
   }
-  const std::string& path = node.path_or_text;
-  const ViewSourceOptions& so = node.source_options;
-  const TraceFormat format = guess_trace_format(path);
-  if (format == TraceFormat::Gleipnir) {
-    return std::make_unique<GleipnirCursor>(
-        *node.ctx, open_trace_byte_source(path, so.ingest), so.diags);
-  }
-  if (format == TraceFormat::Tdtb && path != "-") {
-    if (const std::unique_ptr<FileView> view = FileView::open(path)) {
-      const std::optional<TdtbContainerInfo> info = probe_tdtb(view->bytes());
-      if (info && info->has_index) {
-        StreamOptions options;
-        options.diags = so.diags;
-        options.registry = eval.registry;
-        options.governor = eval.governor;
-        options.ingest = so.ingest;
-        options.jobs = so.jobs;
-        options.clamp_jobs = so.clamp_jobs;
-        return std::make_unique<IndexedBridgeCursor>(*node.ctx, path, options);
-      }
-    }
-  }
-  std::ifstream in(path, std::ios::binary | std::ios::in);
-  if (!in) {
-    throw_io_error("cannot open trace file '" + path + "'");
-  }
-  return std::make_unique<RecordLoopCursor>(*node.ctx, std::move(in), format,
-                                            so.diags);
 }
 
 [[nodiscard]] std::string_view kind_label(const ViewNode& node) noexcept {
@@ -512,7 +250,7 @@ class Evaluator {
   }
 
   void run_source_root(Stage& root) {
-    root.cursor = open_cursor(*root.node, options_);
+    root.cursor = open_cursor(*root.node);
     for (;;) {
       std::vector<TraceRecord> batch;
       batch.reserve(kViewBatch);
@@ -590,8 +328,10 @@ class Evaluator {
   }
 
   /// Feeds one input batch into `s`, applying its operator and passing
-  /// any output to its sinks and children.
-  void accept(Stage& s, const BatchPtr& in) {
+  /// any output to its sinks and children. Pass-through nodes forward
+  /// the batch pointer itself, so a batch reaching its last consumer by
+  /// move alone can still be stolen there (see emit_output).
+  void accept(Stage& s, BatchPtr in) {
     ViewNode& n = *s.node;
     switch (n.kind) {
       case ViewNode::Kind::Filter: {
@@ -610,7 +350,7 @@ class Evaluator {
         const std::uint64_t take_hi = std::min(s.seen, n.hi);
         if (take_lo >= take_hi) return;
         if (take_lo == first && take_hi == s.seen) {
-          emit_output(s, in);  // whole batch inside the window: zero copy
+          emit_output(s, std::move(in));  // whole batch inside: zero copy
           return;
         }
         const auto b =
@@ -622,7 +362,7 @@ class Evaluator {
       }
       case ViewNode::Kind::Tee:
         n.side_sink->push_batch(*in);
-        emit_output(s, in);
+        emit_output(s, std::move(in));
         return;
       case ViewNode::Kind::Save:
         if (s.save_binary) {
@@ -630,11 +370,11 @@ class Evaluator {
         } else {
           s.save_text->push_batch(*in);
         }
-        emit_output(s, in);
+        emit_output(s, std::move(in));
         return;
       case ViewNode::Kind::Cache:
         if (s.memo_filling) retain(s, in);
-        emit_output(s, in);
+        emit_output(s, std::move(in));
         return;
       case ViewNode::Kind::Pipe: {
         auto out = std::make_shared<std::vector<TraceRecord>>();
@@ -643,15 +383,15 @@ class Evaluator {
         return;
       }
       default:
-        emit_output(s, in);
+        emit_output(s, std::move(in));
         return;
     }
   }
 
   /// Hands one output batch of `s` to its sinks (registration order)
-  /// then its child nodes (discovery order). Empty batches are dropped —
-  /// sinks only ever see non-empty push_batch calls, like the streaming
-  /// layer.
+  /// then its child nodes (discovery order); the last child takes the
+  /// pointer by move. Empty batches are dropped — sinks only ever see
+  /// non-empty push_batch calls.
   void emit_output(Stage& s, BatchPtr out) {
     if (out == nullptr || out->empty()) return;
     ++s.stats.pulls;
@@ -665,7 +405,13 @@ class Evaluator {
       }
       s.sinks[i]->push_batch(*out);
     }
-    for (Stage* child : s.children) accept(*child, out);
+    for (std::size_t i = 0; i < s.children.size(); ++i) {
+      if (i + 1 == s.children.size()) {
+        accept(*s.children[i], std::move(out));
+      } else {
+        accept(*s.children[i], out);
+      }
+    }
   }
 
   /// Appends a batch to the node's memo, spilling (drop everything,
@@ -695,7 +441,7 @@ class Evaluator {
   }
 
   /// End-of-stream wave: flush the operator, finish the sinks (exactly
-  /// one on_end each), then recurse. Mirrors TeeSink::on_end ordering.
+  /// one on_end each, in registration order), then recurse.
   void end_stage(Stage& s) {
     if (s.ended) return;
     s.ended = true;

@@ -13,13 +13,14 @@
 //
 // Nothing reads the trace until Graph::run() (or the drain()/collect()
 // conveniences) evaluates the graph. Evaluation is a single batched pass:
-// the source pulls record batches through the existing next_batch() path
-// and every batch flows through the DAG once, shared (by pointer, no
-// copy) between all consumers of a node — so one ingest feeds any number
-// of transforms, filters and sinks, and a fault injected at the reader
-// fires once per batch regardless of fan-out. Because nodes with a
-// single upstream can never merge streams, the graph is a forest: each
-// registered source is drained in registration order.
+// each source pulls batches of at most kViewBatch records from its
+// cursor (trace/stream.hpp) and every batch flows through the DAG once,
+// shared (by pointer, no copy) between all consumers of a node — so one
+// ingest feeds any number of transforms, filters and sinks, and a fault
+// injected at the reader fires once per batch regardless of fan-out.
+// Because nodes with a single upstream can never merge streams, the
+// graph is a forest: each registered source is drained in registration
+// order.
 //
 // Laziness also prunes work: a window([lo,hi)) node that has emitted its
 // last record reports itself satisfied, and when every consumer of a
@@ -47,6 +48,7 @@
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
 #include "trace/source.hpp"
+#include "trace/stream.hpp"
 #include "util/diag.hpp"
 #include "util/governor.hpp"
 #include "util/obs.hpp"
@@ -58,16 +60,6 @@ struct TransformStats;
 }  // namespace tdt::core
 
 namespace tdt::trace {
-
-/// How a source node opens its input (mirrors StreamOptions: the DAG
-/// source and stream_trace_file read any path identically).
-struct ViewSourceOptions {
-  DiagEngine* diags = nullptr;        ///< error-recovery policy (null = strict)
-  IngestMode ingest = IngestMode::Auto;
-  /// Parallel TDTB v3 frame-decode workers (byte-identical at any count).
-  int jobs = 1;
-  bool clamp_jobs = true;
-};
 
 /// How a .save(path) node writes its stream. The format follows the
 /// extension exactly like the tools' writers: *.tdtb emits a TDTB
@@ -111,7 +103,7 @@ struct EvalOptions {
   /// view.<id>.cache_bytes) and the source read.* family after the run.
   obs::Registry* registry = nullptr;
   /// Deadline checked at batch granularity; memory budget charged by
-  /// cache memos (spill-on-denial) exactly like the streaming layer.
+  /// cache memos (spill-on-denial).
   Governor* governor = nullptr;
 };
 
@@ -124,7 +116,7 @@ struct StageStats {
   std::uint64_t cache_bytes = 0;  ///< bytes retained in the memo after the run
 };
 
-/// What one evaluation delivered (mirrors StreamResult).
+/// What one evaluation delivered.
 struct GraphResult {
   std::uint64_t records = 0;  ///< records produced by all sources
   std::uint64_t pid = 0;      ///< pid of the first source that knew one
@@ -142,8 +134,8 @@ class View {
  public:
   View() = default;
 
-  /// Trace-file source; the format is guessed from the extension like
-  /// stream_trace_file ("-" streams stdin, .gz text inflates, TDTB v3
+  /// Trace-file source; the format is guessed from the extension (see
+  /// open_trace_cursor: "-" streams stdin, .gz text inflates, TDTB v3
   /// containers with a valid index decode with options.jobs workers).
   /// `ctx` must outlive every evaluation.
   static View source(TraceContext& ctx, std::string path,
@@ -181,8 +173,7 @@ class View {
   [[nodiscard]] View window(std::uint64_t lo, std::uint64_t hi) const;
 
   /// Passes the stream through unchanged while pushing every batch (and
-  /// the on_end) into `sink` — the TeeSink shape as a node. `sink` must
-  /// outlive every evaluation.
+  /// the on_end) into `sink`. `sink` must outlive every evaluation.
   [[nodiscard]] View tee(TraceSink& sink) const;
 
   /// Passes the stream through unchanged while writing it to `path`
@@ -232,9 +223,9 @@ class Graph {
   /// drain in registration order). Each sink receives its full record
   /// stream in trace order — bit-identical to evaluating its chain alone
   /// — and exactly one on_end. Exceptions from sinks or stages propagate
-  /// (remaining sinks see neither further batches nor on_end, matching
-  /// TeeSink). May be called again: later runs re-evaluate, reusing any
-  /// complete cache memos.
+  /// (remaining sinks see neither further batches nor on_end) once the
+  /// sources' decode threads are joined. May be called again: later runs
+  /// re-evaluate, reusing any complete cache memos.
   GraphResult run(const EvalOptions& options = {});
 
  private:

@@ -69,14 +69,6 @@ const bool* FlagParser::add_bool(std::string name, bool default_value,
   return &flags_.back().bool_value;
 }
 
-void FlagParser::add_deprecated_alias(std::string alias,
-                                      std::string canonical) {
-  internal_check(find(canonical) != nullptr,
-                 "deprecated alias targets an unregistered flag");
-  internal_check(find(alias) == nullptr, "deprecated alias shadows a flag");
-  aliases_.push_back(Alias{std::move(alias), std::move(canonical)});
-}
-
 FlagParser::Flag* FlagParser::find(std::string_view name) {
   for (Flag& f : flags_) {
     if (f.name == name) return &f;
@@ -140,20 +132,6 @@ bool FlagParser::parse(int argc, const char* const* argv) {
       has_value = true;
     }
     Flag* flag = find(body);
-    if (flag == nullptr) {
-      for (Alias& alias : aliases_) {
-        if (alias.name != body) continue;
-        flag = find(alias.canonical);
-        if (!alias.warned) {
-          alias.warned = true;
-          deprecated_used_.push_back(alias.name);
-          std::fprintf(err_, "%s: warning: --%s is deprecated; use --%s\n",
-                       program_.c_str(), alias.name.c_str(),
-                       alias.canonical.c_str());
-        }
-        break;
-      }
-    }
     if (flag == nullptr) {
       throw_config_error("unknown flag --" + std::string(body));
     }

@@ -43,34 +43,15 @@ class FlagParser {
   /// Registers a boolean switch (`--name` sets true, `--name=false` clears).
   const bool* add_bool(std::string name, bool default_value, std::string help);
 
-  /// Registers `alias` as a hidden deprecated spelling of the existing
-  /// flag `canonical`: it parses exactly like the canonical flag, is kept
-  /// out of --help, and the first use prints a one-line deprecation
-  /// warning to stderr ("<program>: warning: --alias is deprecated; use
-  /// --canonical"). Aliases keep old command lines working byte-identically
-  /// on stdout while the tools converge on one spelling.
-  void add_deprecated_alias(std::string alias, std::string canonical);
-
-  /// Redirects parse()-time output: --help usage goes to `out`,
-  /// deprecation warnings to `err` (defaults: stdout/stderr). Tools set
-  /// these to their ToolIO streams so a daemon-served run captures the
+  /// Redirects the --help usage parse() prints (default stdout). Tools
+  /// set it to their ToolIO stream so a daemon-served run captures the
   /// same bytes a standalone run would print.
-  void set_streams(std::FILE* out, std::FILE* err) noexcept {
-    out_ = out;
-    err_ = err;
-  }
+  void set_output(std::FILE* out) noexcept { out_ = out; }
 
   /// Parses argv. Throws Error{Config} on unknown flags or bad values.
   /// Returns false (after printing usage to the out stream) when --help
   /// was given.
   bool parse(int argc, const char* const* argv);
-
-  /// Deprecated aliases used by the last parse() call, in first-use order
-  /// (each listed once).
-  [[nodiscard]] const std::vector<std::string>& deprecated_used()
-      const noexcept {
-    return deprecated_used_;
-  }
 
   /// Positional (non-flag) arguments in order of appearance.
   [[nodiscard]] const std::vector<std::string>& positional() const noexcept {
@@ -94,26 +75,17 @@ class FlagParser {
     bool bool_value = false;
   };
 
-  struct Alias {
-    std::string name;
-    std::string canonical;
-    bool warned = false;
-  };
-
   Flag* find(std::string_view name);
   static void assign(Flag& flag, std::string_view value);
 
   std::string program_;
   std::string description_;
   std::FILE* out_ = stdout;
-  std::FILE* err_ = stderr;
   // deque-like stability not needed: we hand out pointers into flags_, so
   // the vector must never reallocate after the first add; reserve a fixed
   // generous capacity instead.
   std::vector<Flag> flags_;
-  std::vector<Alias> aliases_;
   std::vector<std::string> positional_;
-  std::vector<std::string> deprecated_used_;
 };
 
 }  // namespace tdt

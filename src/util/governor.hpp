@@ -1,6 +1,6 @@
 // Resource governance for pipeline runs: a byte-accounted memory Budget
-// and a wall-clock deadline, bundled into a Governor that tools thread
-// through the streaming layer.
+// and a wall-clock deadline, bundled into a Governor that tools hand to
+// the view DAG's evaluation.
 //
 // Contract (docs/robustness.md):
 //  * --max-memory: accounted allocations charge the Budget. Components
@@ -67,7 +67,8 @@ class Budget {
 
 /// Per-run resource limits: a memory budget plus an optional wall-clock
 /// deadline. Tools build one from --max-memory/--deadline and hand it to
-/// stream_trace*; a default-constructed Governor governs nothing.
+/// Graph::run (EvalOptions::governor); a default-constructed Governor
+/// governs nothing.
 class Governor {
  public:
   Budget memory;

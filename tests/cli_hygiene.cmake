@@ -32,8 +32,7 @@ foreach(src ${tool_sources} ${example_sources})
 endforeach()
 
 # The shared CLI plumbing itself may reach into src/ — it IS the
-# implementation layer — but nothing may resurrect a deprecated spelling
-# outside the one add_deprecated_alias registration per flag.
+# implementation layer — but nothing may resurrect a deprecated spelling.
 file(GLOB cli_sources ${SOURCE_DIR}/src/tools/*.cpp ${SOURCE_DIR}/src/tools/*.hpp
      ${SOURCE_DIR}/examples/*.cpp ${SOURCE_DIR}/tests/cli_smoke.cmake
      ${SOURCE_DIR}/tests/cli_robustness.cmake ${SOURCE_DIR}/tests/cli_metrics.cmake
@@ -47,14 +46,12 @@ foreach(src ${cli_sources})
     if(line MATCHES "--replacement|--cacheline")
       list(APPEND failures "${src}: deprecated flag spelling: ${line}")
     endif()
-    if(line MATCHES "add_string\\(\"(replacement|cacheline)\"")
-      list(APPEND failures "${src}: deprecated spelling re-registered: ${line}")
-    endif()
     # The one-release deprecation window for these aliases is over
-    # (docs/RULES.md): re-registering them is a hygiene failure, not a
-    # compatibility feature.
-    if(line MATCHES "add_deprecated_alias\\(\"(replacement|cacheline)\"")
-      list(APPEND failures "${src}: removed alias re-registered: ${line}")
+    # (docs/RULES.md): registering either spelling again, through any
+    # FlagParser::add_* call, is a hygiene failure, not a compatibility
+    # feature.
+    if(line MATCHES "add_[a-z_]+\\(\"(replacement|cacheline)\"")
+      list(APPEND failures "${src}: deprecated spelling re-registered: ${line}")
     endif()
   endforeach()
 endforeach()

@@ -2,13 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <algorithm>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "trace/reader.hpp"
-#include "trace/stream.hpp"
+#include "trace/view.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/governor.hpp"
@@ -116,6 +116,38 @@ TEST(ParallelFanOut, PushBatchFastPathMatchesPerRecord) {
   EXPECT_EQ(via_record.records(), input);
 }
 
+/// Keeps the stream and the largest batch it was handed in one call.
+class LargestBatchSink final : public TraceSink {
+ public:
+  void on_record(const TraceRecord& rec) override { push_batch({&rec, 1}); }
+  void push_batch(std::span<const TraceRecord> batch) override {
+    largest = std::max(largest, batch.size());
+    records.insert(records.end(), batch.begin(), batch.end());
+  }
+
+  std::size_t largest = 0;
+  std::vector<TraceRecord> records;
+};
+
+TEST(ParallelFanOut, OversizedSpanIsPublishedInBatchSlices) {
+  TraceContext ctx;
+  const auto input = make_records(ctx, 1000);
+  LargestBatchSink a, b;
+  ParallelOptions options;
+  options.jobs = 2;
+  options.batch_records = 64;
+  options.queue_batches = 2;
+  ParallelFanOut fanout({&a, &b}, options);
+  fanout.push_batch(input);  // one span of 15.6 batches
+  fanout.on_end();
+  EXPECT_EQ(fanout.counters().jobs, 2u);
+  EXPECT_EQ(fanout.counters().batches, 16u);  // 15 full slices + the tail
+  for (const LargestBatchSink* sink : {&a, &b}) {
+    EXPECT_EQ(sink->records, input);
+    EXPECT_LE(sink->largest, options.batch_records);
+  }
+}
+
 TEST(ParallelFanOut, OnEndIsIdempotent) {
   TraceContext ctx;
   const auto input = make_records(ctx, 20);
@@ -213,8 +245,7 @@ TEST(ParallelFanOut, WorkersResolveSymbolsWhileReaderInterns) {
   {
     TraceContext ctx;
     NameLengthSink seq(ctx);
-    std::istringstream in(text);
-    stream_trace(ctx, in, TraceFormat::Gleipnir, seq);
+    View::source_text(ctx, text).drain(seq);
     expected = seq.total();
     ASSERT_GT(expected, 0u);
   }
@@ -226,8 +257,7 @@ TEST(ParallelFanOut, WorkersResolveSymbolsWhileReaderInterns) {
   options.batch_records = 16;
   options.queue_batches = 2;
   ParallelFanOut fanout({&a, &b}, options);
-  std::istringstream in(text);
-  stream_trace(ctx, in, TraceFormat::Gleipnir, fanout);
+  View::source_text(ctx, text).drain(fanout);
   EXPECT_EQ(a.total(), expected);
   EXPECT_EQ(b.total(), expected);
 }

@@ -2,18 +2,24 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "trace/binary.hpp"
 #include "trace/codec.hpp"
 #include "trace/reader.hpp"
 #include "trace/sink.hpp"
+#include "trace/view.hpp"
 #include "trace/writer.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
+#include "util/governor.hpp"
 #include "util/obs.hpp"
 
 namespace tdt::trace {
@@ -68,12 +74,10 @@ std::vector<std::string> stream_formatted(const std::filesystem::path& path,
                                           bool clamp = true) {
   TraceContext ctx;
   VectorSink sink;
-  StreamOptions options;
-  options.diags = diags;
-  options.registry = registry;
-  options.jobs = jobs;
-  options.clamp_jobs = clamp;
-  (void)stream_trace_file(ctx, path.string(), sink, options);
+  const ViewSourceOptions options{
+      .diags = diags, .jobs = jobs, .clamp_jobs = clamp};
+  (void)View::source(ctx, path.string(), options)
+      .drain(sink, {.registry = registry});
   return formatted(ctx, sink.records());
 }
 
@@ -139,10 +143,9 @@ TEST(StreamV3, ParallelRepairMatchesSequentialRepair) {
   {
     TraceContext c;
     VectorSink sink;
-    StreamOptions so;
-    so.jobs = 4;
-    so.clamp_jobs = false;
-    EXPECT_THROW((void)stream_trace_file(c, path.string(), sink, so), Error);
+    const View source =
+        View::source(c, path.string(), {.jobs = 4, .clamp_jobs = false});
+    EXPECT_THROW((void)source.drain(sink), Error);
   }
 
   DiagEngine seq_diags(ErrorPolicy::Repair);
@@ -164,6 +167,33 @@ TEST(StreamV3, ParallelRepairMatchesSequentialRepair) {
       stream_formatted(path, 4, &par_skip, nullptr, /*clamp=*/false);
   EXPECT_EQ(seq_skipped.size(), 7u * 16u);
   EXPECT_EQ(par_skipped, seq_skipped);
+  std::filesystem::remove(path);
+}
+
+TEST(StreamV3, CursorHonoursSmallBatchLimits) {
+  TraceContext ctx;
+  const auto records = big_records(ctx, 10000);
+  BinaryWriterOptions options;
+  options.version = kTdtbVersionFramed;
+  options.frame_records = 5000;  // frames span two view-batch slices
+  const auto blob = write_binary_trace(ctx, records, 1, options);
+  const auto path = temp_path("tdt_stream_limit.tdtb");
+  write_file(path, std::string_view(blob.data(), blob.size()));
+
+  // `got` is never empty after the first call, so every batch after it
+  // is copied out of a slice rather than handed over whole.
+  TraceContext c;
+  const auto cursor = open_trace_cursor(
+      c, path.string(), {.jobs = 2, .clamp_jobs = false});
+  std::vector<TraceRecord> got;
+  std::size_t calls = 0;
+  for (std::size_t n = 0; (n = cursor->next_batch(got, 1000)) > 0;) {
+    EXPECT_LE(n, 1000u);
+    ++calls;
+  }
+  cursor->finish(nullptr);
+  EXPECT_EQ(formatted(c, got), formatted(ctx, records));
+  EXPECT_EQ(calls, 12u);  // per frame: 4 x 1000 + 96, then 904
   std::filesystem::remove(path);
 }
 
@@ -212,6 +242,168 @@ TEST(StreamGz, GzipTextIngestMatchesPlain) {
   EXPECT_EQ(from_gz.size(), records.size());
   std::filesystem::remove(plain_path);
   std::filesystem::remove(gz_path);
+}
+
+// --- early stop on the indexed (seekable v3) source ------------------------
+
+/// Threads of this process (Linux /proc/self/task; 0 where unavailable).
+std::size_t live_threads() {
+  std::error_code ec;
+  std::size_t n = 0;
+  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
+       !ec && it != end; it.increment(ec)) {
+    ++n;
+  }
+  return n;
+}
+
+/// Waits for the process to get back to `baseline` threads. A joined
+/// thread can linger in /proc for a moment after join() returns; a
+/// decode worker still blocked on its condition variable never leaves.
+bool threads_settle(std::size_t baseline) {
+  for (int i = 0; i < 200; ++i) {
+    if (live_threads() <= baseline) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  return false;
+}
+
+/// Counts what the graph hands it and the largest batch; throws on
+/// batch number `throw_at` (1-based, 0 = never).
+class BatchProbe final : public TraceSink {
+ public:
+  void on_record(const TraceRecord& rec) override { push_batch({&rec, 1}); }
+  void push_batch(std::span<const TraceRecord> batch) override {
+    if (++batches == throw_at) throw std::runtime_error("sink gave up");
+    records += batch.size();
+    largest = std::max(largest, batch.size());
+    peak_threads = std::max(peak_threads, live_threads());
+  }
+
+  std::size_t throw_at = 0;
+  std::size_t batches = 0;
+  std::size_t records = 0;
+  std::size_t largest = 0;
+  std::size_t peak_threads = 0;
+};
+
+/// A v3 container of 24 frames x 5000 records, decoded by 4 unclamped
+/// workers. Every frame is larger than one 4096-record view batch, and
+/// the claim window (8 frames) is shorter than the container, so the
+/// workers are alive and waiting when the consumer stops.
+class IndexedSourceEarlyStop : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kFrames = 24;
+  static constexpr std::size_t kFrameRecords = 5000;
+  static constexpr int kJobs = 4;
+
+  void SetUp() override {
+    TraceContext ctx;
+    BinaryWriterOptions options;
+    options.version = kTdtbVersionFramed;
+    options.frame_records = kFrameRecords;
+    const auto blob = write_binary_trace(
+        ctx, big_records(ctx, kFrames * kFrameRecords), 1, options);
+    bytes_.assign(blob.begin(), blob.end());
+    const auto info = probe_tdtb(bytes_);
+    ASSERT_TRUE(info.has_value() && info->has_index);
+    ASSERT_EQ(info->frames.size(), kFrames);
+    info_ = *info;
+    path_ = temp_path(
+        (std::string("tdt_early_stop_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         ".tdtb")
+            .c_str());
+    write_file(path_, bytes_);
+    // Runtimes such as TSan start a helper thread with the first thread
+    // the process creates; start one here so the baseline includes it.
+    std::thread([] {}).join();
+    baseline_threads_ = live_threads();
+  }
+
+  void TearDown() override { std::filesystem::remove(path_); }
+
+  [[nodiscard]] View source(TraceContext& ctx) const {
+    return View::source(ctx, path_.string(),
+                        {.jobs = kJobs, .clamp_jobs = false});
+  }
+
+  /// The run ran threaded, never handed out more than one view batch,
+  /// and left no decode worker behind.
+  void expect_clean_stop(const BatchProbe& probe) const {
+    EXPECT_LE(probe.largest, kViewBatch);
+    if (baseline_threads_ == 0) return;  // no /proc: cannot count threads
+    EXPECT_GE(probe.peak_threads, baseline_threads_ + kJobs);
+    EXPECT_TRUE(threads_settle(baseline_threads_));
+  }
+
+  /// read.frames / read.bytes count through frame `frames - 1`.
+  void expect_read_through(obs::Registry& reg,
+                           std::size_t frames) const {
+    EXPECT_EQ(reg.counter("read.frames").value(), frames);
+    EXPECT_EQ(reg.counter("read.bytes").value(), info_.frames[frames].offset);
+  }
+
+  std::string bytes_;
+  TdtbContainerInfo info_;
+  std::filesystem::path path_;
+  std::size_t baseline_threads_ = 0;
+};
+
+TEST_F(IndexedSourceEarlyStop, WindowSatisfiedMidContainer) {
+  TraceContext ctx;
+  obs::Registry reg("test");
+  BatchProbe probe;
+  const GraphResult r =
+      source(ctx).window(0, 12000).drain(probe, {.registry = &reg});
+  EXPECT_EQ(probe.records, 12000u);
+  // Frames hand out 4096 + 904 records; the first batch of frame 2
+  // satisfies the window, and nothing past frame 2 is read.
+  EXPECT_EQ(r.records, 2 * kFrameRecords + kViewBatch);
+  EXPECT_EQ(reg.counter("read.records").value(), r.records);
+  expect_read_through(reg, 3);
+  expect_clean_stop(probe);
+}
+
+TEST_F(IndexedSourceEarlyStop, SinkThrowsMidStream) {
+  TraceContext ctx;
+  BatchProbe probe;
+  probe.throw_at = 4;
+  EXPECT_THROW((void)source(ctx).drain(probe), std::runtime_error);
+  EXPECT_EQ(probe.records, kFrameRecords + kViewBatch);
+  expect_clean_stop(probe);
+}
+
+TEST_F(IndexedSourceEarlyStop, StrictCorruptFrame) {
+  std::uint64_t payload_off = 0;
+  ASSERT_TRUE(parse_frame_header(bytes_, info_.frames[3].offset, &payload_off)
+                  .has_value());
+  bytes_[static_cast<std::size_t>(payload_off)] ^= 0x01;
+  write_file(path_, bytes_);
+
+  TraceContext ctx;
+  BatchProbe probe;
+  EXPECT_THROW((void)source(ctx).drain(probe), Error);
+  // Every record of the frames before the corrupt one was handed out.
+  EXPECT_EQ(probe.records, 3 * kFrameRecords);
+  expect_clean_stop(probe);
+}
+
+TEST_F(IndexedSourceEarlyStop, ExpiredDeadline) {
+  Governor governor;
+  governor.set_deadline(1e-9);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  TraceContext ctx;
+  obs::Registry reg("test");
+  BatchProbe probe;
+  const GraphResult r =
+      source(ctx).drain(probe, {.registry = &reg, .governor = &governor});
+  EXPECT_TRUE(r.deadline_hit);
+  EXPECT_EQ(probe.records, kViewBatch);  // stopped after the first batch
+  EXPECT_EQ(reg.counter("read.records").value(), kViewBatch);
+  expect_read_through(reg, 1);
+  expect_clean_stop(probe);
 }
 
 }  // namespace

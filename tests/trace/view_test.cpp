@@ -1,4 +1,4 @@
-// Semantics the view DAG inherits from the TeeSink era and must keep:
+// Fan-out semantics the view DAG must keep:
 // one ingest feeding N consumers delivers every branch its full stream,
 // exactly one on_end per sink, errors out of any branch propagate, and
 // a VectorSink's memory is charged once regardless of fan-out. Plus the
@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "trace/binary.hpp"
-#include "trace/stream.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"
 

@@ -82,25 +82,26 @@ TEST_P(WriterRoundTrip, TextSurvives) {
   EXPECT_EQ(parsed[0].scope, c.scope);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, WriterRoundTrip,
-    ::testing::Values(
-        RoundTripCase{AccessKind::Load, 0x7ff000000, 8, VarScope::Unknown,
-                      nullptr, 0},
-        RoundTripCase{AccessKind::Store, 0x601040, 4,
-                      VarScope::GlobalVariable, "glScalar", 0},
-        RoundTripCase{AccessKind::Modify, 0x7ff000044, 4,
-                      VarScope::LocalVariable, "i", 0},
-        RoundTripCase{AccessKind::Store, 0x6010e0, 8,
-                      VarScope::GlobalStructure, "glStructArray[0].dl", 0},
-        RoundTripCase{AccessKind::Load, 0x7ff000060, 8,
-                      VarScope::LocalStructure, "lcStrcArray[4].dl", 2},
-        RoundTripCase{AccessKind::Misc, 0xdeadbeef, 1, VarScope::Unknown,
-                      nullptr, 0},
-        RoundTripCase{AccessKind::Store, 0x7ff000108, 8,
-                      VarScope::LocalStructure, "_zzq_args[5]", 0},
-        RoundTripCase{AccessKind::Instr, 0x400000, 4, VarScope::Unknown,
-                      nullptr, 0}));
+// gtest names each case after the raw bytes of its RoundTripCase, padding
+// included. A static array is zero-initialised, padding and all, so the
+// names are the same on every run; temporaries passed to Values() carry
+// whatever was on the stack in their padding.
+const RoundTripCase kRoundTripCases[] = {
+    {AccessKind::Load, 0x7ff000000, 8, VarScope::Unknown, nullptr, 0},
+    {AccessKind::Store, 0x601040, 4, VarScope::GlobalVariable, "glScalar", 0},
+    {AccessKind::Modify, 0x7ff000044, 4, VarScope::LocalVariable, "i", 0},
+    {AccessKind::Store, 0x6010e0, 8, VarScope::GlobalStructure,
+     "glStructArray[0].dl", 0},
+    {AccessKind::Load, 0x7ff000060, 8, VarScope::LocalStructure,
+     "lcStrcArray[4].dl", 2},
+    {AccessKind::Misc, 0xdeadbeef, 1, VarScope::Unknown, nullptr, 0},
+    {AccessKind::Store, 0x7ff000108, 8, VarScope::LocalStructure,
+     "_zzq_args[5]", 0},
+    {AccessKind::Instr, 0x400000, 4, VarScope::Unknown, nullptr, 0},
+};
+
+INSTANTIATE_TEST_SUITE_P(Shapes, WriterRoundTrip,
+                         ::testing::ValuesIn(kRoundTripCases));
 
 TEST(Writer, FileRoundTrip) {
   const std::string path =
