@@ -1,8 +1,20 @@
 #include "cache/cache.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "util/error.hpp"
 
 namespace tdt::cache {
+namespace {
+
+/// Fibonacci hashing: the top bits of key * 2^64/phi index a table of
+/// 2^(64 - shift) slots, spreading runs of consecutive keys evenly.
+std::size_t fib_hash(std::uint64_t key, unsigned shift) noexcept {
+  return static_cast<std::size_t>((key * 0x9E3779B97F4A7C15ull) >> shift);
+}
+
+}  // namespace
 
 std::string_view to_string(MissClass c) noexcept {
   switch (c) {
@@ -17,9 +29,18 @@ std::string_view to_string(MissClass c) noexcept {
 CacheLevel::CacheLevel(CacheConfig config, CacheLevel* next)
     : config_(std::move(config)), next_(next), rng_(config_.random_seed) {
   config_.validate();
+  if (config_.num_blocks() >= kNil) {
+    throw_config_error("cache '" + config_.name + "': " +
+                       std::to_string(config_.num_blocks()) +
+                       " blocks is more than a level can track");
+  }
   lines_.assign(config_.num_sets() * config_.effective_assoc(), Line{});
   rr_cursor_.assign(config_.num_sets(), 0);
   set_stats_.assign(config_.num_sets(), SetStats{});
+  // At most half full once the shadow holds num_blocks nodes.
+  const std::uint64_t slots = std::bit_ceil(2 * config_.num_blocks());
+  shadow_slots_.assign(slots, ShadowSlot{});
+  shadow_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
 }
 
 void CacheLevel::reset() {
@@ -28,9 +49,13 @@ void CacheLevel::reset() {
   set_stats_.assign(config_.num_sets(), SetStats{});
   stats_ = LevelStats{};
   clock_ = 0;
-  ever_seen_.clear();
-  shadow_lru_.clear();
-  shadow_index_.clear();
+  seen_.clear();
+  seen_pages_ = 0;
+  seen_shift_ = 64;
+  shadow_nodes_.clear();
+  shadow_slots_.assign(shadow_slots_.size(), ShadowSlot{});
+  shadow_head_ = kNil;
+  shadow_tail_ = kNil;
   rng_ = Xoshiro256(config_.random_seed);
 }
 
@@ -85,22 +110,122 @@ std::uint32_t CacheLevel::pick_victim(std::uint64_t set) {
   return 0;
 }
 
-void CacheLevel::touch_shadow(std::uint64_t block) {
-  // Fully associative LRU of the same block capacity; used to separate
-  // capacity misses (miss here too) from conflict misses (hit here).
-  if (auto it = shadow_index_.find(block); it != shadow_index_.end()) {
-    shadow_lru_.erase(it->second);
-  } else if (shadow_lru_.size() >= config_.num_blocks()) {
-    shadow_index_.erase(shadow_lru_.back());
-    shadow_lru_.pop_back();
+bool CacheLevel::mark_seen(std::uint64_t block) {
+  if (2 * (seen_pages_ + 1) > seen_.size()) grow_seen();
+  const std::uint64_t page = block >> 6;
+  const std::uint64_t bit = std::uint64_t{1} << (block & 63);
+  const std::size_t mask = seen_.size() - 1;
+  for (std::size_t i = fib_hash(page, seen_shift_);; i = (i + 1) & mask) {
+    SeenSlot& slot = seen_[i];
+    if (slot.page == page) {
+      const bool seen = (slot.bits & bit) != 0;
+      slot.bits |= bit;
+      return seen;
+    }
+    if (slot.page == kNoPage) {
+      slot = SeenSlot{page, bit};
+      ++seen_pages_;
+      return false;
+    }
   }
-  shadow_lru_.push_front(block);
-  shadow_index_[block] = shadow_lru_.begin();
 }
 
-MissClass CacheLevel::classify_miss(std::uint64_t block) {
-  if (!ever_seen_.contains(block)) return MissClass::Compulsory;
-  if (!shadow_index_.contains(block)) return MissClass::Capacity;
+void CacheLevel::grow_seen() {
+  std::vector<SeenSlot> old(std::max<std::size_t>(64, 2 * seen_.size()));
+  old.swap(seen_);
+  seen_shift_ = 64 - static_cast<unsigned>(std::countr_zero(seen_.size()));
+  const std::size_t mask = seen_.size() - 1;
+  for (const SeenSlot& slot : old) {
+    if (slot.page == kNoPage) continue;
+    std::size_t i = fib_hash(slot.page, seen_shift_);
+    while (seen_[i].page != kNoPage) i = (i + 1) & mask;
+    seen_[i] = slot;
+  }
+}
+
+void CacheLevel::shadow_index_insert(std::uint64_t block, std::uint32_t node) {
+  const std::size_t mask = shadow_slots_.size() - 1;
+  std::size_t i = fib_hash(block, shadow_shift_);
+  while (shadow_slots_[i].node != kNil) i = (i + 1) & mask;
+  shadow_slots_[i] = ShadowSlot{block, node};
+}
+
+void CacheLevel::shadow_index_erase(std::uint32_t node) {
+  // Linear probing with backward-shift deletion: no tombstones, so probe
+  // chains never outgrow the live entries.
+  const std::size_t mask = shadow_slots_.size() - 1;
+  std::size_t hole = fib_hash(shadow_nodes_[node].block, shadow_shift_);
+  while (shadow_slots_[hole].node != node) hole = (hole + 1) & mask;
+  for (std::size_t j = (hole + 1) & mask; shadow_slots_[j].node != kNil;
+       j = (j + 1) & mask) {
+    // An entry may fill the hole only if the hole lies on its probe path
+    // (between its home slot and where it sits now).
+    const std::size_t home = fib_hash(shadow_slots_[j].block, shadow_shift_);
+    if (((j - hole) & mask) <= ((j - home) & mask)) {
+      shadow_slots_[hole] = shadow_slots_[j];
+      hole = j;
+    }
+  }
+  shadow_slots_[hole].node = kNil;
+}
+
+void CacheLevel::shadow_link_front(std::uint32_t node) {
+  shadow_nodes_[node].prev = kNil;
+  shadow_nodes_[node].next = shadow_head_;
+  if (shadow_head_ != kNil) shadow_nodes_[shadow_head_].prev = node;
+  shadow_head_ = node;
+  if (shadow_tail_ == kNil) shadow_tail_ = node;
+}
+
+void CacheLevel::shadow_unlink(std::uint32_t node) {
+  const ShadowNode& n = shadow_nodes_[node];
+  if (n.prev != kNil) {
+    shadow_nodes_[n.prev].next = n.next;
+  } else {
+    shadow_head_ = n.next;
+  }
+  if (n.next != kNil) {
+    shadow_nodes_[n.next].prev = n.prev;
+  } else {
+    shadow_tail_ = n.prev;
+  }
+}
+
+bool CacheLevel::touch_shadow(std::uint64_t block) {
+  // Fully associative LRU of the same block capacity; used to separate
+  // capacity misses (miss here too) from conflict misses (hit here).
+  if (shadow_head_ != kNil && shadow_nodes_[shadow_head_].block == block) {
+    return true;  // already the most recent block
+  }
+  const std::size_t mask = shadow_slots_.size() - 1;
+  for (std::size_t i = fib_hash(block, shadow_shift_);
+       shadow_slots_[i].node != kNil; i = (i + 1) & mask) {
+    if (shadow_slots_[i].block == block) {
+      const std::uint32_t node = shadow_slots_[i].node;
+      shadow_unlink(node);
+      shadow_link_front(node);
+      return true;
+    }
+  }
+  std::uint32_t node;
+  if (shadow_nodes_.size() < config_.num_blocks()) {
+    node = static_cast<std::uint32_t>(shadow_nodes_.size());
+    shadow_nodes_.push_back(ShadowNode{block, kNil, kNil});
+  } else {
+    // Full: the least recent block leaves and its node is reused.
+    node = shadow_tail_;
+    shadow_index_erase(node);
+    shadow_unlink(node);
+    shadow_nodes_[node].block = block;
+  }
+  shadow_link_front(node);
+  shadow_index_insert(block, node);
+  return false;
+}
+
+MissClass CacheLevel::classify_miss(std::uint64_t block, bool in_shadow) {
+  if (!mark_seen(block)) return MissClass::Compulsory;
+  if (!in_shadow) return MissClass::Capacity;
   return MissClass::Conflict;
 }
 
@@ -128,7 +253,7 @@ void CacheLevel::prefetch_block(std::uint64_t block) {
   victim.last_use = clock_;
   victim.fill_time = clock_;
   victim.prefetched = true;
-  ever_seen_.insert(block);
+  mark_seen(block);
 }
 
 void CacheLevel::maybe_prefetch(std::uint64_t block, bool demand_hit,
@@ -159,6 +284,7 @@ AccessOutcome CacheLevel::access(std::uint64_t address, bool is_write) {
   out.set = set;
   out.block = block;
 
+  const bool in_shadow = touch_shadow(block);
   bool hit_on_prefetched = false;
   Line* line = find_line(set, block);
   if (line != nullptr) {
@@ -182,7 +308,7 @@ AccessOutcome CacheLevel::access(std::uint64_t address, bool is_write) {
     ++set_stats_[set].hits;
   } else {
     out.hit = false;
-    out.miss_class = classify_miss(block);
+    out.miss_class = classify_miss(block, in_shadow);
     switch (out.miss_class) {
       case MissClass::Compulsory: ++stats_.compulsory; break;
       case MissClass::Capacity: ++stats_.capacity; break;
@@ -230,8 +356,6 @@ AccessOutcome CacheLevel::access(std::uint64_t address, bool is_write) {
     }
   }
 
-  ever_seen_.insert(block);
-  touch_shadow(block);
   maybe_prefetch(block, out.hit, hit_on_prefetched);
   return out;
 }

@@ -1,16 +1,25 @@
 // One cache level: the trace-driven simulator core, modelled on DineroIV.
-// Tracks hits/misses globally, per set, and per access kind; classifies
-// every miss as compulsory, capacity, or conflict (via an infinite-seen
-// set and a same-capacity fully-associative LRU shadow); supports
+// Tracks hits/misses globally, per set, and per access kind; supports
 // write-back/write-through and allocate policies and four replacement
 // policies including the PPC440's round-robin.
+//
+// Every demand miss is classified as compulsory, capacity or conflict
+// (Hill's three Cs, as in the paper's modified DineroIV). Two structures
+// do this without allocating in steady state:
+//   - a seen-set of every block ever brought in, one 64-bit presence word
+//     per 64-block page in an open-addressed table. It is written and
+//     probed only on demand misses and prefetch fills: a resident block
+//     was marked when it was filled, so a hit never needs it;
+//   - a fully associative LRU shadow of the same capacity: an intrusive
+//     doubly-linked list over a node array (grown lazily, capped at
+//     num_blocks) plus an open-addressed block -> node index. A shadow
+//     hit relinks its node at the front; a shadow miss at capacity
+//     recycles the tail node, so it stays exactly num_blocks deep.
+// A miss is compulsory when the block was never seen, a capacity miss
+// when the shadow misses too, and a conflict miss otherwise.
 #pragma once
 
 #include <cstdint>
-#include <list>
-#include <optional>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/config.hpp"
@@ -121,8 +130,19 @@ class CacheLevel {
 
   Line* find_line(std::uint64_t set, std::uint64_t block);
   std::uint32_t pick_victim(std::uint64_t set);
-  MissClass classify_miss(std::uint64_t block);
-  void touch_shadow(std::uint64_t block);
+  MissClass classify_miss(std::uint64_t block, bool in_shadow);
+
+  /// Sets `block`'s presence bit; returns whether it was already set.
+  bool mark_seen(std::uint64_t block);
+  void grow_seen();
+  /// Moves `block` to the front of the LRU shadow, inserting it (and
+  /// recycling the tail at capacity) when absent. Returns whether it was
+  /// present before the touch.
+  bool touch_shadow(std::uint64_t block);
+  void shadow_index_insert(std::uint64_t block, std::uint32_t node);
+  void shadow_index_erase(std::uint32_t node);
+  void shadow_link_front(std::uint32_t node);
+  void shadow_unlink(std::uint32_t node);
 
   /// Fills `block` ahead of demand (no stats beyond prefetch counters,
   /// no classification); evictions it causes are real.
@@ -140,11 +160,31 @@ class CacheLevel {
   std::uint64_t clock_ = 0;
   Xoshiro256 rng_;
 
-  // Miss classification state.
-  std::unordered_set<std::uint64_t> ever_seen_;
-  std::list<std::uint64_t> shadow_lru_;  // fully associative, same capacity
-  std::unordered_map<std::uint64_t, std::list<std::uint64_t>::iterator>
-      shadow_index_;
+  // Miss classification state (see the file comment).
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  /// A page number is block >> 6 < 2^58, so all-ones never names one.
+  static constexpr std::uint64_t kNoPage = UINT64_MAX;
+  struct SeenSlot {
+    std::uint64_t page = kNoPage;
+    std::uint64_t bits = 0;  ///< bit (block & 63) set once block is seen
+  };
+  struct ShadowNode {
+    std::uint64_t block;
+    std::uint32_t prev;  ///< toward the most recent end; kNil at the front
+    std::uint32_t next;  ///< toward the least recent end; kNil at the tail
+  };
+  struct ShadowSlot {
+    std::uint64_t block = 0;
+    std::uint32_t node = kNil;  ///< kNil marks an empty slot
+  };
+  std::vector<SeenSlot> seen_;  // power-of-two size, at most half full
+  std::size_t seen_pages_ = 0;
+  unsigned seen_shift_ = 64;    // 64 - log2(seen_.size())
+  std::vector<ShadowNode> shadow_nodes_;  // at most num_blocks
+  std::vector<ShadowSlot> shadow_slots_;  // power-of-two, >= 2 * num_blocks
+  unsigned shadow_shift_ = 64;  // 64 - log2(shadow_slots_.size())
+  std::uint32_t shadow_head_ = kNil;  // most recently used
+  std::uint32_t shadow_tail_ = kNil;  // least recently used
 };
 
 }  // namespace tdt::cache

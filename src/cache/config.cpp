@@ -80,6 +80,10 @@ std::string CacheConfig::describe() const {
   out += to_string(replacement);
   out += ", ";
   out += to_string(write);
+  if (prefetch != PrefetchPolicy::None) {
+    out += ", ";
+    out += to_string(prefetch);
+  }
   return out;
 }
 

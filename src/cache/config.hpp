@@ -76,7 +76,9 @@ struct CacheConfig {
     return block_of(address) % num_sets();
   }
 
-  /// One-line description, e.g. "L1 32 KiB, 32 B blocks, 1-way, lru".
+  /// One-line description, e.g. "L1 32 KiB, 32 B blocks, 1-way
+  /// associative, lru, write-back"; a prefetch policy other than none is
+  /// appended (", tagged-prefetch").
   [[nodiscard]] std::string describe() const;
 
   friend bool operator==(const CacheConfig&, const CacheConfig&) = default;

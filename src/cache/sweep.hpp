@@ -45,7 +45,7 @@ struct PageMapSpec {
 struct SweepPoint {
   std::vector<CacheConfig> levels;
 
-  /// Human-readable tag, e.g. "L1 32 KiB, 32 B blocks, 1-way, lru".
+  /// Human-readable tag: the L1's CacheConfig::describe().
   [[nodiscard]] std::string label() const;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <ranges>
 
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -60,6 +61,7 @@ ParallelFanOut::ParallelFanOut(std::vector<TraceSink*> sinks,
   if (options_.batch_records == 0) options_.batch_records = 1;
   if (options_.queue_batches == 0) options_.queue_batches = 1;
   pending_.reserve(options_.batch_records);
+  sink_time_.assign(sinks_.size(), {});
 
   const std::size_t jobs = std::min(options_.jobs, sinks_.size());
   counters_.jobs = jobs;
@@ -72,7 +74,7 @@ ParallelFanOut::ParallelFanOut(std::vector<TraceSink*> sinks,
     workers_.push_back(std::make_unique<Worker>(options_.queue_batches));
   }
   for (std::size_t i = 0; i < sinks_.size(); ++i) {
-    workers_[i % jobs]->sinks.push_back(sinks_[i]);
+    workers_[i % jobs]->sinks.push_back(i);
   }
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, &w = *worker] { worker_main(w); });
@@ -131,6 +133,20 @@ void deliver_batch(TraceSink* sink, std::span<const TraceRecord> records) {
 
 }  // namespace
 
+template <class Ids>
+std::chrono::steady_clock::time_point ParallelFanOut::deliver_timed(
+    const Ids& ids, std::span<const TraceRecord> records,
+    std::chrono::steady_clock::time_point begin) {
+  auto mark = begin;
+  for (std::size_t i : ids) {
+    deliver_batch(sinks_[i], records);
+    const auto now = std::chrono::steady_clock::now();
+    sink_time_[i] += now - mark;
+    mark = now;
+  }
+  return mark;
+}
+
 void ParallelFanOut::worker_main(Worker& worker) {
   const bool timed = options_.registry != nullptr;
   const bool sup = supervised();
@@ -169,11 +185,10 @@ void ParallelFanOut::worker_main(Worker& worker) {
       if (timed) {
         const auto begin = std::chrono::steady_clock::now();
         if (worker.batches == 0) worker.first_batch = begin;
-        for (TraceSink* sink : worker.sinks) deliver_batch(sink, records);
-        worker.last_batch = std::chrono::steady_clock::now();
+        worker.last_batch = deliver_timed(worker.sinks, records, begin);
         worker.batch_latency_us.record(elapsed_us(begin, worker.last_batch));
       } else {
-        for (TraceSink* sink : worker.sinks) deliver_batch(sink, records);
+        for (std::size_t i : worker.sinks) deliver_batch(sinks_[i], records);
       }
       worker.records += records.size();
       ++worker.batches;
@@ -185,7 +200,7 @@ void ParallelFanOut::worker_main(Worker& worker) {
           ErrorKind::Internal, "worker exited prematurely (injected fault)"));
       worker.queue.abort();
     } else if (!worker.failed.load(std::memory_order_acquire)) {
-      for (TraceSink* sink : worker.sinks) sink->on_end();
+      for (std::size_t i : worker.sinks) sinks_[i]->on_end();
     }
     // A failed (watchdog-flagged) worker must not finish its sinks:
     // supervised_join() replays the missed batches and ends them.
@@ -310,12 +325,12 @@ void ParallelFanOut::supervised_join() {
     // recovery path is the fallback of last resort, not a fault target.
     for (std::size_t b = done_batches; b < replay_.size(); ++b) {
       const RecordBatch& records = *replay_[b];
-      for (TraceSink* sink : w.sinks) sink->push_batch(records);
+      for (std::size_t i : w.sinks) sinks_[i]->push_batch(records);
       w.records += records.size();
       ++w.batches;
       ++counters_.replayed_batches;
     }
-    for (TraceSink* sink : w.sinks) sink->on_end();
+    for (std::size_t i : w.sinks) sinks_[i]->on_end();
     w.recovered = true;
     w.error = nullptr;
     ++counters_.recovered_workers;
@@ -350,19 +365,23 @@ void ParallelFanOut::publish(BatchPtr batch) {
   for (auto& worker : workers_) worker->queue.push(batch);
 }
 
+void ParallelFanOut::deliver_inline(std::span<const TraceRecord> records) {
+  if (options_.registry == nullptr) {
+    for (TraceSink* sink : sinks_) deliver_batch(sink, records);
+    return;
+  }
+  const auto begin = std::chrono::steady_clock::now();
+  const auto end = deliver_timed(
+      std::views::iota(std::size_t{0}, sinks_.size()), records, begin);
+  inline_latency_.record(elapsed_us(begin, end));
+}
+
 void ParallelFanOut::flush_pending() {
   if (pending_.empty()) return;
   counters_.records += pending_.size();
   ++counters_.batches;
   if (workers_.empty()) {
-    if (options_.registry != nullptr) {
-      const auto begin = std::chrono::steady_clock::now();
-      for (TraceSink* sink : sinks_) deliver_batch(sink, pending_);
-      inline_latency_.record(
-          elapsed_us(begin, std::chrono::steady_clock::now()));
-    } else {
-      for (TraceSink* sink : sinks_) deliver_batch(sink, pending_);
-    }
+    deliver_inline(pending_);
     pending_.clear();
     return;
   }
@@ -393,13 +412,8 @@ void ParallelFanOut::push_batch(std::span<const TraceRecord> batch) {
       if (!workers_.empty()) {
         publish(
             std::make_shared<const RecordBatch>(slice.begin(), slice.end()));
-      } else if (options_.registry != nullptr) {
-        const auto begin = std::chrono::steady_clock::now();
-        for (TraceSink* sink : sinks_) deliver_batch(sink, slice);
-        inline_latency_.record(
-            elapsed_us(begin, std::chrono::steady_clock::now()));
       } else {
-        for (TraceSink* sink : sinks_) deliver_batch(sink, slice);
+        deliver_inline(slice);
       }
       continue;
     }
@@ -500,6 +514,18 @@ void ParallelFanOut::on_end() {
                         : 0.0);
     reg->gauge("pipeline.queue_peak_occupancy")
         .set(static_cast<double>(occupancy_peak));
+    // A wedged worker may still be writing its sinks' slots; skip them.
+    const auto export_sink = [&](std::size_t i) {
+      reg->gauge("pipeline.sink" + std::to_string(i) + ".seconds")
+          .set(std::chrono::duration<double>(sink_time_[i]).count());
+    };
+    if (workers_.empty()) {
+      for (std::size_t i = 0; i < sinks_.size(); ++i) export_sink(i);
+    }
+    for (const auto& worker : workers_) {
+      if (worker->abandoned) continue;
+      for (std::size_t i : worker->sinks) export_sink(i);
+    }
     if (supervised()) {
       reg->counter("pipeline.stalled_workers").add(counters_.stalled_workers);
       reg->counter("pipeline.recovered_workers")

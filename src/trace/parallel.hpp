@@ -65,9 +65,11 @@ struct ParallelOptions {
   /// backpressure to the reader).
   std::size_t queue_batches = 8;
   /// When non-null, on_end() folds the pipeline counters, queue gauges,
-  /// per-worker spans, and the merged pipeline.batch_latency_us histogram
-  /// into this registry. Null changes nothing (no hot-path cost either
-  /// way: workers accumulate into private HistogramData shards).
+  /// per-worker spans, the merged pipeline.batch_latency_us histogram and
+  /// one pipeline.sink<i>.seconds gauge per sink (the wall time spent
+  /// delivering to sink i) into this registry. Null times nothing. The
+  /// timing takes no lock: each worker writes only its own HistogramData
+  /// shard and its own sinks' slots.
   obs::Registry* registry = nullptr;
   /// Watchdog timeout in seconds; 0 disables supervision entirely (no
   /// watchdog thread, no batch retention — the original behaviour).
@@ -156,7 +158,7 @@ class ParallelFanOut final : public TraceSink {
 
   struct Worker {
     BoundedQueue<BatchPtr> queue;
-    std::vector<TraceSink*> sinks;
+    std::vector<std::size_t> sinks;  ///< positions in sinks_ it drives
     std::thread thread;
     std::exception_ptr error;
     std::uint64_t records = 0;
@@ -184,6 +186,14 @@ class ParallelFanOut final : public TraceSink {
   }
 
   void flush_pending();
+  /// jobs == 0: delivers one batch to every sink on the calling thread.
+  void deliver_inline(std::span<const TraceRecord> records);
+  /// Delivers one batch to sinks_[i] for each i in `ids`, adding each
+  /// delivery's wall time to sink_time_[i]; returns when the last ended.
+  template <class Ids>
+  std::chrono::steady_clock::time_point deliver_timed(
+      const Ids& ids, std::span<const TraceRecord> records,
+      std::chrono::steady_clock::time_point begin);
   void publish(BatchPtr batch);
   void worker_main(Worker& worker);
   void watchdog_main();
@@ -198,6 +208,9 @@ class ParallelFanOut final : public TraceSink {
   std::vector<std::unique_ptr<Worker>> workers_;
   RecordBatch pending_;
   obs::HistogramData inline_latency_;  // jobs == 0 batch timings
+  // Delivery time per sink, timed only with a registry. Slot i is written
+  // only by the thread that drives sink i and read after it is joined.
+  std::vector<std::chrono::steady_clock::duration> sink_time_;
   PipelineCounters counters_;
   bool finished_ = false;
   std::chrono::steady_clock::time_point start_;

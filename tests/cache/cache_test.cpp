@@ -160,6 +160,16 @@ TEST(Cache, ZeroSizeRangeRejected) {
   EXPECT_THROW((void)cache.access_range(0x1000, 0, false), Error);
 }
 
+TEST(Cache, MoreBlocksThanTrackableRejected) {
+  // 2^32 one-byte blocks: a valid geometry, but the LRU shadow indexes
+  // its nodes with 32 bits. Rejected before anything is allocated.
+  CacheConfig c;
+  c.size = std::uint64_t{1} << 32;
+  c.block_size = 1;
+  c.assoc = 1;
+  EXPECT_THROW(CacheLevel{c}, Error);
+}
+
 TEST(Cache, ResetClearsEverything) {
   CacheLevel cache(tiny_dm());
   (void)cache.access(0x0, true);

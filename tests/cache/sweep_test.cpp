@@ -89,6 +89,32 @@ TEST(SweepSpec, DedupeConsidersExtraLevelsAndNeverEmptiesTheList) {
   ASSERT_EQ(points[0].levels.size(), 2u);
 }
 
+TEST(SweepSpec, LabelsNameThePrefetchPolicy) {
+  CacheConfig base;
+  const auto points = parse_sweep_spec("prefetch=none;prefetch=tagged", base);
+  ASSERT_EQ(points.size(), 2u);
+  // No prefetching keeps the label it always had.
+  EXPECT_EQ(points[0].label(),
+            "L1 32 KiB, 32 B blocks, 1-way associative, lru, write-back");
+  EXPECT_EQ(points[1].label(),
+            "L1 32 KiB, 32 B blocks, 1-way associative, lru, write-back, "
+            "tagged-prefetch");
+  // The report's section headers and summary rows tell the points apart.
+  ParallelSweep sweep(points, {});
+  const std::string report = sweep.report();
+  EXPECT_NE(report.find("=== sweep point 0: " + points[0].label() + " ===\n"),
+            std::string::npos);
+  EXPECT_NE(report.find("=== sweep point 1: " + points[1].label() + " ===\n"),
+            std::string::npos);
+  std::size_t tagged_mentions = 0;
+  for (std::size_t at = report.find("tagged-prefetch");
+       at != std::string::npos; at = report.find("tagged-prefetch", at + 1)) {
+    ++tagged_mentions;
+  }
+  // Point 1: section header, level line and summary row.
+  EXPECT_EQ(tagged_mentions, 3u);
+}
+
 TEST(SweepSpec, RejectsMalformedSpecs) {
   CacheConfig base;
   EXPECT_THROW(parse_sweep_spec("bogus=1", base), Error);

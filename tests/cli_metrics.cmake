@@ -109,6 +109,20 @@ string(JSON jobs GET "${metrics_doc}" gauges pipeline.jobs)
 if(NOT jobs EQUAL 3)
   message(FATAL_ERROR "pipeline.jobs=${jobs}, want 3")
 endif()
+# One delivery timer per fan-out sink, i.e. per sweep point.
+foreach(i 0 1 2)
+  string(JSON sink_seconds ERROR_VARIABLE err
+         GET "${metrics_doc}" gauges pipeline.sink${i}.seconds)
+  if(err OR NOT sink_seconds GREATER 0)
+    message(FATAL_ERROR
+      "pipeline.sink${i}.seconds='${sink_seconds}', want a positive time")
+  endif()
+endforeach()
+string(JSON sink_seconds ERROR_VARIABLE err
+       GET "${metrics_doc}" gauges pipeline.sink3.seconds)
+if(NOT err)
+  message(FATAL_ERROR "pipeline.sink3.seconds present for a 3-point sweep")
+endif()
 
 # Span file: a trace_event JSON with complete ("ph": "X") events for the
 # stream phase and the pipeline workers.

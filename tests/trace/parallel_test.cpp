@@ -214,6 +214,30 @@ TEST(ParallelFanOut, SummaryReportsPipelineShape) {
   EXPECT_NE(summary.find("backpressure"), std::string::npos);
 }
 
+TEST(ParallelFanOut, RegistryTimesEverySink) {
+  TraceContext ctx;
+  const auto input = make_records(ctx, 500);
+  // Inline (jobs 0) and worker (jobs 2, so one worker drives two sinks).
+  for (std::size_t jobs : {0u, 2u}) {
+    obs::Registry registry("test");
+    VectorSink a, b, c;
+    ParallelOptions options;
+    options.jobs = jobs;
+    options.batch_records = 64;
+    options.registry = &registry;
+    ParallelFanOut fanout({&a, &b, &c}, options);
+    fanout.push_batch(input);  // full slices and a pending tail
+    fanout.on_end();
+    const std::string json = registry.metrics_json();
+    for (int i = 0; i < 3; ++i) {
+      const std::string key = "pipeline.sink" + std::to_string(i) + ".seconds";
+      ASSERT_NE(json.find(key), std::string::npos) << key << " jobs " << jobs;
+      EXPECT_GT(registry.gauge(key).value(), 0.0) << key << " jobs " << jobs;
+    }
+    EXPECT_EQ(json.find("pipeline.sink3."), std::string::npos);
+  }
+}
+
 /// Resolves every record's function name through the shared TraceContext
 /// from inside a worker thread — exercises the StringPool contract that
 /// symbols published through the queues are safe to view concurrently
