@@ -106,6 +106,7 @@ trace::IngestMode CommonFlags::ingest_mode() const {
 
 trace::BinaryWriterOptions CommonFlags::writer_options() const {
   trace::BinaryWriterOptions options;
+  if (jobs != nullptr) options.jobs = *jobs;
   if (!wants_compress()) return options;
   const trace::CompressSpec spec = trace::parse_compress_spec(*compress);
   options.version = trace::kTdtbVersionFramed;

@@ -87,11 +87,12 @@ struct CommonFlags {
     return compress != nullptr && !compress->empty();
   }
 
-  /// Binary-writer options from --compress: the flag absent or empty
-  /// yields the plain v2 default; `zstd|lz4|none[:level]` selects the v3
-  /// framed container with that frame codec. Throws Error{Config} on an
-  /// unknown codec or malformed level (availability is checked by the
-  /// writer so its error can name the remedy).
+  /// Binary-writer options from --compress and --jobs: the flag absent
+  /// or empty yields the plain v2 default; `zstd|lz4|none[:level]`
+  /// selects the v3 framed container with that frame codec, and --jobs
+  /// above 1 lets the writer compress frames on its own thread. Throws
+  /// Error{Config} on an unknown codec or malformed level (availability
+  /// is checked by the writer so its error can name the remedy).
   [[nodiscard]] trace::BinaryWriterOptions writer_options() const;
 
   /// Applies --max-memory/--deadline to `governor`. Only valid when the

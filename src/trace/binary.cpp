@@ -1,8 +1,13 @@
 #include "trace/binary.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstring>
+#include <exception>
+#include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "trace/source.hpp"
 #include "util/error.hpp"
@@ -20,11 +25,9 @@ constexpr std::uint8_t kTagString = 1;
 constexpr std::uint8_t kTagEnd = 2;
 constexpr std::uint8_t kTagFrame = 3;  // v3 shard
 
-// Sanity caps: a corrupt varint must not drive a huge allocation or an
-// unbounded loop before the corruption is noticed.
-constexpr std::uint64_t kMaxStringLen = 1u << 20;  // 1 MiB per name
-constexpr std::uint64_t kMaxSymbolId = 1u << 24;
-constexpr std::uint64_t kMaxVarSteps = 1u << 12;
+// Sanity caps beyond the shared ones in binary.hpp: a corrupt varint
+// must not drive a huge allocation or an unbounded loop before the
+// corruption is noticed.
 constexpr int kMaxVarintBytes = 10;  // ceil(64 / 7)
 constexpr std::uint64_t kMaxFrameRecords = 1u << 27;
 constexpr std::uint64_t kMaxFrameBytes = 1u << 30;
@@ -46,14 +49,6 @@ std::uint64_t get_le(const char* in, int bytes) {
          << (8 * i);
   }
   return v;
-}
-
-void append_varint(std::string& out, std::uint64_t v) {
-  while (v >= 0x80) {
-    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
-  }
-  out.push_back(static_cast<char>(v));
 }
 
 // Zigzag maps the two's-complement address delta to an unsigned value
@@ -99,6 +94,69 @@ bool mem_varint(const char*& p, const char* end, std::uint64_t& v) noexcept {
 
 // --- writer -----------------------------------------------------------------
 
+namespace {
+
+// Worst-case encoded sizes. A record is a tag, the packed kind|scope
+// byte and at most seven varints (address, size, function, frame,
+// thread, variable base, step count), plus a flag byte and a varint per
+// selector step; kMaxVarSteps bounds the steps, so one record never
+// needs more than about 45 KB of headroom.
+constexpr std::size_t kRecordHeadBytes = 2 + 7 * kMaxVarintBytes;
+constexpr std::size_t kStepBytes = 1 + kMaxVarintBytes;
+// Frame header: tag, codec, three varints and the CRC.
+constexpr std::size_t kFrameHeadBytes = 2 + 3 * kMaxVarintBytes + 4;
+// v1/v2 hand the staging buffer to the stream (and the CRC) in blocks of
+// about this many bytes.
+constexpr std::size_t kBlockBytes = 64 * 1024;
+
+char* put_varint(char* p, std::uint64_t v) noexcept {
+  while (v >= 0x80) {
+    *p++ = static_cast<char>((v & 0x7F) | 0x80);
+    v >>= 7;
+  }
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+[[noreturn]] void throw_cap_error(std::uint64_t record, const char* what,
+                                  std::uint64_t value, std::uint64_t cap,
+                                  const char* cap_name) {
+  throw Error(ErrorKind::Semantic,
+              "cannot write record " + std::to_string(record) +
+                  " as TDTB: " + what + " value " + std::to_string(value) +
+                  " exceeds limit " + std::to_string(cap) + " (" + cap_name +
+                  "; TDTB readers reject it)");
+}
+
+[[noreturn]] void throw_write_failed() {
+  throw Error(ErrorKind::Io,
+              "binary trace write failed (disk full or closed stream?)");
+}
+
+double seconds_since(std::chrono::steady_clock::time_point t0) noexcept {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+}  // namespace
+
+/// The writer thread of a threaded v3 writer and the one frame buffer
+/// the caller is not filling. That buffer is either free (`pending`
+/// false: the caller may swap it for the frame it just filled) or holds
+/// a frame of `len` bytes and `records` records that the thread owns
+/// until it has written it.
+struct BinaryTraceWriter::FrameThread {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::string buf;
+  std::size_t len = 0;
+  std::uint64_t records = 0;
+  bool pending = false;
+  bool closing = false;        // no more frames: exit once idle
+  std::exception_ptr error;    // the thread stopped on this
+  std::thread thread;          // started at the first full frame
+};
+
 BinaryTraceWriter::BinaryTraceWriter(const TraceContext& ctx,
                                      std::ostream& out, std::uint64_t pid,
                                      std::uint8_t version)
@@ -132,29 +190,35 @@ BinaryTraceWriter::BinaryTraceWriter(const TraceContext& ctx,
                        "not found or TDT_NO_CODEC set); use --compress "
                        "none or install the codec library");
   }
+  char* p = reserve(4 + 1 + kMaxVarintBytes + 1);
+  std::memcpy(p, kMagic, 4);
+  p += 4;
+  *p++ = static_cast<char>(version_);
+  p = put_varint(p, pid);
   if (version_ >= kTdtbVersionFramed) {
-    std::string head;
-    head.append(kMagic, 4);
-    head.push_back(static_cast<char>(version_));
-    append_varint(head, pid);
-    head.push_back(static_cast<char>(codec_));  // container default codec
-    raw_bytes(head.data(), head.size());
+    *p++ = static_cast<char>(codec_);  // container default codec
+    // The v3 header sits outside every frame: straight to the stream.
+    raw_bytes(buf_.data(), static_cast<std::size_t>(p - buf_.data()));
+    // Only compression is worth a thread; stored frames stay inline.
+    if (codec_ != Codec::None && options.jobs > 1) {
+      thread_ = std::make_unique<FrameThread>();
+    }
   } else {
-    put_bytes(kMagic, 4);
-    put_byte(static_cast<char>(version_));
-    put_varint(pid);
+    commit(p);
   }
 }
 
-void BinaryTraceWriter::put_bytes(const char* data, std::size_t len) {
-  if (version_ >= kTdtbVersionFramed) {
-    // v3 entries accumulate in the current frame's payload buffer; the
-    // frame reaches the stream only through flush_frame().
-    frame_buf_.append(data, len);
-    return;
-  }
-  out_->write(data, static_cast<std::streamsize>(len));
-  crc_.update(data, len);
+BinaryTraceWriter::~BinaryTraceWriter() { stop_thread(); }
+
+void BinaryTraceWriter::grow(std::size_t n) {
+  buf_.resize(std::max(buf_.size() * 2, len_ + n));
+}
+
+void BinaryTraceWriter::flush_block() {
+  out_->write(buf_.data(), static_cast<std::streamsize>(len_));
+  crc_.update(buf_.data(), len_);
+  offset_ += len_;
+  len_ = 0;
 }
 
 void BinaryTraceWriter::raw_bytes(const char* data, std::size_t len) {
@@ -162,28 +226,34 @@ void BinaryTraceWriter::raw_bytes(const char* data, std::size_t len) {
   offset_ += len;
 }
 
-void BinaryTraceWriter::put_varint(std::uint64_t v) {
-  while (v >= 0x80) {
-    put_byte(static_cast<char>((v & 0x7F) | 0x80));
-    v >>= 7;
+void BinaryTraceWriter::define_symbol(Symbol s) {
+  if (s.id() > kMaxSymbolId) {
+    throw_cap_error(record_count_, "string id", s.id(), kMaxSymbolId,
+                    "kMaxSymbolId");
   }
-  put_byte(static_cast<char>(v));
-}
-
-void BinaryTraceWriter::define_symbol_if_new(Symbol s) {
-  if (s.id() < defined_.size() && defined_[s.id()]) return;
-  if (s.id() >= defined_.size()) defined_.resize(s.id() + 1, false);
-  defined_[s.id()] = true;
-  if (version_ >= kTdtbVersionFramed) frame_defined_ids_.push_back(s.id());
   const std::string_view text = ctx_->name(s);
-  put_byte(static_cast<char>(kTagString));
-  put_varint(s.id());
-  put_varint(text.size());
-  put_bytes(text.data(), text.size());
+  if (text.size() > kMaxStringLen) {
+    throw_cap_error(record_count_, "string length", text.size(),
+                    kMaxStringLen, "kMaxStringLen");
+  }
+  if (s.id() >= defined_.size()) defined_.resize(s.id() + 1, 0);
+  defined_[s.id()] = 1;
+  if (version_ >= kTdtbVersionFramed) frame_defined_ids_.push_back(s.id());
+  char* p = reserve(1 + 2 * kMaxVarintBytes + text.size());
+  *p++ = static_cast<char>(kTagString);
+  p = put_varint(p, s.id());
+  p = put_varint(p, text.size());
+  std::memcpy(p, text.data(), text.size());
+  commit(p + text.size());
 }
 
-void BinaryTraceWriter::write(const TraceRecord& rec) {
-  internal_check(!finished_, "write after finish");
+void BinaryTraceWriter::encode(const TraceRecord& rec) {
+  const bool has_var = rec.scope != VarScope::Unknown;
+  const std::size_t nsteps = rec.var.steps.size();
+  if (has_var && nsteps > kMaxVarSteps) [[unlikely]] {
+    throw_cap_error(record_count_, "step count", nsteps, kMaxVarSteps,
+                    "kMaxVarSteps");
+  }
   define_symbol_if_new(rec.function);
   if (!rec.var.empty()) {
     define_symbol_if_new(rec.var.base);
@@ -191,42 +261,73 @@ void BinaryTraceWriter::write(const TraceRecord& rec) {
       if (step.is_field) define_symbol_if_new(step.field);
     }
   }
-  put_byte(static_cast<char>(kTagRecord));
-  const std::uint8_t packed = static_cast<std::uint8_t>(
-      (static_cast<unsigned>(rec.kind) & 0x7) |
-      ((static_cast<unsigned>(rec.scope) & 0x7) << 3));
-  put_byte(static_cast<char>(packed));
-  if (version_ >= kTdtbVersionFramed) {
-    // v3 frames store addresses as zigzag deltas from the previous
-    // record in the same frame; strided access patterns collapse to
-    // one-byte varints.
-    put_varint(zigzag(rec.address - prev_addr_));
-    prev_addr_ = rec.address;
-  } else {
-    put_varint(rec.address);
-  }
-  put_varint(rec.size);
-  put_varint(rec.function.id());
-  put_varint(rec.frame);
-  put_varint(rec.thread);
-  if (rec.scope != VarScope::Unknown) {
-    put_varint(rec.var.base.id());
-    put_varint(rec.var.steps.size());
+  const bool framed = version_ >= kTdtbVersionFramed;
+  char* p = reserve(kRecordHeadBytes + (has_var ? nsteps * kStepBytes : 0));
+  *p++ = static_cast<char>(kTagRecord);
+  *p++ = static_cast<char>((static_cast<unsigned>(rec.kind) & 0x7) |
+                           ((static_cast<unsigned>(rec.scope) & 0x7) << 3));
+  // v3 frames store addresses as zigzag deltas from the previous record
+  // in the same frame; strided access patterns collapse to one-byte
+  // varints.
+  p = put_varint(p, framed ? zigzag(rec.address - prev_addr_) : rec.address);
+  prev_addr_ = rec.address;
+  p = put_varint(p, rec.size);
+  p = put_varint(p, rec.function.id());
+  p = put_varint(p, rec.frame);
+  p = put_varint(p, rec.thread);
+  if (has_var) {
+    p = put_varint(p, rec.var.base.id());
+    p = put_varint(p, nsteps);
     for (const VarStep& step : rec.var.steps) {
-      put_byte(static_cast<char>(step.is_field ? 1 : 0));
-      put_varint(step.is_field ? step.field.id() : step.index);
+      *p++ = static_cast<char>(step.is_field ? 1 : 0);
+      p = put_varint(p, step.is_field ? step.field.id() : step.index);
     }
   }
+  commit(p);
   ++record_count_;
-  if (version_ >= kTdtbVersionFramed) {
-    ++frame_record_count_;
-    if (frame_record_count_ >= frame_target_) flush_frame();
+  if (framed) {
+    if (++frame_record_count_ >= frame_target_) end_frame(false);
+  } else if (len_ >= kBlockBytes) {
+    flush_block();
   }
 }
 
-void BinaryTraceWriter::flush_frame() {
-  if (frame_record_count_ == 0 && frame_buf_.empty()) return;
-  const std::string_view payload(frame_buf_);
+void BinaryTraceWriter::write(const TraceRecord& rec) {
+  internal_check(!finished_, "write after finish");
+  encode(rec);
+}
+
+void BinaryTraceWriter::write_batch(std::span<const TraceRecord> batch) {
+  internal_check(!finished_, "write after finish");
+  const auto t0 = timed_ ? std::chrono::steady_clock::now()
+                         : std::chrono::steady_clock::time_point{};
+  for (const TraceRecord& rec : batch) encode(rec);
+  if (timed_) encode_seconds_ += seconds_since(t0);
+}
+
+void BinaryTraceWriter::end_frame(bool last) {
+  if (frame_record_count_ == 0 && len_ == 0) return;
+  // A writer thread starts at the first full frame; a trace that fits
+  // one frame never starts it.
+  if (thread_ != nullptr && (!last || thread_->thread.joinable())) {
+    submit_frame();
+  } else {
+    store_frame(std::string_view(buf_.data(), len_), frame_record_count_);
+  }
+  ++frames_;
+  len_ = 0;
+  frame_record_count_ = 0;
+  // The next frame must decode on its own: forget this frame's symbol
+  // definitions so first use re-emits them.
+  for (std::uint32_t id : frame_defined_ids_) defined_[id] = 0;
+  frame_defined_ids_.clear();
+  prev_addr_ = 0;
+}
+
+void BinaryTraceWriter::store_frame(std::string_view payload,
+                                    std::uint64_t records) {
+  const auto t0 = timed_ ? std::chrono::steady_clock::now()
+                         : std::chrono::steady_clock::time_point{};
   std::string_view stored = payload;
   if (codec_ != Codec::None) {
     if (!codec_compress(codec_, level_, payload, comp_buf_)) {
@@ -238,72 +339,146 @@ void BinaryTraceWriter::flush_frame() {
   }
   TdtbFrameInfo info;
   info.offset = offset_;
-  info.records = frame_record_count_;
+  info.records = records;
   info.usize = payload.size();
   info.csize = stored.size();
   info.crc = crc32(stored.data(), stored.size());
   info.codec = static_cast<std::uint8_t>(codec_);
 
-  std::string head;
-  head.push_back(static_cast<char>(kTagFrame));
-  head.push_back(static_cast<char>(info.codec));
-  append_varint(head, info.records);
-  append_varint(head, info.usize);
-  append_varint(head, info.csize);
-  char crcb[4];
-  put_le(crcb, info.crc, 4);
-  head.append(crcb, 4);
-  raw_bytes(head.data(), head.size());
+  char head[kFrameHeadBytes];
+  char* p = head;
+  *p++ = static_cast<char>(kTagFrame);
+  *p++ = static_cast<char>(info.codec);
+  p = put_varint(p, info.records);
+  p = put_varint(p, info.usize);
+  p = put_varint(p, info.csize);
+  put_le(p, info.crc, 4);
+  raw_bytes(head, static_cast<std::size_t>(p + 4 - head));
   raw_bytes(stored.data(), stored.size());
   index_.push_back(info);
+  if (timed_) compress_seconds_ += seconds_since(t0);
+}
 
-  frame_buf_.clear();
-  frame_record_count_ = 0;
-  // The next frame must decode on its own: forget this frame's symbol
-  // definitions so first use re-emits them.
-  for (std::uint32_t id : frame_defined_ids_) defined_[id] = false;
-  frame_defined_ids_.clear();
-  prev_addr_ = 0;
+void BinaryTraceWriter::submit_frame() {
+  FrameThread& t = *thread_;
+  if (!t.thread.joinable()) {
+    t.thread = std::thread([this] { frame_thread_main(); });
+  }
+  std::unique_lock<std::mutex> lock(t.mu);
+  t.cv.wait(lock, [&t] { return !t.pending; });
+  if (t.error) std::rethrow_exception(t.error);
+  buf_.swap(t.buf);
+  t.len = len_;
+  t.records = frame_record_count_;
+  t.pending = true;
+  lock.unlock();
+  t.cv.notify_all();
+}
+
+void BinaryTraceWriter::frame_thread_main() {
+  FrameThread& t = *thread_;
+  std::unique_lock<std::mutex> lock(t.mu);
+  for (;;) {
+    t.cv.wait(lock, [&t] { return t.pending || t.closing; });
+    if (!t.pending) return;  // closing and idle
+    lock.unlock();
+    std::exception_ptr error;
+    try {
+      store_frame(std::string_view(t.buf.data(), t.len), t.records);
+      if (!*out_) throw_write_failed();
+    } catch (...) {
+      error = std::current_exception();
+    }
+    lock.lock();
+    t.pending = false;
+    t.error = error;
+    t.cv.notify_all();
+    if (error) return;
+  }
+}
+
+void BinaryTraceWriter::stop_thread() noexcept {
+  if (thread_ == nullptr || !thread_->thread.joinable()) return;
+  {
+    std::lock_guard<std::mutex> lock(thread_->mu);
+    thread_->closing = true;
+  }
+  thread_->cv.notify_all();
+  thread_->thread.join();
+}
+
+void BinaryTraceWriter::check() {
+  if (thread_ != nullptr) {
+    std::lock_guard<std::mutex> lock(thread_->mu);
+    if (thread_->error) std::rethrow_exception(thread_->error);
+    if (thread_->thread.joinable()) return;  // the thread owns the stream
+  }
+  if (!*out_) throw_write_failed();
+}
+
+void BinaryTraceWriter::fail_stream() {
+  stop_thread();
+  out_->setstate(std::ios::failbit);
+}
+
+WriteStats BinaryTraceWriter::stats() const noexcept {
+  WriteStats s;
+  s.records = record_count_;
+  s.frames = frames_;
+  s.bytes = offset_;
+  s.encode_seconds = encode_seconds_;
+  s.compress_seconds = compress_seconds_;
+  return s;
 }
 
 void BinaryTraceWriter::finish() {
   internal_check(!finished_, "double finish");
+  const auto t0 = timed_ ? std::chrono::steady_clock::now()
+                         : std::chrono::steady_clock::time_point{};
   if (version_ >= kTdtbVersionFramed) {
-    flush_frame();
-    const char end_tag = static_cast<char>(kTagEnd);
-    raw_bytes(&end_tag, 1);
+    end_frame(true);
+    // Join before touching the stream: the writer thread owns it.
+    stop_thread();
+    check();
     std::string index;
+    index.resize(index_.size() * (4 * kMaxVarintBytes + 5));
+    char* p = index.data();
     for (const TdtbFrameInfo& f : index_) {
-      append_varint(index, f.offset);
-      append_varint(index, f.records);
-      append_varint(index, f.usize);
-      append_varint(index, f.csize);
-      char crcb[4];
-      put_le(crcb, f.crc, 4);
-      index.append(crcb, 4);
-      index.push_back(static_cast<char>(f.codec));
+      p = put_varint(p, f.offset);
+      p = put_varint(p, f.records);
+      p = put_varint(p, f.usize);
+      p = put_varint(p, f.csize);
+      put_le(p, f.crc, 4);
+      p[4] = static_cast<char>(f.codec);
+      p += 5;
     }
+    index.resize(static_cast<std::size_t>(p - index.data()));
     char footer[kContainerFooterSize];
     put_le(footer, record_count_, 8);
     put_le(footer + 8, index_.size(), 8);
     put_le(footer + 16, index.size(), 4);
     put_le(footer + 20, crc32(index.data(), index.size()), 4);
     std::memcpy(footer + 24, kIndexMagic, 4);
+    const char end_tag = static_cast<char>(kTagEnd);
+    raw_bytes(&end_tag, 1);
     raw_bytes(index.data(), index.size());
     raw_bytes(footer, kContainerFooterSize);
-    finished_ = true;
-    return;
-  }
-  put_byte(static_cast<char>(kTagEnd));
-  if (version_ >= 2) {
-    // Footer is not part of its own checksum: the CRC covers everything
-    // from the magic through the end tag.
-    char footer[kFooterSize];
-    put_le(footer, record_count_, 8);
-    put_le(footer + 8, crc_.value(), 4);
-    out_->write(footer, kFooterSize);
+  } else {
+    *reserve(1) = static_cast<char>(kTagEnd);
+    ++len_;
+    flush_block();
+    if (version_ >= 2) {
+      // Footer is not part of its own checksum: the CRC covers
+      // everything from the magic through the end tag.
+      char footer[kFooterSize];
+      put_le(footer, record_count_, 8);
+      put_le(footer + 8, crc_.value(), 4);
+      out_->write(footer, kFooterSize);
+      offset_ += kFooterSize;
+    }
   }
   finished_ = true;
+  if (timed_) encode_seconds_ += seconds_since(t0);
 }
 
 // --- two-phase frame decode -------------------------------------------------
@@ -1122,12 +1297,9 @@ std::optional<TdtbContainerInfo> probe_tdtb_file(
 void BinaryTraceSink::check_health() {
   if (fault::FaultInjector::enabled() &&
       fault::should_fire(fault::Site::WriterFlush)) [[unlikely]] {
-    out_->setstate(std::ios::failbit);
+    writer_.fail_stream();
   }
-  if (!*out_) {
-    throw Error(ErrorKind::Io,
-                "binary trace write failed (disk full or closed stream?)");
-  }
+  writer_.check();
 }
 
 std::vector<char> write_binary_trace(const TraceContext& ctx,
@@ -1143,7 +1315,7 @@ std::vector<char> write_binary_trace(const TraceContext& ctx,
                                      const BinaryWriterOptions& options) {
   std::ostringstream out(std::ios::binary);
   BinaryTraceWriter w(ctx, out, pid, options);
-  for (const TraceRecord& rec : records) w.write(rec);
+  w.write_batch(records);
   w.finish();
   const std::string s = out.str();
   return {s.begin(), s.end()};

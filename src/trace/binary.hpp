@@ -20,10 +20,17 @@
 // frame, and `--jobs N` decodes disjoint frames on worker threads while
 // the consuming thread binds and hands them out in frame order —
 // bit-identical to the sequential decode.
+//
+// The writer encodes each record with pointer stores into a staging
+// buffer sized once for the record's worst case. On v3 that buffer is
+// the frame payload; with a codec and `jobs` > 1 one writer thread
+// compresses, checksums and writes each full frame while the caller
+// encodes the next, and the bytes are identical to the inline writer's.
 #pragma once
 
 #include <cstdint>
 #include <istream>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
@@ -53,12 +60,33 @@ inline constexpr std::uint8_t kTdtbVersionFramed = 3;
 /// trace yields plenty of frames for parallel decode.
 inline constexpr std::uint32_t kDefaultFrameRecords = 64 * 1024;
 
+// Format caps shared by writer and reader. The reader treats a larger
+// value as corruption (so a corrupt varint cannot drive a huge
+// allocation), and the writer refuses to emit one.
+inline constexpr std::uint64_t kMaxStringLen = 1u << 20;  ///< bytes per name
+inline constexpr std::uint64_t kMaxSymbolId = 1u << 24;   ///< string id
+inline constexpr std::uint64_t kMaxVarSteps = 1u << 12;   ///< selector steps
+
 /// Writer-side format selection.
 struct BinaryWriterOptions {
   std::uint8_t version = kTdtbVersion;  ///< 1, 2, or 3
   Codec codec = Codec::None;            ///< v3 frame codec
   int level = 0;                        ///< 0 = codec default
   std::uint32_t frame_records = kDefaultFrameRecords;  ///< v3 frame target
+  /// Threads the writer may use (the tools' --jobs). Above 1, a v3
+  /// writer with a codec hands full frames to one writer thread; the
+  /// output bytes are the same at any value.
+  std::uint64_t jobs = 1;
+};
+
+/// What one writer did, for the write.* metrics (docs/OBSERVABILITY.md).
+/// The seconds stay 0 unless BinaryTraceWriter::time_writes() was called.
+struct WriteStats {
+  std::uint64_t records = 0;
+  std::uint64_t frames = 0;     ///< v3 frames (0 for v1/v2)
+  std::uint64_t bytes = 0;      ///< bytes handed to the stream
+  double encode_seconds = 0;    ///< calling thread, inside the writer
+  double compress_seconds = 0;  ///< compressing and writing v3 frames
 };
 
 /// One frame's index entry (v3).
@@ -148,6 +176,16 @@ void remap_frame_records(std::span<TraceRecord> records,
                          const std::vector<Symbol>& symbol_map);
 
 /// Streaming binary writer (v1, v2, or the v3 framed container).
+///
+/// Records are encoded into a staging buffer: on v3 it is the current
+/// frame's payload; on v1/v2 it reaches the stream and the running CRC
+/// in blocks. A v3 writer with a codec and `jobs` > 1 starts one writer
+/// thread at its first full frame. From then until finish() (or the
+/// destructor) joins it, that thread alone touches the stream: it
+/// compresses, checksums and writes the frames in order and records
+/// their index entries, while the caller encodes into the second of two
+/// recycled payload buffers. An error on the writer thread is rethrown
+/// by the next write_batch(), check(), or finish().
 class BinaryTraceWriter {
  public:
   /// `version` selects the on-disk format (1 = legacy footer-less, 2 =
@@ -161,13 +199,40 @@ class BinaryTraceWriter {
   BinaryTraceWriter(const TraceContext& ctx, std::ostream& out,
                     std::uint64_t pid, const BinaryWriterOptions& options);
 
-  /// Appends one record.
+  /// Joins the writer thread, if one runs; frames not yet written are
+  /// dropped with the rest of an unfinished container.
+  ~BinaryTraceWriter();
+
+  BinaryTraceWriter(const BinaryTraceWriter&) = delete;
+  BinaryTraceWriter& operator=(const BinaryTraceWriter&) = delete;
+
+  /// Appends one record. Throws Error{Semantic} for a record the format
+  /// cannot carry (a name over kMaxStringLen bytes, a symbol id over
+  /// kMaxSymbolId, or more than kMaxVarSteps selector steps).
   void write(const TraceRecord& rec);
+
+  /// Appends a batch of records (timed when time_writes() is on).
+  void write_batch(std::span<const TraceRecord> batch);
 
   /// Writes the end marker and the version's trailer (v2: count+CRC
   /// footer; v3: frame index + container footer); further writes are
-  /// invalid.
+  /// invalid. Joins the writer thread first.
   void finish();
+
+  /// Throws Error{Io} when the stream has failed or the writer thread
+  /// stopped on an error. Reads the stream state only while no writer
+  /// thread owns it.
+  void check();
+
+  /// Fails the stream as a full disk would (fault injection): joins the
+  /// writer thread, then sets the stream's failbit.
+  void fail_stream();
+
+  /// Times encoding and frame compression for stats() from now on.
+  void time_writes() noexcept { timed_ = true; }
+
+  /// Counts and times; complete once finish() has returned.
+  [[nodiscard]] WriteStats stats() const noexcept;
 
   /// Records written so far.
   [[nodiscard]] std::uint64_t records_written() const noexcept {
@@ -176,16 +241,33 @@ class BinaryTraceWriter {
 
   /// Frames flushed so far (v3; 0 otherwise).
   [[nodiscard]] std::uint64_t frames_written() const noexcept {
-    return index_.size();
+    return frames_;
   }
 
  private:
-  void define_symbol_if_new(Symbol s);
-  void put_bytes(const char* data, std::size_t len);
-  void put_byte(char c) { put_bytes(&c, 1); }
-  void put_varint(std::uint64_t v);
+  struct FrameThread;
+
+  void encode(const TraceRecord& rec);
+  void define_symbol_if_new(Symbol s) {
+    if (s.id() < defined_.size() && defined_[s.id()] != 0) return;
+    define_symbol(s);
+  }
+  void define_symbol(Symbol s);
+  char* reserve(std::size_t n) {
+    if (buf_.size() - len_ < n) [[unlikely]] grow(n);
+    return buf_.data() + len_;
+  }
+  void grow(std::size_t n);
+  void commit(const char* end) noexcept {
+    len_ = static_cast<std::size_t>(end - buf_.data());
+  }
+  void flush_block();                 // v1/v2: staging buffer -> stream
   void raw_bytes(const char* data, std::size_t len);  // v3: straight out
-  void flush_frame();
+  void end_frame(bool last);          // v3: hand off or store the frame
+  void store_frame(std::string_view payload, std::uint64_t records);
+  void submit_frame();                // to the writer thread
+  void frame_thread_main();
+  void stop_thread() noexcept;
 
   const TraceContext* ctx_;
   std::ostream* out_;
@@ -193,17 +275,25 @@ class BinaryTraceWriter {
   Codec codec_ = Codec::None;
   int level_ = 0;
   std::uint32_t frame_target_ = kDefaultFrameRecords;
-  std::vector<bool> defined_;
+  std::vector<std::uint8_t> defined_;  // by symbol id: definition emitted
   std::vector<std::uint32_t> frame_defined_ids_;  // v3: reset per frame
-  std::string frame_buf_;   // v3: current frame's uncompressed payload
-  std::string comp_buf_;    // v3: compression scratch
+  std::string buf_;      // staging buffer; bytes [0, len_) are encoded
+  std::size_t len_ = 0;
   std::uint64_t frame_record_count_ = 0;
   std::uint64_t prev_addr_ = 0;  // v3: address delta base, reset per frame
-  std::vector<TdtbFrameInfo> index_;
-  std::uint64_t offset_ = 0;  // v3: bytes written to out_
   std::uint64_t record_count_ = 0;
-  Crc32 crc_;
+  std::uint64_t frames_ = 0;
+  Crc32 crc_;            // v1/v2
   bool finished_ = false;
+  bool timed_ = false;
+  double encode_seconds_ = 0;
+  // Frame output state: the writer thread's while it runs, else the
+  // caller's.
+  std::string comp_buf_;  // v3: compression scratch
+  std::vector<TdtbFrameInfo> index_;
+  std::uint64_t offset_ = 0;  // bytes written to out_
+  double compress_seconds_ = 0;
+  std::unique_ptr<FrameThread> thread_;  // v3 with a codec and jobs > 1
 };
 
 /// Streaming binary reader for v1, v2, and v3 blobs (the version byte is
@@ -297,7 +387,9 @@ class BinaryTraceReader {
 /// TraceSink adapter writing a TDTB trace as records stream through, so
 /// a pipeline (reader -> transformer -> ...) can emit a binary trace
 /// without materializing the record vector. finish() runs at on_end();
-/// batch boundaries check stream health (ENOSPC surfaces as Error{Io}).
+/// batch boundaries check stream health (ENOSPC surfaces as Error{Io}),
+/// on the calling thread, so the writer.flush fault schedule is the
+/// same with or without a writer thread.
 class BinaryTraceSink final : public TraceSink {
  public:
   BinaryTraceSink(const TraceContext& ctx, std::ostream& out,
@@ -307,7 +399,7 @@ class BinaryTraceSink final : public TraceSink {
 
   void on_record(const TraceRecord& rec) override { writer_.write(rec); }
   void push_batch(std::span<const TraceRecord> batch) override {
-    for (const TraceRecord& rec : batch) writer_.write(rec);
+    writer_.write_batch(batch);
     check_health();
   }
   void on_end() override {
@@ -319,6 +411,10 @@ class BinaryTraceSink final : public TraceSink {
   [[nodiscard]] std::uint64_t records_written() const noexcept {
     return writer_.records_written();
   }
+
+  /// See BinaryTraceWriter::time_writes() / stats().
+  void time_writes() noexcept { writer_.time_writes(); }
+  [[nodiscard]] WriteStats stats() const noexcept { return writer_.stats(); }
 
  private:
   void check_health();

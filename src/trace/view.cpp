@@ -230,6 +230,8 @@ class Evaluator {
         if (binary) {
           s.save_binary.emplace(*n.ctx, s.save_out, n.save_options.pid,
                                 n.save_options.binary);
+          // Nothing is timed without a registry to report it.
+          if (options_.registry != nullptr) s.save_binary->time_writes();
         } else {
           s.save_text.emplace(*n.ctx, s.save_out, n.save_options.pid);
         }
@@ -488,9 +490,21 @@ class Evaluator {
           reg.gauge("view." + s->stats.id + ".cache_bytes")
               .set(static_cast<double>(s->stats.cache_bytes));
         }
+        if (s->save_binary) fold_write_metrics(reg, s->save_binary->stats());
       }
       result_.stages.push_back(s->stats);
     }
+  }
+
+  /// The write.* family, summed over the evaluation's TDTB save nodes.
+  static void fold_write_metrics(obs::Registry& reg, const WriteStats& w) {
+    reg.counter("write.records").add(w.records);
+    reg.counter("write.frames").add(w.frames);
+    reg.counter("write.bytes").add(w.bytes);
+    obs::Gauge& encode = reg.gauge("write.encode_seconds");
+    encode.set(encode.value() + w.encode_seconds);
+    obs::Gauge& compress = reg.gauge("write.compress_seconds");
+    compress.set(compress.value() + w.compress_seconds);
   }
 
   EvalOptions options_;

@@ -111,6 +111,75 @@ if(codecs MATCHES "zstd")
   endif()
 endif()
 
+# -- The paper's save path: dinerosim --rules ... --xform-out x.tdtb. ---------
+# The transformed trace is written while it is simulated. At LEN 16384
+# the T1 rewrite emits 131k records, so the default 65536-record frames
+# fill twice and, with a codec at --jobs 3, the writer thread compresses
+# them. Neither the container nor the report may depend on --jobs, the
+# report must match the text --xform-out run, and the container must
+# hold exactly the records of that run's text trace.
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 16384 --out ${WORKDIR}/xf.out
+  RESULT_VARIABLE rc)
+check_rc("gtracer xform fixture" 0 "${rc}")
+# The stock rule is written for LEN 1024; the sized rule is the same
+# text at LEN 16384, so no record takes the skip path.
+file(READ ${RULES} rules_text)
+string(REPLACE "1024" "16384" rules_text "${rules_text}")
+file(WRITE ${WORKDIR}/t1_16384.rules "${rules_text}")
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/xf.out --size 4096
+          --rules ${WORKDIR}/t1_16384.rules --xform-out ${WORKDIR}/xf_text.out
+  OUTPUT_FILE ${WORKDIR}/xf_text.stdout RESULT_VARIABLE rc)
+check_rc("dinerosim --xform-out text" 0 "${rc}")
+
+foreach(format v2 ${codecs})
+  if(format STREQUAL "v2")
+    set(compress_args "")
+  else()
+    set(compress_args --compress ${format})
+  endif()
+  foreach(jobs 1 3)
+    execute_process(
+      COMMAND ${DINEROSIM} --trace ${WORKDIR}/xf.out --size 4096
+              --rules ${WORKDIR}/t1_16384.rules
+              --xform-out ${WORKDIR}/xf_${format}_j${jobs}.tdtb
+              ${compress_args} --jobs ${jobs}
+      OUTPUT_FILE ${WORKDIR}/xf_${format}_j${jobs}.stdout RESULT_VARIABLE rc)
+    check_rc("dinerosim --xform-out ${format} jobs=${jobs}" 0 "${rc}")
+  endforeach()
+  check_same("xform ${format} container jobs=3 == jobs=1"
+             ${WORKDIR}/xf_${format}_j1.tdtb ${WORKDIR}/xf_${format}_j3.tdtb)
+  check_same("xform ${format} report jobs=3 == jobs=1"
+             ${WORKDIR}/xf_${format}_j1.stdout ${WORKDIR}/xf_${format}_j3.stdout)
+  check_same("xform ${format} report matches the text --xform-out run"
+             ${WORKDIR}/xf_text.stdout ${WORKDIR}/xf_${format}_j1.stdout)
+  execute_process(
+    COMMAND ${TRACEDIFF} ${WORKDIR}/xf_text.out ${WORKDIR}/xf_${format}_j1.tdtb
+            --summary
+    RESULT_VARIABLE rc)
+  check_rc("tracediff text vs ${format} --xform-out" 0 "${rc}")
+endforeach()
+
+# A record the format cannot carry is refused with exit 2 and the cap
+# named, instead of becoming a container its own reader rejects: the
+# text reader takes a 5000-step selector, TDTB stops at kMaxVarSteps.
+string(REPEAT "[0]" 5000 deep_selector)
+file(WRITE ${WORKDIR}/deep.out
+  "START PID 1\nS 000601040 4 main GS grid${deep_selector}\n")
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/deep.out --size 4096
+  OUTPUT_QUIET RESULT_VARIABLE rc)
+check_rc("dinerosim reads a 5000-step selector" 0 "${rc}")
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/deep.out --size 4096
+          --rules ${RULES} --xform-out ${WORKDIR}/deep.tdtb
+  OUTPUT_QUIET RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("--xform-out .tdtb past kMaxVarSteps" 2 "${rc}")
+if(NOT err MATCHES "step count value 5000 exceeds limit 4096 \\(kMaxVarSteps")
+  message(FATAL_ERROR "step-cap refusal does not name the cap: ${err}")
+endif()
+
 # -- Degradation without codec libraries (TDT_NO_CODEC=1). --------------------
 # Writing a compressed container must fail loudly...
 execute_process(

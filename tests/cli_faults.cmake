@@ -150,6 +150,67 @@ foreach(policy strict skip repair)
   endif()
 endforeach()
 
+# The same failure on a TDTB save: plain v2, and a v3 zstd container,
+# whose frames a writer thread compresses at --jobs 3. The fault is
+# drawn on the evaluating thread at batch boundaries, so it fires at the
+# same batch at any --jobs.
+set(tdtb_formats v2)
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 64 --binary --compress zstd
+          --out ${WORKDIR}/zstd_probe.tdtb
+  RESULT_VARIABLE rc)
+if(rc EQUAL 0)
+  list(APPEND tdtb_formats v3)
+else()
+  message(STATUS "zstd not loadable here; v3 writer-fault rows skipped")
+endif()
+foreach(format ${tdtb_formats})
+  set(compress_args "")
+  if(format STREQUAL "v3")
+    set(compress_args --compress zstd)
+  endif()
+  foreach(policy strict skip repair)
+    execute_process(
+      COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
+              --rules ${RULES}
+              --xform-out ${WORKDIR}/xform_${format}_${policy}.tdtb
+              ${compress_args} --jobs 3
+              --on-error=${policy} --fault-spec "writer.flush:1"
+      RESULT_VARIABLE rc ERROR_VARIABLE err)
+    check_rc("${format} writer fault ${policy}" 2 "${rc}")
+    if(NOT err MATCHES "trace write failed")
+      message(FATAL_ERROR
+        "${format} writer fault ${policy} missing diagnostic: ${err}")
+    endif()
+  endforeach()
+endforeach()
+
+# A flush that fails while the writer thread owns the stream: at LEN
+# 16384 the T1 rewrite fills its first 65536-record frame at batch 16,
+# and "writer.flush:1:20" passes 20 batch boundaries and fails the 21st,
+# with that thread running. It is joined before the stream is marked
+# failed.
+list(FIND tdtb_formats v3 v3_index)
+if(NOT v3_index EQUAL -1)
+  execute_process(
+    COMMAND ${GTRACER} --kernel t1_soa --len 16384 --out ${WORKDIR}/big.out
+    RESULT_VARIABLE rc)
+  check_rc("gtracer LEN 16384" 0 "${rc}")
+  file(READ ${RULES} rules_text)
+  string(REPLACE "1024" "16384" rules_text "${rules_text}")
+  file(WRITE ${WORKDIR}/t1_16384.rules "${rules_text}")
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/big.out --size 4096
+            --rules ${WORKDIR}/t1_16384.rules
+            --xform-out ${WORKDIR}/xform_late.tdtb --compress zstd --jobs 3
+            --fault-spec "writer.flush:1:20"
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  check_rc("late v3 writer fault" 2 "${rc}")
+  if(NOT err MATCHES "trace write failed")
+    message(FATAL_ERROR "late v3 writer fault missing diagnostic: ${err}")
+  endif()
+endif()
+
 # -- Queue row: push/pop jitter must never change results. --------------------
 foreach(policy strict skip repair)
   execute_process(

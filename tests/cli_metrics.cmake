@@ -140,6 +140,55 @@ foreach(span stream report "worker 0")
   endif()
 endforeach()
 
+# ---- dinerosim --xform-out x.tdtb: the write.* family ----------------
+
+# The save node folds write.* when a registry is attached. Timing it must
+# change neither the report nor the container.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/t.out --rules ${RULES}
+          --xform-out ${WORKDIR}/x_plain.tdtb --compress none --jobs 3
+  RESULT_VARIABLE base_rc OUTPUT_VARIABLE base_out)
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/t.out --rules ${RULES}
+          --xform-out ${WORKDIR}/x.tdtb --compress none --jobs 3
+          --metrics-json ${WORKDIR}/mx.json
+  RESULT_VARIABLE inst_rc OUTPUT_VARIABLE inst_out)
+if(NOT base_rc EQUAL 0 OR NOT inst_rc EQUAL 0)
+  message(FATAL_ERROR "xform runs failed: ${base_rc} / ${inst_rc}")
+endif()
+if(NOT base_out STREQUAL inst_out)
+  message(FATAL_ERROR "xform stdout changed under instrumentation")
+endif()
+execute_process(COMMAND ${CMAKE_COMMAND} -E compare_files
+  ${WORKDIR}/x_plain.tdtb ${WORKDIR}/x.tdtb RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "xform container changed under instrumentation")
+endif()
+check_metrics(${WORKDIR}/mx.json dinerosim xform_doc)
+string(JSON write_frames GET "${xform_doc}" counters write.frames)
+if(NOT write_frames GREATER 0)
+  message(FATAL_ERROR "write.frames=${write_frames}, want > 0")
+endif()
+# The T1 rewrite maps each record to one record: as many are written as
+# were read.
+string(JSON write_records GET "${xform_doc}" counters write.records)
+string(JSON xform_read GET "${xform_doc}" counters read.records)
+if(NOT write_records EQUAL xform_read)
+  message(FATAL_ERROR
+    "write.records=${write_records}, want read.records=${xform_read}")
+endif()
+string(JSON write_bytes GET "${xform_doc}" counters write.bytes)
+file(SIZE ${WORKDIR}/x.tdtb xform_size)
+if(NOT write_bytes EQUAL xform_size)
+  message(FATAL_ERROR "write.bytes=${write_bytes}, file is ${xform_size}")
+endif()
+foreach(gauge encode_seconds compress_seconds)
+  string(JSON seconds ERROR_VARIABLE err GET "${xform_doc}" gauges write.${gauge})
+  if(err)
+    message(FATAL_ERROR "write.${gauge} missing from ${WORKDIR}/mx.json")
+  endif()
+endforeach()
+
 # ---- traceinfo: same byte-identity contract --------------------------
 
 execute_process(

@@ -11,6 +11,7 @@
 #include <thread>
 #include <vector>
 
+#include "live_threads.hpp"
 #include "trace/binary.hpp"
 #include "trace/codec.hpp"
 #include "trace/reader.hpp"
@@ -245,28 +246,6 @@ TEST(StreamGz, GzipTextIngestMatchesPlain) {
 }
 
 // --- early stop on the indexed (seekable v3) source ------------------------
-
-/// Threads of this process (Linux /proc/self/task; 0 where unavailable).
-std::size_t live_threads() {
-  std::error_code ec;
-  std::size_t n = 0;
-  for (std::filesystem::directory_iterator it("/proc/self/task", ec), end;
-       !ec && it != end; it.increment(ec)) {
-    ++n;
-  }
-  return n;
-}
-
-/// Waits for the process to get back to `baseline` threads. A joined
-/// thread can linger in /proc for a moment after join() returns; a
-/// decode worker still blocked on its condition variable never leaves.
-bool threads_settle(std::size_t baseline) {
-  for (int i = 0; i < 200; ++i) {
-    if (live_threads() <= baseline) return true;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  return false;
-}
 
 /// Counts what the graph hands it and the largest batch; throws on
 /// batch number `throw_at` (1-based, 0 = never).
