@@ -15,15 +15,11 @@ void SetActivityCollector::on_access(const trace::TraceRecord& rec,
                                      const cache::AccessOutcome& outcome) {
   internal_check(outcome.set < num_sets_,
                  "outcome set exceeds collector width");
-  const std::string name = rec.var.empty()
-                               ? std::string("<anon>")
-                               : std::string(ctx_->name(rec.var.base));
-  auto [it, fresh] = cells_.try_emplace(name);
-  if (fresh) {
-    it->second.assign(num_sets_, SetCell{});
-    order_.push_back(name);
-  }
-  SetCell& cell = it->second[outcome.set];
+  const std::uint32_t id = rec.var.base.id();
+  std::uint32_t slot =
+      id < slot_by_symbol_.size() ? slot_by_symbol_[id] : std::uint32_t{0};
+  if (slot == 0) slot = add_symbol(rec.var.base);
+  SetCell& cell = cells_[slot - 1][outcome.set];
   if (outcome.hit) {
     ++cell.hits;
   } else {
@@ -31,17 +27,32 @@ void SetActivityCollector::on_access(const trace::TraceRecord& rec,
   }
 }
 
+std::uint32_t SetActivityCollector::add_symbol(Symbol base) {
+  const std::string_view name =
+      base.empty() ? std::string_view("<anon>") : ctx_->name(base);
+  const auto [it, fresh] = by_name_.try_emplace(
+      std::string(name), static_cast<std::uint32_t>(names_.size()));
+  if (fresh) {
+    names_.emplace_back(name);
+    cells_.emplace_back(num_sets_);
+  }
+  if (base.id() >= slot_by_symbol_.size()) {
+    slot_by_symbol_.resize(std::size_t{base.id()} + 1, 0);
+  }
+  return slot_by_symbol_[base.id()] = it->second + 1;
+}
+
 const std::vector<SetCell>& SetActivityCollector::series(
     const std::string& variable) const {
-  if (auto it = cells_.find(variable); it != cells_.end()) {
-    return it->second;
+  if (auto it = by_name_.find(variable); it != by_name_.end()) {
+    return cells_[it->second];
   }
   return empty_;
 }
 
 std::vector<SetCell> SetActivityCollector::totals() const {
   std::vector<SetCell> out(num_sets_);
-  for (const auto& [name, cells] : cells_) {
+  for (const std::vector<SetCell>& cells : cells_) {
     for (std::uint64_t s = 0; s < num_sets_; ++s) {
       out[s].hits += cells[s].hits;
       out[s].misses += cells[s].misses;

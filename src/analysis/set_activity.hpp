@@ -34,7 +34,7 @@ class SetActivityCollector final : public cache::AccessObserver {
   /// Variable names observed, in first-touch order. Records without
   /// symbol information are accumulated under "<anon>".
   [[nodiscard]] const std::vector<std::string>& variables() const noexcept {
-    return order_;
+    return names_;
   }
 
   /// Series for one variable: one SetCell per cache set.
@@ -51,10 +51,19 @@ class SetActivityCollector final : public cache::AccessObserver {
       const std::string& variable) const;
 
  private:
+  /// Series of a base symbol seen for the first time: resolves its name
+  /// once and returns the slot (+1) of the series that name accumulates in.
+  std::uint32_t add_symbol(Symbol base);
+
   const trace::TraceContext* ctx_;
   std::uint64_t num_sets_;
-  std::vector<std::string> order_;
-  std::map<std::string, std::vector<SetCell>> cells_;
+  // One series per name, in first-touch order: cells_[i] is names_[i]'s.
+  std::vector<std::string> names_;
+  std::vector<std::vector<SetCell>> cells_;
+  std::map<std::string, std::uint32_t, std::less<>> by_name_;
+  // Base-symbol id -> series slot + 1 (0 = not seen yet). Id 0, the
+  // empty symbol of records without a variable, lands in "<anon>".
+  std::vector<std::uint32_t> slot_by_symbol_;
   std::vector<SetCell> empty_;
 };
 

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "tdt/tdt.hpp"
@@ -68,6 +69,9 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     if (!flags.parse(argc, argv)) return 0;
     if (trace_path->empty()) {
       throw_config_error("--trace is required");
+    }
+    if (*affinity_window > std::numeric_limits<std::uint32_t>::max()) {
+      throw_config_error("--affinity-window must be at most 4294967295");
     }
     if (common.wants_compress() && rules_path->empty()) {
       throw_config_error(
@@ -162,7 +166,7 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
         sim_options.page_mapper = &mapper;
       }
       sim.emplace(*hierarchy, sim_options);
-      sim->add_observer(&sets);
+      if (*per_set || !gnuplot->empty()) sim->add_observer(&sets);
       if (*per_var || *advise) sim->add_observer(&vars);
       if (*conflicts || *advise) sim->add_observer(&conf);
       if (*advise) sim->add_observer(&adj);
@@ -208,12 +212,28 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
 
     // Optional second consumer of the same ingest: the affinity profiler
     // taps the raw records next to the simulation chain — a two-sink
-    // view graph instead of a second pass over the trace.
+    // view graph instead of a second pass over the trace. With --jobs > 1
+    // it runs on a worker of its own, off the evaluating thread. Its
+    // queue holds source batches, so it is half the default depth: deep
+    // enough that the evaluating thread rarely waits on it under CPU
+    // contention, shallow enough to keep peak RSS near the inline run's.
     std::optional<analysis::AffinityCollector> affinity;
+    std::optional<trace::ParallelFanOut> affinity_fanout;
+    trace::TraceSink* affinity_sink = nullptr;
     if (!affinity_report->empty()) {
       analysis::AffinityOptions profile_options;
       profile_options.window = static_cast<std::uint32_t>(*affinity_window);
-      affinity.emplace(ctx, profile_options);
+      affinity_sink = &affinity.emplace(ctx, profile_options);
+      if (*common.jobs > 1) {
+        trace::ParallelOptions affinity_options = pipeline_options;
+        affinity_options.jobs = 1;
+        affinity_options.queue_batches = 4;
+        affinity_options.family = "affinity";
+        affinity_options.first_lane =
+            static_cast<std::uint32_t>(*common.jobs) + 1;
+        affinity_sink = &affinity_fanout.emplace(
+            std::vector<trace::TraceSink*>{affinity_sink}, affinity_options);
+      }
     }
 
     trace::GraphResult stream_result;
@@ -222,7 +242,7 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
       trace::Graph graph;
       if (progress.has_value()) graph.add_sink(source, *progress);
       graph.add_sink(simulated, *terminal);
-      if (affinity.has_value()) graph.add_sink(source, *affinity);
+      if (affinity_sink != nullptr) graph.add_sink(source, *affinity_sink);
       stream_result =
           graph.run({.registry = registry, .governor = &governor});
     }
@@ -285,30 +305,33 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     report_phase.stop();
 
     bool degraded = stream_result.deadline_hit;
-    if (fanout.has_value()) {
-      const trace::PipelineCounters& fc = fanout->counters();
+    std::size_t stalled = 0;
+    std::size_t recovered = 0;
+    for (const auto* fan : {&fanout, &affinity_fanout}) {
+      if (!fan->has_value()) continue;
+      const trace::PipelineCounters& fc = (*fan)->counters();
       std::fputs(fc.summary().c_str(), io.err);
-      if (fc.recovered_workers > 0) {
-        // Stalls are the watchdog's catch (P001); throws and premature
-        // exits surface at join (P002). Either way the replay restored
-        // full results, so these are warnings — but the run was
-        // degraded, and finalize_exit floors the code at 1.
-        const std::string tail =
-            " worker(s) by sequential re-simulation; results are complete";
-        if (fc.stalled_workers > 0) {
-          diags.report(DiagSeverity::Warning, DiagCode::PipeWorkerStalled,
-                       "recovered " + std::to_string(fc.stalled_workers) +
-                           " stalled" + tail);
-        }
-        if (fc.recovered_workers > fc.stalled_workers) {
-          diags.report(
-              DiagSeverity::Warning, DiagCode::PipeWorkerFailed,
-              "recovered " +
-                  std::to_string(fc.recovered_workers - fc.stalled_workers) +
-                  " failed" + tail);
-        }
-        degraded = true;
+      stalled += fc.stalled_workers;
+      recovered += fc.recovered_workers;
+    }
+    if (recovered > 0) {
+      // Stalls are the watchdog's catch (P001); throws and premature
+      // exits surface at join (P002). Either way the replay restored
+      // full results, so these are warnings — but the run was degraded,
+      // and finalize_exit floors the code at 1.
+      const std::string tail =
+          " worker(s) by sequential re-simulation; results are complete";
+      if (stalled > 0) {
+        diags.report(DiagSeverity::Warning, DiagCode::PipeWorkerStalled,
+                     "recovered " + std::to_string(stalled) + " stalled" +
+                         tail);
       }
+      if (recovered > stalled) {
+        diags.report(DiagSeverity::Warning, DiagCode::PipeWorkerFailed,
+                     "recovered " + std::to_string(recovered - stalled) +
+                         " failed" + tail);
+      }
+      degraded = true;
     }
     const std::string summary = diags.summary();
     if (!summary.empty()) {

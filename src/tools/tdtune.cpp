@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <optional>
 
 #include "tdt/tdt.hpp"
@@ -81,6 +82,9 @@ int tdt::tools::tdtune_run(const tdt::service::ToolIO& io, int argc,
     }
     if (trace_path.empty()) {
       throw_config_error("a trace file is required (positional or --trace)");
+    }
+    if (*window > std::numeric_limits<std::uint32_t>::max()) {
+      throw_config_error("--window must be at most 4294967295");
     }
     common.arm_faults();
     Governor governor;

@@ -16,9 +16,9 @@ double PipelineCounters::records_per_second() const noexcept {
 std::string PipelineCounters::summary() const {
   char line[256];
   std::snprintf(line, sizeof(line),
-                "pipeline: %llu records in %llu batches, %.3f s (%.2f Mrec/s),"
+                "%s: %llu records in %llu batches, %.3f s (%.2f Mrec/s),"
                 " %zu worker%s (batch %zu, queue depth %zu)\n",
-                static_cast<unsigned long long>(records),
+                family.c_str(), static_cast<unsigned long long>(records),
                 static_cast<unsigned long long>(batches), seconds,
                 records_per_second() / 1e6, jobs, jobs == 1 ? "" : "s",
                 batch_records, queue_batches);
@@ -64,6 +64,7 @@ ParallelFanOut::ParallelFanOut(std::vector<TraceSink*> sinks,
   sink_time_.assign(sinks_.size(), {});
 
   const std::size_t jobs = std::min(options_.jobs, sinks_.size());
+  counters_.family = options_.family;
   counters_.jobs = jobs;
   counters_.batch_records = options_.batch_records;
   counters_.queue_batches = options_.queue_batches;
@@ -228,7 +229,7 @@ void ParallelFanOut::watchdog_main() {
     gauges.reserve(workers_.size());
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       gauges.push_back(&options_.registry->gauge(
-          "pipeline.worker" + std::to_string(i) + ".heartbeat_us"));
+          options_.family + ".worker" + std::to_string(i) + ".heartbeat_us"));
     }
   }
   std::unique_lock lock(sup_mu_);
@@ -348,7 +349,7 @@ void ParallelFanOut::drop_replay() noexcept {
   replay_.shrink_to_fit();
 }
 
-void ParallelFanOut::publish(BatchPtr batch) {
+void ParallelFanOut::publish(SharedBatch batch) {
   if (supervised() && !replay_spilled_) {
     const std::uint64_t bytes =
         batch->size() * sizeof(TraceRecord) + sizeof(RecordBatch);
@@ -426,18 +427,18 @@ void ParallelFanOut::push_batch(std::span<const TraceRecord> batch) {
   }
 }
 
-void ParallelFanOut::push_batch_owned(std::vector<TraceRecord>&& batch) {
-  // Same staging policy as push_batch, but a full owned batch becomes
-  // the published RecordBatch directly — no copy into a fresh vector, so
-  // it adds no second copy of its records whatever its size.
-  if (pending_.empty() && batch.size() >= options_.batch_records &&
+void ParallelFanOut::push_batch_shared(SharedBatch batch) {
+  // Same staging policy as push_batch, but a full batch is published as
+  // it is: the queues share the caller's storage, so whatever its size
+  // and however many other consumers hold it, no record is copied.
+  if (pending_.empty() && batch->size() >= options_.batch_records &&
       !workers_.empty()) {
-    counters_.records += batch.size();
+    counters_.records += batch->size();
     ++counters_.batches;
-    publish(std::make_shared<const RecordBatch>(std::move(batch)));
+    publish(std::move(batch));
     return;
   }
-  push_batch(batch);
+  push_batch(*batch);
 }
 
 void ParallelFanOut::on_end() {
@@ -481,13 +482,18 @@ void ParallelFanOut::on_end() {
     counters_.workers.push_back(wc);
   }
   if (obs::Registry* reg = options_.registry) {
-    reg->counter("pipeline.records").add(counters_.records);
-    reg->counter("pipeline.batches").add(counters_.batches);
-    reg->gauge("pipeline.jobs").set(static_cast<double>(counters_.jobs));
-    reg->gauge("pipeline.records_per_second")
+    const std::string prefix = options_.family + ".";
+    reg->counter(prefix + "records").add(counters_.records);
+    reg->counter(prefix + "batches").add(counters_.batches);
+    reg->gauge(prefix + "jobs").set(static_cast<double>(counters_.jobs));
+    reg->gauge(prefix + "records_per_second")
         .set(counters_.records_per_second());
-    obs::Histogram& latency = reg->histogram("pipeline.batch_latency_us");
+    obs::Histogram& latency = reg->histogram(prefix + "batch_latency_us");
     if (!inline_latency_.empty()) latency.merge(inline_latency_);
+    // The simulation's lanes keep their plain "worker <i>" names.
+    const std::string lane_name = options_.family == "pipeline"
+                                      ? "worker "
+                                      : options_.family + " worker ";
     std::uint64_t push_stalls = 0;
     std::uint64_t pop_stalls = 0;
     std::uint64_t occupancy_sum = 0;
@@ -501,22 +507,23 @@ void ParallelFanOut::on_end() {
       occupancy_peak = std::max(occupancy_peak, wc.peak_occupancy);
       const Worker& worker = *workers_[i];
       if (!worker.abandoned && worker.batches > 0) {
-        reg->add_span("worker " + std::to_string(i), worker.first_batch,
-                      worker.last_batch, static_cast<std::uint32_t>(i + 1));
+        reg->add_span(lane_name + std::to_string(i), worker.first_batch,
+                      worker.last_batch,
+                      options_.first_lane + static_cast<std::uint32_t>(i));
       }
     }
-    reg->counter("pipeline.backpressure_stalls").add(push_stalls);
-    reg->counter("pipeline.idle_waits").add(pop_stalls);
+    reg->counter(prefix + "backpressure_stalls").add(push_stalls);
+    reg->counter(prefix + "idle_waits").add(pop_stalls);
     const std::uint64_t pushes = counters_.batches * counters_.workers.size();
-    reg->gauge("pipeline.queue_avg_occupancy")
+    reg->gauge(prefix + "queue_avg_occupancy")
         .set(pushes > 0 ? static_cast<double>(occupancy_sum) /
                               static_cast<double>(pushes)
                         : 0.0);
-    reg->gauge("pipeline.queue_peak_occupancy")
+    reg->gauge(prefix + "queue_peak_occupancy")
         .set(static_cast<double>(occupancy_peak));
     // A wedged worker may still be writing its sinks' slots; skip them.
     const auto export_sink = [&](std::size_t i) {
-      reg->gauge("pipeline.sink" + std::to_string(i) + ".seconds")
+      reg->gauge(prefix + "sink" + std::to_string(i) + ".seconds")
           .set(std::chrono::duration<double>(sink_time_[i]).count());
     };
     if (workers_.empty()) {
@@ -527,14 +534,15 @@ void ParallelFanOut::on_end() {
       for (std::size_t i : worker->sinks) export_sink(i);
     }
     if (supervised()) {
-      reg->counter("pipeline.stalled_workers").add(counters_.stalled_workers);
-      reg->counter("pipeline.recovered_workers")
+      reg->counter(prefix + "stalled_workers")
+          .add(counters_.stalled_workers);
+      reg->counter(prefix + "recovered_workers")
           .add(counters_.recovered_workers);
-      reg->counter("pipeline.lost_workers").add(counters_.lost_workers);
-      reg->counter("pipeline.replayed_batches")
+      reg->counter(prefix + "lost_workers").add(counters_.lost_workers);
+      reg->counter(prefix + "replayed_batches")
           .add(counters_.replayed_batches);
       for (std::size_t i = 0; i < workers_.size(); ++i) {
-        reg->gauge("pipeline.worker" + std::to_string(i) + ".heartbeat_us")
+        reg->gauge(prefix + "worker" + std::to_string(i) + ".heartbeat_us")
             .set(static_cast<double>(
                 workers_[i]->heartbeat_us.load(std::memory_order_relaxed)));
       }

@@ -65,12 +65,19 @@ struct ParallelOptions {
   /// backpressure to the reader).
   std::size_t queue_batches = 8;
   /// When non-null, on_end() folds the pipeline counters, queue gauges,
-  /// per-worker spans, the merged pipeline.batch_latency_us histogram and
-  /// one pipeline.sink<i>.seconds gauge per sink (the wall time spent
+  /// per-worker spans, the merged <family>.batch_latency_us histogram and
+  /// one <family>.sink<i>.seconds gauge per sink (the wall time spent
   /// delivering to sink i) into this registry. Null times nothing. The
   /// timing takes no lock: each worker writes only its own HistogramData
   /// shard and its own sinks' slots.
   obs::Registry* registry = nullptr;
+  /// Metric-name prefix and summary label, so two fan-outs in one run
+  /// report apart ("pipeline" for the simulation, "affinity" for
+  /// dinerosim's profiler worker).
+  std::string family = "pipeline";
+  /// Span lane (trace_event tid) of worker 0; worker i draws on
+  /// first_lane + i. Lane 0 is the main thread.
+  std::uint32_t first_lane = 1;
   /// Watchdog timeout in seconds; 0 disables supervision entirely (no
   /// watchdog thread, no batch retention — the original behaviour).
   double worker_timeout = 0;
@@ -95,6 +102,7 @@ struct WorkerCounters {
 
 /// Whole-pipeline observability, rendered next to the diag summary.
 struct PipelineCounters {
+  std::string family = "pipeline";  ///< ParallelOptions::family
   std::size_t jobs = 0;           ///< worker threads actually spawned
   std::size_t batch_records = 0;
   std::size_t queue_batches = 0;
@@ -113,7 +121,7 @@ struct PipelineCounters {
   /// Reader-side throughput (records / seconds; 0 when unmeasurable).
   [[nodiscard]] double records_per_second() const noexcept;
 
-  /// Multi-line human-readable rendering:
+  /// Multi-line human-readable rendering, headed by the family:
   ///   pipeline: 10000000 records in 2442 batches, 1.23 s (8.1 Mrec/s), 4 workers
   ///     worker 0 (2 sinks): 10000000 records, 37 backpressure stalls, ...
   [[nodiscard]] std::string summary() const;
@@ -139,10 +147,12 @@ class ParallelFanOut final : public TraceSink {
   // TraceSink
   void on_record(const TraceRecord& rec) override;
   void push_batch(std::span<const TraceRecord> batch) override;
-  /// Owned batches are published to the workers without the staging copy
-  /// push_batch needs (the batch storage itself becomes the shared
-  /// RecordBatch). This is the reader's bulk-ingest handoff.
-  void push_batch_owned(std::vector<TraceRecord>&& batch) override;
+  /// A batch of at least batch_records records, arriving while nothing
+  /// is staged, goes on the worker queues as it is: the workers read
+  /// the caller's storage and no record is copied. Anything else is
+  /// staged exactly as push_batch stages it. This is the view
+  /// evaluator's handoff.
+  void push_batch_shared(SharedBatch batch) override;
   /// Flushes the pending batch, closes the queues, joins the workers,
   /// forwards on_end to every sink (in the worker that owns it), then
   /// rethrows the first worker exception, if any. Idempotent.
@@ -154,10 +164,8 @@ class ParallelFanOut final : public TraceSink {
   }
 
  private:
-  using BatchPtr = std::shared_ptr<const RecordBatch>;
-
   struct Worker {
-    BoundedQueue<BatchPtr> queue;
+    BoundedQueue<SharedBatch> queue;
     std::vector<std::size_t> sinks;  ///< positions in sinks_ it drives
     std::thread thread;
     std::exception_ptr error;
@@ -194,7 +202,7 @@ class ParallelFanOut final : public TraceSink {
   std::chrono::steady_clock::time_point deliver_timed(
       const Ids& ids, std::span<const TraceRecord> records,
       std::chrono::steady_clock::time_point begin);
-  void publish(BatchPtr batch);
+  void publish(SharedBatch batch);
   void worker_main(Worker& worker);
   void watchdog_main();
   /// Supervised shutdown: waits for workers to settle (abandoning wedged
@@ -220,7 +228,7 @@ class ParallelFanOut final : public TraceSink {
   std::mutex sup_mu_;
   std::condition_variable sup_cv_;
   bool watchdog_stop_ = false;           // under sup_mu_
-  std::vector<BatchPtr> replay_;         // reader/on_end thread only
+  std::vector<SharedBatch> replay_;      // reader/on_end thread only
   bool replay_spilled_ = false;
   std::uint64_t replay_charged_ = 0;
 };

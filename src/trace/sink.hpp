@@ -6,6 +6,7 @@
 // pipelines.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -13,6 +14,11 @@
 #include "util/governor.hpp"
 
 namespace tdt::trace {
+
+/// A batch of records shared read-only between consumers. Nobody writes
+/// to it once it has been emitted, so any holder may read it from any
+/// thread for as long as it keeps the pointer.
+using SharedBatch = std::shared_ptr<const std::vector<TraceRecord>>;
 
 /// Abstract consumer of trace records.
 class TraceSink {
@@ -30,13 +36,11 @@ class TraceSink {
     for (const TraceRecord& rec : batch) on_record(rec);
   }
 
-  /// Receives a whole batch by value. Semantically identical to
-  /// push_batch over the same records; sinks that re-publish batches
-  /// (the parallel fan-out) override it to steal the storage instead of
-  /// copying. The vector is left in a valid but unspecified state.
-  virtual void push_batch_owned(std::vector<TraceRecord>&& batch) {
-    push_batch(batch);
-  }
+  /// Receives a whole batch by shared pointer. Semantically identical
+  /// to push_batch over the same records; sinks that hand batches to
+  /// other threads (the parallel fan-out) override it to keep the
+  /// pointer instead of copying the records.
+  virtual void push_batch_shared(SharedBatch batch) { push_batch(*batch); }
 
   /// Signals end of trace (flush opportunity). Default: no-op.
   virtual void on_end() {}

@@ -14,15 +14,10 @@ namespace tdt::trace {
 
 namespace detail {
 
-/// A batch flowing through the graph. Mutable only while unique; once a
-/// batch is shared between consumers (or retained by a memo) it is
-/// read-only and handed out as a const span.
-using BatchPtr = std::shared_ptr<std::vector<TraceRecord>>;
-
 /// Persistent .cache(bytes) state. Lives on the node, so it survives
 /// across Graph runs for as long as any View references the node.
 struct CacheMemo {
-  std::vector<BatchPtr> batches;
+  std::vector<SharedBatch> batches;
   bool complete = false;        ///< holds the node's full output stream
   std::uint64_t bytes = 0;      ///< payload bytes retained (and charged)
   Budget budget;                ///< own limit (= the node's cache_bytes)
@@ -80,7 +75,6 @@ struct ViewNode {
 
 namespace {
 
-using detail::BatchPtr;
 using detail::ViewNode;
 
 [[nodiscard]] std::uint64_t batch_bytes(std::size_t records) noexcept {
@@ -277,7 +271,7 @@ class Evaluator {
 
   void run_memo_root(Stage& root) {
     detail::CacheMemo& memo = *root.node->memo;
-    for (const BatchPtr& batch : memo.batches) {
+    for (const SharedBatch& batch : memo.batches) {
       ++memo.hits_total;
       ++root.stats.cache_hits;
       emit_output(root, batch);
@@ -331,9 +325,8 @@ class Evaluator {
 
   /// Feeds one input batch into `s`, applying its operator and passing
   /// any output to its sinks and children. Pass-through nodes forward
-  /// the batch pointer itself, so a batch reaching its last consumer by
-  /// move alone can still be stolen there (see emit_output).
-  void accept(Stage& s, BatchPtr in) {
+  /// the batch pointer itself.
+  void accept(Stage& s, const SharedBatch& in) {
     ViewNode& n = *s.node;
     switch (n.kind) {
       case ViewNode::Kind::Filter: {
@@ -352,7 +345,7 @@ class Evaluator {
         const std::uint64_t take_hi = std::min(s.seen, n.hi);
         if (take_lo >= take_hi) return;
         if (take_lo == first && take_hi == s.seen) {
-          emit_output(s, std::move(in));  // whole batch inside: zero copy
+          emit_output(s, in);  // whole batch inside: zero copy
           return;
         }
         const auto b =
@@ -363,8 +356,8 @@ class Evaluator {
         return;
       }
       case ViewNode::Kind::Tee:
-        n.side_sink->push_batch(*in);
-        emit_output(s, std::move(in));
+        n.side_sink->push_batch_shared(in);
+        emit_output(s, in);
         return;
       case ViewNode::Kind::Save:
         if (s.save_binary) {
@@ -372,11 +365,11 @@ class Evaluator {
         } else {
           s.save_text->push_batch(*in);
         }
-        emit_output(s, std::move(in));
+        emit_output(s, in);
         return;
       case ViewNode::Kind::Cache:
         if (s.memo_filling) retain(s, in);
-        emit_output(s, std::move(in));
+        emit_output(s, in);
         return;
       case ViewNode::Kind::Pipe: {
         auto out = std::make_shared<std::vector<TraceRecord>>();
@@ -385,40 +378,26 @@ class Evaluator {
         return;
       }
       default:
-        emit_output(s, std::move(in));
+        emit_output(s, in);
         return;
     }
   }
 
   /// Hands one output batch of `s` to its sinks (registration order)
-  /// then its child nodes (discovery order); the last child takes the
-  /// pointer by move. Empty batches are dropped — sinks only ever see
-  /// non-empty push_batch calls.
-  void emit_output(Stage& s, BatchPtr out) {
-    if (out == nullptr || out->empty()) return;
+  /// then its child nodes (discovery order), all sharing the one
+  /// pointer. Empty batches are dropped — sinks only ever see non-empty
+  /// batches.
+  void emit_output(Stage& s, const SharedBatch& out) {
+    if (out->empty()) return;
     ++s.stats.pulls;
     s.stats.records += out->size();
-    for (std::size_t i = 0; i < s.sinks.size(); ++i) {
-      // A sole consumer of a uniquely owned batch may steal the storage.
-      if (i + 1 == s.sinks.size() && s.children.empty() &&
-          out.use_count() == 1) {
-        s.sinks[i]->push_batch_owned(std::move(*out));
-        return;
-      }
-      s.sinks[i]->push_batch(*out);
-    }
-    for (std::size_t i = 0; i < s.children.size(); ++i) {
-      if (i + 1 == s.children.size()) {
-        accept(*s.children[i], std::move(out));
-      } else {
-        accept(*s.children[i], out);
-      }
-    }
+    for (TraceSink* sink : s.sinks) sink->push_batch_shared(out);
+    for (Stage* child : s.children) accept(*child, out);
   }
 
   /// Appends a batch to the node's memo, spilling (drop everything,
   /// return all charges, stop retaining) on either budget's denial.
-  void retain(Stage& s, const BatchPtr& in) {
+  void retain(Stage& s, const SharedBatch& in) {
     detail::CacheMemo& memo = *s.node->memo;
     const std::uint64_t bytes = batch_bytes(in->size());
     if (!memo.budget.try_charge(bytes)) {

@@ -294,6 +294,49 @@ if(NOT err MATCHES "worker thread failure")
   message(FATAL_ERROR "unsupervised worker fault missing diagnostic: ${err}")
 endif()
 
+# -- Affinity worker row: the profiler's own worker is supervised too. --------
+# With --jobs > 1 the --affinity-report profiler runs on a one-worker
+# fan-out of its own beside the simulation worker. The fault sites are
+# shared, so a spec can hit either worker (worker.throw:1:1 hits both);
+# each is replayed the same way: exit 1, P001/P002 on stderr, stdout and
+# affinity report byte-identical to the clean sequential run.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
+          --affinity-report ${WORKDIR}/affinity_baseline.txt
+  OUTPUT_FILE ${WORKDIR}/affinity_baseline.stdout RESULT_VARIABLE rc)
+check_rc("affinity baseline" 0 "${rc}")
+
+function(affinity_fault_row name timeout spec code)
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096 --jobs 3
+            --affinity-report ${WORKDIR}/affinity_${name}.txt
+            --worker-timeout ${timeout} --fault-spec "${spec}"
+    OUTPUT_FILE ${WORKDIR}/affinity_${name}.stdout
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  check_rc("affinity worker ${name}" 1 "${rc}")
+  if(NOT err MATCHES "${code}" OR NOT err MATCHES "\naffinity: ")
+    message(FATAL_ERROR "affinity worker ${name} missing ${code}: ${err}")
+  endif()
+  check_same("affinity worker ${name} stdout"
+             ${WORKDIR}/affinity_baseline.stdout
+             ${WORKDIR}/affinity_${name}.stdout)
+  check_same("affinity worker ${name} report"
+             ${WORKDIR}/affinity_baseline.txt ${WORKDIR}/affinity_${name}.txt)
+endfunction()
+affinity_fault_row(throw 5 "seed=5;worker.throw:1:1" "pipe-worker")
+affinity_fault_row(stall 1 "seed=11;worker.stall:1:2" "pipe-worker-stalled")
+
+# Unsupervised, the same throw is fatal whichever worker it hits.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096 --jobs 3
+          --affinity-report ${WORKDIR}/affinity_fatal.txt
+          --fault-spec "seed=5;worker.throw:1:1"
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("affinity worker throw unsupervised" 2 "${rc}")
+if(NOT err MATCHES "worker thread failure")
+  message(FATAL_ERROR "unsupervised affinity fault missing diagnostic: ${err}")
+endif()
+
 # -- TDT_FAULT_SPEC environment wiring (flag-free arming). --------------------
 execute_process(
   COMMAND ${CMAKE_COMMAND} -E env "TDT_FAULT_SPEC=seed=5;worker.throw:1:1"

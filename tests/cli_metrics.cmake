@@ -140,6 +140,69 @@ foreach(span stream report "worker 0")
   endif()
 endforeach()
 
+# ---- dinerosim --affinity-report: the affinity.* family --------------
+
+# With --jobs > 1 the profiler runs on a one-worker fan-out of its own,
+# which reports as affinity.* with its own span lane and summary line;
+# pipeline.* keeps describing the simulation alone. --jobs 1 profiles
+# inline and reports no affinity.* key.
+foreach(jobs 1 3)
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/t.out --jobs ${jobs}
+            --metrics-json ${WORKDIR}/mp_j${jobs}.json
+    RESULT_VARIABLE plain_rc OUTPUT_VARIABLE plain_out)
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/t.out --jobs ${jobs}
+            --affinity-report ${WORKDIR}/a_j${jobs}.txt
+            --metrics-json ${WORKDIR}/ma_j${jobs}.json
+            --trace-spans ${WORKDIR}/sa_j${jobs}.json
+    RESULT_VARIABLE aff_rc OUTPUT_VARIABLE aff_out ERROR_VARIABLE aff_err)
+  if(NOT plain_rc EQUAL 0 OR NOT aff_rc EQUAL 0)
+    message(FATAL_ERROR
+      "affinity runs at --jobs ${jobs} failed: ${plain_rc} / ${aff_rc}")
+  endif()
+  if(NOT plain_out STREQUAL aff_out)
+    message(FATAL_ERROR "--affinity-report changed stdout at --jobs ${jobs}")
+  endif()
+  check_metrics(${WORKDIR}/mp_j${jobs}.json dinerosim plain_doc)
+  check_metrics(${WORKDIR}/ma_j${jobs}.json dinerosim aff_doc)
+  if(jobs EQUAL 1)
+    if(aff_doc MATCHES "\"affinity\\.")
+      message(FATAL_ERROR "affinity.* metrics reported at --jobs 1")
+    endif()
+    continue()
+  endif()
+  string(JSON plain_jobs GET "${plain_doc}" gauges pipeline.jobs)
+  string(JSON with_jobs GET "${aff_doc}" gauges pipeline.jobs)
+  string(JSON plain_records GET "${plain_doc}" counters pipeline.records)
+  string(JSON with_records GET "${aff_doc}" counters pipeline.records)
+  if(NOT plain_jobs EQUAL with_jobs OR NOT plain_records EQUAL with_records)
+    message(FATAL_ERROR
+      "pipeline.jobs/records are ${with_jobs}/${with_records} with "
+      "--affinity-report, ${plain_jobs}/${plain_records} without")
+  endif()
+  string(JSON aff_seconds ERROR_VARIABLE err
+         GET "${aff_doc}" gauges affinity.sink0.seconds)
+  if(err OR NOT aff_seconds GREATER 0)
+    message(FATAL_ERROR
+      "affinity.sink0.seconds='${aff_seconds}', want a positive time")
+  endif()
+  string(JSON aff_jobs GET "${aff_doc}" gauges affinity.jobs)
+  string(JSON aff_records GET "${aff_doc}" counters affinity.records)
+  if(NOT aff_jobs EQUAL 1 OR NOT aff_records EQUAL trace_records)
+    message(FATAL_ERROR
+      "affinity.jobs=${aff_jobs} affinity.records=${aff_records}, "
+      "want 1 and ${trace_records}")
+  endif()
+  if(NOT aff_err MATCHES "\naffinity: ${trace_records} records")
+    message(FATAL_ERROR "affinity summary line missing: ${aff_err}")
+  endif()
+  file(READ ${WORKDIR}/sa_j${jobs}.json aff_spans)
+  if(NOT aff_spans MATCHES "\"name\": \"affinity worker 0\"")
+    message(FATAL_ERROR "affinity worker lane missing from the span file")
+  endif()
+endforeach()
+
 # ---- dinerosim --xform-out x.tdtb: the write.* family ----------------
 
 # The save node folds write.* when a registry is attached. Timing it must

@@ -91,6 +91,24 @@ execute_process(
   RESULT_VARIABLE rc)
 check_rc("dinerosim bad --on-error value" 2 "${rc}")
 
+# -- Window flags wider than 32 bits are usage errors. -------------------------
+# The profiler's window is 32-bit; 2^32 must not wrap to a window of 0 or 1.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out
+          --affinity-report ${WORKDIR}/wide.aff --affinity-window 4294967296
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("dinerosim --affinity-window 2^32" 2 "${rc}")
+if(NOT err MATCHES "--affinity-window")
+  message(FATAL_ERROR "--affinity-window 2^32 error must name the flag: ${err}")
+endif()
+execute_process(
+  COMMAND ${TDTUNE} ${WORKDIR}/good.out --window 4294967296
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("tdtune --window 2^32" 2 "${rc}")
+if(NOT err MATCHES "--window")
+  message(FATAL_ERROR "tdtune --window 2^32 error must name the flag: ${err}")
+endif()
+
 # -- Bad rules file is fatal regardless of policy. ----------------------------
 file(WRITE ${WORKDIR}/bad.rules "in:\nthis is not a rule file\nout:\nnope\n")
 execute_process(

@@ -148,6 +148,66 @@ TEST(ParallelFanOut, OversizedSpanIsPublishedInBatchSlices) {
   }
 }
 
+/// Keeps the stream and the storage address of every batch it is handed.
+class StorageSink final : public TraceSink {
+ public:
+  void on_record(const TraceRecord& rec) override { push_batch({&rec, 1}); }
+  void push_batch(std::span<const TraceRecord> batch) override {
+    storage.push_back(batch.data());
+    records.insert(records.end(), batch.begin(), batch.end());
+  }
+
+  std::vector<const TraceRecord*> storage;
+  std::vector<TraceRecord> records;
+};
+
+TEST(ParallelFanOut, FullSharedBatchIsPublishedAsItsOwnStorage) {
+  TraceContext ctx;
+  const auto input = make_records(ctx, 273);
+  ParallelOptions options;
+  options.jobs = 2;
+  options.batch_records = 64;
+  options.queue_batches = 2;
+  // Full batches arriving with nothing staged (the first and the fifth)
+  // go out as they are; the short ones, and the full one arriving while
+  // 20 records are staged, are staged exactly as push_batch stages them.
+  std::vector<SharedBatch> batches;
+  std::size_t at = 0;
+  for (std::size_t n : {64u, 20u, 64u, 44u, 64u, 17u}) {
+    batches.push_back(std::make_shared<const std::vector<TraceRecord>>(
+        input.begin() + static_cast<std::ptrdiff_t>(at),
+        input.begin() + static_cast<std::ptrdiff_t>(at + n)));
+    at += n;
+  }
+  ASSERT_EQ(at, input.size());
+
+  StorageSink shared_a, shared_b, span_a, span_b;
+  ParallelFanOut shared_fanout({&shared_a, &shared_b}, options);
+  ParallelFanOut span_fanout({&span_a, &span_b}, options);
+  for (const SharedBatch& batch : batches) {
+    shared_fanout.push_batch_shared(batch);
+    span_fanout.push_batch(*batch);
+  }
+  shared_fanout.on_end();
+  span_fanout.on_end();
+
+  EXPECT_EQ(shared_fanout.counters().batches, span_fanout.counters().batches);
+  EXPECT_EQ(shared_fanout.counters().batches, 5u);
+  for (const StorageSink* sink : {&shared_a, &shared_b, &span_a, &span_b}) {
+    EXPECT_EQ(sink->records, input);
+    ASSERT_EQ(sink->storage.size(), 5u);
+  }
+  for (const StorageSink* sink : {&shared_a, &shared_b}) {
+    EXPECT_EQ(sink->storage[0], batches[0]->data());
+    EXPECT_EQ(sink->storage[3], batches[4]->data());
+    for (std::size_t i : {1u, 2u, 4u}) {
+      for (const SharedBatch& batch : batches) {
+        EXPECT_NE(sink->storage[i], batch->data()) << "batch " << i;
+      }
+    }
+  }
+}
+
 TEST(ParallelFanOut, OnEndIsIdempotent) {
   TraceContext ctx;
   const auto input = make_records(ctx, 20);

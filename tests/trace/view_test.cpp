@@ -12,6 +12,7 @@
 #include <stdexcept>
 
 #include "trace/binary.hpp"
+#include "trace/parallel.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"
 
@@ -89,6 +90,55 @@ TEST(ViewGraph, EveryBranchGetsFullStreamAndOneEnd) {
     EXPECT_EQ(sink->ends, 1);
   }
   EXPECT_GT(a.batches, 1);
+}
+
+/// Records the storage address of every batch it is handed.
+class StorageProbe final : public TraceSink {
+ public:
+  void on_record(const TraceRecord& rec) override { push_batch({&rec, 1}); }
+  void push_batch(std::span<const TraceRecord> batch) override {
+    storage.push_back(batch.data());
+    records.insert(records.end(), batch.begin(), batch.end());
+  }
+
+  std::vector<const TraceRecord*> storage;
+  std::vector<TraceRecord> records;
+};
+
+TEST(ViewGraph, FanOutSinkOnANodeWithChildrenSharesItsBatches) {
+  TraceContext ctx;
+  const auto records = make_records(ctx, 3 * kViewBatch + 100);
+  const View source = View::source_records(ctx, records);
+  for (std::size_t jobs : {0u, 2u}) {
+    // The source feeds a fan-out sink and a tee child; the tee's side
+    // sink sees each source batch's own storage.
+    StorageProbe worker_sink;
+    StorageProbe teed;
+    ProbeSink downstream;
+    ParallelOptions options;
+    options.jobs = jobs;
+    options.batch_records = kViewBatch;
+    options.queue_batches = 2;
+    ParallelFanOut fanout({&worker_sink}, options);
+    Graph graph;
+    graph.add_sink(source, fanout);
+    graph.add_sink(source.tee(teed), downstream);
+    graph.run();
+
+    EXPECT_EQ(worker_sink.records, records) << "jobs " << jobs;
+    EXPECT_EQ(teed.records, records) << "jobs " << jobs;
+    EXPECT_EQ(downstream.records, records) << "jobs " << jobs;
+    EXPECT_EQ(downstream.ends, 1) << "jobs " << jobs;
+    EXPECT_EQ(fanout.counters().batches, 4u) << "jobs " << jobs;
+    ASSERT_EQ(teed.storage.size(), 4u);
+    ASSERT_EQ(worker_sink.storage.size(), 4u);
+    // The three full batches reach the fan-out's sink as the source's
+    // own storage, on the worker and inline alike.
+    for (std::size_t i = 0; i < 3; ++i) {
+      EXPECT_EQ(worker_sink.storage[i], teed.storage[i])
+          << "jobs " << jobs << " batch " << i;
+    }
+  }
 }
 
 TEST(ViewGraph, SinkRegisteredTwiceGetsTwoFullStreams) {
