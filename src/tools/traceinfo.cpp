@@ -7,6 +7,7 @@
 // Exit code: 0 = clean, 1 = completed with recovered errors, 2 = fatal.
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <iostream>
 #include <optional>
 
@@ -130,7 +131,11 @@ int tdt::tools::traceinfo_run(const tdt::service::ToolIO& io, int argc,
     DiagEngine diags = common.make_diags(io.errs);
 
     const std::string& path = flags.positional()[0];
-    if (trace::guess_trace_format(path) == trace::TraceFormat::Tdtb) {
+    // Only a regular file can be probed ahead of the read; probing a
+    // pipe would consume it.
+    std::error_code ec;
+    if (trace::guess_trace_format(path) == trace::TraceFormat::Tdtb &&
+        std::filesystem::is_regular_file(path, ec)) {
       if (const std::optional<trace::TdtbContainerInfo> container =
               trace::probe_tdtb_file(path)) {
         print_container(io.out, *container, *top);

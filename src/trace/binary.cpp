@@ -8,6 +8,7 @@
 #include <mutex>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "trace/source.hpp"
 #include "util/error.hpp"
@@ -481,192 +482,280 @@ void BinaryTraceWriter::finish() {
   if (timed_) encode_seconds_ += seconds_since(t0);
 }
 
-// --- two-phase frame decode -------------------------------------------------
+// --- entry decoder ----------------------------------------------------------
+
+[[gnu::cold, gnu::noinline]] std::string TdtbDecodeError::message() const {
+  const std::string where = in_frame ? "frame payload" : "binary trace";
+  switch (kind) {
+    case Kind::VarintEof:
+      return "truncated " + where + " (eof inside " + what + ")";
+    case Kind::BadVarint:
+      return "bad varint in " + where + " (" + what + ")";
+    case Kind::OverLimit:
+      return std::string(what) + " value " + std::to_string(value) +
+             " exceeds limit " + std::to_string(limit) + " in " + where;
+    case Kind::ShortString:
+      return "truncated string in " + where;
+    case Kind::Redefined:
+      return "string id " + std::to_string(value) +
+             " redefined within a frame";
+    case Kind::BadTag:
+      return "unknown entry tag " + std::to_string(value) + " in " + where;
+    case Kind::ShortRecord:
+      return "truncated record in " + where;
+    case Kind::Undefined:
+      return std::string(in_frame ? "frame" : "binary trace") +
+             " references undefined string id " + std::to_string(value);
+    case Kind::ShortSteps:
+      return "truncated var steps in " + where;
+    case Kind::NoEnd:
+      return "truncated binary trace (missing end marker)";
+    case Kind::ShortFrameHeader:
+      return "truncated frame header in binary trace";
+    case Kind::ShortFramePayload:
+      return "truncated frame payload in binary trace";
+  }
+  return "corrupt binary trace";
+}
 
 namespace {
 
-struct PayloadCursor {
-  const char* p;
-  const char* end;
+using DecodeKind = TdtbDecodeError::Kind;
 
-  bool byte(std::uint8_t& b) noexcept {
-    if (p == end) return false;
-    b = static_cast<std::uint8_t>(*p++);
+/// Reads one varint field no larger than `limit`. On failure fills
+/// `err` (truncated, bad varint, or above the limit with code `over`)
+/// and returns false.
+inline bool read_field(const char*& p, const char* end, std::uint64_t& v,
+                       std::uint64_t limit, DiagCode over, const char* what,
+                       bool in_frame, TdtbDecodeError& err) noexcept {
+  const char* const before = p;
+  if (mem_varint(p, end, v)) [[likely]] {
+    if (v <= limit) [[likely]] return true;
+    err = {over, DecodeKind::OverLimit, in_frame, what, v, limit};
+    return false;
+  }
+  // mem_varint stops short of ten bytes only at the end of the input.
+  const bool eof = p == end && p - before < kMaxVarintBytes;
+  err = {eof ? DiagCode::BinTruncated : DiagCode::BinBadVarint,
+         eof ? DecodeKind::VarintEof : DecodeKind::BadVarint, in_frame, what};
+  return false;
+}
+
+/// One v3 frame decoded without touching the shared string pool: records
+/// carry frame-local string ids, and `defs` lists the frame's string
+/// definitions in definition order, viewing into the payload. Workers
+/// decode frames concurrently; the consuming thread interns `defs` in
+/// frame order (intern_frame_defs), so the pool stays single-writer and
+/// symbol ids match the inline decode.
+struct DecodedFrame {
+  std::vector<TraceRecord> records;
+  std::vector<std::pair<std::uint64_t, std::string_view>> defs;
+  bool ok = true;  // false: `error` says why, `records` holds the prefix
+  TdtbDecodeError error;
+  // Definition-seen map (id -> 1 + index into defs), reused across frames.
+  std::vector<std::uint32_t> seen_defs;
+  std::vector<std::uint64_t> seen_ids;
+};
+
+/// v3 payload strings: ids are local to the frame, and records keep them
+/// until the consuming thread binds the frame.
+struct FrameStrings {
+  static constexpr bool kInFrame = true;
+  DecodedFrame& frame;
+
+  bool resolve(std::uint64_t id, Symbol& out) const noexcept {
+    if (id >= frame.seen_defs.size() || frame.seen_defs[id] == 0) {
+      return false;
+    }
+    out = Symbol(static_cast<std::uint32_t>(id));
+    return true;
+  }
+  /// False for a redefinition with different text: there is no single
+  /// answer for the frame's records. The same text again is harmless.
+  bool define(std::uint64_t id, std::string_view text) {
+    if (id < frame.seen_defs.size() && frame.seen_defs[id] != 0) {
+      return frame.defs[frame.seen_defs[id] - 1].second == text;
+    }
+    frame.defs.emplace_back(id, text);
+    if (id >= frame.seen_defs.size()) frame.seen_defs.resize(id + 1, 0);
+    frame.seen_defs[id] = static_cast<std::uint32_t>(frame.defs.size());
+    frame.seen_ids.push_back(id);
+    return true;
+  }
+  static bool boundary(const char* /*p*/) noexcept { return true; }
+};
+
+/// v1/v2 body strings: ids hold for the whole trace and intern as they
+/// are defined. Entry boundaries are the binary.short-read and
+/// binary.crc-flip fault sites.
+struct TraceStrings {
+  static constexpr bool kInFrame = false;
+  TraceContext& ctx;
+  std::vector<Symbol>& symbols;  // file id -> interned symbol
+  Crc32& crc;
+  const char*& crc_from;  // bytes before it are folded into `crc`
+
+  bool resolve(std::uint64_t id, Symbol& out) const noexcept {
+    if (id >= symbols.size() || symbols[id].empty()) return false;
+    out = symbols[id];
+    return true;
+  }
+  bool define(std::uint64_t id, std::string_view text) {
+    if (id >= symbols.size()) symbols.resize(id + 1);
+    symbols[id] = ctx.intern(text);
+    return true;
+  }
+  /// False when a short read ends the body here. A CRC flip folds a
+  /// phantom byte into the checksum where a byte-at-a-time reader would.
+  bool boundary(const char* p) {
+    if (!fault::FaultInjector::enabled()) [[likely]] return true;
+    if (fault::should_fire(fault::Site::BinaryShortRead)) return false;
+    if (fault::should_fire(fault::Site::BinaryCrcFlip)) {
+      crc.update(crc_from, static_cast<std::size_t>(p - crc_from));
+      crc.update_byte(0xA5);
+      crc_from = p;
+    }
     return true;
   }
 };
 
-}  // namespace
+/// Where decode_entries() stopped.
+enum class EntryStop : std::uint8_t { Limit, End, Error };
 
-void decode_frame_payload(std::string_view payload, DecodedFrame& out) {
-  out.records.clear();
-  out.defs.clear();
-  out.ok = true;
-  out.error.clear();
-  for (std::uint64_t id : out.seen_ids) out.seen_defs[id] = 0;
-  out.seen_ids.clear();
-
-  PayloadCursor cur{payload.data(), payload.data() + payload.size()};
-  // Records are built in place at the back of out.records; when decoding
-  // fails mid-record the partial entry must not be surfaced.
-  bool mid_record = false;
-  const auto fail = [&out, &mid_record](DiagCode code, std::string msg) {
-    if (mid_record) out.records.pop_back();
-    out.ok = false;
-    out.error_code = code;
-    out.error = std::move(msg);
+/// The entry decoder of v1/v2 bodies and v3 frame payloads: decodes
+/// string definitions and records from [p, end) into `out` until `limit`
+/// records were appended, the entries end, or one is corrupt. `Strings`
+/// makes the three differences. A v3 payload (FrameStrings) delta-codes
+/// its addresses, defines strings per frame and ends at `end`. A v1/v2
+/// body (TraceStrings) stores absolute addresses, defines strings for
+/// the whole trace and ends at its end tag, which is consumed. On error
+/// `p` stays inside the bad entry, its partial record is not kept, and
+/// `err` says why.
+template <class Strings>
+EntryStop decode_entries(Strings& strings, const char*& p, const char* end,
+                         std::vector<TraceRecord>& out, std::size_t limit,
+                         TdtbDecodeError& err) {
+  constexpr bool kInFrame = Strings::kInFrame;
+  const auto fail = [&err](DiagCode code, DecodeKind kind,
+                           std::uint64_t value = 0) {
+    err = {code, kind, kInFrame, "", value};
+    return EntryStop::Error;
   };
-  const auto read_varint = [&](std::uint64_t& v, const char* what) {
-    const char* before = cur.p;
-    if (mem_varint(cur.p, cur.end, v)) return true;
-    if (cur.p == cur.end && cur.p - before < kMaxVarintBytes) {
-      fail(DiagCode::BinTruncated,
-           std::string("truncated frame payload (eof inside ") + what + ")");
-    } else {
-      fail(DiagCode::BinBadVarint,
-           std::string("bad varint in frame payload (") + what + ")");
-    }
+  const auto field = [&](std::uint64_t& v, std::uint64_t max,
+                         const char* what) {
+    return read_field(p, end, v, max, DiagCode::BinFieldOverflow, what,
+                      kInFrame, err);
+  };
+  const auto symbol = [&](Symbol& s, const char* what) {
+    std::uint64_t id = 0;
+    if (!field(id, kMaxSymbolId, what)) return false;
+    if (strings.resolve(id, s)) [[likely]] return true;
+    err = {DiagCode::BinBadSymbol, DecodeKind::Undefined, kInFrame, what, id};
     return false;
   };
-  const auto read_capped = [&](std::uint64_t& v, std::uint64_t max,
-                               DiagCode code, const char* what) {
-    if (!read_varint(v, what)) return false;
-    if (v > max) {
-      fail(code, std::string(what) + " value " + std::to_string(v) +
-                     " exceeds limit " + std::to_string(max) +
-                     " in frame payload");
-      return false;
+  std::uint64_t prev_addr = 0;  // v3 zigzag-delta base; 0 at frame start
+  // The fields after a record's tag and kind|scope byte.
+  const auto fields = [&](TraceRecord& rec) {
+    std::uint64_t v = 0;
+    if (!field(v, ~std::uint64_t{0}, "address")) return false;
+    if constexpr (kInFrame) {
+      prev_addr += unzigzag(v);
+      rec.address = prev_addr;
+    } else {
+      rec.address = v;
+    }
+    if (!field(v, 0xFFFFFFFFull, "access size")) return false;
+    rec.size = static_cast<std::uint32_t>(v);
+    if (!symbol(rec.function, "function id")) return false;
+    if (!field(v, 0xFFFFull, "frame")) return false;
+    rec.frame = static_cast<std::uint16_t>(v);
+    if (!field(v, 0xFFFFull, "thread")) return false;
+    rec.thread = static_cast<std::uint16_t>(v);
+    if (rec.scope == VarScope::Unknown) return true;
+    if (!symbol(rec.var.base, "variable id")) return false;
+    std::uint64_t nsteps = 0;
+    if (!field(nsteps, kMaxVarSteps, "step count")) return false;
+    for (std::uint64_t i = 0; i < nsteps; ++i) {
+      if (p == end) {
+        fail(DiagCode::BinTruncated, DecodeKind::ShortSteps);
+        return false;
+      }
+      if (*p++ != 0) {
+        Symbol name;
+        if (!symbol(name, "field id")) return false;
+        rec.var.steps.push_back(VarStep::make_field(name));
+      } else {
+        if (!field(v, ~std::uint64_t{0}, "step index")) return false;
+        rec.var.steps.push_back(VarStep::make_index(v));
+      }
     }
     return true;
   };
-  const auto defined = [&out](std::uint64_t id) {
-    return id < out.seen_defs.size() && out.seen_defs[id] != 0;
-  };
 
-  std::uint64_t prev_addr = 0;  // zigzag-delta base for record addresses
-  while (cur.p != cur.end) {
-    std::uint8_t tag = 0;
-    cur.byte(tag);
+  for (std::size_t produced = 0;;) {
+    if (produced == limit) return EntryStop::Limit;
+    if (!strings.boundary(p)) [[unlikely]] {
+      return fail(DiagCode::BinTruncated, DecodeKind::NoEnd);
+    }
+    if (p == end) {
+      if constexpr (kInFrame) return EntryStop::End;
+      return fail(DiagCode::BinTruncated, DecodeKind::NoEnd);
+    }
+    const auto tag = static_cast<std::uint8_t>(*p++);
+    if (tag == kTagRecord) [[likely]] {
+      if (p == end) return fail(DiagCode::BinTruncated, DecodeKind::ShortRecord);
+      const auto packed = static_cast<std::uint8_t>(*p++);
+      TraceRecord& rec = out.emplace_back();
+      rec.kind = static_cast<AccessKind>(packed & 0x7);
+      rec.scope = static_cast<VarScope>((packed >> 3) & 0x7);
+      if (!fields(rec)) [[unlikely]] {
+        out.pop_back();
+        return EntryStop::Error;
+      }
+      ++produced;
+      continue;
+    }
     if (tag == kTagString) {
       std::uint64_t id = 0;
       std::uint64_t len = 0;
-      if (!read_capped(id, kMaxSymbolId, DiagCode::BinFieldOverflow,
-                       "string id")) {
-        return;
+      if (!field(id, kMaxSymbolId, "string id") ||
+          !read_field(p, end, len, kMaxStringLen, DiagCode::BinStringTooLong,
+                      "string length", kInFrame, err)) {
+        return EntryStop::Error;
       }
-      if (!read_capped(len, kMaxStringLen, DiagCode::BinStringTooLong,
-                       "string length")) {
-        return;
+      if (static_cast<std::uint64_t>(end - p) < len) {
+        return fail(DiagCode::BinTruncated, DecodeKind::ShortString);
       }
-      if (static_cast<std::uint64_t>(cur.end - cur.p) < len) {
-        fail(DiagCode::BinTruncated, "truncated string in frame payload");
-        return;
+      const std::string_view text(p, static_cast<std::size_t>(len));
+      p += len;
+      if (!strings.define(id, text)) {
+        return fail(DiagCode::BinBadSymbol, DecodeKind::Redefined, id);
       }
-      const std::string_view text(cur.p, static_cast<std::size_t>(len));
-      cur.p += len;
-      if (defined(id)) {
-        // A duplicate definition with identical text is harmless; with
-        // different text there is no single answer for the frame's
-        // records, so treat it as corruption.
-        if (out.defs[out.seen_defs[id] - 1].second != text) {
-          fail(DiagCode::BinBadSymbol,
-               "string id " + std::to_string(id) +
-                   " redefined within a frame");
-          return;
-        }
-        continue;
-      }
-      out.defs.emplace_back(id, text);
-      if (id >= out.seen_defs.size()) out.seen_defs.resize(id + 1, 0);
-      out.seen_defs[id] = static_cast<std::uint32_t>(out.defs.size());
-      out.seen_ids.push_back(id);
       continue;
     }
-    if (tag != kTagRecord) {
-      fail(DiagCode::BinBadTag,
-           "unknown entry tag " + std::to_string(tag) + " in frame payload");
-      return;
-    }
-    std::uint8_t packed = 0;
-    if (!cur.byte(packed)) {
-      fail(DiagCode::BinTruncated, "truncated record in frame payload");
-      return;
-    }
-    TraceRecord& rec = out.records.emplace_back();
-    mid_record = true;
-    rec.kind = static_cast<AccessKind>(packed & 0x7);
-    rec.scope = static_cast<VarScope>((packed >> 3) & 0x7);
-    std::uint64_t v = 0;
-    if (!read_varint(v, "address")) return;
-    prev_addr += unzigzag(v);
-    rec.address = prev_addr;
-    if (!read_capped(v, 0xFFFFFFFFull, DiagCode::BinFieldOverflow,
-                     "access size")) {
-      return;
-    }
-    rec.size = static_cast<std::uint32_t>(v);
-    if (!read_capped(v, kMaxSymbolId, DiagCode::BinFieldOverflow,
-                     "function id")) {
-      return;
-    }
-    if (!defined(v)) {
-      fail(DiagCode::BinBadSymbol,
-           "frame references undefined string id " + std::to_string(v));
-      return;
-    }
-    rec.function = Symbol(static_cast<std::uint32_t>(v));
-    if (!read_capped(v, 0xFFFFull, DiagCode::BinFieldOverflow, "frame")) {
-      return;
-    }
-    rec.frame = static_cast<std::uint16_t>(v);
-    if (!read_capped(v, 0xFFFFull, DiagCode::BinFieldOverflow, "thread")) {
-      return;
-    }
-    rec.thread = static_cast<std::uint16_t>(v);
-    if (rec.scope != VarScope::Unknown) {
-      if (!read_capped(v, kMaxSymbolId, DiagCode::BinFieldOverflow,
-                       "variable id")) {
-        return;
-      }
-      if (!defined(v)) {
-        fail(DiagCode::BinBadSymbol,
-             "frame references undefined string id " + std::to_string(v));
-        return;
-      }
-      rec.var.base = Symbol(static_cast<std::uint32_t>(v));
-      std::uint64_t nsteps = 0;
-      if (!read_capped(nsteps, kMaxVarSteps, DiagCode::BinFieldOverflow,
-                       "step count")) {
-        return;
-      }
-      for (std::uint64_t i = 0; i < nsteps; ++i) {
-        std::uint8_t is_field = 0;
-        if (!cur.byte(is_field)) {
-          fail(DiagCode::BinTruncated, "truncated var steps in frame payload");
-          return;
-        }
-        if (is_field != 0) {
-          if (!read_capped(v, kMaxSymbolId, DiagCode::BinFieldOverflow,
-                           "field id")) {
-            return;
-          }
-          if (!defined(v)) {
-            fail(DiagCode::BinBadSymbol,
-                 "frame references undefined string id " + std::to_string(v));
-            return;
-          }
-          rec.var.steps.push_back(
-              VarStep::make_field(Symbol(static_cast<std::uint32_t>(v))));
-        } else {
-          if (!read_varint(v, "step index")) return;
-          rec.var.steps.push_back(VarStep::make_index(v));
-        }
-      }
-    }
-    mid_record = false;
+    if (!kInFrame && tag == kTagEnd) return EntryStop::End;
+    return fail(DiagCode::BinBadTag, DecodeKind::BadTag, tag);
   }
 }
 
+/// Decodes one uncompressed frame payload into `out`. Thread-safe (no
+/// shared state); `payload` must outlive `out.defs`. Every symbol a
+/// record references must be defined earlier in the same frame.
+void decode_frame_payload(std::string_view payload, DecodedFrame& out) {
+  out.records.clear();
+  out.defs.clear();
+  for (std::uint64_t id : out.seen_ids) out.seen_defs[id] = 0;
+  out.seen_ids.clear();
+  FrameStrings strings{out};
+  const char* p = payload.data();
+  out.ok = decode_entries(strings, p, payload.data() + payload.size(),
+                          out.records, ~std::size_t{0},
+                          out.error) != EntryStop::Error;
+}
+
+/// Interns `frame.defs` in definition order into `symbol_map` (frame id
+/// -> symbol); true when every id interned to itself, so the records
+/// need no remap_frame_records(). Call in frame order from one thread.
 bool intern_frame_defs(TraceContext& ctx, const DecodedFrame& frame,
                        std::vector<Symbol>& symbol_map) {
   bool identity = true;
@@ -676,17 +765,6 @@ bool intern_frame_defs(TraceContext& ctx, const DecodedFrame& frame,
     identity = identity && symbol_map[id].id() == id;
   }
   return identity;
-}
-
-void bind_frame(TraceContext& ctx, DecodedFrame& frame,
-                std::vector<Symbol>& symbol_map) {
-  // Decode enforces that records only reference ids defined in this
-  // frame, so when every definition interned to its wire id (the common
-  // fresh-context decode) the rewrite pass would be a no-op — skip the
-  // walk over every record.
-  if (!intern_frame_defs(ctx, frame, symbol_map)) {
-    remap_frame_records(frame.records, symbol_map);
-  }
 }
 
 void remap_frame_records(std::span<TraceRecord> records,
@@ -701,497 +779,53 @@ void remap_frame_records(std::span<TraceRecord> records,
   }
 }
 
-// --- reader -----------------------------------------------------------------
-
-/// Private unwind token: the diagnostic is already reported; next() turns
-/// this into a clean end-of-trace. Derives from Error so it stays a
-/// classified tdt error if it ever escapes (e.g. corruption inside the
-/// header, where there is nothing to salvage).
-struct BinaryTraceReader::RecoverEnd : Error {
-  explicit RecoverEnd(std::string message)
-      : Error(ErrorKind::Parse, std::move(message)) {}
-};
-
-BinaryTraceReader::BinaryTraceReader(TraceContext& ctx, std::istream& in,
-                                     DiagEngine* diags)
-    : ctx_(&ctx), in_(&in), diags_(diags) {
-  char magic[4];
-  in_->read(magic, 4);
-  if (!*in_ || std::string_view(magic, 4) != std::string_view(kMagic, 4)) {
-    if (diags_ != nullptr) {
-      diags_->report(DiagSeverity::Fatal, DiagCode::BinBadMagic,
-                     "not a TDTB binary trace (bad magic)");
-    }
-    throw_parse_error("not a TDTB binary trace (bad magic)");
-  }
-  crc_.update(magic, 4);
-  bytes_read_ += 4;
-  const int version = next_byte();
-  if (version != 1 && version != 2 && version != kTdtbVersionFramed) {
-    if (diags_ != nullptr) {
-      diags_->report(DiagSeverity::Fatal, DiagCode::BinBadVersion,
-                     "unsupported TDTB version " + std::to_string(version));
-    }
-    throw_parse_error("unsupported TDTB version " + std::to_string(version));
-  }
-  version_ = static_cast<std::uint8_t>(version);
-  pid_ = get_varint();
-  if (version_ >= kTdtbVersionFramed) {
-    const int codec_byte = next_byte();
-    if (codec_byte == std::istream::traits_type::eof()) {
-      if (diags_ != nullptr) {
-        diags_->report(DiagSeverity::Fatal, DiagCode::BinTruncated,
-                       "truncated binary trace (missing codec byte)");
-      }
-      throw_parse_error("truncated binary trace (missing codec byte)");
-    }
-    // Frames carry their own codec id; the header byte is advisory, so an
-    // unknown value here is not an error.
-    default_codec_ =
-        codec_from_id(static_cast<std::uint8_t>(codec_byte)).value_or(
-            Codec::None);
-  }
-}
-
-void BinaryTraceReader::fail(DiagCode code, std::string message) {
-  if (diags_ == nullptr || diags_->strict()) {
-    throw_parse_error(std::move(message));
-  }
-  diags_->report(DiagSeverity::Error, code, message);
-  throw RecoverEnd(std::move(message));
-}
-
-void BinaryTraceReader::frame_error(DiagCode code, std::string message) {
-  if (diags_ == nullptr || diags_->strict()) {
-    throw_parse_error(std::move(message));
-  }
-  diags_->report(DiagSeverity::Error, code, message);
-  // Repair exploits frame isolation: the caller resumes at the next
-  // frame. Skip ends the trace with every earlier frame salvaged.
-  if (!diags_->repair()) throw RecoverEnd(std::move(message));
-}
-
-int BinaryTraceReader::next_byte() {
-  const int byte = in_->get();
-  if (byte != std::istream::traits_type::eof()) {
-    ++bytes_read_;
-    crc_.update_byte(static_cast<std::uint8_t>(byte));
-  }
-  return byte;
-}
-
-bool BinaryTraceReader::read_exact(char* dst, std::size_t len) {
-  in_->read(dst, static_cast<std::streamsize>(len));
-  const std::streamsize got = in_->gcount();
-  if (got > 0) bytes_read_ += static_cast<std::uint64_t>(got);
-  return got == static_cast<std::streamsize>(len);
-}
-
-std::uint64_t BinaryTraceReader::get_varint() {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (int n = 0; n < kMaxVarintBytes; ++n) {
-    const int byte = next_byte();
-    if (byte == std::istream::traits_type::eof()) {
-      fail(DiagCode::BinTruncated, "truncated binary trace (eof inside varint)");
-    }
-    if (n == kMaxVarintBytes - 1 && (byte & 0x7F) > 1) {
-      // The 10th byte may only contribute bit 63.
-      fail(DiagCode::BinBadVarint, "varint overflows 64 bits in binary trace");
-    }
-    v |= static_cast<std::uint64_t>(byte & 0x7F) << shift;
-    if ((byte & 0x80) == 0) return v;
-    shift += 7;
-  }
-  fail(DiagCode::BinBadVarint, "overlong varint in binary trace (>10 bytes)");
-}
-
-std::uint64_t BinaryTraceReader::get_varint_max(std::uint64_t max_value,
-                                                DiagCode code,
-                                                const char* what) {
-  const std::uint64_t v = get_varint();
-  if (v > max_value) {
-    fail(code, std::string(what) + " value " + std::to_string(v) +
-                   " exceeds limit " + std::to_string(max_value) +
-                   " in binary trace");
-  }
-  return v;
-}
-
-Symbol BinaryTraceReader::map_symbol(std::uint64_t file_id) {
-  if (file_id >= symbol_map_.size() || symbol_map_[file_id].empty()) {
-    fail(DiagCode::BinBadSymbol,
-         "binary trace references undefined string id " +
-             std::to_string(file_id));
-  }
-  return symbol_map_[file_id];
-}
-
-void BinaryTraceReader::check_footer() {
-  if (version_ < 2) return;
-  if (fault::FaultInjector::enabled() &&
-      fault::should_fire(fault::Site::BinaryBadFooter)) [[unlikely]] {
-    fail(DiagCode::BinBadFooter,
-         "truncated binary trace (v2 footer missing or short)");
-  }
-  // The CRC covers everything through the end tag, which next_byte() has
-  // already folded in; the footer itself is read outside the checksum.
-  const std::uint32_t computed = crc_.value();
-  char footer[kFooterSize];
-  in_->read(footer, kFooterSize);
-  if (in_->gcount() != static_cast<std::streamsize>(kFooterSize)) {
-    fail(DiagCode::BinBadFooter,
-         "truncated binary trace (v2 footer missing or short)");
-  }
-  const std::uint64_t count = get_le(footer, 8);
-  const std::uint32_t stored = static_cast<std::uint32_t>(get_le(footer + 8, 4));
-  if (count != record_count_) {
-    fail(DiagCode::BinCountMismatch,
-         "binary trace record count mismatch: footer says " +
-             std::to_string(count) + ", decoded " +
-             std::to_string(record_count_));
-  }
-  if (stored != computed) {
-    fail(DiagCode::BinCrcMismatch,
-         "binary trace checksum mismatch (bit corruption): footer crc32 " +
-             std::to_string(stored) + ", computed " + std::to_string(computed));
-  }
-}
-
-void BinaryTraceReader::check_container_footer() {
-  if (fault::FaultInjector::enabled() &&
-      fault::should_fire(fault::Site::BinaryBadFooter)) [[unlikely]] {
-    fail(DiagCode::BinBadIndex,
-         "truncated binary trace (container footer missing or short)");
-  }
-  // Everything after the end tag is index + footer; stream it in.
-  std::string tail;
-  char buf[4096];
-  for (;;) {
-    in_->read(buf, sizeof buf);
-    const std::streamsize got = in_->gcount();
-    if (got <= 0) break;
-    bytes_read_ += static_cast<std::uint64_t>(got);
-    tail.append(buf, static_cast<std::size_t>(got));
-    if (!*in_) break;
-  }
-  if (tail.size() < kContainerFooterSize) {
-    fail(DiagCode::BinBadIndex,
-         "truncated binary trace (container footer missing or short)");
-  }
-  const char* f = tail.data() + tail.size() - kContainerFooterSize;
-  if (std::string_view(f + 24, 4) != std::string_view(kIndexMagic, 4)) {
-    fail(DiagCode::BinBadIndex,
-         "container footer magic mismatch (expected TDTX)");
-  }
-  const std::uint64_t total = get_le(f, 8);
-  const std::uint64_t frames = get_le(f + 8, 8);
-  const std::uint64_t index_len = get_le(f + 16, 4);
-  const std::uint32_t index_crc =
-      static_cast<std::uint32_t>(get_le(f + 20, 4));
-  if (index_len != tail.size() - kContainerFooterSize) {
-    fail(DiagCode::BinBadIndex,
-         "frame index length mismatch: footer says " +
-             std::to_string(index_len) + " bytes, found " +
-             std::to_string(tail.size() - kContainerFooterSize));
-  }
-  if (crc32(tail.data(), static_cast<std::size_t>(index_len)) != index_crc) {
-    fail(DiagCode::BinBadIndex,
-         "frame index checksum mismatch (bit corruption)");
-  }
-  if (frames != frames_read_) {
-    fail(DiagCode::BinCountMismatch,
-         "binary trace frame count mismatch: footer says " +
-             std::to_string(frames) + ", decoded " +
-             std::to_string(frames_read_));
-  }
-  if (total != record_count_) {
-    fail(DiagCode::BinCountMismatch,
-         "binary trace record count mismatch: footer says " +
-             std::to_string(total) + ", decoded " +
-             std::to_string(record_count_));
-  }
-}
-
-bool BinaryTraceReader::next(TraceRecord& out) {
-  if (version_ >= kTdtbVersionFramed) return next_v3(out);
-  if (done_) return false;
-  return next_v12(out);
-}
-
-bool BinaryTraceReader::next_v12(TraceRecord& out) {
-  try {
-    for (;;) {
-      if (fault::FaultInjector::enabled()) [[unlikely]] {
-        // Entry-boundary faults: a short read ends the stream mid-trace
-        // (B003, prefix salvageable); a CRC flip folds a phantom byte
-        // into the running checksum so the v2 footer check (B010) trips
-        // exactly as it would after real bit corruption.
-        if (fault::should_fire(fault::Site::BinaryShortRead)) {
-          fail(DiagCode::BinTruncated,
-               "truncated binary trace (missing end marker)");
-        }
-        if (fault::should_fire(fault::Site::BinaryCrcFlip)) {
-          crc_.update_byte(0xA5);
-        }
-      }
-      const int tag = next_byte();
-      if (tag == std::istream::traits_type::eof()) {
-        fail(DiagCode::BinTruncated,
-             "truncated binary trace (missing end marker)");
-      }
-      if (tag == kTagEnd) {
-        done_ = true;
-        check_footer();
-        return false;
-      }
-      if (tag == kTagString) {
-        const std::uint64_t id =
-            get_varint_max(kMaxSymbolId, DiagCode::BinFieldOverflow,
-                           "string id");
-        const std::uint64_t len = get_varint_max(
-            kMaxStringLen, DiagCode::BinStringTooLong, "string length");
-        std::string text(len, '\0');
-        in_->read(text.data(), static_cast<std::streamsize>(len));
-        if (in_->gcount() != static_cast<std::streamsize>(len)) {
-          fail(DiagCode::BinTruncated, "truncated string in binary trace");
-        }
-        bytes_read_ += len;
-        crc_.update(text.data(), len);
-        if (id >= symbol_map_.size()) symbol_map_.resize(id + 1);
-        symbol_map_[id] = ctx_->intern(text);
-        continue;
-      }
-      if (tag != kTagRecord) {
-        fail(DiagCode::BinBadTag, "unknown entry tag " + std::to_string(tag) +
-                                      " in binary trace");
-      }
-      const int packed = next_byte();
-      if (packed == std::istream::traits_type::eof()) {
-        fail(DiagCode::BinTruncated, "truncated record in binary trace");
-      }
-      out = TraceRecord{};
-      out.kind = static_cast<AccessKind>(packed & 0x7);
-      out.scope = static_cast<VarScope>((packed >> 3) & 0x7);
-      out.address = get_varint();
-      out.size = static_cast<std::uint32_t>(get_varint_max(
-          0xFFFFFFFFull, DiagCode::BinFieldOverflow, "access size"));
-      out.function = map_symbol(get_varint_max(
-          kMaxSymbolId, DiagCode::BinFieldOverflow, "function id"));
-      out.frame = static_cast<std::uint16_t>(get_varint_max(
-          0xFFFFull, DiagCode::BinFieldOverflow, "frame"));
-      out.thread = static_cast<std::uint16_t>(get_varint_max(
-          0xFFFFull, DiagCode::BinFieldOverflow, "thread"));
-      if (out.scope != VarScope::Unknown) {
-        out.var.base = map_symbol(get_varint_max(
-            kMaxSymbolId, DiagCode::BinFieldOverflow, "variable id"));
-        const std::uint64_t nsteps = get_varint_max(
-            kMaxVarSteps, DiagCode::BinFieldOverflow, "step count");
-        for (std::uint64_t i = 0; i < nsteps; ++i) {
-          const int is_field = next_byte();
-          if (is_field == std::istream::traits_type::eof()) {
-            fail(DiagCode::BinTruncated, "truncated var steps in binary trace");
-          }
-          const std::uint64_t v =
-              is_field != 0 ? get_varint_max(kMaxSymbolId,
-                                             DiagCode::BinFieldOverflow,
-                                             "field id")
-                            : get_varint();
-          out.var.steps.push_back(is_field != 0 ? VarStep::make_field(
-                                                      map_symbol(v))
-                                                : VarStep::make_index(v));
-        }
-      }
-      ++record_count_;
-      return true;
-    }
-  } catch (const RecoverEnd&) {
-    // Diagnostic already reported; salvage the records decoded so far.
-    done_ = true;
-    return false;
-  }
-}
-
-bool BinaryTraceReader::next_v3(TraceRecord& out) {
-  for (;;) {
-    if (pending_pos_ < pending_.size()) {
-      out = std::move(pending_[pending_pos_++]);
-      ++record_count_;
-      return true;
-    }
-    if (done_) return false;
-    try {
-      const int tag = next_byte();
-      if (tag == std::istream::traits_type::eof()) {
-        fail(DiagCode::BinTruncated,
-             "truncated binary trace (missing end marker)");
-      }
-      if (tag == kTagEnd) {
-        done_ = true;
-        check_container_footer();
-        return false;
-      }
-      if (tag != kTagFrame) {
-        fail(DiagCode::BinBadTag, "unknown entry tag " + std::to_string(tag) +
-                                      " in binary trace");
-      }
-      if (!load_frame()) continue;  // frame dropped under Repair
-    } catch (const RecoverEnd&) {
-      // Diagnostic already reported; the loop serves whatever load_frame
-      // salvaged into pending_, then ends the trace.
-      done_ = true;
-    }
-  }
-}
-
-bool BinaryTraceReader::load_frame() {
-  pending_.clear();
-  pending_pos_ = 0;
-  // Sample the frame-decode fault here, once per frame in frame order —
-  // the parallel decoder pre-samples the same sequence on its consuming
-  // thread, so injected schedules match at any job count.
-  const bool injected = fault::FaultInjector::enabled() &&
-                        fault::should_fire(fault::Site::FrameDecode);
-  const std::uint64_t frame_no = frames_read_;
-  const int codec_byte = next_byte();
-  if (codec_byte == std::istream::traits_type::eof()) {
-    fail(DiagCode::BinTruncated, "truncated frame header in binary trace");
-  }
-  const std::uint64_t records = get_varint_max(
-      kMaxFrameRecords, DiagCode::BinFieldOverflow, "frame record count");
-  const std::uint64_t usize = get_varint_max(
-      kMaxFrameBytes, DiagCode::BinFieldOverflow, "frame payload size");
-  const std::uint64_t csize = get_varint_max(
-      kMaxFrameBytes, DiagCode::BinFieldOverflow, "frame stored size");
-  char crcb[4];
-  if (!read_exact(crcb, 4)) {
-    fail(DiagCode::BinTruncated, "truncated frame header in binary trace");
-  }
-  const std::uint32_t want_crc = static_cast<std::uint32_t>(get_le(crcb, 4));
-  // Pull the stored bytes in steps so a corrupt length cannot drive a
-  // giant allocation before truncation is noticed.
-  stored_.clear();
-  std::uint64_t remaining = csize;
-  while (remaining > 0) {
-    const std::size_t step =
-        static_cast<std::size_t>(std::min<std::uint64_t>(remaining, 4u << 20));
-    const std::size_t base = stored_.size();
-    stored_.resize(base + step);
-    if (!read_exact(stored_.data() + base, step)) {
-      fail(DiagCode::BinTruncated, "truncated frame payload in binary trace");
-    }
-    remaining -= step;
-  }
-  ++frames_read_;
-  compressed_bytes_ += csize;
-  // Header parsed and payload in memory: everything below fails in
-  // isolation, so frame_error() lets Repair resume at the next frame.
-  if (injected) [[unlikely]] {
-    frame_error(DiagCode::BinFrameCorrupt,
-                "injected frame-decode fault: frame " +
-                    std::to_string(frame_no) + " dropped");
-    return false;
-  }
-  if (crc32(stored_.data(), stored_.size()) != want_crc) {
-    frame_error(DiagCode::BinFrameCorrupt,
-                "frame " + std::to_string(frame_no) +
-                    " checksum mismatch (bit corruption)");
-    return false;
-  }
-  const std::optional<Codec> codec =
-      codec_from_id(static_cast<std::uint8_t>(codec_byte));
-  if (!codec) {
-    frame_error(DiagCode::BinBadCodec,
-                "frame " + std::to_string(frame_no) + " names unknown codec id " +
-                    std::to_string(codec_byte));
-    return false;
-  }
-  std::string_view payload;
-  if (*codec == Codec::None) {
-    if (stored_.size() != usize) {
-      frame_error(DiagCode::BinFrameCorrupt,
-                  "frame " + std::to_string(frame_no) +
-                      " stored size disagrees with payload size");
-      return false;
-    }
-    payload = stored_;
-  } else {
-    if (!codec_available(*codec)) {
-      frame_error(DiagCode::BinBadCodec,
-                  "codec '" + std::string(codec_name(*codec)) +
-                      "' unavailable in this process (shared library not "
-                      "found or TDT_NO_CODEC set); cannot decode frame " +
-                      std::to_string(frame_no));
-      return false;
-    }
-    if (!codec_decompress(*codec, stored_, static_cast<std::size_t>(usize),
-                          payload_)) {
-      frame_error(DiagCode::BinFrameCorrupt,
-                  "frame " + std::to_string(frame_no) +
-                      " decompression failed (codec " +
-                      std::string(codec_name(*codec)) + ")");
-      return false;
-    }
-    payload = payload_;
-  }
-  decode_frame_payload(payload, frame_);
-  if (!frame_.ok) {
-    if (diags_ == nullptr || diags_->strict()) {
-      throw_parse_error(std::move(frame_.error));
-    }
-    diags_->report(DiagSeverity::Error, frame_.error_code, frame_.error);
-    if (diags_->repair()) return false;  // drop the frame, resume
-    // Skip: salvage the decoded prefix of the bad frame, then end.
-    bind_frame(*ctx_, frame_, symbol_map_);
-    pending_ = std::move(frame_.records);
-    pending_pos_ = 0;
-    done_ = true;
-    return true;
-  }
-  if (frame_.records.size() != records) {
-    frame_error(DiagCode::BinCountMismatch,
-                "frame " + std::to_string(frame_no) +
-                    " record count mismatch: header says " +
-                    std::to_string(records) + ", decoded " +
-                    std::to_string(frame_.records.size()));
-    return false;
-  }
-  bind_frame(*ctx_, frame_, symbol_map_);
-  pending_ = std::move(frame_.records);
-  pending_pos_ = 0;
-  return true;
-}
+}  // namespace
 
 // --- container probe --------------------------------------------------------
 
 std::optional<TdtbFrameInfo> parse_frame_header(
     std::string_view blob, std::uint64_t offset,
-    std::uint64_t* payload_offset) noexcept {
-  if (offset >= blob.size()) return std::nullopt;
-  const char* p = blob.data() + offset;
-  const char* end = blob.data() + blob.size();
-  if (static_cast<std::uint8_t>(*p++) != kTagFrame) return std::nullopt;
-  if (p == end) return std::nullopt;
+    std::uint64_t* payload_offset, TdtbDecodeError* why) noexcept {
+  TdtbDecodeError err;
+  const char* const end = blob.data() + blob.size();
+  const char* p = offset < blob.size() ? blob.data() + offset : end;
+  const auto field = [&](std::uint64_t& v, std::uint64_t limit,
+                         const char* what) {
+    return read_field(p, end, v, limit, DiagCode::BinFieldOverflow, what,
+                      false, err);
+  };
   TdtbFrameInfo info;
   info.offset = offset;
-  info.codec = static_cast<std::uint8_t>(*p++);
-  if (!mem_varint(p, end, info.records) || info.records > kMaxFrameRecords) {
-    return std::nullopt;
+  if (p == end) {
+    err.kind = DecodeKind::NoEnd;
+  } else if (static_cast<std::uint8_t>(*p) != kTagFrame) {
+    err = {DiagCode::BinBadTag, DecodeKind::BadTag, false, "",
+           static_cast<std::uint8_t>(*p)};
+  } else if (++p == end) {
+    err.kind = DecodeKind::ShortFrameHeader;
+  } else {
+    info.codec = static_cast<std::uint8_t>(*p++);
+    if (field(info.records, kMaxFrameRecords, "frame record count") &&
+        field(info.usize, kMaxFrameBytes, "frame payload size") &&
+        field(info.csize, kMaxFrameBytes, "frame stored size")) {
+      if (end - p < 4) {
+        err.kind = DecodeKind::ShortFrameHeader;
+      } else {
+        info.crc = static_cast<std::uint32_t>(get_le(p, 4));
+        p += 4;
+        if (static_cast<std::uint64_t>(end - p) < info.csize) {
+          err.kind = DecodeKind::ShortFramePayload;
+        } else {
+          if (payload_offset != nullptr) {
+            *payload_offset = static_cast<std::uint64_t>(p - blob.data());
+          }
+          return info;
+        }
+      }
+    }
   }
-  if (!mem_varint(p, end, info.usize) || info.usize > kMaxFrameBytes) {
-    return std::nullopt;
-  }
-  if (!mem_varint(p, end, info.csize) || info.csize > kMaxFrameBytes) {
-    return std::nullopt;
-  }
-  if (end - p < 4) return std::nullopt;
-  info.crc = static_cast<std::uint32_t>(get_le(p, 4));
-  p += 4;
-  if (static_cast<std::uint64_t>(end - p) < info.csize) return std::nullopt;
-  if (payload_offset != nullptr) {
-    *payload_offset = static_cast<std::uint64_t>(p - blob.data());
-  }
-  return info;
+  if (why != nullptr) *why = err;
+  return std::nullopt;
 }
 
 std::optional<TdtbContainerInfo> probe_tdtb(std::string_view blob) noexcept {
@@ -1219,8 +853,8 @@ std::optional<TdtbContainerInfo> probe_tdtb(std::string_view blob) noexcept {
   if (p == end) return std::nullopt;
   info.default_codec = static_cast<std::uint8_t>(*p++);
   // From here every validation failure returns `info` with has_index
-  // still false: callers fall back to the sequential reader, which
-  // produces the precise diagnostic under the chosen error policy.
+  // still false: the reader then walks the frames in place and produces
+  // the precise diagnostic under the chosen error policy.
   const std::uint64_t body_start = static_cast<std::uint64_t>(p - blob.data());
   if (blob.size() < body_start + 1 + kContainerFooterSize) return info;
   const char* f = blob.data() + blob.size() - kContainerFooterSize;
@@ -1242,7 +876,11 @@ std::optional<TdtbContainerInfo> probe_tdtb(std::string_view blob) noexcept {
   }
   const char* ip = blob.data() + index_start;
   const char* iend = ip + index_len;
-  std::uint64_t prev_end = body_start;
+  // Cross-check each index entry against the frame header it points at.
+  // The frames must tile the body exactly: the first right after the
+  // header, each next one where the last ended, and the end tag right
+  // after the last one, directly before the index.
+  std::uint64_t next = body_start;
   std::uint64_t record_sum = 0;
   while (ip != iend) {
     TdtbFrameInfo fi;
@@ -1256,23 +894,22 @@ std::optional<TdtbContainerInfo> probe_tdtb(std::string_view blob) noexcept {
     fi.crc = static_cast<std::uint32_t>(get_le(ip, 4));
     ip += 4;
     fi.codec = static_cast<std::uint8_t>(*ip++);
-    // Cross-check the index entry against the frame header it points at
-    // and require frames to tile the body left to right.
     std::uint64_t payload_off = 0;
     const std::optional<TdtbFrameInfo> parsed =
         parse_frame_header(blob, fi.offset, &payload_off);
-    if (fi.offset < prev_end || !parsed || parsed->records != fi.records ||
+    if (fi.offset != next || !parsed || parsed->records != fi.records ||
         parsed->usize != fi.usize || parsed->csize != fi.csize ||
-        parsed->crc != fi.crc || parsed->codec != fi.codec ||
-        payload_off + fi.csize >= index_start) {
+        parsed->crc != fi.crc || parsed->codec != fi.codec) {
       info.frames.clear();
       return info;
     }
-    prev_end = payload_off + fi.csize;
+    next = payload_off + fi.csize;
     record_sum += fi.records;
     info.frames.push_back(fi);
   }
-  if (info.frames.size() != frames || record_sum != total) {
+  if (next + 1 != index_start ||
+      static_cast<std::uint8_t>(blob[next]) != kTagEnd ||
+      info.frames.size() != frames || record_sum != total) {
     info.frames.clear();
     return info;
   }
@@ -1290,6 +927,655 @@ std::optional<TdtbContainerInfo> probe_tdtb_file(
   } catch (...) {
     return std::nullopt;
   }
+}
+
+// --- reader -----------------------------------------------------------------
+
+namespace {
+
+/// A v1/v2 body gives back the pages behind its decode point in steps
+/// of this many bytes.
+constexpr std::size_t kReleaseBytes = 1u << 20;
+
+/// One decoded frame waiting for the consumer: its string definitions,
+/// the decompression buffer they view into, and its records cut into
+/// slices of at most kViewBatch. Buffers cycle worker -> consumer -> free
+/// list, so steady-state decoding performs no per-frame allocation — a
+/// large fresh vector per frame would serialize every worker on the
+/// allocator's mmap/page-zero path and erase the parallel speedup.
+struct FrameBuf {
+  DecodedFrame frame;   // defs; its records vector is lent by the decoder
+  std::string payload;  // decompressed bytes frame.defs views into
+  std::vector<std::vector<TraceRecord>> slices;
+  std::size_t nslices = 0;  // slices[0, nslices) hold the frame's records
+};
+
+/// One frame's decode state. Workers fill a slot; the consumer drains
+/// it. `done` is guarded by the pool mutex.
+struct FrameSlot {
+  FrameBuf* buf = nullptr;
+  bool bad = false;
+  DiagCode code = DiagCode::BinFrameCorrupt;
+  std::string error;
+  bool done = false;
+};
+
+/// The frame ladder: checks and decodes frame `frame_no`, described by
+/// `fi`, into the slot — its header against `fi`, then the CRC of the
+/// stored bytes, the codec, decompression, the payload and the record
+/// count. Touches only the slot, so workers run it concurrently. A
+/// failure marks the slot bad; a payload failure keeps the decoded
+/// prefix, which Skip salvages.
+void decode_frame(std::string_view blob, const TdtbFrameInfo& fi,
+                  bool injected, std::uint64_t frame_no, FrameSlot& slot) {
+  DecodedFrame& frame = slot.buf->frame;
+  std::string& payload_buf = slot.buf->payload;
+  frame.records.clear();
+  frame.defs.clear();
+  auto bad = [&slot](DiagCode code, std::string msg) {
+    slot.bad = true;
+    slot.code = code;
+    slot.error = std::move(msg);
+  };
+  if (injected) [[unlikely]] {
+    bad(DiagCode::BinFrameCorrupt, "injected frame-decode fault: frame " +
+                                       std::to_string(frame_no) + " dropped");
+    return;
+  }
+  std::uint64_t payload_off = 0;
+  const std::optional<TdtbFrameInfo> parsed =
+      parse_frame_header(blob, fi.offset, &payload_off);
+  if (!parsed || parsed->csize != fi.csize || parsed->usize != fi.usize ||
+      parsed->codec != fi.codec) {
+    // The header matched the index when the probe ran; a disagreement
+    // now means the file changed underneath the mapping.
+    bad(DiagCode::BinFrameCorrupt,
+        "frame " + std::to_string(frame_no) +
+            " header disagrees with the container index");
+    return;
+  }
+  const std::string_view stored =
+      blob.substr(static_cast<std::size_t>(payload_off),
+                  static_cast<std::size_t>(fi.csize));
+  if (crc32(stored.data(), stored.size()) != fi.crc) {
+    bad(DiagCode::BinFrameCorrupt, "frame " + std::to_string(frame_no) +
+                                       " checksum mismatch (bit corruption)");
+    return;
+  }
+  const std::optional<Codec> codec = codec_from_id(fi.codec);
+  if (!codec) {
+    bad(DiagCode::BinBadCodec, "frame " + std::to_string(frame_no) +
+                                   " names unknown codec id " +
+                                   std::to_string(fi.codec));
+    return;
+  }
+  std::string_view payload;
+  if (*codec == Codec::None) {
+    if (stored.size() != fi.usize) {
+      bad(DiagCode::BinFrameCorrupt,
+          "frame " + std::to_string(frame_no) +
+              " stored size disagrees with payload size");
+      return;
+    }
+    payload = stored;
+  } else {
+    if (!codec_available(*codec)) {
+      bad(DiagCode::BinBadCodec,
+          "codec '" + std::string(codec_name(*codec)) +
+              "' unavailable in this process (shared library not found or "
+              "TDT_NO_CODEC set); cannot decode frame " +
+              std::to_string(frame_no));
+      return;
+    }
+    if (!codec_decompress(*codec, stored, static_cast<std::size_t>(fi.usize),
+                          payload_buf)) {
+      bad(DiagCode::BinFrameCorrupt,
+          "frame " + std::to_string(frame_no) + " decompression failed (codec " +
+              std::string(codec_name(*codec)) + ")");
+      return;
+    }
+    payload = payload_buf;
+  }
+  decode_frame_payload(payload, frame);
+  if (!frame.ok) {
+    bad(frame.error.code, frame.error.message());
+    return;
+  }
+  if (frame.records.size() != fi.records) {
+    const std::size_t decoded = frame.records.size();
+    frame.records.clear();
+    bad(DiagCode::BinCountMismatch,
+        "frame " + std::to_string(frame_no) +
+            " record count mismatch: header says " + std::to_string(fi.records) +
+            ", decoded " + std::to_string(decoded));
+  }
+}
+
+/// Decodes frame `frame_no` into `slot`'s buffer and cuts its records
+/// into kViewBatch slices, on the decoding thread. The frame decodes
+/// into the thread's own `scratch` vector, so a buffer waiting for the
+/// consumer holds its records once, in the slices; the slices' storage
+/// is whatever empty batch vectors the consumer traded for earlier ones.
+void decode_frame_slices(std::string_view blob, const TdtbFrameInfo& fi,
+                         bool injected, std::uint64_t frame_no,
+                         FrameSlot& slot, std::vector<TraceRecord>& scratch) {
+  FrameBuf& buf = *slot.buf;
+  std::vector<TraceRecord>& records = buf.frame.records;
+  records.swap(scratch);
+  // Warm the scratch vector once per thread; a hostile header cannot
+  // drive a giant allocation (the cap).
+  records.reserve(static_cast<std::size_t>(
+      std::min<std::uint64_t>(fi.records, 64 * 1024)));
+  decode_frame(blob, fi, injected, frame_no, slot);
+  buf.nslices = (records.size() + kViewBatch - 1) / kViewBatch;
+  if (buf.slices.size() < buf.nslices) buf.slices.resize(buf.nslices);
+  for (std::size_t i = 0; i < buf.nslices; ++i) {
+    const auto first =
+        records.begin() + static_cast<std::ptrdiff_t>(i * kViewBatch);
+    const std::size_t n = std::min(kViewBatch, records.size() - i * kViewBatch);
+    buf.slices[i].assign(first, first + static_cast<std::ptrdiff_t>(n));
+  }
+  records.swap(scratch);
+}
+
+/// The TDTB reader (open_tdtb_cursor). It decodes in place from one byte
+/// view, in the layout the header and probe_tdtb() pick:
+///
+/// - Indexed: a v3 container whose frame index validated. Workers claim
+///   frames in order and run the thread-safe frame ladder, slices
+///   included, ahead of the consumer; next_batch() binds (interns)
+///   frames strictly in frame order on the calling thread and hands out
+///   one slice per call — by swapping it with the caller's empty batch
+///   vector, so no record is copied on the consuming thread. So the
+///   string pool stays single-writer, symbol ids match the inline
+///   decode, and the batches are byte-identical at any job count. A batch
+///   never spans two frames. A claim window (2x workers) bounds
+///   decoded-but-unconsumed memory to window + 1 frames. One effective
+///   worker decodes inline, with no threads.
+/// - Walked: a v3 container without a valid index. The frame headers are
+///   parsed in place from the first frame on, each frame goes through
+///   the same ladder inline, and the index and footer after the end tag
+///   are checked at the end.
+/// - Flat: a v1/v2 body, decoded in place in batches by the entry decoder
+///   v3 payloads use. The CRC is folded over each consumed range, the v2
+///   footer is checked at the end tag, and the pages behind the decode
+///   point are released every kReleaseBytes.
+///
+/// Strict throws on any corruption; Repair drops a frame that fails the
+/// ladder and resumes at the next one; Skip, and every structural
+/// failure, ends the trace with the records decoded before it. At the
+/// end of a full v3 pass the footer's record total is compared with the
+/// records delivered, which tells a Repair drop (B011). finish() and the
+/// destructor cancel and join the workers, so a run that ends or stops
+/// early leaves no decode thread behind.
+class TdtbCursor final : public SourceCursor {
+ public:
+  /// Decodes `blob`, which `view` owns when given.
+  TdtbCursor(TraceContext& ctx, std::unique_ptr<FileView> view,
+             std::string_view blob, const ViewSourceOptions& options)
+      : ctx_(&ctx),
+        view_(std::move(view)),
+        blob_(blob),
+        diags_(options.diags) {
+    read_header();
+    have_pid_ = true;
+    if (version_ < kTdtbVersionFramed) return;
+    std::optional<TdtbContainerInfo> info = probe_tdtb(blob_);
+    if (!info || !info->has_index) return;  // walk the frames
+    info_ = std::move(*info);
+    indexed_ = true;
+    const std::size_t nframes = info_.frames.size();
+    // Pre-sample the frame-decode fault site here, once per frame in
+    // frame order — the draw sequence a walk makes — so injected
+    // schedules are identical at any job count.
+    injected_.assign(nframes, 0);
+    if (fault::FaultInjector::enabled()) {
+      for (char& fire : injected_) {
+        fire = fault::should_fire(fault::Site::FrameDecode) ? 1 : 0;
+      }
+    }
+    const std::size_t requested =
+        std::min(static_cast<std::size_t>(std::clamp(options.jobs, 1, 256)),
+                 std::max<std::size_t>(nframes, 1));
+    // More decode workers than cores is pure scheduling overhead; clamp
+    // unless a test explicitly wants the threaded machinery exercised.
+    const std::size_t hw =
+        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t nworkers =
+        options.clamp_jobs ? std::min(requested, hw) : requested;
+    if (nworkers <= 1) return;
+    slots_.resize(nframes);
+    window_ = nworkers * 2;
+    pool_.reserve(nworkers);
+    for (std::size_t i = 0; i < nworkers; ++i) {
+      pool_.emplace_back([this] { worker_main(); });
+    }
+  }
+
+  ~TdtbCursor() override { stop_workers(); }
+
+  TdtbCursor(const TdtbCursor&) = delete;
+  TdtbCursor& operator=(const TdtbCursor&) = delete;
+
+  std::size_t next_batch(std::vector<TraceRecord>& out,
+                         std::size_t max) override {
+    if (version_ < kTdtbVersionFramed) return next_flat(out, max);
+    while (buf_ == nullptr || slice_ == buf_->nslices) {
+      if (!advance()) return 0;
+    }
+    std::vector<TraceRecord>& slice = buf_->slices[slice_];
+    std::size_t n = 0;
+    if (slice_pos_ == 0 && out.empty() && slice.size() <= max) {
+      out.swap(slice);  // the caller's empty vector takes the slice's place
+      n = out.size();
+    } else {
+      n = std::min(max, slice.size() - slice_pos_);
+      const auto first =
+          slice.begin() + static_cast<std::ptrdiff_t>(slice_pos_);
+      out.insert(out.end(), first, first + static_cast<std::ptrdiff_t>(n));
+      slice_pos_ += n;
+    }
+    if (slice_pos_ == slice.size()) {  // handed over whole, or to its end
+      ++slice_;
+      slice_pos_ = 0;
+    }
+    records_ += n;
+    return n;
+  }
+
+  void finish(obs::Registry* registry) override {
+    stop_workers();
+    if (registry == nullptr) return;
+    // read.bytes: a complete pass consumed the whole input; an early stop
+    // counts through the last entry or frame handed out (for an indexed
+    // container, the start of the first untouched frame).
+    std::uint64_t bytes = pos_;
+    if (indexed_) {
+      bytes = next_frame_ == info_.frames.size()
+                  ? blob_.size()
+                  : info_.frames[next_frame_].offset;
+    }
+    registry->counter("read.records").add(records_);
+    registry->counter("read.bytes").add(bytes);
+    if (version_ >= kTdtbVersionFramed) {
+      registry->counter("read.frames").add(next_frame_);
+      registry->counter("read.compressed_bytes").add(stored_bytes_);
+    }
+  }
+
+ private:
+  /// Parses magic, version, pid and (v3) the advisory codec byte; leaves
+  /// pos_ at the first entry or frame. Nothing before the first entry can
+  /// be salvaged, so a failure here throws under every policy.
+  void read_header() {
+    if (blob_.size() < 4 ||
+        std::string_view(blob_.data(), 4) != std::string_view(kMagic, 4)) {
+      fatal(DiagCode::BinBadMagic, "not a TDTB binary trace (bad magic)");
+    }
+    const int version =
+        blob_.size() > 4 ? static_cast<std::uint8_t>(blob_[4]) : -1;
+    if (version != 1 && version != 2 && version != kTdtbVersionFramed) {
+      fatal(DiagCode::BinBadVersion,
+            "unsupported TDTB version " + std::to_string(version));
+    }
+    version_ = static_cast<std::uint8_t>(version);
+    const char* p = blob_.data() + 5;
+    const char* end = blob_.data() + blob_.size();
+    TdtbDecodeError err;
+    if (!read_field(p, end, pid_, ~std::uint64_t{0},
+                    DiagCode::BinFieldOverflow, "pid", false, err)) {
+      std::string message = err.message();
+      end_trace(err.code, message);
+      throw_parse_error(std::move(message));
+    }
+    if (version_ >= kTdtbVersionFramed) {
+      // Frames carry their own codec id; the header byte is advisory.
+      if (p == end) {
+        fatal(DiagCode::BinTruncated,
+              "truncated binary trace (missing codec byte)");
+      }
+      ++p;
+    }
+    pos_ = static_cast<std::size_t>(p - blob_.data());
+    crc_.update(blob_.data(), pos_);  // the v2 CRC starts at the magic
+  }
+
+  [[noreturn]] void fatal(DiagCode code, std::string message) {
+    if (diags_ != nullptr) {
+      diags_->report(DiagSeverity::Fatal, code, message);
+    }
+    throw_parse_error(std::move(message));
+  }
+
+  /// Ends the trace on a failure: Strict (or no engine) throws, Skip and
+  /// Repair report it and keep every record decoded before it.
+  void end_trace(DiagCode code, std::string message) {
+    ended_ = true;
+    if (diags_ == nullptr || diags_->strict()) {
+      throw_parse_error(std::move(message));
+    }
+    diags_->report(DiagSeverity::Error, code, std::move(message));
+  }
+
+  /// The footer's record total must match the records delivered; false
+  /// (reported) when it does not.
+  bool check_total(std::uint64_t total) {
+    if (total == records_) return true;
+    end_trace(DiagCode::BinCountMismatch,
+              "binary trace record count mismatch: footer says " +
+                  std::to_string(total) + ", decoded " +
+                  std::to_string(records_));
+    return false;
+  }
+
+  // --- flat (v1/v2) ---
+
+  std::size_t next_flat(std::vector<TraceRecord>& out, std::size_t max) {
+    if (ended_) return 0;
+    const std::size_t before = out.size();
+    const char* p = blob_.data() + pos_;
+    const char* crc_from = p;
+    TraceStrings strings{*ctx_, symbol_map_, crc_, crc_from};
+    TdtbDecodeError err;
+    const EntryStop stop = decode_entries(
+        strings, p, blob_.data() + blob_.size(), out, max, err);
+    crc_.update(crc_from, static_cast<std::size_t>(p - crc_from));
+    pos_ = static_cast<std::size_t>(p - blob_.data());
+    const std::size_t got = out.size() - before;
+    records_ += got;
+    if (stop == EntryStop::End) {
+      check_footer();
+    } else if (stop == EntryStop::Error) {
+      end_trace(err.code, err.message());
+    } else if (view_ != nullptr) {
+      view_->release_prefix(pos_ / kReleaseBytes * kReleaseBytes);
+    }
+    return got;
+  }
+
+  /// At the end tag: the v2 footer holds the record count and the CRC of
+  /// every byte from the magic through the end tag.
+  void check_footer() {
+    ended_ = true;
+    const std::string_view footer = blob_.substr(pos_);
+    pos_ = blob_.size();
+    if (version_ < 2) return;
+    if ((fault::FaultInjector::enabled() &&
+         fault::should_fire(fault::Site::BinaryBadFooter)) ||
+        footer.size() < kFooterSize) {
+      end_trace(DiagCode::BinBadFooter,
+                "truncated binary trace (v2 footer missing or short)");
+      return;
+    }
+    if (!check_total(get_le(footer.data(), 8))) return;
+    const auto stored = static_cast<std::uint32_t>(get_le(footer.data() + 8, 4));
+    if (stored != crc_.value()) {
+      end_trace(DiagCode::BinCrcMismatch,
+                "binary trace checksum mismatch (bit corruption): footer "
+                "crc32 " +
+                    std::to_string(stored) + ", computed " +
+                    std::to_string(crc_.value()));
+    }
+  }
+
+  // --- v3 frames ---
+
+  /// Moves to the next frame in frame order and applies the error policy
+  /// to it. Returns false at the end of the trace.
+  bool advance() {
+    release_frame();
+    FrameSlot* slot = nullptr;
+    if (!ended_) slot = indexed_ ? next_indexed() : next_walked();
+    if (slot == nullptr) return false;
+    slot_ = slot;
+    buf_ = slot->buf;
+    slice_ = 0;
+    slice_pos_ = 0;
+    if (slot->bad) {
+      if (diags_ == nullptr || diags_->strict()) {
+        throw_parse_error(std::move(slot->error));
+      }
+      diags_->report(DiagSeverity::Error, slot->code, slot->error);
+      if (diags_->repair()) {
+        // Repair: frame isolation — drop it, resume at the next frame.
+        buf_->nslices = 0;
+        return true;
+      }
+      // Skip: salvage the decoded prefix of the bad frame, then end.
+      ended_ = true;
+    }
+    if (!intern_frame_defs(*ctx_, buf_->frame, symbol_map_)) {
+      for (std::size_t k = 0; k < buf_->nslices; ++k) {
+        remap_frame_records(buf_->slices[k], symbol_map_);
+      }
+    }
+    return true;
+  }
+
+  FrameSlot* next_indexed() {
+    if (next_frame_ == info_.frames.size()) {
+      ended_ = true;
+      check_total(info_.total_records);
+      return nullptr;
+    }
+    const std::size_t i = next_frame_++;
+    stored_bytes_ += info_.frames[i].csize;
+    if (!pool_.empty()) return &await(i);
+    return &decode_inline(info_.frames[i], injected_[i] != 0, i);
+  }
+
+  /// Parses the frame header at pos_ in place; at the end tag, checks the
+  /// index and footer instead. nullptr once the trace ended.
+  FrameSlot* next_walked() {
+    const bool at_end = pos_ < blob_.size() &&
+                        static_cast<std::uint8_t>(blob_[pos_]) == kTagEnd;
+    if (at_end) {
+      ++pos_;
+      check_container_footer();
+      return nullptr;
+    }
+    // Sampled once per frame, in frame order, as the indexed layout
+    // pre-samples it.
+    const bool injected =
+        pos_ < blob_.size() &&
+        static_cast<std::uint8_t>(blob_[pos_]) == kTagFrame &&
+        fault::FaultInjector::enabled() &&
+        fault::should_fire(fault::Site::FrameDecode);
+    std::uint64_t payload_off = 0;
+    TdtbDecodeError why;
+    const std::optional<TdtbFrameInfo> fi =
+        parse_frame_header(blob_, pos_, &payload_off, &why);
+    if (!fi) {
+      end_trace(why.code, why.message());
+      return nullptr;
+    }
+    pos_ = static_cast<std::size_t>(payload_off + fi->csize);
+    stored_bytes_ += fi->csize;
+    return &decode_inline(*fi, injected, next_frame_++);
+  }
+
+  /// After a walk's end tag: the rest of the input must be exactly an
+  /// index that passes its CRC plus a footer whose totals match.
+  void check_container_footer() {
+    ended_ = true;
+    const std::string_view tail = blob_.substr(pos_);
+    pos_ = blob_.size();
+    if ((fault::FaultInjector::enabled() &&
+         fault::should_fire(fault::Site::BinaryBadFooter)) ||
+        tail.size() < kContainerFooterSize) {
+      end_trace(DiagCode::BinBadIndex,
+                "truncated binary trace (container footer missing or short)");
+      return;
+    }
+    const std::size_t index_len = tail.size() - kContainerFooterSize;
+    const char* f = tail.data() + index_len;
+    if (std::string_view(f + 24, 4) != std::string_view(kIndexMagic, 4)) {
+      end_trace(DiagCode::BinBadIndex,
+                "container footer magic mismatch (expected TDTX)");
+      return;
+    }
+    if (get_le(f + 16, 4) != index_len) {
+      end_trace(DiagCode::BinBadIndex,
+                "frame index length mismatch: footer says " +
+                    std::to_string(get_le(f + 16, 4)) + " bytes, found " +
+                    std::to_string(index_len));
+      return;
+    }
+    if (crc32(tail.data(), index_len) != get_le(f + 20, 4)) {
+      end_trace(DiagCode::BinBadIndex,
+                "frame index checksum mismatch (bit corruption)");
+      return;
+    }
+    if (get_le(f + 8, 8) != next_frame_) {
+      end_trace(DiagCode::BinCountMismatch,
+                "binary trace frame count mismatch: footer says " +
+                    std::to_string(get_le(f + 8, 8)) + ", decoded " +
+                    std::to_string(next_frame_));
+      return;
+    }
+    check_total(get_le(f, 8));
+  }
+
+  FrameSlot& decode_inline(const TdtbFrameInfo& fi, bool injected,
+                           std::size_t frame_no) {
+    solo_slot_ = FrameSlot{};
+    solo_slot_.buf = &solo_buf_;
+    decode_frame_slices(blob_, fi, injected, frame_no, solo_slot_, scratch_);
+    return solo_slot_;
+  }
+
+  FrameSlot& await(std::size_t i) {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [&] { return slots_[i].done; });
+    return slots_[i];
+  }
+
+  /// Hands the drained frame's buffer back to the workers and opens the
+  /// claim window by one frame.
+  void release_frame() {
+    if (slot_ == nullptr) return;
+    if (!pool_.empty()) {
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        free_bufs_.push_back(slot_->buf);
+        released_ = next_frame_;
+      }
+      cv_.notify_all();
+    }
+    slot_->buf = nullptr;
+    slot_ = nullptr;
+    buf_ = nullptr;
+  }
+
+  void worker_main() {
+    const std::size_t nframes = info_.frames.size();
+    std::vector<TraceRecord> scratch;  // this worker's decode target
+    for (;;) {
+      std::size_t idx = 0;
+      FrameBuf* buf = nullptr;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] {
+          return cancel_ || next_claim_ >= nframes ||
+                 next_claim_ < released_ + window_;
+        });
+        if (cancel_ || next_claim_ >= nframes) return;
+        idx = next_claim_++;
+        if (!free_bufs_.empty()) {
+          buf = free_bufs_.back();
+          free_bufs_.pop_back();
+        }
+      }
+      if (buf == nullptr) {
+        auto fresh = std::make_unique<FrameBuf>();
+        buf = fresh.get();
+        std::lock_guard<std::mutex> lock(mu_);
+        buf_storage_.push_back(std::move(fresh));
+      }
+      FrameSlot& slot = slots_[idx];
+      slot.buf = buf;
+      try {
+        decode_frame_slices(blob_, info_.frames[idx], injected_[idx] != 0,
+                            static_cast<std::uint64_t>(idx), slot, scratch);
+      } catch (const std::exception& e) {
+        buf->nslices = 0;
+        slot.bad = true;
+        slot.code = DiagCode::BinFrameCorrupt;
+        slot.error = e.what();
+      }
+      {
+        std::lock_guard<std::mutex> lock(mu_);
+        slot.done = true;
+      }
+      cv_.notify_all();
+    }
+  }
+
+  void stop_workers() noexcept {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      cancel_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& t : pool_) {
+      if (t.joinable()) t.join();
+    }
+  }
+
+  TraceContext* ctx_;
+  std::unique_ptr<FileView> view_;  // owns the bytes blob_ views, if set
+  std::string_view blob_;
+  DiagEngine* diags_;
+  std::uint8_t version_ = 0;
+  std::vector<Symbol> symbol_map_;  // file or frame string id -> symbol
+
+  // Consumer state (calling thread only).
+  std::size_t pos_ = 0;         // flat/walked: bytes consumed so far
+  bool ended_ = false;          // no more records: end tag, or a failure
+  std::uint64_t records_ = 0;   // records handed out
+  Crc32 crc_;                   // flat: through pos_
+  std::size_t next_frame_ = 0;  // v3: frames handed out or dropped so far
+  std::uint64_t stored_bytes_ = 0;
+  FrameSlot* slot_ = nullptr;   // slot of the frame being drained
+  FrameBuf* buf_ = nullptr;     // its decoded slices
+  std::size_t slice_ = 0;       // next slice of buf_ to hand out
+  std::size_t slice_pos_ = 0;   // records of that slice already copied out
+  FrameBuf solo_buf_;           // inline decode
+  FrameSlot solo_slot_;
+  std::vector<TraceRecord> scratch_;
+
+  // Indexed layout; read-only once constructed.
+  bool indexed_ = false;
+  TdtbContainerInfo info_;
+  std::vector<char> injected_;  // pre-sampled frame-decode faults
+
+  // Worker pool (empty when decoding inline). Everything below is
+  // guarded by mu_ except the slots' payloads, which `done` publishes.
+  std::vector<FrameSlot> slots_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::size_t next_claim_ = 0;  // next frame a worker decodes
+  std::size_t released_ = 0;    // frames the consumer is done with
+  std::size_t window_ = 0;
+  bool cancel_ = false;
+  // Decode-buffer pool. After warm-up the pipeline recycles buffers and
+  // steady-state decode allocates nothing.
+  std::vector<std::unique_ptr<FrameBuf>> buf_storage_;
+  std::vector<FrameBuf*> free_bufs_;
+  std::vector<std::thread> pool_;
+};
+
+}  // namespace
+
+std::unique_ptr<SourceCursor> open_tdtb_cursor(
+    TraceContext& ctx, const std::string& path,
+    const ViewSourceOptions& options) {
+  std::unique_ptr<FileView> view = FileView::open(path);
+  if (view == nullptr) {
+    throw_io_error("cannot open trace file '" + path + "'");
+  }
+  const std::string_view bytes = view->bytes();
+  return std::make_unique<TdtbCursor>(ctx, std::move(view), bytes, options);
 }
 
 // --- sink + whole-trace helpers ---------------------------------------------
@@ -1325,13 +1611,12 @@ std::vector<TraceRecord> read_binary_trace(TraceContext& ctx,
                                            std::span<const char> blob,
                                            std::uint64_t* pid,
                                            DiagEngine* diags) {
-  std::istringstream in(std::string(blob.data(), blob.size()),
-                        std::ios::binary);
-  BinaryTraceReader r(ctx, in, diags);
-  if (pid != nullptr) *pid = r.pid();
+  TdtbCursor cursor(ctx, nullptr, std::string_view(blob.data(), blob.size()),
+                    ViewSourceOptions{.diags = diags});
+  if (pid != nullptr) *pid = cursor.pid();
   std::vector<TraceRecord> records;
-  TraceRecord rec;
-  while (r.next(rec)) records.push_back(rec);
+  while (cursor.next_batch(records, kViewBatch) > 0) {
+  }
   return records;
 }
 

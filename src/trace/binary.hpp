@@ -26,22 +26,26 @@
 // the frame payload; with a codec and `jobs` > 1 one writer thread
 // compresses, checksums and writes each full frame while the caller
 // encodes the next, and the bytes are identical to the inline writer's.
+//
+// One reader decodes every version in place from one byte view: the
+// file's FileView, or the caller's blob. v1/v2 bodies and v3 frame
+// payloads go through one entry decoder; v3 frames through one ladder of
+// checks (CRC, codec, decompression, payload, record count).
 #pragma once
 
 #include <cstdint>
-#include <istream>
 #include <memory>
 #include <optional>
 #include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "trace/codec.hpp"
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
+#include "trace/stream.hpp"
 #include "util/crc32.hpp"
 #include "util/diag.hpp"
 
@@ -113,9 +117,12 @@ struct TdtbContainerInfo {
 };
 
 /// Parses container metadata without decoding records. Returns nullopt
-/// when `blob` is not a TDTB trace at all; a v3 blob whose index or
-/// footer fails validation comes back with has_index == false (the
-/// sequential reader will produce the precise diagnostic).
+/// when `blob` is not a TDTB trace at all. A v3 blob gets has_index only
+/// when its frames tile the body exactly — the first right after the
+/// header, each next one where the last ended, the end tag right after
+/// the last one and right before an index that agrees with every frame
+/// header; otherwise the reader walks the frames in place and produces
+/// the precise diagnostic.
 [[nodiscard]] std::optional<TdtbContainerInfo> probe_tdtb(
     std::string_view blob) noexcept;
 
@@ -124,56 +131,64 @@ struct TdtbContainerInfo {
 [[nodiscard]] std::optional<TdtbContainerInfo> probe_tdtb_file(
     const std::string& path) noexcept;
 
-/// Parses the v3 frame header whose tag byte sits at `blob[offset]`.
-/// On success `*payload_offset` receives the file offset of the stored
-/// payload bytes. nullopt on structural corruption.
-[[nodiscard]] std::optional<TdtbFrameInfo> parse_frame_header(
-    std::string_view blob, std::uint64_t offset,
-    std::uint64_t* payload_offset) noexcept;
+/// Why TDTB entries or a frame header failed to decode. The decoders
+/// fill it without formatting anything; message() builds the diagnostic
+/// text on the error path.
+struct TdtbDecodeError {
+  enum class Kind : std::uint8_t {
+    VarintEof,          ///< input ends inside the varint field `what`
+    BadVarint,          ///< `what` overflows 64 bits or runs past 10 bytes
+    OverLimit,          ///< `what` holds `value`, above `limit`
+    ShortString,        ///< input ends inside a string definition
+    Redefined,          ///< string id `value` redefined within a frame
+    BadTag,             ///< unknown entry tag `value`
+    ShortRecord,        ///< input ends after a record tag
+    Undefined,          ///< reference to undefined string id `value`
+    ShortSteps,         ///< input ends inside selector steps
+    NoEnd,              ///< input ends before the end tag
+    ShortFrameHeader,   ///< input ends inside a frame header
+    ShortFramePayload,  ///< input ends inside a frame's stored bytes
+  };
+  DiagCode code = DiagCode::BinTruncated;
+  Kind kind = Kind::NoEnd;
+  bool in_frame = false;    ///< inside a v3 frame payload
+  const char* what = "";    ///< the field, for varint and limit errors
+  std::uint64_t value = 0;  ///< offending value, tag or string id
+  std::uint64_t limit = 0;
 
-/// A frame decoded without touching the shared string pool (phase one of
-/// the two-phase decode): record symbol fields carry *frame-local string
-/// ids* (not interned symbols) and `defs` lists the frame's string
-/// definitions in definition order, viewing into the payload buffer.
-/// Worker threads produce DecodedFrames concurrently; a single consumer
-/// thread calls bind_frame() in frame order, which makes interning
-/// single-writer and keeps symbol ids identical to a sequential decode.
-struct DecodedFrame {
-  std::vector<TraceRecord> records;
-  std::vector<std::pair<std::uint64_t, std::string_view>> defs;
-  bool ok = true;            ///< false: `error_code`/`error` describe why,
-                             ///< `records` holds the decoded prefix
-  DiagCode error_code = DiagCode::BinTruncated;
-  std::string error;
-
-  // Decoder scratch (definition-seen map), reused across frames.
-  std::vector<std::uint32_t> seen_defs;
-  std::vector<std::uint64_t> seen_ids;
+  [[nodiscard]] std::string message() const;
 };
 
-/// Phase one: decodes one uncompressed frame payload into `out`.
-/// Thread-safe (no shared state); `payload` must outlive `out.defs`.
-/// Every symbol a record references must be defined earlier in the same
-/// frame (frames are independently decodable); a mid-frame redefinition
-/// with different text is corruption.
-void decode_frame_payload(std::string_view payload, DecodedFrame& out);
+/// Parses the v3 frame header whose tag byte sits at `blob[offset]`.
+/// On success `*payload_offset` receives the file offset of the stored
+/// payload bytes. nullopt on structural corruption; `*why`, when given,
+/// then says what failed.
+[[nodiscard]] std::optional<TdtbFrameInfo> parse_frame_header(
+    std::string_view blob, std::uint64_t offset,
+    std::uint64_t* payload_offset, TdtbDecodeError* why = nullptr) noexcept;
 
-/// Phase two: interns `frame.defs` in definition order and rewrites the
-/// frame-local ids in `frame.records` to interned symbols. `symbol_map`
-/// is caller-owned scratch reused across frames. Call in frame order
-/// from a single thread.
-void bind_frame(TraceContext& ctx, DecodedFrame& frame,
-                std::vector<Symbol>& symbol_map);
-
-/// bind_frame() in two steps, for callers that keep the frame's records
-/// elsewhere: intern_frame_defs() interns the definitions (same calling
-/// rules) and returns true when every id interned to itself, in which
-/// case the records need no rewrite; otherwise remap_frame_records()
-/// rewrites them.
-bool intern_frame_defs(TraceContext& ctx, const DecodedFrame& frame,
-                       std::vector<Symbol>& symbol_map);
-void remap_frame_records(std::span<TraceRecord> records,
-                         const std::vector<Symbol>& symbol_map);
+/// The TDTB reader over a whole file: mapped, or read whole when it is a
+/// pipe. The version byte picks the layout, so tools never need a format
+/// flag:
+///
+/// - v3 with a valid frame index decodes its frames on `options.jobs`
+///   workers (inline at 1) and hands them out in frame order;
+/// - v3 without one walks its frames in place, inline;
+/// - v1/v2 decode their body in place and release the pages behind the
+///   decode point as they go.
+///
+/// Without a DiagEngine (or with a Strict one) any corruption throws
+/// Error{Parse}. With Skip, corruption is reported and the trace ends
+/// with every record decoded so far. With Repair, a v3 frame that fails
+/// in isolation (CRC, codec, decompression, payload, record count) is
+/// reported and dropped, and reading resumes at the next frame; v1/v2
+/// Repair behaves like Skip. A footer or index that disagrees with what
+/// was decoded is reported without discarding records. A bad magic or
+/// version is always fatal. Throws Error{Io} when the file cannot be
+/// opened.
+[[nodiscard]] std::unique_ptr<SourceCursor> open_tdtb_cursor(
+    TraceContext& ctx, const std::string& path,
+    const ViewSourceOptions& options);
 
 /// Streaming binary writer (v1, v2, or the v3 framed container).
 ///
@@ -296,94 +311,6 @@ class BinaryTraceWriter {
   std::unique_ptr<FrameThread> thread_;  // v3 with a codec and jobs > 1
 };
 
-/// Streaming binary reader for v1, v2, and v3 blobs (the version byte is
-/// auto-detected; tools never need a format flag).
-///
-/// Without a DiagEngine (or with a Strict one) any corruption throws
-/// Error{Parse}. With Skip, mid-stream corruption (truncation, bad
-/// varint, undefined symbol, unknown tag, corrupt frame) is reported and
-/// the trace ends early with every record decoded so far salvaged. With
-/// Repair, a v3 frame that fails in isolation (CRC mismatch, unknown
-/// codec, failed decompression, undecodable payload) is reported and
-/// *dropped*, and reading resumes at the next frame — frame isolation is
-/// exactly what the framed container buys; v1/v2 Repair behaves like
-/// Skip. Footer/index mismatches are reported but do not discard decoded
-/// records. A bad magic or unsupported version is always fatal.
-class BinaryTraceReader {
- public:
-  BinaryTraceReader(TraceContext& ctx, std::istream& in,
-                    DiagEngine* diags = nullptr);
-
-  /// Reads the next record; returns false at the end of the trace.
-  bool next(TraceRecord& out);
-
-  [[nodiscard]] std::uint64_t pid() const noexcept { return pid_; }
-
-  /// Format version of the open blob (1, 2, or 3).
-  [[nodiscard]] std::uint8_t version() const noexcept { return version_; }
-
-  /// Header codec byte (v3); Codec::None otherwise.
-  [[nodiscard]] Codec default_codec() const noexcept { return default_codec_; }
-
-  /// Records decoded so far.
-  [[nodiscard]] std::uint64_t records_read() const noexcept {
-    return record_count_;
-  }
-
-  /// Input bytes consumed so far (obs integration).
-  [[nodiscard]] std::uint64_t bytes_read() const noexcept {
-    return bytes_read_;
-  }
-
-  /// v3 frames decoded so far (read.frames counter).
-  [[nodiscard]] std::uint64_t frames_read() const noexcept {
-    return frames_read_;
-  }
-
-  /// v3 stored (compressed) payload bytes consumed so far
-  /// (read.compressed_bytes counter).
-  [[nodiscard]] std::uint64_t compressed_bytes() const noexcept {
-    return compressed_bytes_;
-  }
-
- private:
-  struct RecoverEnd;  // unwinds next() when a recoverable error was reported
-
-  [[noreturn]] void fail(DiagCode code, std::string message);
-  void frame_error(DiagCode code, std::string message);  // v3 frame-local
-  int next_byte();  // -1 at eof; feeds the CRC
-  bool read_exact(char* dst, std::size_t len);
-  std::uint64_t get_varint();
-  std::uint64_t get_varint_max(std::uint64_t max_value, DiagCode code,
-                               const char* what);
-  void check_footer();            // v2 count+CRC footer
-  void check_container_footer();  // v3 index + footer
-  Symbol map_symbol(std::uint64_t file_id);
-  bool next_v12(TraceRecord& out);
-  bool next_v3(TraceRecord& out);
-  bool load_frame();  // v3: fills pending_; false = frame dropped (Repair)
-
-  TraceContext* ctx_;
-  std::istream* in_;
-  DiagEngine* diags_;
-  std::uint64_t pid_ = 0;
-  std::uint8_t version_ = 1;
-  Codec default_codec_ = Codec::None;
-  std::uint64_t record_count_ = 0;
-  std::uint64_t bytes_read_ = 0;
-  std::uint64_t frames_read_ = 0;
-  std::uint64_t compressed_bytes_ = 0;
-  Crc32 crc_;
-  bool done_ = false;
-  std::vector<Symbol> symbol_map_;  // file id -> ctx symbol
-  // v3 state: decoded records of the current frame, served in order.
-  std::vector<TraceRecord> pending_;
-  std::size_t pending_pos_ = 0;
-  std::string stored_;   // current frame's stored bytes
-  std::string payload_;  // decompression scratch
-  DecodedFrame frame_;   // phase-one scratch
-};
-
 /// TraceSink adapter writing a TDTB trace as records stream through, so
 /// a pipeline (reader -> transformer -> ...) can emit a binary trace
 /// without materializing the record vector. finish() runs at on_end();
@@ -435,8 +362,8 @@ std::vector<char> write_binary_trace(const TraceContext& ctx,
                                      std::uint64_t pid,
                                      const BinaryWriterOptions& options);
 
-/// Parses a whole binary blob. `diags` selects the recovery policy
-/// (nullptr = strict).
+/// Parses a whole binary blob in place through the same reader, inline.
+/// `diags` selects the recovery policy (nullptr = strict).
 std::vector<TraceRecord> read_binary_trace(TraceContext& ctx,
                                            std::span<const char> blob,
                                            std::uint64_t* pid = nullptr,

@@ -1,5 +1,6 @@
 #include "trace/source.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -36,6 +37,39 @@ namespace {
   }
   return in;
 }
+
+#if TDT_HAVE_MMAP
+/// Maps `path` read-only when stat(2) says it is a non-empty regular
+/// file; nullptr otherwise. The stat comes first: opening a named pipe
+/// only to learn it cannot be mapped, then closing it, would cut its
+/// writer off, and the fallback's open would wait forever.
+[[nodiscard]] const char* map_regular_file(const std::string& path,
+                                           std::size_t& size) noexcept {
+  struct stat st{};
+  if (::stat(path.c_str(), &st) != 0 || !S_ISREG(st.st_mode) ||
+      st.st_size <= 0) {
+    return nullptr;
+  }
+  const int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) return nullptr;
+  size = static_cast<std::size_t>(st.st_size);
+  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
+  ::close(fd);  // the mapping keeps its own reference
+  return base == MAP_FAILED ? nullptr : static_cast<const char*>(base);
+}
+
+/// Drops the whole pages of [base + released, base + upto) from the
+/// resident set of a read-only mapping and advances `released`; the
+/// pages fault back in from the file if read again.
+void release_pages(const char* base, std::size_t& released,
+                   std::size_t upto) noexcept {
+  static const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::size_t end = upto / page * page;
+  if (end <= released) return;
+  ::madvise(const_cast<char*>(base) + released, end - released, MADV_DONTNEED);
+  released = end;
+}
+#endif
 
 }  // namespace
 
@@ -77,22 +111,14 @@ std::string_view StreamSource::next_chunk() {
 std::unique_ptr<MmapSource> MmapSource::open(const std::string& path,
                                              std::size_t chunk) {
 #if TDT_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) return nullptr;
-  struct stat st{};
-  if (::fstat(fd, &st) != 0 || !S_ISREG(st.st_mode) || st.st_size <= 0) {
-    ::close(fd);
-    return nullptr;
-  }
-  const auto size = static_cast<std::size_t>(st.st_size);
-  void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-  ::close(fd);  // the mapping keeps its own reference
-  if (base == MAP_FAILED) return nullptr;
+  std::size_t size = 0;
+  const char* base = map_regular_file(path, size);
+  if (base == nullptr) return nullptr;
 #if defined(POSIX_MADV_SEQUENTIAL)
-  ::posix_madvise(base, size, POSIX_MADV_SEQUENTIAL);
+  ::posix_madvise(const_cast<char*>(base), size, POSIX_MADV_SEQUENTIAL);
 #endif
-  return std::unique_ptr<MmapSource>(new MmapSource(
-      static_cast<const char*>(base), size, chunk == 0 ? kDefaultChunk : chunk));
+  return std::unique_ptr<MmapSource>(
+      new MmapSource(base, size, chunk == 0 ? kDefaultChunk : chunk));
 #else
   (void)path;
   (void)chunk;
@@ -288,32 +314,18 @@ bool GzipSource::failed() const noexcept {
 std::unique_ptr<FileView> FileView::open(const std::string& path) {
   std::unique_ptr<FileView> view(new FileView());
 #if TDT_HAVE_MMAP
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    struct stat st{};
-    const bool regular = ::fstat(fd, &st) == 0 && S_ISREG(st.st_mode);
-    if (regular && st.st_size == 0) {
-      ::close(fd);
-      return view;  // empty view
-    }
-    if (regular) {
-      const auto size = static_cast<std::size_t>(st.st_size);
-      void* base = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-      ::close(fd);
-      if (base != MAP_FAILED) {
+  std::size_t size = 0;
+  if (const char* base = map_regular_file(path, size)) {
 #if defined(POSIX_MADV_WILLNEED)
-        ::posix_madvise(base, size, POSIX_MADV_WILLNEED);
+    ::posix_madvise(const_cast<char*>(base), size, POSIX_MADV_WILLNEED);
 #endif
-        view->base_ = static_cast<const char*>(base);
-        view->size_ = size;
-        view->mapped_ = true;
-        return view;
-      }
-    } else {
-      ::close(fd);
-    }
+    view->base_ = base;
+    view->size_ = size;
+    view->mapped_ = true;
+    return view;
   }
 #endif
+  // A pipe, an empty file, or a file that cannot be mapped: read it whole.
   std::ifstream in(path, std::ios::in | std::ios::binary);
   if (!in) return nullptr;
   std::string buf;
@@ -337,6 +349,14 @@ FileView::~FileView() {
   if (mapped_ && base_ != nullptr) {
     ::munmap(const_cast<char*>(base_), size_);
   }
+#endif
+}
+
+void FileView::release_prefix(std::size_t n) noexcept {
+#if TDT_HAVE_MMAP
+  if (mapped_) release_pages(base_, released_, std::min(n, size_));
+#else
+  (void)n;
 #endif
 }
 

@@ -114,7 +114,8 @@ class MmapSource final : public ByteSource {
  public:
   /// Maps `path` when it names a non-empty regular file; nullptr when
   /// mapping is impossible (missing file, pipe/device, empty file,
-  /// platform without mmap) — never throws for fallback-able causes.
+  /// platform without mmap) — never throws for fallback-able causes. A
+  /// pipe is never opened here, so the fallback's open is its only one.
   /// `chunk` is a test knob bounding slice size.
   static std::unique_ptr<MmapSource> open(const std::string& path,
                                           std::size_t chunk = kDefaultChunk);
@@ -229,9 +230,9 @@ class GzipSource final : public ByteSource {
   bool failed_ = false;
 };
 
-/// Read-only view of one whole file: mmap'd when possible, slurped into
-/// a buffer otherwise. The TDTB container probe and the parallel frame
-/// decoder need random access to frames; this is their backing.
+/// Read-only view of one whole file: a regular file is mmap'd when
+/// possible; anything else (a pipe, a device) is read whole into a
+/// buffer. The TDTB reader decodes in place from it.
 class FileView {
  public:
   /// nullptr when the file cannot be opened or read. An empty file
@@ -246,11 +247,18 @@ class FileView {
     return {base_, size_};
   }
 
+  /// Gives the whole pages of bytes()[0, n) back to the kernel: a
+  /// sequential reader that is done with them keeps its resident set
+  /// small. They stay readable (a mapped page faults back in from the
+  /// file). No-op on a buffered view.
+  void release_prefix(std::size_t n) noexcept;
+
  private:
   FileView() = default;
 
   const char* base_ = nullptr;
   std::size_t size_ = 0;
+  std::size_t released_ = 0;  // bytes already given back
   bool mapped_ = false;
   std::string buf_;  // fallback storage when mmap is impossible
 };

@@ -25,8 +25,8 @@ enum class TraceFormat : std::uint8_t { Gleipnir, Din, Tdtb };
 /// anything else -> Gleipnir text.
 [[nodiscard]] TraceFormat guess_trace_format(const std::string& path) noexcept;
 
-/// Records per batch the view DAG pulls from a source. The indexed TDTB
-/// v3 cursor decodes straight into slices of this size.
+/// Records per batch the view DAG pulls from a source. The TDTB reader
+/// cuts decoded v3 frames into slices of this size.
 inline constexpr std::size_t kViewBatch = 4096;
 
 /// How a source opens its input.
@@ -37,12 +37,11 @@ struct ViewSourceOptions {
   /// Worker threads decoding TDTB v3 frames concurrently when the
   /// container carries a valid frame index (--jobs N). Frames are bound
   /// and handed out in frame order on the consuming thread, so any job
-  /// count yields output byte-identical to the sequential decode; <= 1
-  /// runs the same seekable path inline with no threads at all. Ignored
-  /// for text, din, v1/v2 blobs, and v3 files whose index fails
-  /// validation (those fall back to the sequential reader and its
-  /// diagnostics). The effective count is clamped to the hardware
-  /// concurrency (see clamp_jobs).
+  /// count yields output byte-identical to the inline decode; <= 1 runs
+  /// the same path inline with no threads at all. Ignored for text, din,
+  /// v1/v2 blobs, and v3 files whose index fails validation (the reader
+  /// walks those frames inline). The effective count is clamped to the
+  /// hardware concurrency (see clamp_jobs).
   int jobs = 1;
   /// Clamp the decode workers to std::thread::hardware_concurrency().
   /// Oversubscribing a small machine only adds scheduling overhead;
@@ -53,11 +52,12 @@ struct ViewSourceOptions {
 
 /// Pull side of a source: next_batch() appends at most `max` records to
 /// `out` and returns how many it appended; 0 means end of input.
-/// finish() folds the reader-side read.* counters (read.records,
-/// read.bytes, read.fast_parses, read.slow_parses, and read.frames /
-/// read.compressed_bytes for framed TDTB) into `registry` once the
-/// stream is done — at end of input or when the consumer stops early —
-/// and releases any decode threads; a null registry folds nothing.
+/// finish() folds the reader-side read.* counters (read.records and
+/// read.bytes, read.fast_parses / read.slow_parses for text, and
+/// read.frames / read.compressed_bytes for framed TDTB) into `registry`
+/// once the stream is done — at end of input or when the consumer stops
+/// early — and releases any decode threads; a null registry folds
+/// nothing.
 /// Destroying a cursor mid-stream also joins its threads.
 class SourceCursor {
  public:
@@ -79,9 +79,10 @@ class SourceCursor {
 /// in binary mode for every format. Gleipnir text reads through the
 /// byte-source layer: `options.ingest` picks the backend, "-" streams
 /// stdin through the overlapped reader, and gzip'd text inflates
-/// transparently. A TDTB v3 container with a valid frame index decodes
-/// on the seekable parallel path (`options.jobs`). Throws Error{Io} when
-/// the file cannot be opened.
+/// transparently. TDTB goes to the one TDTB reader (open_tdtb_cursor in
+/// trace/binary.hpp); a v3 container with a valid frame index decodes on
+/// `options.jobs` workers. Throws Error{Io} when the file cannot be
+/// opened.
 [[nodiscard]] std::unique_ptr<SourceCursor> open_trace_cursor(
     TraceContext& ctx, const std::string& path,
     const ViewSourceOptions& options);

@@ -362,6 +362,26 @@ if(NOT err MATCHES "bin-crc-mismatch")
   message(FATAL_ERROR "crc flip skip missing B010: ${err}")
 endif()
 
+# A short read ends the v2 stream after 1000 entries: 994 records and the
+# 6 string definitions among them. Strict is fatal; skip keeps exactly
+# the records before the cut.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.tdtb --size 4096
+          --fault-spec "binary.short-read:1:1000"
+  RESULT_VARIABLE rc)
+check_rc("short read strict" 2 "${rc}")
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.tdtb --size 4096
+          --on-error=skip --fault-spec "binary.short-read:1:1000"
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+check_rc("short read skip" 1 "${rc}")
+if(NOT err MATCHES "bin-truncated")
+  message(FATAL_ERROR "short read skip missing B003: ${err}")
+endif()
+if(NOT out MATCHES "accesses +621 +373 +994\n")
+  message(FATAL_ERROR "short read skip salvaged the wrong prefix: ${out}")
+endif()
+
 execute_process(
   COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.tdtb --size 4096
           --fault-spec "binary.bad-footer:1"

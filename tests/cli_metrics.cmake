@@ -269,3 +269,43 @@ if(NOT ti_records EQUAL trace_records)
   message(FATAL_ERROR
     "traceinfo read.records=${ti_records}, want ${trace_records}")
 endif()
+
+# ---- read.bytes: a complete pass counts the whole input --------------
+
+# The v2 count+CRC footer and the v3 index and footer count too.
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 256 --binary
+          --out ${WORKDIR}/t_v2.tdtb
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gtracer v2 failed: ${rc}")
+endif()
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 256 --binary --compress none
+          --out ${WORKDIR}/t_v3.tdtb
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gtracer v3 failed: ${rc}")
+endif()
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 256 --din --out ${WORKDIR}/t.din
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "gtracer din failed: ${rc}")
+endif()
+foreach(input t.out t.din t_v2.tdtb t_v3.tdtb)
+  execute_process(
+    COMMAND ${TRACEINFO} ${WORKDIR}/${input}
+            --metrics-json ${WORKDIR}/bytes.json
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "traceinfo ${input} failed: ${rc}")
+  endif()
+  check_metrics(${WORKDIR}/bytes.json traceinfo bytes_doc)
+  string(JSON read_bytes GET "${bytes_doc}" counters read.bytes)
+  file(SIZE ${WORKDIR}/${input} input_size)
+  if(NOT read_bytes EQUAL input_size)
+    message(FATAL_ERROR
+      "traceinfo ${input}: read.bytes=${read_bytes}, file is ${input_size}")
+  endif()
+endforeach()

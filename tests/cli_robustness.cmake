@@ -157,3 +157,67 @@ if(HEAD_TOOL)
 else()
   message(STATUS "head(1) not found; skipping binary truncation checks")
 endif()
+
+# -- Named pipes: a FIFO is read like the file it carries. --------------------
+# A writer feeds the pipe while the tool reads it. Each tool opens the
+# path once; closing and reopening it would cut the writer off and wait
+# forever, which TIMEOUT turns into a failure. stdout must match the run
+# on the regular file. traceinfo cannot probe a pipe without consuming
+# it, so a pipe's run has no "== container ==" section.
+find_program(MKFIFO_TOOL mkfifo)
+find_program(SH_TOOL sh)
+if(UNIX AND MKFIFO_TOOL AND SH_TOOL)
+  execute_process(
+    COMMAND ${GTRACER} --kernel t1_soa --len 64 --binary --compress zstd
+            --out ${WORKDIR}/good_v3.tdtb
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)  # zstd is not loadable here: store the frames
+    execute_process(
+      COMMAND ${GTRACER} --kernel t1_soa --len 64 --binary --compress none
+              --out ${WORKDIR}/good_v3.tdtb
+      RESULT_VARIABLE rc)
+  endif()
+  check_rc("gtracer v3" 0 "${rc}")
+
+  # Runs the command in ARGN, with @TRACE@ standing for the trace path,
+  # on `input` and on a FIFO fed from it; both runs must print the same,
+  # but for the container section when `strip_container` is set.
+  function(check_fifo_run input fifo strip_container)
+    string(REPLACE "@TRACE@" "${WORKDIR}/${input}" file_cmd "${ARGN}")
+    string(REPLACE "@TRACE@" "${WORKDIR}/${fifo}" pipe_cmd "${ARGN}")
+    execute_process(
+      COMMAND ${file_cmd}
+      RESULT_VARIABLE rc OUTPUT_VARIABLE file_out)
+    check_rc("${input} as a file" 0 "${rc}")
+    if(strip_container)
+      string(REGEX REPLACE "^== container ==\n([^\n]+\n)*\n" "" file_out
+             "${file_out}")
+    endif()
+    file(REMOVE ${WORKDIR}/${fifo})
+    execute_process(COMMAND ${MKFIFO_TOOL} ${WORKDIR}/${fifo}
+                    RESULT_VARIABLE rc)
+    check_rc("mkfifo ${fifo}" 0 "${rc}")
+    execute_process(
+      COMMAND ${SH_TOOL} -c "cat \"$0\" > \"$1\"" ${WORKDIR}/${input}
+              ${WORKDIR}/${fifo}
+      COMMAND ${pipe_cmd}
+      TIMEOUT 30
+      RESULT_VARIABLE rc OUTPUT_VARIABLE pipe_out)
+    check_rc("${input} through a FIFO" 0 "${rc}")
+    if(NOT pipe_out STREQUAL file_out)
+      message(FATAL_ERROR
+        "${input} through a FIFO differs from the file:\n${pipe_out}\n"
+        "want:\n${file_out}")
+    endif()
+    file(REMOVE ${WORKDIR}/${fifo})
+  endfunction()
+
+  foreach(input good.out good.tdtb good_v3.tdtb)
+    get_filename_component(ext ${input} LAST_EXT)
+    check_fifo_run(${input} fifo${ext} OFF
+                   ${DINEROSIM} --trace @TRACE@ --size 4096)
+  endforeach()
+  check_fifo_run(good.tdtb fifo.tdtb ON ${TRACEINFO} @TRACE@)
+else()
+  message(STATUS "mkfifo(1) or sh(1) not found; skipping the FIFO rows")
+endif()

@@ -1,15 +1,55 @@
 #include "trace/binary.hpp"
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <gtest/gtest.h>
 
 #include "trace/reader.hpp"
+#include "trace/sink.hpp"
+#include "trace/stream.hpp"
+#include "trace/view.hpp"
 #include "trace/writer.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
+#include "util/obs.hpp"
 
 namespace tdt::trace {
 namespace {
+
+/// `bytes` saved as a .tdtb file named after the running test.
+class TempTdtb {
+ public:
+  explicit TempTdtb(std::string_view bytes)
+      : path_(std::filesystem::temp_directory_path() /
+              (std::string("tdt_binary_") +
+               ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+               ".tdtb")) {
+    std::ofstream out(path_, std::ios::binary);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  ~TempTdtb() { std::filesystem::remove(path_); }
+  TempTdtb(const TempTdtb&) = delete;
+  TempTdtb& operator=(const TempTdtb&) = delete;
+
+  [[nodiscard]] std::string path() const { return path_.string(); }
+
+ private:
+  std::filesystem::path path_;
+};
+
+/// Drains the file cursor tools read `path` through; returns the records
+/// and folds the read.* counters into `registry`.
+std::vector<TraceRecord> drain_cursor(TraceContext& ctx,
+                                      const std::string& path,
+                                      obs::Registry& registry) {
+  const auto cursor = open_trace_cursor(ctx, path, ViewSourceOptions{});
+  std::vector<TraceRecord> records;
+  while (cursor->next_batch(records, kViewBatch) > 0) {
+  }
+  cursor->finish(&registry);
+  return records;
+}
 
 std::vector<TraceRecord> sample_records(TraceContext& ctx) {
   const char* text = R"(START PID 1
@@ -276,16 +316,17 @@ TEST(Binary, StreamingReaderReportsVersionAndCount) {
   TraceContext ctx;
   const auto records = sample_records(ctx);
   const auto blob = write_binary_trace(ctx, records, 4242);
-  std::istringstream in(std::string(blob.begin(), blob.end()),
-                        std::ios::binary);
+  const auto info = probe_tdtb(std::string_view(blob.data(), blob.size()));
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->version, 2);
+  const TempTdtb file(std::string_view(blob.data(), blob.size()));
   TraceContext ctx2;
-  BinaryTraceReader r(ctx2, in);
-  EXPECT_EQ(r.version(), 2);
-  TraceRecord rec;
-  std::size_t n = 0;
-  while (r.next(rec)) ++n;
-  EXPECT_EQ(n, records.size());
-  EXPECT_EQ(r.records_read(), records.size());
+  obs::Registry reg("test");
+  const auto parsed = drain_cursor(ctx2, file.path(), reg);
+  EXPECT_EQ(parsed.size(), records.size());
+  EXPECT_EQ(reg.counter("read.records").value(), records.size());
+  // A complete pass counts the whole file, the v2 footer included.
+  EXPECT_EQ(reg.counter("read.bytes").value(), blob.size());
 }
 
 TEST(Binary, LargeAddressesSurvive) {
@@ -576,18 +617,18 @@ TEST(BinaryV3, StreamingReaderCountsFramesAndBytes) {
   TraceContext ctx;
   const auto records = sample_records(ctx);
   const auto blob = write_binary_trace(ctx, records, 1, v3_options());
-  std::istringstream in(std::string(blob.begin(), blob.end()),
-                        std::ios::binary);
+  const auto info = probe_tdtb(std::string_view(blob.data(), blob.size()));
+  ASSERT_TRUE(info.has_value());
+  EXPECT_EQ(info->version, kTdtbVersionFramed);
+  const TempTdtb file(std::string_view(blob.data(), blob.size()));
   TraceContext c;
-  BinaryTraceReader r(c, in);
-  EXPECT_EQ(r.version(), kTdtbVersionFramed);
-  TraceRecord rec;
-  std::size_t n = 0;
-  while (r.next(rec)) ++n;
-  EXPECT_EQ(n, records.size());
-  EXPECT_EQ(r.frames_read(), (records.size() + 2) / 3);
-  EXPECT_GT(r.compressed_bytes(), 0u);
-  EXPECT_EQ(r.bytes_read(), blob.size());
+  obs::Registry reg("test");
+  const auto parsed = drain_cursor(c, file.path(), reg);
+  EXPECT_EQ(parsed.size(), records.size());
+  EXPECT_EQ(reg.counter("read.records").value(), records.size());
+  EXPECT_EQ(reg.counter("read.frames").value(), (records.size() + 2) / 3);
+  EXPECT_GT(reg.counter("read.compressed_bytes").value(), 0u);
+  EXPECT_EQ(reg.counter("read.bytes").value(), blob.size());
 }
 
 TEST(BinaryV3, V1AndV2StillDecodeUnderEveryPolicy) {
@@ -608,6 +649,218 @@ TEST(BinaryV3, V1AndV2StillDecodeUnderEveryPolicy) {
   }
 }
 
+// --- truncation sweep ----------------------------------------------------------
+
+/// A small blob to cut at every offset, and where its records become
+/// whole: complete[i] is the shortest prefix holding record i's entry
+/// (v1/v2) or frame (v3).
+struct CutCase {
+  std::string name;
+  std::vector<char> blob;
+  std::size_t header = 0;   ///< bytes before the first entry or frame
+  std::size_t end_tag = 0;  ///< offset of the end tag
+  std::vector<std::size_t> complete;
+  DiagCode tail_code = DiagCode::BinTruncated;  ///< cut past the end tag
+};
+
+CutCase flat_case(TraceContext& ctx, const std::vector<TraceRecord>& records,
+                  std::uint8_t version) {
+  CutCase c;
+  c.name = "v" + std::to_string(version);
+  c.blob = write_binary_trace(ctx, records, 1, version);
+  const std::size_t footer = version == 2 ? 12 : 0;
+  c.header = 6;  // magic, version, one-byte pid
+  c.end_tag = c.blob.size() - 1 - footer;
+  // The encoding of a prefix of the records is a prefix of the body.
+  for (std::size_t i = 1; i <= records.size(); ++i) {
+    const auto prefix = write_binary_trace(
+        ctx, std::span<const TraceRecord>(records.data(), i), 1, version);
+    c.complete.push_back(prefix.size() - 1 - footer);
+  }
+  c.tail_code = DiagCode::BinBadFooter;
+  return c;
+}
+
+CutCase framed_case(TraceContext& ctx, const std::vector<TraceRecord>& records,
+                    Codec codec) {
+  CutCase c;
+  c.name = "v3_" + std::string(codec_name(codec));
+  c.blob = write_binary_trace(ctx, records, 1, v3_options(codec));
+  const std::string_view bytes(c.blob.data(), c.blob.size());
+  const auto info = probe_tdtb(bytes);
+  c.header = 7;  // magic, version, one-byte pid, codec
+  c.end_tag = c.header;
+  for (const TdtbFrameInfo& f : info->frames) {
+    std::uint64_t payload_off = 0;
+    (void)parse_frame_header(bytes, f.offset, &payload_off);
+    c.end_tag = static_cast<std::size_t>(payload_off + f.csize);
+    c.complete.insert(c.complete.end(), f.records, c.end_tag);
+  }
+  c.tail_code = DiagCode::BinBadIndex;
+  return c;
+}
+
+// Every cut of a small v1, v2 and v3 blob under every policy. A cut
+// inside the header is fatal and Strict always throws. Skip and Repair
+// return exactly the records whose entry or frame ends at or before the
+// cut, and report one diagnostic: B003 when the end tag is cut off, B009
+// inside the v2 footer, B013 inside the v3 index or footer.
+TEST(TdtbReaderTruncation, EveryCutSalvagesTheWholeEntries) {
+  TraceContext ctx;
+  const auto records = sample_records(ctx);
+  const auto want = formatted(ctx, records);
+  std::vector<CutCase> cases = {flat_case(ctx, records, 1),
+                                flat_case(ctx, records, 2),
+                                framed_case(ctx, records, Codec::None)};
+  if (codec_available(Codec::Zstd)) {
+    cases.push_back(framed_case(ctx, records, Codec::Zstd));
+  }
+  for (const CutCase& c : cases) {
+    ASSERT_EQ(c.complete.size(), records.size()) << c.name;
+    ASSERT_GE(c.end_tag, c.complete.back()) << c.name;
+    for (std::size_t cut = 0; cut < c.blob.size(); ++cut) {
+      const std::vector<char> prefix(
+          c.blob.begin(), c.blob.begin() + static_cast<std::ptrdiff_t>(cut));
+      const std::string at = c.name + " cut " + std::to_string(cut);
+      {
+        TraceContext strict;
+        EXPECT_THROW((void)read_binary_trace(strict, prefix), Error) << at;
+      }
+      for (const ErrorPolicy policy : {ErrorPolicy::Skip, ErrorPolicy::Repair}) {
+        TraceContext back;
+        DiagEngine diags(policy);
+        if (cut < c.header) {
+          EXPECT_THROW((void)read_binary_trace(back, prefix, nullptr, &diags),
+                       Error)
+              << at;
+          continue;
+        }
+        const auto parsed = read_binary_trace(back, prefix, nullptr, &diags);
+        const auto whole = static_cast<std::size_t>(
+            std::count_if(c.complete.begin(), c.complete.end(),
+                          [cut](std::size_t end) { return end <= cut; }));
+        EXPECT_EQ(formatted(back, parsed),
+                  std::vector<std::string>(
+                      want.begin(),
+                      want.begin() + static_cast<std::ptrdiff_t>(whole)))
+            << at;
+        const DiagCode code =
+            cut <= c.end_tag ? DiagCode::BinTruncated : c.tail_code;
+        EXPECT_EQ(diags.errors(), 1u) << at;
+        EXPECT_EQ(diags.count(code), 1u) << at;
+      }
+    }
+  }
+}
+
+// --- containers the frame index must not vouch for -----------------------------
+
+void put_varint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>((v & 0x7F) | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+void put_le(std::string& out, std::uint64_t v, int bytes) {
+  for (int i = 0; i < bytes; ++i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+  }
+}
+
+/// Re-emits the index and footer of `info` after `body` (header, frames
+/// and end tag), with every frame offset moved by `shift`.
+std::string with_index(std::string body, const TdtbContainerInfo& info,
+                       std::uint64_t shift) {
+  std::string index;
+  for (const TdtbFrameInfo& f : info.frames) {
+    put_varint(index, f.offset + shift);
+    put_varint(index, f.records);
+    put_varint(index, f.usize);
+    put_varint(index, f.csize);
+    put_le(index, f.crc, 4);
+    index.push_back(static_cast<char>(f.codec));
+  }
+  body += index;
+  put_le(body, info.total_records, 8);
+  put_le(body, info.frames.size(), 8);
+  put_le(body, index.size(), 4);
+  put_le(body, crc32(index.data(), index.size()), 4);
+  return body + "TDTX";
+}
+
+/// Reads `bytes` under Skip through read_binary_trace and from a file at
+/// jobs 1 and 3: every path rejects the container the same way.
+void expect_bad_tag_everywhere(std::string_view bytes,
+                               std::size_t salvaged) {
+  const auto info = probe_tdtb(bytes);
+  ASSERT_TRUE(info.has_value());
+  EXPECT_FALSE(info->has_index);
+  {
+    TraceContext strict;
+    EXPECT_THROW((void)read_binary_trace(
+                     strict, std::vector<char>(bytes.begin(), bytes.end())),
+                 Error);
+  }
+  TraceContext mem;
+  DiagEngine mem_diags(ErrorPolicy::Skip);
+  const auto parsed = read_binary_trace(
+      mem, std::vector<char>(bytes.begin(), bytes.end()), nullptr, &mem_diags);
+  EXPECT_EQ(parsed.size(), salvaged);
+  EXPECT_EQ(mem_diags.count(DiagCode::BinBadTag), 1u);
+  EXPECT_EQ(mem_diags.errors(), 1u);
+  EXPECT_EQ(mem_diags.exit_code(), 1);
+
+  const TempTdtb file(bytes);
+  for (const int jobs : {1, 3}) {
+    TraceContext ctx;
+    DiagEngine diags(ErrorPolicy::Skip);
+    VectorSink sink;
+    (void)View::source(ctx, file.path(),
+                       {.diags = &diags, .jobs = jobs, .clamp_jobs = false})
+        .drain(sink);
+    EXPECT_EQ(sink.records().size(), salvaged) << "jobs " << jobs;
+    EXPECT_EQ(diags.counts(), mem_diags.counts()) << "jobs " << jobs;
+    EXPECT_EQ(diags.exit_code(), mem_diags.exit_code()) << "jobs " << jobs;
+  }
+}
+
+TEST(TdtbReaderTiling, JunkBeforeTheFirstFrameIsABadTag) {
+  TraceContext ctx;
+  const auto blob = write_binary_trace(ctx, sample_records(ctx), 1, v3_options());
+  const std::string bytes(blob.begin(), blob.end());
+  const auto info = probe_tdtb(bytes);
+  ASSERT_TRUE(info.has_value() && info->has_index);
+  const std::size_t first = static_cast<std::size_t>(info->frames[0].offset);
+  std::uint64_t payload_off = 0;
+  ASSERT_TRUE(parse_frame_header(bytes, info->frames.back().offset,
+                                 &payload_off)
+                  .has_value());
+  const std::size_t end_tag =
+      static_cast<std::size_t>(payload_off + info->frames.back().csize);
+  // Header, one junk byte, then the frames and end tag; the index still
+  // agrees with every frame header and its CRC is valid.
+  const std::string junk = bytes.substr(0, first) + '\x07' +
+                           bytes.substr(first, end_tag + 1 - first);
+  expect_bad_tag_everywhere(with_index(junk, *info, 1), 0);
+}
+
+TEST(TdtbReaderTiling, OverwrittenEndTagIsABadTag) {
+  TraceContext ctx;
+  const auto records = sample_records(ctx);
+  const auto blob = write_binary_trace(ctx, records, 1, v3_options());
+  std::string bytes(blob.begin(), blob.end());
+  const auto info = probe_tdtb(bytes);
+  ASSERT_TRUE(info.has_value() && info->has_index);
+  std::uint64_t payload_off = 0;
+  ASSERT_TRUE(parse_frame_header(bytes, info->frames.back().offset,
+                                 &payload_off)
+                  .has_value());
+  bytes[static_cast<std::size_t>(payload_off + info->frames.back().csize)] =
+      '\x07';
+  expect_bad_tag_everywhere(bytes, records.size());
+}
+
 }  // namespace
 }  // namespace tdt::trace
-

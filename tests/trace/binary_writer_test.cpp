@@ -365,6 +365,74 @@ INSTANTIATE_TEST_SUITE_P(Matrix, TdtbWriterDiff,
                          ::testing::ValuesIn(writer_cases()),
                          [](const auto& info) { return info.param.name(); });
 
+// --- the reader, on the reference's bytes ------------------------------------
+
+/// Everything TDTB carries of one record, names spelled out, so records
+/// decoded into another context compare equal to the originals. A
+/// variable travels only with a known scope.
+std::vector<std::string> wire_views(const TraceContext& ctx,
+                                    const std::vector<TraceRecord>& records) {
+  std::vector<std::string> out;
+  out.reserve(records.size());
+  for (const TraceRecord& rec : records) {
+    std::string s = std::to_string(static_cast<int>(rec.kind)) + ' ' +
+                    std::to_string(static_cast<int>(rec.scope)) + ' ' +
+                    std::to_string(rec.address) + ' ' +
+                    std::to_string(rec.size) + ' ' +
+                    std::to_string(rec.frame) + ' ' +
+                    std::to_string(rec.thread) + ' ' +
+                    std::string(ctx.name(rec.function));
+    if (rec.scope != VarScope::Unknown) s += ' ' + ctx.format_var(rec.var);
+    out.push_back(std::move(s));
+  }
+  return out;
+}
+
+class TdtbReaderDiff : public ::testing::TestWithParam<WriterCase> {};
+
+// The naive reference's bytes read back, in memory and from a file on
+// the inline and the threaded decode, give back every record.
+TEST_P(TdtbReaderDiff, ReadsBackEveryReferenceRecord) {
+  const WriterCase& c = GetParam();
+  if (!codec_available(c.codec)) {
+    GTEST_SKIP() << codec_name(c.codec) << " is not loadable here";
+  }
+  TraceContext ctx;
+  const std::vector<TraceRecord> records = random_records(ctx, 3000, 0x7d7b);
+  ReferenceTdtbWriter reference(ctx, 0xFEEDFACE12345ull, c.options());
+  for (const TraceRecord& rec : records) reference.write(rec);
+  const std::string blob = reference.finish();
+  const std::vector<std::string> want = wire_views(ctx, records);
+
+  TraceContext mem;
+  std::uint64_t pid = 0;
+  const std::vector<TraceRecord> parsed = read_binary_trace(
+      mem, std::vector<char>(blob.begin(), blob.end()), &pid);
+  EXPECT_EQ(pid, 0xFEEDFACE12345ull);
+  EXPECT_EQ(wire_views(mem, parsed), want);
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("tdt_reader_diff_" + c.name() + ".tdtb");
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
+  }
+  for (const int jobs : {1, 3}) {
+    TraceContext back;
+    VectorSink sink;
+    (void)View::source(back, path.string(),
+                       {.jobs = jobs, .clamp_jobs = false})
+        .drain(sink);
+    EXPECT_EQ(wire_views(back, sink.records()), want) << "jobs " << jobs;
+  }
+  std::filesystem::remove(path);
+}
+
+INSTANTIATE_TEST_SUITE_P(Matrix, TdtbReaderDiff,
+                         ::testing::ValuesIn(writer_cases()),
+                         [](const auto& info) { return info.param.name(); });
+
 // --- format caps -------------------------------------------------------------
 
 std::vector<BinaryWriterOptions> plain_and_framed() {

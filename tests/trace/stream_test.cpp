@@ -210,8 +210,8 @@ TEST(StreamV3, InvalidIndexFallsBackToSequential) {
   const auto path = temp_path("tdt_stream_badindex.tdtb");
   write_file(path, bytes);
 
-  // jobs=4 has no valid index to parallelize over; the sequential
-  // fallback still decodes every record and reports the bad index.
+  // jobs=4 has no valid index to parallelize over; walking the frames
+  // still decodes every record and reports the bad index.
   DiagEngine diags(ErrorPolicy::Skip);
   const auto got = stream_formatted(path, 4, &diags);
   EXPECT_EQ(got.size(), records.size());
