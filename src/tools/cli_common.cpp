@@ -43,12 +43,6 @@ CommonFlags CommonFlags::add(FlagParser& flags, CommonFlagChoices choices) {
         "wall-clock seconds before the run stops reading and reports "
         "partial results with exit code 1 (0 = none)");
   }
-  if (choices.ingest) {
-    f.ingest = flags.add_string(
-        "ingest", "auto",
-        "text-trace ingest backend: auto|mmap|stream|overlapped (auto = "
-        "mmap regular files, overlapped reads for pipes/stdin)");
-  }
   if (choices.compress) {
     f.compress = flags.add_string(
         "compress", "",
@@ -92,16 +86,6 @@ void CommonFlags::arm_faults() const {
   if (fault_spec != nullptr && !fault_spec->empty()) {
     fault::FaultInjector::install(*fault_spec);
   }
-}
-
-trace::IngestMode CommonFlags::ingest_mode() const {
-  if (ingest == nullptr || *ingest == "auto") return trace::IngestMode::Auto;
-  if (*ingest == "mmap") return trace::IngestMode::Mmap;
-  if (*ingest == "stream") return trace::IngestMode::Stream;
-  if (*ingest == "overlapped") return trace::IngestMode::Overlapped;
-  throw Error(ErrorKind::Config,
-              "bad --ingest '" + *ingest +
-                  "' (expected auto|mmap|stream|overlapped)");
 }
 
 trace::BinaryWriterOptions CommonFlags::writer_options() const {

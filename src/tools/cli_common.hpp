@@ -25,7 +25,6 @@
 #include "cache/sweep.hpp"
 #include "service/io.hpp"
 #include "trace/binary.hpp"
-#include "trace/source.hpp"
 #include "util/diag.hpp"
 #include "util/flags.hpp"
 #include "util/governor.hpp"
@@ -38,7 +37,6 @@ struct CommonFlagChoices {
   bool error_policy = true;  ///< --on-error / --max-errors
   bool jobs = false;         ///< --jobs / --worker-timeout (pipeline tools)
   bool governor = false;     ///< --max-memory / --deadline (streaming tools)
-  bool ingest = false;       ///< --ingest (trace-reading tools)
   bool compress = false;     ///< --compress (TDTB-writing tools)
   bool connect = true;       ///< --connect (daemon-routable tools)
 };
@@ -53,7 +51,6 @@ struct CommonFlags {
   const std::string* worker_timeout = nullptr;
   const std::string* max_memory = nullptr;
   const std::string* deadline = nullptr;
-  const std::string* ingest = nullptr;
   const std::string* compress = nullptr;
   const std::string* fault_spec = nullptr;
   const std::string* metrics_json = nullptr;
@@ -76,10 +73,6 @@ struct CommonFlags {
   /// --worker-timeout in seconds (0 = supervision off). Throws
   /// Error{Config} on a malformed value.
   [[nodiscard]] double worker_timeout_seconds() const;
-
-  /// Parsed --ingest backend selection (Auto when the flag was not
-  /// registered). Throws Error{Config} on an unknown backend name.
-  [[nodiscard]] trace::IngestMode ingest_mode() const;
 
   /// True when --compress was registered and given a value (the tool
   /// should write the TDTB v3 framed container).

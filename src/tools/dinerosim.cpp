@@ -65,7 +65,7 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     const tools::CacheFlags cache_flags = tools::CacheFlags::add(flags);
     const tools::CommonFlags common = tools::CommonFlags::add(
         flags, {.error_policy = true, .jobs = true, .governor = true,
-                .ingest = true, .compress = true});
+                .compress = true});
     if (!flags.parse(argc, argv)) return 0;
     if (trace_path->empty()) {
       throw_config_error("--trace is required");
@@ -182,7 +182,6 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
 
     trace::ViewSourceOptions source_options;
     source_options.diags = &diags;
-    source_options.ingest = common.ingest_mode();
     source_options.jobs = static_cast<int>(*common.jobs);
     const trace::View source =
         trace::View::source(ctx, *trace_path, source_options);

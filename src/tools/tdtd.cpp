@@ -70,7 +70,7 @@ int transform_digest_run(const service::ToolIO& io, int argc, char** argv) {
   const auto* rules_path =
       flags.add_string("rules", "", "transformation rule file (required)");
   const tools::CommonFlags common = tools::CommonFlags::add(
-      flags, {.governor = true, .ingest = true, .connect = false});
+      flags, {.governor = true, .connect = false});
   if (!flags.parse(argc, argv)) return 0;
 
   std::string trace_path = *trace_flag;
@@ -106,7 +106,6 @@ int transform_digest_run(const service::ToolIO& io, int argc, char** argv) {
   core::TransformStats stats;
   trace::ViewSourceOptions source_options;
   source_options.diags = &diags;
-  source_options.ingest = common.ingest_mode();
   const trace::GraphResult stream_result =
       trace::View::source(ctx, trace_path, source_options)
           .transform(rules, xopt, &stats)

@@ -68,8 +68,7 @@ int tdt::tools::tdtune_run(const tdt::service::ToolIO& io, int argc,
                      "single configuration from the cache flags)");
     const tools::CacheFlags cache = tools::CacheFlags::add(flags);
     const tools::CommonFlags common = tools::CommonFlags::add(
-        flags, {.error_policy = true, .jobs = true, .governor = true,
-                .ingest = true});
+        flags, {.error_policy = true, .jobs = true, .governor = true});
     if (!flags.parse(argc, argv)) return 0;
 
     std::string trace_path = *trace_flag;
@@ -114,7 +113,6 @@ int tdt::tools::tdtune_run(const tdt::service::ToolIO& io, int argc,
       obs::PhaseTimer phase(registry, "stream");
       trace::ViewSourceOptions source_options;
       source_options.diags = &diags;
-      source_options.ingest = common.ingest_mode();
       source_options.jobs = static_cast<int>(*common.jobs);
       const trace::View source =
           trace::View::source(ctx, trace_path, source_options);

@@ -26,7 +26,7 @@ int tdt::tools::tracediff_run(const tdt::service::ToolIO& io, int argc,
     const auto* summary_only =
         flags.add_bool("summary", false, "print only the summary counts");
     const tools::CommonFlags common = tools::CommonFlags::add(
-        flags, {.jobs = true, .governor = true, .ingest = true});
+        flags, {.jobs = true, .governor = true});
     if (!flags.parse(argc, argv)) return 0;
     if (flags.positional().size() != 2) {
       std::fprintf(io.err,
@@ -60,7 +60,6 @@ int tdt::tools::tracediff_run(const tdt::service::ToolIO& io, int argc,
                             side == 0 ? "stream-original" : "stream-transformed");
       trace::ViewSourceOptions source_options;
       source_options.diags = &diags;
-      source_options.ingest = common.ingest_mode();
       source_options.jobs = static_cast<int>(*common.jobs);
       const trace::View source =
           trace::View::source(ctx, flags.positional()[side], source_options);

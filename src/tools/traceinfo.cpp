@@ -114,7 +114,7 @@ int tdt::tools::traceinfo_run(const tdt::service::ToolIO& io, int argc,
         flags.add_uint("block", 32, "footprint tracking granularity in bytes");
     const auto* top = flags.add_uint("top", 16, "rows per ranking table");
     const tools::CommonFlags common = tools::CommonFlags::add(
-        flags, {.jobs = true, .governor = true, .ingest = true});
+        flags, {.jobs = true, .governor = true});
     if (!flags.parse(argc, argv)) return 0;
     if (flags.positional().size() != 1) {
       std::fprintf(io.err, "usage: traceinfo <trace-file> [flags]\n");
@@ -151,7 +151,6 @@ int tdt::tools::traceinfo_run(const tdt::service::ToolIO& io, int argc,
       obs::PhaseTimer phase(registry, "stream");
       trace::ViewSourceOptions source_options;
       source_options.diags = &diags;
-      source_options.ingest = common.ingest_mode();
       source_options.jobs = static_cast<int>(*common.jobs);
       const trace::View source = trace::View::source(ctx, path, source_options);
       trace::Graph graph;

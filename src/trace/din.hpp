@@ -9,40 +9,55 @@
 // matching needs Gleipnir's variable annotations).
 #pragma once
 
-#include <istream>
-#include <ostream>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "trace/record.hpp"
+#include "trace/source.hpp"
 #include "util/diag.hpp"
 
 namespace tdt::trace {
 
-/// Streaming din parser. Without a DiagEngine (or with a Strict one) it
-/// throws Error{Parse} on a malformed line. With Skip it drops the line
-/// and resyncs; Repair additionally salvages a line whose size field is
-/// the only malformed part by substituting the default size (D002).
+/// Streaming din parser over the same LineSplitter as the Gleipnir
+/// reader (trace/source.hpp), so CRLF handling, the byte count, the
+/// reader.read fault site and the torn-read diagnostic T004 behave as
+/// they do for text; fields are split in place by the SIMD tokenizer.
+/// Blank lines and '#' comments are skipped. Without a DiagEngine (or
+/// with a Strict one) it throws Error{Parse} on a malformed line. With
+/// Skip it drops the line and resyncs; Repair additionally salvages a
+/// line whose size field is the only malformed part by substituting the
+/// default size (D002).
 class DinReader {
  public:
-  DinReader(TraceContext& ctx, std::istream& in,
+  /// Reads from a byte source (see open_trace_byte_source).
+  DinReader(TraceContext& ctx, std::unique_ptr<ByteSource> source,
             std::uint32_t default_size = 4, DiagEngine* diags = nullptr);
 
-  /// Reads the next record; returns false at end of input.
-  bool next(TraceRecord& out);
+  /// Appends up to `max` records to `out` and returns how many were
+  /// appended; 0 means end of input.
+  std::size_t next_batch(std::vector<TraceRecord>& out, std::size_t max);
 
   /// 1-based number of the line most recently consumed.
-  [[nodiscard]] std::uint32_t line_number() const noexcept { return line_; }
+  [[nodiscard]] std::uint32_t line_number() const noexcept {
+    return lines_.line_number();
+  }
+
+  /// Input bytes consumed so far (terminators counted only when present).
+  [[nodiscard]] std::uint64_t bytes() const noexcept { return lines_.bytes(); }
 
  private:
-  TraceContext* ctx_;
-  std::istream* in_;
+  /// Decodes one non-blank, non-comment line into `rec`. False when the
+  /// line is dropped (its diagnostic reported); throws when strict.
+  bool parse_line(std::string_view body, TraceRecord& rec);
+
+  LineSplitter lines_;
   std::uint32_t default_size_;
   DiagEngine* diags_;
+  simd::TokenizeFieldsFn tokenize_;
   Symbol unknown_fn_;
-  std::uint32_t line_ = 0;
 };
 
 /// Parses a din-format text into records. Missing sizes default to
@@ -52,7 +67,8 @@ std::vector<TraceRecord> read_din_string(TraceContext& ctx,
                                          std::uint32_t default_size = 4,
                                          DiagEngine* diags = nullptr);
 
-/// Reads a din file from disk. Throws Error{Io} when unreadable.
+/// Reads a din file from disk (gzip'd input inflates transparently).
+/// Throws Error{Io} when unreadable.
 std::vector<TraceRecord> read_din_file(TraceContext& ctx,
                                        const std::string& path,
                                        std::uint32_t default_size = 4,

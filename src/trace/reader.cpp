@@ -1,7 +1,6 @@
 #include "trace/reader.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cstring>
 
 #include "util/error.hpp"
@@ -23,39 +22,11 @@ constexpr std::size_t kMaxMemoLine = 128;
 /// Records decoded per next_batch call when draining whole traces.
 constexpr std::size_t kDrainBatch = 4096;
 
-/// Fast twins of parse_hex/parse_uint for the hot path: short inputs
-/// (which cannot overflow) decode in a tight inline loop, anything
-/// longer defers to the reference parsers — so the set of accepted
-/// strings and the produced values are identical by construction.
-constexpr std::array<std::uint8_t, 256> kHexVal = [] {
-  std::array<std::uint8_t, 256> t{};
-  for (auto& v : t) v = 0xFF;
-  for (int i = 0; i < 10; ++i) t[static_cast<std::size_t>('0') + i] = i;
-  for (int i = 0; i < 6; ++i) {
-    t[static_cast<std::size_t>('a') + i] = 10 + i;
-    t[static_cast<std::size_t>('A') + i] = 10 + i;
-  }
-  return t;
-}();
-
-bool parse_hex_fast(std::string_view s, std::uint64_t& out) noexcept {
-  if (s.empty()) return false;
-  if (s.size() > 16) {  // only >16 digits can overflow; let from_chars rule
-    const auto v = parse_hex(s);
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  std::uint64_t v = 0;
-  for (const char c : s) {
-    const std::uint8_t d = kHexVal[static_cast<unsigned char>(c)];
-    if (d == 0xFF) return false;
-    v = v << 4 | d;
-  }
-  out = v;
-  return true;
-}
-
+/// Fast twin of parse_uint for the hot path, built like parse_hex_fast
+/// (util/string_util.hpp): short inputs (which cannot overflow) decode in
+/// a tight inline loop, anything longer defers to the reference parser —
+/// so the set of accepted strings and the produced values are identical
+/// by construction.
 bool parse_uint_fast(std::string_view s, std::uint64_t& out) noexcept {
   if (s.empty()) return false;
   if (s.size() >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X')) {
@@ -93,10 +64,6 @@ std::vector<TraceRecord> drain(GleipnirReader& reader, std::uint64_t* pid,
 
 }  // namespace
 
-GleipnirReader::GleipnirReader(TraceContext& ctx, std::istream& in,
-                               DiagEngine* diags)
-    : GleipnirReader(ctx, std::make_unique<StreamSource>(in), diags) {}
-
 GleipnirReader::GleipnirReader(TraceContext& ctx, std::string_view text,
                                DiagEngine* diags)
     : GleipnirReader(ctx, std::make_unique<MemorySource>(text), diags) {}
@@ -106,73 +73,8 @@ GleipnirReader::GleipnirReader(TraceContext& ctx,
                                DiagEngine* diags)
     : ctx_(&ctx),
       diags_(diags),
-      find_nl_(simd::find_newline_fn()),
-      tokenize_(simd::tokenize_fields_fn()),
-      source_(std::move(source)) {}
-
-bool GleipnirReader::next_line(std::string_view& out) {
-  if (carry_active_) {
-    // The view handed out by the previous call aliased carry_; the
-    // caller is done with it now.
-    carry_.clear();
-    carry_active_ = false;
-  }
-  for (;;) {
-    if (chunk_pos_ < chunk_.size()) {
-      const std::size_t nl =
-          chunk_pos_ + find_nl_(chunk_.data() + chunk_pos_,
-                                chunk_.size() - chunk_pos_);
-      if (nl < chunk_.size()) {
-        std::string_view line;
-        if (carry_.empty()) {
-          line = chunk_.substr(chunk_pos_, nl - chunk_pos_);
-        } else {
-          carry_.append(chunk_.data() + chunk_pos_, nl - chunk_pos_);
-          line = carry_;
-          carry_active_ = true;
-        }
-        chunk_pos_ = nl + 1;
-        std::size_t term = 1;
-        if (!line.empty() && line.back() == '\r') {
-          // CRLF: the '\r' belongs to the terminator, not the last field.
-          line.remove_suffix(1);
-          term = 2;
-        }
-        counters_.bytes += line.size() + term;
-        out = line;
-        return true;
-      }
-      // No newline in the remainder: stash it and refill.
-      carry_.append(chunk_.data() + chunk_pos_, chunk_.size() - chunk_pos_);
-      chunk_pos_ = chunk_.size();
-    }
-    if (eof_) {
-      if (!carry_.empty()) {
-        if (io_failed_) {
-          // A torn read: the buffered bytes are a fragment of a line of
-          // unknown length, not a final line. Never let it parse.
-          tail_discarded_ = true;
-          carry_.clear();
-          return false;
-        }
-        // Final line without a trailing newline. A lone trailing '\r'
-        // is data here: no '\n' was consumed, so there is no terminator
-        // to strip (and none is counted).
-        counters_.bytes += carry_.size();
-        out = std::string_view(carry_);
-        carry_active_ = true;
-        return true;
-      }
-      return false;
-    }
-    chunk_ = source_->next_chunk();
-    chunk_pos_ = 0;
-    if (chunk_.empty()) {
-      eof_ = true;
-      io_failed_ = source_->failed();
-    }
-  }
-}
+      lines_(std::move(source), diags),
+      tokenize_(simd::tokenize_fields_fn()) {}
 
 TraceRecord GleipnirReader::parse_record_line(TraceContext& ctx,
                                               std::string_view line,
@@ -409,12 +311,12 @@ GleipnirReader::LineOutcome GleipnirReader::consume_cold(std::string_view body,
     if (!pid) {
       if (diags_ == nullptr || diags_->strict()) {
         throw_parse_error("malformed marker line '" + std::string(body) + "'",
-                          {line_, 1});
+                          {lines_.line_number(), 1});
       }
       // No useful repair for a marker: drop it and resync.
       diags_->report(DiagSeverity::Error, DiagCode::TraceBadMarker,
                      "malformed marker line '" + std::string(body) + "'",
-                     {line_, 1});
+                     {lines_.line_number(), 1});
       return LineOutcome::Skip;
     }
     ev.kind = is_start ? TraceEvent::Kind::Start : TraceEvent::Kind::End;
@@ -427,13 +329,13 @@ GleipnirReader::LineOutcome GleipnirReader::consume_cold(std::string_view body,
   }
   ev.kind = TraceEvent::Kind::Record;
   if (diags_ == nullptr || diags_->strict()) {
-    ev.record = parse_record_line(*ctx_, body, line_);
-    ++counters_.slow_records;
+    ev.record = parse_record_line(*ctx_, body, lines_.line_number());
+    ++slow_records_;
     return LineOutcome::Record;
   }
   try {
-    ev.record = parse_record_line(*ctx_, body, line_);
-    ++counters_.slow_records;
+    ev.record = parse_record_line(*ctx_, body, lines_.line_number());
+    ++slow_records_;
     return LineOutcome::Record;
   } catch (const Error& e) {
     if (diags_->repair()) {
@@ -441,38 +343,21 @@ GleipnirReader::LineOutcome GleipnirReader::consume_cold(std::string_view body,
         diags_->report(DiagSeverity::Error, DiagCode::TraceRepairedLine,
                        "repaired trace line (symbol annotation dropped): " +
                            e.message(),
-                       {line_, 1});
+                       {lines_.line_number(), 1});
         ev.record = std::move(*salvaged);
-        ++counters_.slow_records;
+        ++slow_records_;
         return LineOutcome::Record;
       }
     }
     diags_->report(DiagSeverity::Error, DiagCode::TraceBadLine, e.message(),
-                   {line_, 1});
+                   {lines_.line_number(), 1});
     return LineOutcome::Skip;  // resync at the next line
   }
 }
 
-void GleipnirReader::report_io_failure() {
-  if (!io_failed_ || io_reported_) return;
-  io_reported_ = true;
-  const SourceLoc loc{line_ + 1, 1};
-  std::string msg = "trace read failed (stream error); " +
-                    std::to_string(line_) + " lines salvaged";
-  if (tail_discarded_) {
-    msg += "; partial final line discarded";
-  }
-  if (diags_ == nullptr || diags_->strict()) {
-    throw Error(ErrorKind::Io, std::move(msg), loc);
-  }
-  diags_->report(DiagSeverity::Error, DiagCode::TraceIoError, std::move(msg),
-                 loc);
-}
-
 std::optional<TraceEvent> GleipnirReader::next() {
   std::string_view raw;
-  while (next_line(raw)) {
-    ++line_;
+  while (lines_.next(raw)) {
     std::string_view body = raw;
     if (!body.empty() && (is_ascii_space(body.front()) ||
                           is_ascii_space(body.back()))) {
@@ -485,7 +370,7 @@ std::optional<TraceEvent> GleipnirReader::next() {
     if (!force_slow_ &&
         (probe_line_memo(body, ev.record) ||
          parse_record_fast_impl(*ctx_, body, ev.record, &memo_, tokenize_))) {
-      ++counters_.fast_records;
+      ++fast_records_;
       return ev;
     }
     switch (consume_cold(body, ev)) {
@@ -496,7 +381,7 @@ std::optional<TraceEvent> GleipnirReader::next() {
         return ev;
     }
   }
-  report_io_failure();
+  lines_.report_io_failure();
   return std::nullopt;
 }
 
@@ -506,8 +391,7 @@ std::size_t GleipnirReader::next_batch(std::vector<TraceRecord>& out,
   out.resize(base + max);
   std::size_t produced = 0;
   std::string_view raw;
-  while (produced < max && next_line(raw)) {
-    ++line_;
+  while (produced < max && lines_.next(raw)) {
     std::string_view body = raw;
     if (!body.empty() && (is_ascii_space(body.front()) ||
                           is_ascii_space(body.back()))) {
@@ -519,7 +403,7 @@ std::size_t GleipnirReader::next_batch(std::vector<TraceRecord>& out,
         (probe_line_memo(body, slot) ||
          parse_record_fast_impl(*ctx_, body, slot, &memo_, tokenize_)))
         [[likely]] {
-      ++counters_.fast_records;
+      ++fast_records_;
       ++produced;
       continue;
     }
@@ -530,7 +414,7 @@ std::size_t GleipnirReader::next_batch(std::vector<TraceRecord>& out,
     }
   }
   out.resize(base + produced);
-  if (produced == 0) report_io_failure();
+  if (produced == 0) lines_.report_io_failure();
   return produced;
 }
 

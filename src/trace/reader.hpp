@@ -8,7 +8,6 @@
 //   END PID 13063
 #pragma once
 
-#include <istream>
 #include <memory>
 #include <optional>
 #include <string>
@@ -33,23 +32,15 @@ struct TraceEvent {
 
 /// Streaming line-by-line parser; blank lines are skipped.
 ///
-/// Ingestion is zero-copy on the steady state: input arrives in chunks
-/// from a pluggable ByteSource (in-memory text, an mmap'd file, bulk
-/// istream reads, or a double-buffered overlapped pipe reader — see
-/// trace/source.hpp), lines are located with SIMD newline scans and only
-/// copied when they straddle a chunk boundary, fields are tokenized in
-/// place by the SIMD whitespace classifier (util/simd_scan.hpp), and
-/// well-formed records are decoded by a non-throwing fast parser. Any
-/// line the fast parser rejects is re-parsed by the original
-/// diagnostic-rich path, so error messages, recovery behaviour
-/// (--on-error) and exit codes are byte-for-byte identical to the slow
-/// path.
-///
-/// Line terminators: '\n' ends a line; a '\r' immediately before the
-/// '\n' belongs to the terminator (CRLF) and is stripped before the line
-/// is parsed or counted as payload. counters().bytes counts terminator
-/// bytes only when they were actually consumed, so it matches the file
-/// size for terminated and unterminated corpora alike.
+/// Ingestion is zero-copy on the steady state: a LineSplitter
+/// (trace/source.hpp) cuts the ByteSource's chunks into lines in place —
+/// it also owns CRLF handling, the byte count and the torn-read (T004)
+/// contract — fields are tokenized in place by the SIMD whitespace
+/// classifier (util/simd_scan.hpp), and well-formed records are decoded
+/// by a non-throwing fast parser. Any line the fast parser rejects is
+/// re-parsed by the original diagnostic-rich path, so error messages,
+/// recovery behaviour (--on-error) and exit codes are byte-for-byte
+/// identical to the slow path.
 ///
 /// Without a DiagEngine (or with a Strict one) it throws Error{Parse}
 /// with the offending line number on malformed input. With a Skip/Repair
@@ -68,9 +59,6 @@ class GleipnirReader {
     std::uint64_t fast_records = 0;  ///< records decoded by the fast parser
     std::uint64_t slow_records = 0;  ///< records decoded by the slow path
   };
-
-  GleipnirReader(TraceContext& ctx, std::istream& in,
-                 DiagEngine* diags = nullptr);
 
   /// Zero-copy variant: parses `text` in place. `text` must outlive the
   /// reader; nothing is copied or buffered.
@@ -99,10 +87,14 @@ class GleipnirReader {
   [[nodiscard]] std::uint64_t start_pid() const noexcept { return start_pid_; }
 
   /// 1-based number of the line most recently consumed.
-  [[nodiscard]] std::uint32_t line_number() const noexcept { return line_; }
+  [[nodiscard]] std::uint32_t line_number() const noexcept {
+    return lines_.line_number();
+  }
 
   /// Running ingestion counters (valid at any point during the read).
-  [[nodiscard]] const Counters& counters() const noexcept { return counters_; }
+  [[nodiscard]] Counters counters() const noexcept {
+    return {lines_.bytes(), fast_records_, slow_records_};
+  }
 
   /// Disables the fast record parser so every line goes through the
   /// original allocating path. Benchmark / equivalence-test hook; the two
@@ -190,46 +182,19 @@ class GleipnirReader {
   static std::optional<TraceRecord> salvage_record_line(TraceContext& ctx,
                                                         std::string_view line);
 
-  /// Produces the next raw line (terminator stripped) from the source.
-  /// The view is valid until the next call. Counts consumed bytes.
-  bool next_line(std::string_view& out);
-
   /// Everything off the fast path: markers, slow re-parse, diagnostics.
   LineOutcome consume_cold(std::string_view body, TraceEvent& ev);
 
-  /// Raises T004 once when the source died mid-stream (throws when
-  /// strict). No-op on clean EOF or when already reported.
-  void report_io_failure();
-
   TraceContext* ctx_;
   DiagEngine* diags_;
-  // Active-tier scanners, resolved once at construction so the per-line
+  LineSplitter lines_;
+  // Active-tier tokenizer, resolved once at construction so the per-line
   // calls skip the dispatch lookup.
-  simd::FindNewlineFn find_nl_;
   simd::TokenizeFieldsFn tokenize_;
-  std::uint32_t line_ = 0;
   bool force_slow_ = false;
-  Counters counters_;
+  std::uint64_t fast_records_ = 0;
+  std::uint64_t slow_records_ = 0;
   ParseMemo memo_;
-
-  std::unique_ptr<ByteSource> source_;
-  // Unconsumed remainder of the current source chunk.
-  std::string_view chunk_;
-  std::size_t chunk_pos_ = 0;
-  // Assembly buffer for lines straddling chunk boundaries. When the view
-  // handed out by next_line aliases carry_, carry_active_ is set and the
-  // buffer is reclaimed on the following call.
-  std::string carry_;
-  bool carry_active_ = false;
-  bool eof_ = false;
-  // The source died (istream badbit, or fault site reader.read).
-  // Buffered complete lines still drain — the prefix is salvaged — then
-  // next() raises T004 once instead of passing the truncation off as EOF.
-  bool io_failed_ = false;
-  bool io_reported_ = false;
-  // A torn partial tail was suppressed (it is a fragment, not a final
-  // line); mentioned in the T004 diagnostic.
-  bool tail_discarded_ = false;
   bool saw_start_ = false;
   std::uint64_t start_pid_ = 0;
 };
@@ -243,9 +208,8 @@ std::vector<TraceRecord> read_trace_string(TraceContext& ctx,
                                            std::uint64_t* pid = nullptr,
                                            DiagEngine* diags = nullptr);
 
-/// Reads a trace file from disk (binary mode; mmap'd when possible, see
-/// open_trace_byte_source). Throws Error{Io} when the file cannot be
-/// opened.
+/// Reads a trace file from disk through open_trace_byte_source. Throws
+/// Error{Io} when the file cannot be opened.
 std::vector<TraceRecord> read_trace_file(TraceContext& ctx,
                                          const std::string& path,
                                          std::uint64_t* pid = nullptr,

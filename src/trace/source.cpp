@@ -1,8 +1,6 @@
 #include "trace/source.hpp"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 
@@ -72,98 +70,6 @@ void release_pages(const char* base, std::size_t& released,
 #endif
 
 }  // namespace
-
-// --- StreamSource ----------------------------------------------------------
-
-StreamSource::StreamSource(std::istream& in, std::size_t block) : in_(&in) {
-  buf_.resize(block == 0 ? kIngestBlock : block);
-}
-
-std::unique_ptr<StreamSource> StreamSource::open(const std::string& path) {
-  auto owned = open_binary(path);
-  auto source = std::make_unique<StreamSource>(*owned);
-  source->owned_ = std::move(owned);
-  return source;
-}
-
-std::string_view StreamSource::next_chunk() {
-  if (done_) return {};
-  if (read_fault_fires()) [[unlikely]] {
-    done_ = true;
-    failed_ = true;
-    return {};
-  }
-  in_->read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
-  const std::size_t got = static_cast<std::size_t>(in_->gcount());
-  if (got == 0) {
-    done_ = true;
-    // badbit = the underlying read actually failed (I/O error), as
-    // opposed to a clean end of stream; surface it instead of treating
-    // a torn read as EOF.
-    failed_ = in_->bad();
-    return {};
-  }
-  return {buf_.data(), got};
-}
-
-// --- MmapSource ------------------------------------------------------------
-
-std::unique_ptr<MmapSource> MmapSource::open(const std::string& path,
-                                             std::size_t chunk) {
-#if TDT_HAVE_MMAP
-  std::size_t size = 0;
-  const char* base = map_regular_file(path, size);
-  if (base == nullptr) return nullptr;
-#if defined(POSIX_MADV_SEQUENTIAL)
-  ::posix_madvise(const_cast<char*>(base), size, POSIX_MADV_SEQUENTIAL);
-#endif
-  return std::unique_ptr<MmapSource>(
-      new MmapSource(base, size, chunk == 0 ? kDefaultChunk : chunk));
-#else
-  (void)path;
-  (void)chunk;
-  return nullptr;
-#endif
-}
-
-MmapSource::~MmapSource() {
-#if TDT_HAVE_MMAP
-  if (base_ != nullptr) {
-    ::munmap(const_cast<char*>(base_), size_);
-  }
-#endif
-}
-
-std::string_view MmapSource::next_chunk() {
-  if (done_) return {};
-  // One ReaderRead opportunity per call, including the final EOF-
-  // signaling one — the same schedule as a stream source, whose EOF
-  // probe read is also an opportunity. Fault specs hit both backends at
-  // the same opportunity indices.
-  if (read_fault_fires()) [[unlikely]] {
-    done_ = true;
-    failed_ = true;
-    return {};
-  }
-  if (pos_ >= size_) {
-    done_ = true;
-    return {};
-  }
-  const std::size_t remaining = size_ - pos_;
-  std::size_t take = remaining < chunk_ ? remaining : chunk_;
-  if (take < remaining) {
-    // Cut at the last newline inside the slice so lines never straddle
-    // chunks (the memory stays contiguous, but the reader treats chunk
-    // ends as potential line breaks and would copy the straddler).
-    const std::size_t nl = std::string_view(base_ + pos_, take).rfind('\n');
-    if (nl != std::string_view::npos) {
-      take = nl + 1;
-    }
-  }
-  const std::string_view chunk(base_ + pos_, take);
-  pos_ += take;
-  return chunk;
-}
 
 // --- OverlappedSource ------------------------------------------------------
 
@@ -255,7 +161,6 @@ GzipSource::GzipSource(std::unique_ptr<ByteSource> inner, std::string head)
     : inner_(std::move(inner)) {
   inflater_ = std::make_unique<GzipInflater>();  // throws without zlib
   head_ = std::move(head);
-  name_ = "gzip+" + std::string(inner_->name());
   out_.resize(kIngestBlock);
   if (!head_.empty()) inflater_->set_input(head_);
 }
@@ -365,8 +270,7 @@ void FileView::release_prefix(std::size_t n) noexcept {
 namespace {
 
 /// Hands the sniffed first chunk back, then delegates — non-gzip input
-/// reaches the reader byte-identical to the unsniffed stream, on the
-/// same backend (name() delegates so metrics report the real one).
+/// reaches the reader byte-identical to the unsniffed stream.
 class ReplaySource final : public ByteSource {
  public:
   ReplaySource(std::unique_ptr<ByteSource> inner, std::string head)
@@ -381,9 +285,6 @@ class ReplaySource final : public ByteSource {
   }
   [[nodiscard]] bool failed() const noexcept override {
     return inner_->failed();
-  }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return inner_->name();
   }
 
  private:
@@ -412,53 +313,93 @@ std::unique_ptr<ByteSource> wrap_gzip_if_needed(
 
 }  // namespace
 
-std::unique_ptr<ByteSource> open_trace_byte_source(const std::string& path,
-                                                   IngestMode mode) {
-  return wrap_gzip_if_needed(open_raw_byte_source(path, mode));
+std::unique_ptr<ByteSource> open_trace_byte_source(const std::string& path) {
+  if (path == "-") {
+    return wrap_gzip_if_needed(std::make_unique<OverlappedSource>(std::cin));
+  }
+  return wrap_gzip_if_needed(OverlappedSource::open(path));
 }
 
-std::unique_ptr<ByteSource> open_raw_byte_source(const std::string& path,
-                                                 IngestMode mode) {
-  if (path == "-") {
-    if (mode == IngestMode::Mmap) {
-      throw_io_error("cannot mmap standard input");
-    }
-    if (mode == IngestMode::Stream) {
-      return std::make_unique<StreamSource>(std::cin);
-    }
-    return std::make_unique<OverlappedSource>(std::cin);
+// --- LineSplitter ----------------------------------------------------------
+
+LineSplitter::LineSplitter(std::unique_ptr<ByteSource> source,
+                           DiagEngine* diags)
+    : source_(std::move(source)),
+      diags_(diags),
+      find_nl_(simd::find_newline_fn()) {}
+
+bool LineSplitter::next_slow(std::string_view& out) {
+  if (carry_active_) {
+    // The view handed out by the previous call aliased carry_; the
+    // caller is done with it now.
+    carry_.clear();
+    carry_active_ = false;
   }
-  switch (mode) {
-    case IngestMode::Stream:
-      return StreamSource::open(path);
-    case IngestMode::Overlapped:
-      return OverlappedSource::open(path);
-    case IngestMode::Mmap: {
-      auto mapped = MmapSource::open(path);
-      if (mapped == nullptr) {
-        throw_io_error("cannot mmap trace file '" + path + "'");
+  for (;;) {
+    if (chunk_pos_ < chunk_.size()) {
+      const std::size_t nl =
+          chunk_pos_ + find_nl_(chunk_.data() + chunk_pos_,
+                                chunk_.size() - chunk_pos_);
+      if (nl < chunk_.size()) {
+        std::string_view line;
+        if (carry_.empty()) {
+          line = chunk_.substr(chunk_pos_, nl - chunk_pos_);
+        } else {
+          carry_.append(chunk_.data() + chunk_pos_, nl - chunk_pos_);
+          line = carry_;
+          carry_active_ = true;
+        }
+        chunk_pos_ = nl + 1;
+        out = take_line(line);
+        return true;
       }
-      return mapped;
+      // No newline in the remainder: stash it and refill.
+      carry_.append(chunk_.data() + chunk_pos_, chunk_.size() - chunk_pos_);
+      chunk_pos_ = chunk_.size();
     }
-    case IngestMode::Auto:
-      break;
+    if (eof_) {
+      if (!carry_.empty()) {
+        if (io_failed_) {
+          // A torn read: the buffered bytes are a fragment of a line of
+          // unknown length, not a final line. Never let it parse.
+          tail_discarded_ = true;
+          carry_.clear();
+          return false;
+        }
+        // Final line without a trailing newline. A lone trailing '\r'
+        // is data here: no '\n' was consumed, so there is no terminator
+        // to strip (and none is counted).
+        bytes_ += carry_.size();
+        ++line_;
+        out = std::string_view(carry_);
+        carry_active_ = true;
+        return true;
+      }
+      return false;
+    }
+    chunk_ = source_->next_chunk();
+    chunk_pos_ = 0;
+    if (chunk_.empty()) {
+      eof_ = true;
+      io_failed_ = source_->failed();
+    }
   }
-  const char* no_mmap = std::getenv("TDT_NO_MMAP");
-  const bool allow_mmap =
-      no_mmap == nullptr || no_mmap[0] == '\0' ||
-      (no_mmap[0] == '0' && no_mmap[1] == '\0');
-  if (allow_mmap) {
-    if (auto mapped = MmapSource::open(path)) return mapped;
+}
+
+void LineSplitter::report_io_failure() {
+  if (!io_failed_ || io_reported_) return;
+  io_reported_ = true;
+  const SourceLoc loc{line_ + 1, 1};
+  std::string msg = "trace read failed (stream error); " +
+                    std::to_string(line_) + " lines salvaged";
+  if (tail_discarded_) {
+    msg += "; partial final line discarded";
   }
-#if TDT_HAVE_MMAP
-  // A named pipe blocks and benefits from overlap; MmapSource::open
-  // already rejected it, so only the stat matters here.
-  struct stat st{};
-  if (::stat(path.c_str(), &st) == 0 && S_ISFIFO(st.st_mode)) {
-    return OverlappedSource::open(path);
+  if (diags_ == nullptr || diags_->strict()) {
+    throw Error(ErrorKind::Io, std::move(msg), loc);
   }
-#endif
-  return StreamSource::open(path);
+  diags_->report(DiagSeverity::Error, DiagCode::TraceIoError, std::move(msg),
+                 loc);
 }
 
 }  // namespace tdt::trace

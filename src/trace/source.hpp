@@ -1,42 +1,46 @@
-// Pluggable byte sources feeding the Gleipnir text reader.
+// Byte sources and the line splitter feeding the text trace readers
+// (Gleipnir text and din).
 //
-// The reader consumes input as a sequence of chunks — contiguous byte
+// The readers consume input as a sequence of chunks — contiguous byte
 // runs whose lifetime lasts until the next chunk is requested — and a
 // ByteSource decides where those chunks come from:
 //
 //   MemorySource      caller-owned text, one zero-copy chunk
-//   MmapSource        a regular file mapped read-only; chunks are
-//                     newline-aligned slices of the mapping, so line
-//                     parsing is zero-copy end to end
-//   StreamSource      blocking block reads from any std::istream (the
-//                     reference source; also the mmap fallback)
-//   OverlappedSource  double-buffered reads from a pipe/stdin/socket
-//                     stream: a helper thread prefetches block N+1
-//                     while the parser consumes block N
+//   OverlappedSource  double-buffered reads from a file, pipe, device or
+//                     stdin: a helper thread prefetches block N+1 while
+//                     the parser consumes block N
+//   GzipSource        transparent inflation over another source
 //
-// Every source passes the fault::Site::ReaderRead injection point once
-// per chunk request (MemorySource excepted — in-memory text has no I/O
-// to fail), so the torn-read recovery contract (diagnostic T004,
-// docs/robustness.md) is exercised identically on all ingest paths.
+// LineSplitter turns any of them into lines. Every I/O-backed source
+// passes the fault::Site::ReaderRead injection point once per read
+// (MemorySource excepted — in-memory text has no I/O to fail), and the
+// splitter owns the torn-read recovery contract (diagnostic T004,
+// docs/robustness.md), so both text formats honour it identically.
 #pragma once
 
+#include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <istream>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <thread>
 
-#include <condition_variable>
-#include <mutex>
-
 #include "trace/codec.hpp"
+#include "util/diag.hpp"
+#include "util/simd_scan.hpp"
 
 namespace tdt::trace {
 
-/// Block size for streaming sources. Large enough that refills are
-/// rare, small enough to stay cache-friendly.
-inline constexpr std::size_t kIngestBlock = 256 * 1024;
+/// Block size for streaming sources. Each block is one hand-off between
+/// OverlappedSource's prefetch thread and the parser, and a hand-off
+/// that waits for a thread to be scheduled costs wall time on a busy
+/// host. On a shared 4-vCPU VM, reading a 103 MB text trace in 256 KiB
+/// blocks ran up to 20% slower than mapping the file; 1 MiB blocks ran
+/// on par (docs/PERF.md). Two blocks stay small beside the rest of a run.
+inline constexpr std::size_t kIngestBlock = 1024 * 1024;
 
 /// Pull interface: next_chunk() returns the next run of input bytes,
 /// valid until the following next_chunk() call; an empty view means end
@@ -53,10 +57,6 @@ class ByteSource {
   /// True when input ended because a read failed (istream badbit, or an
   /// injected reader.read fault) rather than clean EOF.
   [[nodiscard]] virtual bool failed() const noexcept = 0;
-
-  /// Backend name for diagnostics and metrics ("memory", "mmap",
-  /// "stream", "overlapped").
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 };
 
 /// Caller-owned text delivered as one zero-copy chunk. No fault
@@ -71,91 +71,21 @@ class MemorySource final : public ByteSource {
     return chunk;
   }
   [[nodiscard]] bool failed() const noexcept override { return false; }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "memory";
-  }
 
  private:
   std::string_view text_;
 };
 
-/// Blocking block reads from a std::istream. The reference streaming
-/// source: one read per chunk, fault site checked before each read.
-class StreamSource final : public ByteSource {
- public:
-  /// Borrows `in`; the stream must outlive the source. `block` is a
-  /// test knob (small blocks force lines to straddle chunks).
-  explicit StreamSource(std::istream& in, std::size_t block = kIngestBlock);
-
-  /// Opens `path` in binary mode. Throws Error{Io} when it cannot.
-  static std::unique_ptr<StreamSource> open(const std::string& path);
-
-  [[nodiscard]] std::string_view next_chunk() override;
-  [[nodiscard]] bool failed() const noexcept override { return failed_; }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "stream";
-  }
-
- private:
-  std::unique_ptr<std::istream> owned_;  // set by open()
-  std::istream* in_;
-  std::string buf_;
-  bool failed_ = false;
-  bool done_ = false;
-};
-
-/// A regular file mapped read-only. Chunks are slices of the mapping
-/// cut at the last newline inside each slice (the final slice, or a
-/// slice containing no newline at all, is delivered whole), so the
-/// reader never has to copy a straddling line. Unavailable on
-/// non-POSIX builds; open() then returns nullptr and callers fall back
-/// to StreamSource.
-class MmapSource final : public ByteSource {
- public:
-  /// Maps `path` when it names a non-empty regular file; nullptr when
-  /// mapping is impossible (missing file, pipe/device, empty file,
-  /// platform without mmap) — never throws for fallback-able causes. A
-  /// pipe is never opened here, so the fallback's open is its only one.
-  /// `chunk` is a test knob bounding slice size.
-  static std::unique_ptr<MmapSource> open(const std::string& path,
-                                          std::size_t chunk = kDefaultChunk);
-
-  ~MmapSource() override;
-  MmapSource(const MmapSource&) = delete;
-  MmapSource& operator=(const MmapSource&) = delete;
-
-  [[nodiscard]] std::string_view next_chunk() override;
-  [[nodiscard]] bool failed() const noexcept override { return failed_; }
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "mmap";
-  }
-
-  /// Default slice size (16 read blocks): big enough to amortize the
-  /// per-chunk bookkeeping, small enough that the ReaderRead fault site
-  /// sees several opportunities on multi-MiB traces.
-  static constexpr std::size_t kDefaultChunk = 16 * kIngestBlock;
-
- private:
-  MmapSource(const char* base, std::size_t size, std::size_t chunk) noexcept
-      : base_(base), size_(size), chunk_(chunk) {}
-
-  const char* base_;
-  std::size_t size_;
-  std::size_t chunk_;
-  std::size_t pos_ = 0;
-  bool failed_ = false;
-  bool done_ = false;
-};
-
 /// Double-buffered overlapped reads: a helper thread fills block N+1
-/// while the consumer parses block N, hiding pipe/stdin latency behind
-/// parse time. The prefetch thread is the only one touching the
-/// istream, and it passes the ReaderRead fault site before every read,
-/// in read order — fault schedules are as deterministic as the
-/// synchronous source's.
+/// while the consumer parses block N, hiding read latency behind parse
+/// time. The one source for text that is not already in memory. The
+/// prefetch thread is the only one touching the istream, and it passes
+/// the ReaderRead fault site before every read, in read order, so fault
+/// schedules are deterministic.
 class OverlappedSource final : public ByteSource {
  public:
-  /// Borrows `in`; the stream must outlive the source.
+  /// Borrows `in`; the stream must outlive the source. `block` is the
+  /// read size; tests pass small blocks to make lines straddle chunks.
   explicit OverlappedSource(std::istream& in,
                             std::size_t block = kIngestBlock);
 
@@ -168,9 +98,6 @@ class OverlappedSource final : public ByteSource {
 
   [[nodiscard]] std::string_view next_chunk() override;
   [[nodiscard]] bool failed() const noexcept override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "overlapped";
-  }
 
  private:
   struct Slot {
@@ -214,9 +141,6 @@ class GzipSource final : public ByteSource {
 
   [[nodiscard]] std::string_view next_chunk() override;
   [[nodiscard]] bool failed() const noexcept override;
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return name_;  // "gzip+<inner>", e.g. "gzip+mmap"
-  }
 
  private:
   bool refill();  // feeds the next compressed chunk to the inflater
@@ -224,7 +148,6 @@ class GzipSource final : public ByteSource {
   std::unique_ptr<ByteSource> inner_;
   std::unique_ptr<GzipInflater> inflater_;
   std::string head_;  // sniffed bytes, inflated before the inner source
-  std::string name_;
   std::string out_;
   bool done_ = false;
   bool failed_ = false;
@@ -263,28 +186,102 @@ class FileView {
   std::string buf_;  // fallback storage when mmap is impossible
 };
 
-/// How open_trace_byte_source picks a backend.
-enum class IngestMode : std::uint8_t {
-  Auto,        ///< mmap for regular files, overlapped for pipes/stdin
-  Stream,      ///< force synchronous StreamSource
-  Mmap,        ///< force MmapSource (throws Error{Io} when impossible)
-  Overlapped,  ///< force OverlappedSource
-};
-
-/// Opens the best byte source for `path`: "-" reads stdin through an
-/// OverlappedSource; regular files map via MmapSource (set TDT_NO_MMAP=1
-/// to disable); pipes/devices and mmap failures fall back to streams.
-/// Input starting with the gzip magic (0x1f 0x8b) is wrapped in a
-/// GzipSource regardless of backend or file name, so `.gz` traces ingest
-/// transparently. Throws Error{Io} when the path cannot be opened at
-/// all, Error{Config} for gzip input without built-in zlib.
+/// Opens `path` for the text readers: "-" is stdin, anything else a
+/// file, pipe or device, all read through an OverlappedSource. Input
+/// starting with the gzip magic (0x1f 0x8b) is wrapped in a GzipSource
+/// whatever the file name, so `.gz` traces ingest transparently. Throws
+/// Error{Io} when the path cannot be opened, Error{Config} for gzip
+/// input without built-in zlib.
 [[nodiscard]] std::unique_ptr<ByteSource> open_trace_byte_source(
-    const std::string& path, IngestMode mode = IngestMode::Auto);
+    const std::string& path);
 
-/// Backend selection without the gzip sniff (open_trace_byte_source is
-/// this plus transparent decompression). Exposed for tests and callers
-/// that must see raw bytes.
-[[nodiscard]] std::unique_ptr<ByteSource> open_raw_byte_source(
-    const std::string& path, IngestMode mode = IngestMode::Auto);
+/// Splits a ByteSource into lines for the text readers. Lines are
+/// located with the SIMD newline scan and handed out in place; only a
+/// line straddling two chunks is copied.
+///
+/// Line terminators: '\n' ends a line; a '\r' immediately before the
+/// '\n' belongs to the terminator (CRLF) and is stripped. bytes() counts
+/// terminator bytes only when they were actually consumed, so it matches
+/// the input size for terminated and unterminated input alike.
+///
+/// When the source dies mid-stream (istream badbit, or fault site
+/// reader.read), the complete lines already buffered still drain, a
+/// torn partial tail is dropped rather than parsed, and
+/// report_io_failure() raises T004.
+class LineSplitter {
+ public:
+  /// `diags` receives the T004 report (nullptr = strict: it throws).
+  LineSplitter(std::unique_ptr<ByteSource> source, DiagEngine* diags);
+
+  /// Produces the next line, terminator stripped; false at end of
+  /// input. The view is valid until the next call. Inline for the
+  /// common case, a whole line inside the current chunk.
+  bool next(std::string_view& out) {
+    if (!carry_active_ && chunk_pos_ < chunk_.size()) {
+      const std::size_t nl =
+          chunk_pos_ + find_nl_(chunk_.data() + chunk_pos_,
+                                chunk_.size() - chunk_pos_);
+      if (nl < chunk_.size()) {
+        out = take_line(chunk_.substr(chunk_pos_, nl - chunk_pos_));
+        chunk_pos_ = nl + 1;
+        return true;
+      }
+    }
+    return next_slow(out);
+  }
+
+  /// 1-based number of the line most recently produced.
+  [[nodiscard]] std::uint32_t line_number() const noexcept { return line_; }
+
+  /// Input bytes consumed so far (terminators counted only when present).
+  [[nodiscard]] std::uint64_t bytes() const noexcept { return bytes_; }
+
+  /// Raises T004 once when the source died mid-stream: throws
+  /// Error{Io} when strict, reports and returns otherwise. No-op on clean
+  /// EOF or when already reported. Readers call it once next() has
+  /// returned false and the records decoded so far have been handed out.
+  void report_io_failure();
+
+ private:
+  /// next() past a chunk end: assembles a straddling line, refills, and
+  /// handles the end of input.
+  bool next_slow(std::string_view& out);
+
+  /// Counts one '\n'-terminated line and strips it for the caller: a
+  /// '\r' before the '\n' belongs to the terminator (CRLF), not to the
+  /// last field.
+  std::string_view take_line(std::string_view line) noexcept {
+    std::size_t term = 1;
+    if (!line.empty() && line.back() == '\r') {
+      line.remove_suffix(1);
+      term = 2;
+    }
+    bytes_ += line.size() + term;
+    ++line_;
+    return line;
+  }
+
+  std::unique_ptr<ByteSource> source_;
+  DiagEngine* diags_;
+  // Active-tier scanner, resolved once so the per-line call skips the
+  // dispatch lookup.
+  simd::FindNewlineFn find_nl_;
+  std::uint32_t line_ = 0;
+  std::uint64_t bytes_ = 0;
+  // Unconsumed remainder of the current source chunk.
+  std::string_view chunk_;
+  std::size_t chunk_pos_ = 0;
+  // Assembly buffer for lines straddling chunk boundaries. When the view
+  // handed out by next() aliases carry_, carry_active_ is set and the
+  // buffer is reclaimed on the following call.
+  std::string carry_;
+  bool carry_active_ = false;
+  bool eof_ = false;
+  bool io_failed_ = false;
+  bool io_reported_ = false;
+  // A torn partial tail was dropped (it is a fragment, not a final
+  // line); mentioned in the T004 diagnostic.
+  bool tail_discarded_ = false;
+};
 
 }  // namespace tdt::trace

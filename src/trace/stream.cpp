@@ -1,11 +1,8 @@
 #include "trace/stream.hpp"
 
-#include <fstream>
-
 #include "trace/binary.hpp"
 #include "trace/din.hpp"
 #include "trace/reader.hpp"
-#include "util/error.hpp"
 #include "util/string_util.hpp"
 
 namespace tdt::trace {
@@ -52,21 +49,16 @@ class GleipnirCursor final : public SourceCursor {
   std::uint64_t records_ = 0;
 };
 
-/// din through its line reader, over an owned stream.
+/// din through its batch reader, over the same byte sources as text.
 class DinCursor final : public SourceCursor {
  public:
-  DinCursor(TraceContext& ctx, std::ifstream in, DiagEngine* diags)
-      : in_(std::move(in)), reader_(ctx, in_, /*default_size=*/4, diags) {}
+  DinCursor(TraceContext& ctx, std::unique_ptr<ByteSource> source,
+            DiagEngine* diags)
+      : reader_(ctx, std::move(source), /*default_size=*/4, diags) {}
 
   std::size_t next_batch(std::vector<TraceRecord>& out,
                          std::size_t max) override {
-    std::size_t got = 0;
-    TraceRecord rec;
-    while (got < max && reader_.next(rec)) {
-      // Copy, not move: `rec` is the reader's reusable output slot.
-      out.push_back(rec);
-      ++got;
-    }
+    const std::size_t got = reader_.next_batch(out, max);
     records_ += got;
     return got;
   }
@@ -74,17 +66,10 @@ class DinCursor final : public SourceCursor {
   void finish(obs::Registry* registry) override {
     if (registry == nullptr) return;
     registry->counter("read.records").add(records_);
-    // Through the last line read: the whole file after a complete pass.
-    // The end of input set failbit, which tellg() would refuse.
-    in_.clear();
-    const std::streamoff bytes = in_.tellg();
-    if (bytes >= 0) {
-      registry->counter("read.bytes").add(static_cast<std::uint64_t>(bytes));
-    }
+    registry->counter("read.bytes").add(reader_.bytes());
   }
 
  private:
-  std::ifstream in_;
   DinReader reader_;
   std::uint64_t records_ = 0;
 };
@@ -97,19 +82,14 @@ std::unique_ptr<SourceCursor> open_trace_cursor(
   switch (guess_trace_format(path)) {
     case TraceFormat::Gleipnir:
       return std::make_unique<GleipnirCursor>(
-          ctx, open_trace_byte_source(path, options.ingest), options.diags);
-    case TraceFormat::Tdtb:
-      return open_tdtb_cursor(ctx, path, options);
+          ctx, open_trace_byte_source(path), options.diags);
     case TraceFormat::Din:
+      return std::make_unique<DinCursor>(ctx, open_trace_byte_source(path),
+                                         options.diags);
+    case TraceFormat::Tdtb:
       break;
   }
-  // Binary mode: din is a text format, but opening it in text mode would
-  // let a CRLF-translating runtime silently rewrite byte offsets.
-  std::ifstream in(path, std::ios::binary | std::ios::in);
-  if (!in) {
-    throw_io_error("cannot open trace file '" + path + "'");
-  }
-  return std::make_unique<DinCursor>(ctx, std::move(in), options.diags);
+  return open_tdtb_cursor(ctx, path, options);
 }
 
 std::unique_ptr<SourceCursor> open_text_cursor(TraceContext& ctx,

@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "trace/record.hpp"
-#include "trace/source.hpp"
 #include "util/diag.hpp"
 #include "util/obs.hpp"
 
@@ -32,8 +31,6 @@ inline constexpr std::size_t kViewBatch = 4096;
 /// How a source opens its input.
 struct ViewSourceOptions {
   DiagEngine* diags = nullptr;        ///< error-recovery policy (null = strict)
-  /// Byte-source backend for Gleipnir text (trace/source.hpp).
-  IngestMode ingest = IngestMode::Auto;
   /// Worker threads decoding TDTB v3 frames concurrently when the
   /// container carries a valid frame index (--jobs N). Frames are bound
   /// and handed out in frame order on the consuming thread, so any job
@@ -76,13 +73,12 @@ class SourceCursor {
 };
 
 /// Opens `path` with the format guessed from its extension. Files open
-/// in binary mode for every format. Gleipnir text reads through the
-/// byte-source layer: `options.ingest` picks the backend, "-" streams
-/// stdin through the overlapped reader, and gzip'd text inflates
-/// transparently. TDTB goes to the one TDTB reader (open_tdtb_cursor in
-/// trace/binary.hpp); a v3 container with a valid frame index decodes on
-/// `options.jobs` workers. Throws Error{Io} when the file cannot be
-/// opened.
+/// in binary mode for every format. Gleipnir text and din read through
+/// open_trace_byte_source (trace/source.hpp): "-" is stdin, and gzip'd
+/// input inflates transparently. TDTB goes to the one TDTB reader
+/// (open_tdtb_cursor in trace/binary.hpp); a v3 container with a valid
+/// frame index decodes on `options.jobs` workers. Throws Error{Io} when
+/// the file cannot be opened.
 [[nodiscard]] std::unique_ptr<SourceCursor> open_trace_cursor(
     TraceContext& ctx, const std::string& path,
     const ViewSourceOptions& options);

@@ -3,6 +3,7 @@
 // string_view and never allocate unless they return std::string.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -85,6 +86,44 @@ bool split_ws_into(std::string_view s, Vec& out, std::size_t max_fields) {
 
 /// Parses a hexadecimal unsigned integer (no 0x prefix required).
 [[nodiscard]] std::optional<std::uint64_t> parse_hex(std::string_view s);
+
+namespace detail {
+/// Hex digit value of each byte; 0xFF for a non-digit.
+inline constexpr std::array<std::uint8_t, 256> kHexDigitValue = [] {
+  std::array<std::uint8_t, 256> t{};
+  for (auto& v : t) v = 0xFF;
+  for (int i = 0; i < 10; ++i) t[static_cast<std::size_t>('0') + i] = i;
+  for (int i = 0; i < 6; ++i) {
+    t[static_cast<std::size_t>('a') + i] = 10 + i;
+    t[static_cast<std::size_t>('A') + i] = 10 + i;
+  }
+  return t;
+}();
+}  // namespace detail
+
+/// parse_hex for the trace decoders' hot loops: inputs of up to 16
+/// digits (which cannot overflow) decode in a tight inline loop, longer
+/// ones defer to parse_hex, so the accepted strings and the produced
+/// values are identical by construction. False where parse_hex is
+/// nullopt.
+[[nodiscard]] inline bool parse_hex_fast(std::string_view s,
+                                         std::uint64_t& out) noexcept {
+  if (s.empty()) return false;
+  if (s.size() > 16) {  // only >16 digits can overflow; let parse_hex rule
+    const auto v = parse_hex(s);
+    if (!v) return false;
+    out = *v;
+    return true;
+  }
+  std::uint64_t v = 0;
+  for (const char c : s) {
+    const std::uint8_t d = detail::kHexDigitValue[static_cast<unsigned char>(c)];
+    if (d == 0xFF) return false;
+    v = v << 4 | d;
+  }
+  out = v;
+  return true;
+}
 
 /// Formats `value` as lower-case hex, zero padded to `width` digits
 /// (Gleipnir prints addresses as 9-digit hex, e.g. "7ff000108").

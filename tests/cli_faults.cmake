@@ -56,7 +56,7 @@ if(NOT err MATCHES "unknown site")
 endif()
 
 # -- Reader row: the istream dies after the first refill. ---------------------
-# The 512-record trace fits one 256 KiB read block, so every line is
+# The 512-record trace fits one 1 MiB read block, so every line is
 # salvaged before the second refill fails: skip/repair still produce the
 # full baseline report plus a trace-io-error diagnostic.
 execute_process(
@@ -95,35 +95,104 @@ endif()
 check_same("reader fault determinism" ${WORKDIR}/reader_skip.stdout
            ${WORKDIR}/reader_rerun.stdout)
 
-# -- Reader row x ingest backends. --------------------------------------------
-# The ReaderRead site must fire identically whichever ByteSource feeds the
-# parser: mmap slices and overlapped prefetch reads pass the same
-# injection point as synchronous stream refills, so the salvage+T004
-# contract is backend-independent.
-foreach(ingest mmap overlapped)
-  execute_process(
-    COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
-            --ingest ${ingest}
-            --on-error=strict --fault-spec "seed=7;reader.read:1:1"
-    RESULT_VARIABLE rc ERROR_VARIABLE err)
-  check_rc("reader fault strict (${ingest})" 2 "${rc}")
+# -- Reader row x input kinds. ------------------------------------------------
+# A regular file, stdin, a FIFO, gzip'd text and din all read through the
+# same prefetching byte source and line splitter, so reader.read fires at
+# the same read on each, and the salvage+T004 contract holds for each:
+# strict exits 2; skip exits 1 with T004 and the clean run's report (each
+# input fits one 1 MiB read block, so every line is salvaged first).
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 512 --out ${WORKDIR}/good.out.gz
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+set(have_gz OFF)
+if(rc EQUAL 0)
+  set(have_gz ON)
+elseif(rc EQUAL 2 AND err MATCHES "gzip")
+  message(STATUS "zlib not built in; the .gz reader row is skipped")
+else()
+  message(FATAL_ERROR "gtracer .gz: exit ${rc}: ${err}")
+endif()
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 512 --din --out ${WORKDIR}/good.din
+  RESULT_VARIABLE rc)
+check_rc("gtracer --din" 0 "${rc}")
+
+find_program(MKFIFO_TOOL mkfifo)
+find_program(SH_TOOL sh)
+
+# Runs dinerosim on ${WORKDIR}/<input>, handed over as `kind` (file,
+# stdin or fifo). `policy` empty is the clean run; otherwise the run
+# takes --on-error=<policy> and fails the second read. stdout lands in
+# ${WORKDIR}/<tag>.stdout; rc and err are set in the caller.
+function(run_reader kind input tag policy)
+  set(trace ${WORKDIR}/${input})
+  set(fault_args "")
+  if(NOT policy STREQUAL "")
+    set(fault_args --on-error=${policy} --fault-spec "seed=7\;reader.read:1:1")
+  endif()
+  if(kind STREQUAL "stdin")
+    execute_process(
+      COMMAND ${DINEROSIM} --trace - --size 4096 ${fault_args}
+      INPUT_FILE ${trace}
+      OUTPUT_FILE ${WORKDIR}/${tag}.stdout
+      RESULT_VARIABLE rc ERROR_VARIABLE err)
+  elseif(kind STREQUAL "fifo")
+    # The FIFO's name carries the input's extension: the format is
+    # picked from the name.
+    get_filename_component(ext ${input} LAST_EXT)
+    set(fifo ${WORKDIR}/reader_fifo${ext})
+    file(REMOVE ${fifo})
+    execute_process(COMMAND ${MKFIFO_TOOL} ${fifo} RESULT_VARIABLE rc)
+    check_rc("mkfifo ${fifo}" 0 "${rc}")
+    execute_process(
+      COMMAND ${SH_TOOL} -c "cat \"$0\" > \"$1\"" ${trace} ${fifo}
+      COMMAND ${DINEROSIM} --trace ${fifo} --size 4096 ${fault_args}
+      TIMEOUT 30
+      OUTPUT_FILE ${WORKDIR}/${tag}.stdout
+      RESULT_VARIABLE rc ERROR_VARIABLE err)
+    file(REMOVE ${fifo})
+  else()
+    execute_process(
+      COMMAND ${DINEROSIM} --trace ${trace} --size 4096 ${fault_args}
+      OUTPUT_FILE ${WORKDIR}/${tag}.stdout
+      RESULT_VARIABLE rc ERROR_VARIABLE err)
+  endif()
+  set(rc "${rc}" PARENT_SCOPE)
+  set(err "${err}" PARENT_SCOPE)
+endfunction()
+
+function(reader_fault_row kind input)
+  set(what "reader fault (${kind} ${input})")
+  string(MAKE_C_IDENTIFIER "reader_${kind}_${input}" tag)
+  run_reader(${kind} ${input} ${tag}_clean "")
+  check_rc("${what} clean run" 0 "${rc}")
+
+  run_reader(${kind} ${input} ${tag}_strict strict)
+  check_rc("${what} strict" 2 "${rc}")
   if(NOT err MATCHES "trace read failed")
-    message(FATAL_ERROR "reader fault strict (${ingest}) missing diagnostic: ${err}")
+    message(FATAL_ERROR "${what} strict missing diagnostic: ${err}")
   endif()
 
-  execute_process(
-    COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
-            --ingest ${ingest}
-            --on-error=skip --fault-spec "seed=7;reader.read:1:1"
-    OUTPUT_FILE ${WORKDIR}/reader_${ingest}.stdout
-    RESULT_VARIABLE rc ERROR_VARIABLE err)
-  check_rc("reader fault skip (${ingest})" 1 "${rc}")
+  run_reader(${kind} ${input} ${tag}_skip skip)
+  check_rc("${what} skip" 1 "${rc}")
   if(NOT err MATCHES "trace-io-error")
-    message(FATAL_ERROR "reader fault skip (${ingest}) missing T004: ${err}")
+    message(FATAL_ERROR "${what} skip missing T004: ${err}")
   endif()
-  check_same("reader fault (${ingest}) salvages everything"
-             ${WORKDIR}/baseline.stdout ${WORKDIR}/reader_${ingest}.stdout)
-endforeach()
+  check_same("${what} salvages everything"
+             ${WORKDIR}/${tag}_clean.stdout ${WORKDIR}/${tag}_skip.stdout)
+endfunction()
+
+reader_fault_row(file good.out)
+reader_fault_row(stdin good.out)
+if(UNIX AND MKFIFO_TOOL AND SH_TOOL)
+  reader_fault_row(fifo good.out)
+else()
+  message(STATUS "mkfifo(1) or sh(1) not found; the FIFO reader row is skipped")
+endif()
+if(have_gz)
+  reader_fault_row(file good.out.gz)
+endif()
+reader_fault_row(file good.din)
 
 # Stdin ingest ("-" reads through the overlapped source) keeps the same
 # report and exit code as the file-backed baseline.

@@ -3,7 +3,8 @@
 #    shared plumbing ("tools/..."); examples include only "tdt/...".
 #  * nothing spells or re-registers a removed flag alias
 #    (--replacement, --cacheline) — their deprecation window is over
-#    and the spellings are refused as unknown flags.
+#    and the spellings are refused as unknown flags — and nothing
+#    registers the removed --ingest flag again.
 set(failures "")
 
 file(GLOB tool_sources ${SOURCE_DIR}/src/tools/*.cpp)
@@ -49,9 +50,10 @@ foreach(src ${cli_sources})
     # The one-release deprecation window for these aliases is over
     # (docs/RULES.md): registering either spelling again, through any
     # FlagParser::add_* call, is a hygiene failure, not a compatibility
-    # feature.
-    if(line MATCHES "add_[a-z_]+\\(\"(replacement|cacheline)\"")
-      list(APPEND failures "${src}: deprecated spelling re-registered: ${line}")
+    # feature. --ingest went without a window (it never changed output)
+    # and must not come back either.
+    if(line MATCHES "add_[a-z_]+\\(\"(replacement|cacheline|ingest)\"")
+      list(APPEND failures "${src}: removed flag re-registered: ${line}")
     endif()
   endforeach()
 endforeach()

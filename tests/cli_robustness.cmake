@@ -91,6 +91,17 @@ execute_process(
   RESULT_VARIABLE rc)
 check_rc("dinerosim bad --on-error value" 2 "${rc}")
 
+# -- The removed --ingest flag is an unknown flag. -----------------------------
+# The byte source is picked from the input (docs/RULES.md); the old
+# backend names are refused like any other unknown flag.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --ingest auto
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+check_rc("dinerosim --ingest auto" 2 "${rc}")
+if(NOT err MATCHES "unknown flag --ingest")
+  message(FATAL_ERROR "--ingest must be reported as unknown: ${err}")
+endif()
+
 # -- Window flags wider than 32 bits are usage errors. -------------------------
 # The profiler's window is 32-bit; 2^32 must not wrap to a window of 0 or 1.
 execute_process(

@@ -74,6 +74,27 @@ if(NOT rc EQUAL 0 OR NOT out MATCHES "miss ratio")
   message(FATAL_ERROR "dinerosim on din trace failed: ${rc}")
 endif()
 
+# The scalar scanner tier (TDT_NO_SIMD=1) must read text and din to the
+# same report as the best SIMD tier this machine supports.
+foreach(input orig.out t.din)
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/${input} --size 4096 --block 32
+    RESULT_VARIABLE rc OUTPUT_VARIABLE simd_out)
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E env TDT_NO_SIMD=1
+            ${DINEROSIM} --trace ${WORKDIR}/${input} --size 4096 --block 32
+    RESULT_VARIABLE scalar_rc OUTPUT_VARIABLE scalar_out)
+  if(NOT rc EQUAL 0 OR NOT scalar_rc EQUAL 0)
+    message(FATAL_ERROR "dinerosim on ${input}: exit ${rc}, "
+                        "exit ${scalar_rc} under TDT_NO_SIMD=1")
+  endif()
+  if(NOT simd_out STREQUAL scalar_out)
+    message(FATAL_ERROR "${input}: TDT_NO_SIMD=1 changes the report:\n"
+                        "=== default ===\n${simd_out}\n"
+                        "=== TDT_NO_SIMD=1 ===\n${scalar_out}")
+  endif()
+endforeach()
+
 # advisor + prefetch + L2 flags.
 execute_process(
   COMMAND ${DINEROSIM} --trace ${WORKDIR}/orig.out --size 8192

@@ -305,20 +305,25 @@ TEST(RobustnessCorpus, DinPoliciesRecoverPerContract) {
       "9 7ff000104 8\n"       // bad label -> dropped under skip/repair
       "1 nothex 8\n"          // bad address -> dropped
       "1 7ff000108 zz\n"      // bad size -> repairable with default
+      "0 7ff00010c 100000008\n"  // size above 32 bits -> same as a bad size
       "2 400000\n";
   trace::TraceContext ctx;
   EXPECT_THROW((void)trace::read_din_string(ctx, text), Error);
+  // Strict refuses the wide size on its own, as the text reader does.
+  EXPECT_THROW(
+      (void)trace::read_din_string(ctx, "0 7ff00010c 100000008\n"), Error);
 
   DiagEngine skip(ErrorPolicy::Skip);
   EXPECT_EQ(trace::read_din_string(ctx, text, 4, &skip).size(), 2u);
-  EXPECT_EQ(skip.count(DiagCode::DinBadLine), 3u);
+  EXPECT_EQ(skip.count(DiagCode::DinBadLine), 4u);
   EXPECT_EQ(skip.exit_code(), 1);
 
   DiagEngine repair(ErrorPolicy::Repair);
   const auto records = trace::read_din_string(ctx, text, 4, &repair);
-  ASSERT_EQ(records.size(), 3u);
+  ASSERT_EQ(records.size(), 4u);
   EXPECT_EQ(records[1].size, 4u);  // default size substituted
-  EXPECT_EQ(repair.count(DiagCode::DinRepairedLine), 1u);
+  EXPECT_EQ(records[2].size, 4u);  // not the wrapped 8
+  EXPECT_EQ(repair.count(DiagCode::DinRepairedLine), 2u);
   EXPECT_EQ(repair.count(DiagCode::DinBadLine), 2u);
   EXPECT_EQ(repair.exit_code(), 1);
 }

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <sstream>
+
 #include "trace/reader.hpp"
 #include "util/error.hpp"
+#include "util/fault.hpp"
 
 namespace tdt::trace {
 namespace {
@@ -45,6 +49,8 @@ TEST(Din, RejectsMalformed) {
   EXPECT_THROW((void)read_din_string(ctx, "0\n"), Error);           // fields
   EXPECT_THROW((void)read_din_string(ctx, "0 100 4 junk\n"), Error);
   EXPECT_THROW((void)read_din_string(ctx, "0 100 0\n"), Error);     // size 0
+  // A size wider than 32 bits is refused, not wrapped to 4.
+  EXPECT_THROW((void)read_din_string(ctx, "0 200 100000004\n"), Error);
 }
 
 TEST(Din, WriteMapsKinds) {
@@ -101,6 +107,69 @@ TEST(Din, GleipnirTraceExportsLosingOnlyMetadata) {
     EXPECT_EQ(lean[i].address, rich[i].address);
     EXPECT_TRUE(lean[i].var.empty());
   }
+}
+
+// The din twins of Reader.TornTail*: din reads through the same line
+// splitter, so a source that dies mid-stream drains the complete lines,
+// never parses the torn fragment, and raises T004.
+TEST(Din, TornTailAfterIoFailureIsSuppressed) {
+  fault::FaultInjector::reset();
+  // 20-byte blocks: the first read ends inside the second line, leaving
+  // a prefix that would parse as a record ("1 7ff0") buffered when the
+  // second read fails.
+  const std::string corpus =
+      "0 7ff000100 4\n"
+      "1 7ff000104 8\n"
+      "2 400000 4\n";
+  fault::FaultInjector::install("seed=1;reader.read:1:1");
+
+  std::istringstream in(corpus);
+  TraceContext ctx;
+  DiagEngine diags(ErrorPolicy::Skip);
+  DinReader reader(ctx, std::make_unique<OverlappedSource>(in, 20), 4,
+                   &diags);
+  std::vector<TraceRecord> records;
+  while (reader.next_batch(records, 16) != 0) {
+  }
+  fault::FaultInjector::reset();
+
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, AccessKind::Load);
+  EXPECT_EQ(records[0].address, 0x7ff000100u);
+
+  EXPECT_EQ(diags.count(DiagCode::TraceIoError), 1u);
+  ASSERT_FALSE(diags.retained().empty());
+  const Diagnostic& d = diags.retained().front();
+  EXPECT_EQ(d.code, DiagCode::TraceIoError);
+  EXPECT_NE(d.message.find("partial final line discarded"),
+            std::string::npos)
+      << d.message;
+}
+
+TEST(Din, TornTailIsFatalWhenStrict) {
+  fault::FaultInjector::reset();
+  const std::string corpus =
+      "0 7ff000100 4\n"
+      "1 7ff000104 8\n";
+  fault::FaultInjector::install("seed=1;reader.read:1:1");
+
+  std::istringstream in(corpus);
+  TraceContext ctx;
+  DinReader reader(ctx, std::make_unique<OverlappedSource>(in, 20));
+  bool threw = false;
+  try {
+    std::vector<TraceRecord> records;
+    while (reader.next_batch(records, 16) != 0) {
+    }
+  } catch (const Error& e) {
+    threw = true;
+    EXPECT_EQ(e.kind(), ErrorKind::Io);
+    EXPECT_NE(std::string(e.what()).find("partial final line discarded"),
+              std::string::npos)
+        << e.what();
+  }
+  fault::FaultInjector::reset();
+  EXPECT_TRUE(threw);
 }
 
 }  // namespace

@@ -82,7 +82,7 @@ TEST(Reader, EndMarkerAccepted) {
 TEST(Reader, StreamingEventsInOrder) {
   TraceContext ctx;
   std::istringstream in("START PID 9\nL 7ff000000 4 main\nEND PID 9\n");
-  GleipnirReader reader(ctx, in);
+  GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in));
   auto e1 = reader.next();
   ASSERT_TRUE(e1.has_value());
   EXPECT_EQ(e1->kind, TraceEvent::Kind::Start);
@@ -162,7 +162,7 @@ END PID 77
 std::vector<TraceRecord> read_slow(TraceContext& ctx, const std::string& text,
                                    DiagEngine* diags = nullptr) {
   std::istringstream in(text);
-  GleipnirReader reader(ctx, in, diags);
+  GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in), diags);
   reader.force_slow_parse(true);
   std::vector<TraceRecord> records;
   while (auto ev = reader.next()) {
@@ -247,15 +247,15 @@ TEST(Reader, StringViewModeStreamsEventsInOrder) {
 }
 
 TEST(Reader, LongLinesGrowTheBlockBuffer) {
-  // A function name far longer than the 256 KiB read block forces the
-  // line assembler to double its buffer; the surrounding records must
-  // still parse, and line numbers stay right.
-  const std::string huge(600 * 1024, 'f');
+  // A function name far longer than the read block forces the line
+  // assembler to grow its buffer; the surrounding records must still
+  // parse, and line numbers stay right.
+  const std::string huge(2 * kIngestBlock + kIngestBlock / 2, 'f');
   const std::string corpus = "L 7ff000000 4 before\nL 7ff000004 4 " + huge +
                              "\nL 7ff000008 4 after\n";
   TraceContext ctx;
   std::istringstream in(corpus);
-  GleipnirReader reader(ctx, in);
+  GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in));
   std::vector<TraceRecord> records;
   while (auto ev = reader.next()) records.push_back(std::move(ev->record));
   ASSERT_EQ(records.size(), 3u);
@@ -276,7 +276,7 @@ TEST(Reader, ParseRecordLineDirect) {
 // Regression (ISSUE satellite 1): read.bytes over-counted the final line
 // by one when the corpus had no trailing newline — the terminator was
 // charged whether or not it existed. bytes must equal the input size for
-// terminated and unterminated corpora alike, in both ingest modes.
+// terminated and unterminated corpora alike, in memory and streamed.
 TEST(Reader, BytesMatchInputSizeWithAndWithoutFinalNewline) {
   const std::string terminated =
       "START PID 1\nL 7ff0001b0 8 main\nEND PID 1\n";
@@ -293,15 +293,15 @@ TEST(Reader, BytesMatchInputSizeWithAndWithoutFinalNewline) {
       EXPECT_EQ(reader.counters().bytes, corpus.size())
           << "memory mode, corpus size " << corpus.size();
     }
-    // Stream mode, with a block size that splits the final line.
+    // Streamed, with a block size that splits the final line.
     {
       std::istringstream in(corpus);
       TraceContext ctx;
-      GleipnirReader reader(ctx, std::make_unique<StreamSource>(in, 16));
+      GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in, 16));
       while (reader.next()) {
       }
       EXPECT_EQ(reader.counters().bytes, corpus.size())
-          << "stream mode, corpus size " << corpus.size();
+          << "streamed, corpus size " << corpus.size();
     }
   }
 }
@@ -370,7 +370,7 @@ TEST(Reader, TornTailAfterIoFailureIsSuppressed) {
   std::istringstream in(corpus);
   TraceContext ctx;
   DiagEngine diags(ErrorPolicy::Skip);
-  GleipnirReader reader(ctx, std::make_unique<StreamSource>(in, 48), &diags);
+  GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in, 48), &diags);
   std::vector<TraceRecord> records;
   while (auto ev = reader.next()) {
     if (ev->kind == TraceEvent::Kind::Record) {
@@ -405,7 +405,7 @@ TEST(Reader, TornTailIsFatalWhenStrict) {
 
   std::istringstream in(corpus);
   TraceContext ctx;
-  GleipnirReader reader(ctx, std::make_unique<StreamSource>(in, 24));
+  GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in, 24));
   bool threw = false;
   try {
     while (reader.next()) {

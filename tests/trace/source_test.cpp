@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include "trace/reader.hpp"
 #include "util/error.hpp"
@@ -34,9 +36,9 @@ std::string drain_source(ByteSource& src) {
   return all;
 }
 
-std::string sample_trace() {
+std::string sample_trace(int iterations = 500) {
   std::string text = "START PID 42\n";
-  for (int i = 0; i < 500; ++i) {
+  for (int i = 0; i < iterations; ++i) {
     text += "S 7ff0001b0 8 main LS 0 1 arr[" + std::to_string(i) + "]\n";
     text += "L 7ff0001b8 4 main LV 0 1 i\n";
   }
@@ -45,124 +47,62 @@ std::string sample_trace() {
 }
 
 TEST(ByteSourceTest, AllBackendsDeliverIdenticalBytes) {
-  const std::string text = sample_trace();
+  // Short enough that one-byte blocks stay quick: every block is one
+  // hand-off between the prefetch thread and the reader.
+  const std::string text = sample_trace(40);
   const auto path = temp_path("tdt_source_equiv.trace");
   write_file(path, text);
 
   MemorySource mem(text);
   EXPECT_EQ(drain_source(mem), text);
   EXPECT_FALSE(mem.failed());
-  EXPECT_EQ(mem.name(), "memory");
 
-  std::istringstream stream_in(text);
-  StreamSource stream(stream_in);
-  EXPECT_EQ(drain_source(stream), text);
-  EXPECT_FALSE(stream.failed());
-  EXPECT_EQ(stream.name(), "stream");
+  // Small blocks force chunk boundaries inside lines.
+  for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                   std::size_t{128}, kIngestBlock}) {
+    std::istringstream str_in(text);
+    OverlappedSource from_string(str_in, block);
+    EXPECT_EQ(drain_source(from_string), text) << "istringstream, " << block;
+    EXPECT_FALSE(from_string.failed());
 
-  // Tiny blocks force chunk boundaries inside lines.
-  std::istringstream small_in(text);
-  StreamSource small(small_in, 7);
-  EXPECT_EQ(drain_source(small), text);
-  EXPECT_FALSE(small.failed());
-
-  auto mmap = MmapSource::open(path.string());
-  ASSERT_NE(mmap, nullptr);
-  EXPECT_EQ(drain_source(*mmap), text);
-  EXPECT_FALSE(mmap->failed());
-  EXPECT_EQ(mmap->name(), "mmap");
-
-  // Small mmap chunks must cut at newline boundaries yet lose nothing.
-  auto mmap_small = MmapSource::open(path.string(), 64);
-  ASSERT_NE(mmap_small, nullptr);
-  EXPECT_EQ(drain_source(*mmap_small), text);
-
-  std::istringstream ov_in(text);
-  OverlappedSource overlapped(ov_in, 128);
-  EXPECT_EQ(drain_source(overlapped), text);
-  EXPECT_FALSE(overlapped.failed());
-  EXPECT_EQ(overlapped.name(), "overlapped");
-
-  std::filesystem::remove(path);
-}
-
-TEST(ByteSourceTest, MmapChunksEndAtNewlines) {
-  const std::string text = sample_trace();
-  const auto path = temp_path("tdt_source_align.trace");
-  write_file(path, text);
-
-  auto mmap = MmapSource::open(path.string(), 256);
-  ASSERT_NE(mmap, nullptr);
-  std::string all;
-  std::string_view chunk;
-  std::string_view last;
-  for (chunk = mmap->next_chunk(); !chunk.empty();
-       chunk = mmap->next_chunk()) {
-    last = chunk;
-    all.append(chunk);
-    if (all.size() < text.size()) {
-      EXPECT_EQ(chunk.back(), '\n') << "interior chunk split mid-line";
-    }
+    std::ifstream file_in(path, std::ios::in | std::ios::binary);
+    ASSERT_TRUE(file_in.good());
+    OverlappedSource from_file(file_in, block);
+    EXPECT_EQ(drain_source(from_file), text) << "file, " << block;
+    EXPECT_FALSE(from_file.failed());
   }
-  EXPECT_EQ(all, text);
+
+  const auto opened = open_trace_byte_source(path.string());
+  EXPECT_EQ(drain_source(*opened), text);
+  EXPECT_FALSE(opened->failed());
+
   std::filesystem::remove(path);
 }
 
-TEST(ByteSourceTest, MmapOpenRefusesMissingAndEmptyFiles) {
-  EXPECT_EQ(MmapSource::open("/nonexistent/tdt/no_such.trace"), nullptr);
-
+TEST(ByteSourceTest, EmptyFileYieldsNoBytes) {
   const auto path = temp_path("tdt_source_empty.trace");
   write_file(path, "");
-  EXPECT_EQ(MmapSource::open(path.string()), nullptr);
-  std::filesystem::remove(path);
-}
-
-TEST(ByteSourceTest, OpenPicksMmapForRegularFiles) {
-  const auto path = temp_path("tdt_source_open.trace");
-  write_file(path, sample_trace());
-
-  const auto auto_src = open_trace_byte_source(path.string());
-  ASSERT_NE(auto_src, nullptr);
-  EXPECT_EQ(auto_src->name(), "mmap");
-
-  const auto stream_src =
-      open_trace_byte_source(path.string(), IngestMode::Stream);
-  EXPECT_EQ(stream_src->name(), "stream");
-
-  const auto mmap_src = open_trace_byte_source(path.string(), IngestMode::Mmap);
-  EXPECT_EQ(mmap_src->name(), "mmap");
-
-  const auto ov_src =
-      open_trace_byte_source(path.string(), IngestMode::Overlapped);
-  EXPECT_EQ(ov_src->name(), "overlapped");
-
-  std::filesystem::remove(path);
-}
-
-TEST(ByteSourceTest, TdtNoMmapForcesStreamFallback) {
-  const auto path = temp_path("tdt_source_nommap.trace");
-  write_file(path, sample_trace());
-  ::setenv("TDT_NO_MMAP", "1", 1);
   const auto src = open_trace_byte_source(path.string());
-  ::unsetenv("TDT_NO_MMAP");
-  ASSERT_NE(src, nullptr);
-  EXPECT_EQ(src->name(), "stream");
+  EXPECT_TRUE(src->next_chunk().empty());
+  EXPECT_TRUE(src->next_chunk().empty());
+  EXPECT_FALSE(src->failed());
   std::filesystem::remove(path);
 }
 
 TEST(ByteSourceTest, OpenErrors) {
-  // A missing path is fatal whatever the mode.
-  EXPECT_THROW((void)open_trace_byte_source("/nonexistent/tdt/no.trace"),
-               Error);
-  // Forced mmap on an unmappable (empty) file cannot fall back.
-  const auto path = temp_path("tdt_source_forced_empty.trace");
-  write_file(path, "");
-  EXPECT_THROW(
-      (void)open_trace_byte_source(path.string(), IngestMode::Mmap), Error);
-  std::filesystem::remove(path);
+  // A missing path is an I/O error, raised when the source is opened.
+  try {
+    (void)open_trace_byte_source("/nonexistent/tdt/no.trace");
+    FAIL();
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Io);
+  }
 }
 
-TEST(ByteSourceTest, ReaderRecordsIdenticalAcrossIngestModes) {
+TEST(ByteSourceTest, ReaderRecordsIdenticalAcrossSources) {
+  // Every way text reaches the reader — in place from memory, a file
+  // through the prefetching source, and a stream cut into small blocks —
+  // yields the same records and the same byte count.
   const std::string text = sample_trace();
   const auto path = temp_path("tdt_source_reader.trace");
   write_file(path, text);
@@ -172,19 +112,25 @@ TEST(ByteSourceTest, ReaderRecordsIdenticalAcrossIngestModes) {
   const auto ref = read_trace_string(ref_ctx, text, &ref_pid);
   EXPECT_EQ(ref_pid, 42u);
 
-  for (const IngestMode mode : {IngestMode::Stream, IngestMode::Mmap,
-                                IngestMode::Overlapped, IngestMode::Auto}) {
+  std::istringstream in(text);
+  const std::pair<const char*, std::function<std::unique_ptr<ByteSource>()>>
+      sources[] = {
+          {"memory", [&] { return std::make_unique<MemorySource>(text); }},
+          {"file", [&] { return open_trace_byte_source(path.string()); }},
+          {"stream",
+           [&] { return std::make_unique<OverlappedSource>(in, 100); }},
+      };
+  for (const auto& [name, open] : sources) {
     TraceContext ctx;
-    GleipnirReader reader(ctx, open_trace_byte_source(path.string(), mode));
+    GleipnirReader reader(ctx, open());
     std::vector<TraceRecord> records;
     while (reader.next_batch(records, 256) != 0) {
     }
-    ASSERT_EQ(records.size(), ref.size())
-        << "mode " << static_cast<int>(mode);
+    ASSERT_EQ(records.size(), ref.size()) << name;
     for (std::size_t i = 0; i < ref.size(); ++i) {
       EXPECT_EQ(ctx.format_record(records[i]),
                 ref_ctx.format_record(ref[i]))
-          << "mode " << static_cast<int>(mode) << " record " << i;
+          << name << " record " << i;
     }
     EXPECT_EQ(reader.start_pid(), 42u);
     EXPECT_EQ(reader.counters().bytes, text.size());

@@ -139,7 +139,7 @@ TEST_F(TokenizerFuzzTest, TinyBlocksStraddlingLinesParseIdentically) {
       std::istringstream in(text);
       trace::TraceContext ctx;
       trace::GleipnirReader reader(
-          ctx, std::make_unique<trace::StreamSource>(in, block));
+          ctx, std::make_unique<trace::OverlappedSource>(in, block));
       std::vector<trace::TraceRecord> records;
       while (reader.next_batch(records, 128) != 0) {
       }

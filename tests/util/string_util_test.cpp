@@ -85,6 +85,21 @@ TEST(ParseHex, BareDigits) {
   EXPECT_FALSE(parse_hex("").has_value());
 }
 
+TEST(ParseHex, FastTwinAcceptsExactlyWhatParseHexAccepts) {
+  for (const char* s :
+       {"", "0", "7ff000108", "FfFf", "ffffffffffffffff", "10000000000000000",
+        "00000000000000000001", "xyz", "12g", "-1", "+1", "0x10", " 1",
+        "1 ", "100000004"}) {
+    std::uint64_t fast = 0;
+    const bool ok = parse_hex_fast(s, fast);
+    const auto ref = parse_hex(s);
+    ASSERT_EQ(ok, ref.has_value()) << '"' << s << '"';
+    if (ok) {
+      EXPECT_EQ(fast, *ref) << '"' << s << '"';
+    }
+  }
+}
+
 TEST(ToHex, PadsToWidth) {
   EXPECT_EQ(to_hex(0x7ff000108, 9), "7ff000108");
   EXPECT_EQ(to_hex(0x601040, 9), "000601040");
