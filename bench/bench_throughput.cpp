@@ -55,15 +55,18 @@ SharedTrace& shared() {
   return instance;
 }
 
+// What gtracer pays besides its writer: the interpreter streaming its
+// batches into a sink that only counts them.
 void BM_TracerEmit(benchmark::State& state) {
   for (auto _ : state) {
     layout::TypeTable types;
     trace::TraceContext ctx;
-    const auto records =
-        tracer::run_program(types, ctx, tracer::make_t1_soa(types, kLen));
-    benchmark::DoNotOptimize(records.data());
+    trace::NullSink sink;
+    tracer::Interpreter interp(types, ctx, sink);
+    interp.run(tracer::make_t1_soa(types, kLen));
+    benchmark::DoNotOptimize(sink.count());
     state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(records.size()));
+                            static_cast<std::int64_t>(sink.count()));
   }
 }
 BENCHMARK(BM_TracerEmit);
@@ -80,11 +83,23 @@ void BM_TextParse(benchmark::State& state) {
 }
 BENCHMARK(BM_TextParse);
 
+// The text block encoder alone: every record formatted, each full block
+// dropped where a writer would hand it to its stream.
 void BM_TextWrite(benchmark::State& state) {
   SharedTrace& s = shared();
+  trace::TextEncoder encoder(s.ctx);
   for (auto _ : state) {
-    const std::string text = trace::write_trace_string(s.ctx, s.records);
-    benchmark::DoNotOptimize(text.data());
+    for (const trace::TraceRecord& rec : s.records) {
+      encoder.record(rec);
+      if (encoder.full()) {
+        benchmark::DoNotOptimize(encoder.bytes().data());
+        benchmark::ClobberMemory();
+        encoder.clear();
+      }
+    }
+    benchmark::DoNotOptimize(encoder.bytes().data());
+    benchmark::ClobberMemory();
+    encoder.clear();
     state.SetItemsProcessed(state.items_processed() +
                             static_cast<std::int64_t>(s.records.size()));
   }

@@ -1,11 +1,15 @@
 // gtracer — the synthetic Gleipnir: traces a built-in kernel and writes
-// the Gleipnir-format (or binary) trace file.
+// the Gleipnir-format (or din, or binary) trace file. Like Gleipnir it
+// writes the trace while the program runs: the interpreter streams its
+// records in batches straight into the writer for the chosen format, so
+// no whole trace is ever held in memory.
 //
 //   gtracer --kernel t1_soa --len 1024 --out trace.out
 //   gtracer --kernel linked_list --len 4096 --shuffle --out list.tdtb --binary
+#include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
-#include <iostream>
 #include <optional>
 
 #include "tdt/tdt.hpp"
@@ -44,6 +48,93 @@ tracer::Program make_kernel(layout::TypeTable& types, const std::string& name,
       "col_major, linked_list)");
 }
 
+bool gzip_name(const std::string& path) {
+  return path.size() > 3 && path.compare(path.size() - 3, 3, ".gz") == 0;
+}
+
+/// gtracer's one output stream, whatever the format: the tool's standard
+/// output for an empty or "-" --out, else the named file, through a gzip
+/// deflater when the name ends in ".gz".
+class TraceOutput {
+ public:
+  TraceOutput(std::string path, std::FILE* stdout_file)
+      : path_(std::move(path)) {
+    if (to_stdout()) {
+      stream_.rdbuf(&stdout_buf_.emplace(stdout_file));
+      return;
+    }
+    file_.open(path_, std::ios::out | std::ios::binary);
+    if (!file_) throw_io_error("cannot open '" + path_ + "' for writing");
+    if (gzip_name(path_)) {
+      stream_.rdbuf(&gzip_.emplace(file_));
+    } else {
+      stream_.rdbuf(file_.rdbuf());
+    }
+  }
+
+  [[nodiscard]] std::ostream& stream() noexcept { return stream_; }
+
+  /// Ends the gzip member and closes the file. Throws Error{Io} when the
+  /// last bytes did not reach it.
+  void finish() {
+    if (to_stdout()) return;
+    if (gzip_.has_value() && !gzip_->finish()) {
+      throw_io_error("gzip compression failed for '" + path_ + "'");
+    }
+    file_.close();
+    if (!file_) throw_io_error("writing '" + path_ + "' failed");
+  }
+
+  /// After a failure: removes the output when it is a regular file, so a
+  /// trace cut short never reads as a shorter, valid one.
+  void discard() noexcept {
+    if (to_stdout()) return;
+    stream_.rdbuf(nullptr);
+    gzip_.reset();
+    file_.close();
+    std::error_code ec;
+    if (std::filesystem::is_regular_file(path_, ec)) {
+      std::filesystem::remove(path_, ec);
+    }
+  }
+
+ private:
+  [[nodiscard]] bool to_stdout() const {
+    return path_.empty() || path_ == "-";
+  }
+
+  std::string path_;
+  std::optional<service::FileStreambuf> stdout_buf_;
+  std::ofstream file_;
+  std::optional<trace::GzipDeflater> gzip_;  // writes into file_
+  std::ostream stream_{nullptr};
+};
+
+/// Hands each batch on to the writer and ticks the --progress heartbeat,
+/// when one runs, while the trace is generated.
+class ProgressTap final : public trace::TraceSink {
+ public:
+  ProgressTap(trace::TraceSink& writer, obs::Heartbeat* heartbeat)
+      : writer_(&writer), heartbeat_(heartbeat) {}
+
+  void on_record(const trace::TraceRecord& rec) override {
+    writer_->on_record(rec);
+    if (heartbeat_ != nullptr) heartbeat_->tick(1);
+  }
+  void push_batch(std::span<const trace::TraceRecord> batch) override {
+    writer_->push_batch(batch);
+    if (heartbeat_ != nullptr) heartbeat_->tick(batch.size());
+  }
+  void on_end() override {
+    writer_->on_end();
+    if (heartbeat_ != nullptr) heartbeat_->finish();
+  }
+
+ private:
+  trace::TraceSink* writer_;
+  obs::Heartbeat* heartbeat_;
+};
+
 }  // namespace
 
 int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
@@ -62,7 +153,8 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
     const auto* shuffle =
         flags.add_bool("shuffle", false, "linked_list: randomize node order");
     const auto* seed = flags.add_uint("seed", 42, "linked_list shuffle seed");
-    const auto* out = flags.add_string("out", "", "output file ('-' = stdout)");
+    const auto* out = flags.add_string(
+        "out", "", "output file ('-' = stdout; a .gz name gzips text or din)");
     const auto* binary =
         flags.add_bool("binary", false, "write compact TDTB binary format");
     const auto* din = flags.add_bool(
@@ -71,8 +163,23 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
     const tools::CommonFlags common = tools::CommonFlags::add(
         flags, {.error_policy = false, .compress = true, .connect = false});
     if (!flags.parse(argc, argv)) return 0;
+    if (*din && *binary) {
+      throw_config_error("--din and --binary each choose the output format; "
+                         "give one of them");
+    }
     if (common.wants_compress() && !*binary) {
       throw_config_error("--compress requires --binary (TDTB output)");
+    }
+    if (*binary && (out->empty() || *out == "-")) {
+      throw_config_error("--binary requires --out <file>");
+    }
+    if (*binary && gzip_name(*out)) {
+      throw_config_error("'" + *out + "': a .gz name gzips text and din; "
+                         "TDTB compresses its frames with --compress");
+    }
+    if (gzip_name(*out) && !trace::gzip_available()) {
+      throw_config_error("'" + *out + "': gzip output needs zlib, which "
+                         "this build does not carry");
     }
     common.arm_faults();
 
@@ -90,60 +197,40 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
         source->empty() ? make_kernel(types, *kernel, *len, *sets, *line,
                                       *shuffle, *seed)
                         : tracer::parse_kernel_file(*source, types);
-    const std::vector<trace::TraceRecord> records =
-        tracer::run_program(types, ctx, prog);
-    generate_phase.stop();
-    if (heartbeat.has_value()) {
-      heartbeat->tick(records.size());
-      heartbeat->finish();
-    }
-
-    obs::PhaseTimer write_phase(registry, "write");
-    if (*din) {
-      if (out->empty() || *out == "-") {
-        std::fputs(trace::write_din_string(records).c_str(), io.out);
+    TraceOutput output(*out, io.out);
+    std::uint64_t records = 0;
+    try {
+      std::optional<trace::WriterSink> text;
+      std::optional<trace::DinSink> din_sink;
+      std::optional<trace::BinaryTraceSink> tdtb;
+      trace::TraceSink* writer = nullptr;
+      if (*din) {
+        writer = &din_sink.emplace(output.stream());
+      } else if (*binary) {
+        writer = &tdtb.emplace(ctx, output.stream(), *pid,
+                               common.writer_options());
+        if (registry != nullptr) tdtb->time_writes();
       } else {
-        trace::write_din_file(records, *out);
+        writer = &text.emplace(ctx, output.stream(), *pid);
       }
-    } else if (*binary) {
-      if (out->empty() || *out == "-") {
-        throw_config_error("--binary requires --out <file>");
+      ProgressTap tap(*writer, heartbeat ? &*heartbeat : nullptr);
+      tracer::Interpreter interp(types, ctx, tap);
+      interp.run(prog);
+      records = interp.records_emitted();
+      if (registry != nullptr && tdtb.has_value()) {
+        trace::fold_write_metrics(*registry, tdtb->stats());
       }
-      const std::vector<char> blob = trace::write_binary_trace(
-          ctx, records, *pid, common.writer_options());
-      std::ofstream f(*out, std::ios::binary);
-      if (!f) throw_io_error("cannot open '" + *out + "'");
-      f.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-      if (!f) throw_io_error("writing '" + *out + "' failed");
-    } else if (out->empty() || *out == "-") {
-      std::fputs(trace::write_trace_string(ctx, records, *pid).c_str(),
-                 io.out);
-    } else if (out->size() > 3 &&
-               out->compare(out->size() - 3, 3, ".gz") == 0) {
-      // A .gz output name gzips the text trace, matching the transparent
-      // .gz ingest on the reader side.
-      if (!trace::gzip_available()) {
-        throw_config_error("'" + *out + "': gzip output needs zlib, which "
-                           "this build does not carry");
-      }
-      std::string gz;
-      if (!trace::gzip_compress(trace::write_trace_string(ctx, records, *pid),
-                                gz)) {
-        throw_io_error("gzip compression failed for '" + *out + "'");
-      }
-      std::ofstream f(*out, std::ios::binary);
-      if (!f) throw_io_error("cannot open '" + *out + "'");
-      f.write(gz.data(), static_cast<std::streamsize>(gz.size()));
-      if (!f) throw_io_error("writing '" + *out + "' failed");
-    } else {
-      trace::write_trace_file(ctx, records, *out, *pid);
+      output.finish();
+    } catch (...) {
+      output.discard();
+      throw;
     }
-    write_phase.stop();
-    std::fprintf(io.err, "gtracer: %zu records from %s'%s'\n",
-                 records.size(), source->empty() ? "kernel " : "source ",
+    generate_phase.stop();
+    std::fprintf(io.err, "gtracer: %" PRIu64 " records from %s'%s'\n",
+                 records, source->empty() ? "kernel " : "source ",
                  source->empty() ? kernel->c_str() : source->c_str());
     if (registry != nullptr) {
-      registry->counter("trace.records").add(records.size());
+      registry->counter("trace.records").add(records);
       common.write(*registry);
     }
     return 0;

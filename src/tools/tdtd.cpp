@@ -32,25 +32,32 @@ namespace {
 
 using namespace tdt;
 
-/// Terminal sink that folds every transformed record's canonical text
-/// rendering into a CRC32, so two runs agree iff the transformed traces
-/// are byte-identical — the paper's step-5 comparison as one number.
+/// Terminal sink that folds the canonical text rendering of every
+/// transformed record into a CRC32, one encoder block at a time, so two
+/// runs agree iff the transformed traces are byte-identical — the
+/// paper's step-5 comparison as one number.
 class DigestSink final : public trace::TraceSink {
  public:
-  explicit DigestSink(const trace::TraceContext& ctx) : ctx_(&ctx) {}
+  explicit DigestSink(const trace::TraceContext& ctx) : encoder_(ctx) {}
 
   void on_record(const trace::TraceRecord& rec) override {
-    std::string line = ctx_->format_record(rec);
-    line.push_back('\n');
-    crc_.update(line.data(), line.size());
+    encoder_.record(rec);
     ++records_;
+    if (encoder_.full()) fold();
   }
+  void on_end() override { fold(); }
 
   [[nodiscard]] std::uint32_t value() const noexcept { return crc_.value(); }
   [[nodiscard]] std::uint64_t records() const noexcept { return records_; }
 
  private:
-  const trace::TraceContext* ctx_;
+  void fold() {
+    const std::string_view block = encoder_.bytes();
+    crc_.update(block.data(), block.size());
+    encoder_.clear();
+  }
+
+  trace::TextEncoder encoder_;
   Crc32 crc_;
   std::uint64_t records_ = 0;
 };

@@ -13,6 +13,7 @@
 #include "trace/source.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/obs.hpp"
 
 namespace tdt::trace {
 namespace {
@@ -420,6 +421,16 @@ void BinaryTraceWriter::check() {
 void BinaryTraceWriter::fail_stream() {
   stop_thread();
   out_->setstate(std::ios::failbit);
+}
+
+void fold_write_metrics(obs::Registry& registry, const WriteStats& stats) {
+  registry.counter("write.records").add(stats.records);
+  registry.counter("write.frames").add(stats.frames);
+  registry.counter("write.bytes").add(stats.bytes);
+  obs::Gauge& encode = registry.gauge("write.encode_seconds");
+  encode.set(encode.value() + stats.encode_seconds);
+  obs::Gauge& compress = registry.gauge("write.compress_seconds");
+  compress.set(compress.value() + stats.compress_seconds);
 }
 
 WriteStats BinaryTraceWriter::stats() const noexcept {

@@ -49,6 +49,10 @@
 #include "util/crc32.hpp"
 #include "util/diag.hpp"
 
+namespace tdt::obs {
+class Registry;
+}  // namespace tdt::obs
+
 namespace tdt::trace {
 
 /// Default TDTB format version written by BinaryTraceWriter: plain v2.
@@ -92,6 +96,11 @@ struct WriteStats {
   double encode_seconds = 0;    ///< calling thread, inside the writer
   double compress_seconds = 0;  ///< compressing and writing v3 frames
 };
+
+/// Adds `stats` to the write.* family of `registry`: the counters and
+/// the seconds gauges both add up, so several writers in one run report
+/// their sums (docs/OBSERVABILITY.md).
+void fold_write_metrics(obs::Registry& registry, const WriteStats& stats);
 
 /// One frame's index entry (v3).
 struct TdtbFrameInfo {

@@ -1,7 +1,10 @@
 #include "trace/codec.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <sstream>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -274,25 +277,72 @@ bool looks_gzip(std::string_view head) noexcept {
 
 #if defined(TDT_HAVE_ZLIB)
 
-bool gzip_compress(std::string_view src, std::string& dst) {
-  z_stream zs;
-  std::memset(&zs, 0, sizeof(zs));
+namespace {
+/// Compressed bytes a GzipDeflater collects before writing them out.
+constexpr std::size_t kGzipChunk = 64 * 1024;
+}  // namespace
+
+struct GzipDeflater::Impl {
+  z_stream zs{};
+  std::vector<char> chunk = std::vector<char>(kGzipChunk);
+  bool finished = false;
+};
+
+GzipDeflater::GzipDeflater(std::ostream& out)
+    : impl_(std::make_unique<Impl>()), out_(&out) {
+  std::memset(&impl_->zs, 0, sizeof(impl_->zs));
   // windowBits 15+16 selects a gzip wrapper around the deflate stream.
-  if (deflateInit2(&zs, Z_DEFAULT_COMPRESSION, Z_DEFLATED, 15 + 16, 8,
+  if (deflateInit2(&impl_->zs, Z_DEFAULT_COMPRESSION, Z_DEFLATED, 15 + 16, 8,
                    Z_DEFAULT_STRATEGY) != Z_OK) {
-    return false;
+    throw Error(ErrorKind::Config, "zlib: deflateInit2 failed");
   }
-  const uLong bound = deflateBound(&zs, static_cast<uLong>(src.size()));
-  dst.resize(bound + 32);  // header slack for deflateBound underestimates
-  zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(src.data()));
-  zs.avail_in = static_cast<uInt>(src.size());
-  zs.next_out = reinterpret_cast<Bytef*>(dst.data());
-  zs.avail_out = static_cast<uInt>(dst.size());
-  const int rc = deflate(&zs, Z_FINISH);
-  const bool ok = rc == Z_STREAM_END;
-  dst.resize(ok ? dst.size() - zs.avail_out : 0);
-  deflateEnd(&zs);
-  return ok;
+}
+
+GzipDeflater::~GzipDeflater() { deflateEnd(&impl_->zs); }
+
+bool GzipDeflater::deflate_to_out(const char* data, std::size_t n, int mode) {
+  if (impl_->finished) return false;
+  z_stream& zs = impl_->zs;
+  std::vector<char>& chunk = impl_->chunk;
+  do {
+    // zlib counts input in uInt; hand over a huge buffer in slices.
+    const std::size_t slice = std::min<std::size_t>(n, 1u << 30);
+    zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(data));
+    zs.avail_in = static_cast<uInt>(slice);
+    data += slice;
+    n -= slice;
+    const int slice_mode = n == 0 ? mode : Z_NO_FLUSH;
+    int rc = Z_OK;
+    do {
+      zs.next_out = reinterpret_cast<Bytef*>(chunk.data());
+      zs.avail_out = static_cast<uInt>(chunk.size());
+      rc = deflate(&zs, slice_mode);
+      if (rc == Z_STREAM_ERROR) return false;
+      out_->write(chunk.data(),
+                  static_cast<std::streamsize>(chunk.size() - zs.avail_out));
+    } while (zs.avail_out == 0 ||
+             (slice_mode == Z_FINISH && rc != Z_STREAM_END));
+  } while (n > 0);
+  if (mode == Z_FINISH) impl_->finished = true;
+  return static_cast<bool>(*out_);
+}
+
+std::streamsize GzipDeflater::xsputn(const char* s, std::streamsize n) {
+  return deflate_to_out(s, static_cast<std::size_t>(n), Z_NO_FLUSH) ? n : 0;
+}
+
+int GzipDeflater::overflow(int ch) {
+  if (traits_type::eq_int_type(ch, traits_type::eof())) {
+    return traits_type::not_eof(ch);
+  }
+  const char c = traits_type::to_char_type(ch);
+  return deflate_to_out(&c, 1, Z_NO_FLUSH) ? ch : traits_type::eof();
+}
+
+int GzipDeflater::sync() { return out_->flush() ? 0 : -1; }
+
+bool GzipDeflater::finish() {
+  return deflate_to_out(nullptr, 0, Z_FINISH) && out_->flush();
 }
 
 struct GzipInflater::Impl {
@@ -348,7 +398,29 @@ GzipInflater::Status GzipInflater::inflate_chunk(char* out, std::size_t cap,
 
 #else  // !TDT_HAVE_ZLIB
 
-bool gzip_compress(std::string_view, std::string&) { return false; }
+struct GzipDeflater::Impl {};
+
+GzipDeflater::GzipDeflater(std::ostream& out) : out_(&out) {
+  throw Error(ErrorKind::Config,
+              "gzip support is not built in (zlib was unavailable at "
+              "configure time)");
+}
+
+GzipDeflater::~GzipDeflater() = default;
+
+bool GzipDeflater::deflate_to_out(const char*, std::size_t, int) {
+  return false;
+}
+
+std::streamsize GzipDeflater::xsputn(const char*, std::streamsize) {
+  return 0;
+}
+
+int GzipDeflater::overflow(int) { return traits_type::eof(); }
+
+int GzipDeflater::sync() { return -1; }
+
+bool GzipDeflater::finish() { return false; }
 
 struct GzipInflater::Impl {};
 
@@ -368,5 +440,19 @@ GzipInflater::Status GzipInflater::inflate_chunk(char*, std::size_t,
 }
 
 #endif  // TDT_HAVE_ZLIB
+
+bool gzip_compress(std::string_view src, std::string& dst) {
+  dst.clear();
+  if (!gzip_available()) return false;
+  std::ostringstream out;
+  GzipDeflater deflater(out);
+  if (deflater.sputn(src.data(), static_cast<std::streamsize>(src.size())) !=
+          static_cast<std::streamsize>(src.size()) ||
+      !deflater.finish()) {
+    return false;
+  }
+  dst = out.str();
+  return true;
+}
 
 }  // namespace tdt::trace

@@ -13,12 +13,15 @@
 // gzip (RFC 1952, via zlib when the build found it) is a separate,
 // text-side facility: externally captured traces arrive as `trace.out.gz`
 // and the byte-source layer inflates them transparently; the GzipInflater
-// here is its streaming engine.
+// here is its streaming engine, and GzipDeflater is the writers' for
+// `.gz` output.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <ostream>
+#include <streambuf>
 #include <string>
 #include <string_view>
 
@@ -81,9 +84,44 @@ bool codec_decompress(Codec codec, std::string_view src,
 /// True when `head` starts with the gzip magic (0x1f 0x8b).
 [[nodiscard]] bool looks_gzip(std::string_view head) noexcept;
 
-/// Compresses `src` into a complete gzip member in `dst` (replaced).
-/// Returns false when zlib is unavailable or reports an error.
+/// Compresses `src` into a complete gzip member in `dst` (replaced),
+/// through a GzipDeflater. Returns false when zlib is unavailable or
+/// reports an error.
 bool gzip_compress(std::string_view src, std::string& dst);
+
+/// Streaming gzip compressor: an output stream buffer that deflates what
+/// is written through it into one gzip member on `out` (the writers'
+/// `.gz` output). A flush hands `out` the compressed bytes made so far
+/// and flushes it, but ends no deflate block, so the bytes do not depend
+/// on how the input was cut into writes and flushes: they equal
+/// gzip_compress() of everything written. finish() ends the member; a
+/// deflater destroyed without it leaves an incomplete one.
+class GzipDeflater final : public std::streambuf {
+ public:
+  /// Throws Error{Config} when zlib is unavailable.
+  explicit GzipDeflater(std::ostream& out);
+  ~GzipDeflater() override;
+  GzipDeflater(const GzipDeflater&) = delete;
+  GzipDeflater& operator=(const GzipDeflater&) = delete;
+
+  /// Compresses what is pending, writes the gzip trailer and flushes
+  /// `out`. False when zlib or `out` failed.
+  bool finish();
+
+ protected:
+  int overflow(int ch) override;
+  std::streamsize xsputn(const char* s, std::streamsize n) override;
+  int sync() override;
+
+ private:
+  /// Feeds `n` bytes to deflate with zlib flush mode `mode` and writes
+  /// whatever it produces to `out`.
+  bool deflate_to_out(const char* data, std::size_t n, int mode);
+
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+  std::ostream* out_;
+};
 
 /// Streaming gzip inflater: feed compressed chunks, pull inflated chunks.
 /// Handles concatenated gzip members (as `cat a.gz b.gz` produces).

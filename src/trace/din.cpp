@@ -1,6 +1,7 @@
 #include "trace/din.hpp"
 
 #include <fstream>
+#include <sstream>
 
 #include "util/error.hpp"
 #include "util/string_util.hpp"
@@ -10,6 +11,10 @@ namespace {
 
 /// A din line has at most 3 fields: label, address, size.
 constexpr std::size_t kMaxDinFields = 3;
+
+/// Longest din line: label, two hex fields of at most 16 digits, two
+/// separators and the newline.
+constexpr std::size_t kMaxDinLine = 1 + 1 + 16 + 1 + 16 + 1;
 
 /// Records decoded per next_batch call when draining whole traces.
 constexpr std::size_t kDrainBatch = 4096;
@@ -122,25 +127,47 @@ std::vector<TraceRecord> read_din_file(TraceContext& ctx,
   return drain(reader);
 }
 
-std::string write_din_string(std::span<const TraceRecord> records) {
-  std::string out;
-  for (const TraceRecord& rec : records) {
-    char label = '0';
-    switch (rec.kind) {
-      case AccessKind::Load: label = '0'; break;
-      case AccessKind::Store:
-      case AccessKind::Modify: label = '1'; break;
-      case AccessKind::Instr: label = '2'; break;
-      case AccessKind::Misc: continue;  // not representable
-    }
-    out += label;
-    out += ' ';
-    out += to_hex(rec.address);
-    out += ' ';
-    out += to_hex(rec.size);
-    out += '\n';
+void DinSink::write(const TraceRecord& rec) {
+  char label = '0';
+  switch (rec.kind) {
+    case AccessKind::Load: label = '0'; break;
+    case AccessKind::Store:
+    case AccessKind::Modify: label = '1'; break;
+    case AccessKind::Instr: label = '2'; break;
+    case AccessKind::Misc: return;  // not representable
   }
-  return out;
+  char* p = block_.reserve(kMaxDinLine);
+  *p++ = label;
+  *p++ = ' ';
+  p = put_hex(p, rec.address);
+  *p++ = ' ';
+  p = put_hex(p, rec.size);
+  *p++ = '\n';
+  block_.commit(p);
+  ++count_;
+}
+
+void DinSink::push_batch(std::span<const TraceRecord> batch) {
+  for (const TraceRecord& rec : batch) {
+    write(rec);
+    if (block_.full()) block_.drain_to(*out_);
+  }
+  check_health();
+}
+
+void DinSink::on_end() { check_health(); }
+
+void DinSink::check_health() {
+  block_.drain_to(*out_);
+  check_text_stream(*out_, count_);
+}
+
+std::string write_din_string(std::span<const TraceRecord> records) {
+  std::ostringstream out;
+  DinSink sink(out);
+  sink.push_batch(records);
+  sink.on_end();
+  return out.str();
 }
 
 void write_din_file(std::span<const TraceRecord> records,
@@ -149,10 +176,9 @@ void write_din_file(std::span<const TraceRecord> records,
   if (!out) {
     throw_io_error("cannot open '" + path + "' for writing");
   }
-  out << write_din_string(records);
-  if (!out) {
-    throw_io_error("write to '" + path + "' failed");
-  }
+  DinSink sink(out);
+  sink.push_batch(records);
+  sink.on_end();
 }
 
 }  // namespace tdt::trace

@@ -10,13 +10,16 @@
 #pragma once
 
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "trace/record.hpp"
+#include "trace/sink.hpp"
 #include "trace/source.hpp"
+#include "trace/writer.hpp"
 #include "util/diag.hpp"
 
 namespace tdt::trace {
@@ -74,8 +77,32 @@ std::vector<TraceRecord> read_din_file(TraceContext& ctx,
                                        std::uint32_t default_size = 4,
                                        DiagEngine* diags = nullptr);
 
-/// Renders records as din text: Load -> 0, Store and Modify -> 1 (din has
-/// no read-modify-write label), Instr -> 2, Misc -> dropped.
+/// Streams records as din lines into `out` through a text block:
+/// Load -> 0, Store and Modify -> 1 (din has no read-modify-write
+/// label), Instr -> 2, Misc -> dropped. Like the Gleipnir writer it
+/// checks the stream at batch boundaries and at on_end()
+/// (check_text_stream: fault site writer.flush, Error{Io} on failure).
+class DinSink final : public TraceSink {
+ public:
+  explicit DinSink(std::ostream& out) : out_(&out) {}
+
+  void on_record(const TraceRecord& rec) override {
+    write(rec);
+    if (block_.full()) block_.drain_to(*out_);
+  }
+  void push_batch(std::span<const TraceRecord> batch) override;
+  void on_end() override;
+
+ private:
+  void write(const TraceRecord& rec);
+  void check_health();
+
+  TextBlock block_;
+  std::ostream* out_;
+  std::uint64_t count_ = 0;  // din lines written (Misc records drop out)
+};
+
+/// Renders records as din text (see DinSink).
 std::string write_din_string(std::span<const TraceRecord> records);
 
 /// Writes a din file. Throws Error{Io} on failure.

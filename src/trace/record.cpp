@@ -1,5 +1,6 @@
 #include "trace/record.hpp"
 
+#include "trace/writer.hpp"
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 
@@ -47,18 +48,9 @@ bool parse_var_scope(std::string_view text, VarScope& out) noexcept {
 }
 
 std::string TraceContext::format_var(const VarRef& var) const {
-  std::string out(pool_.view(var.base));
-  for (const VarStep& step : var.steps) {
-    if (step.is_field) {
-      out += '.';
-      out += pool_.view(step.field);
-    } else {
-      out += '[';
-      out += std::to_string(step.index);
-      out += ']';
-    }
-  }
-  return out;
+  TextEncoder encoder(*this);
+  encoder.var(var);
+  return std::string(encoder.bytes());
 }
 
 VarRef TraceContext::parse_var(std::string_view text) {
@@ -136,31 +128,10 @@ bool TraceContext::try_parse_var(std::string_view text, VarRef& out) {
 }
 
 std::string TraceContext::format_record(const TraceRecord& rec) const {
-  // Layout (paper Listing 2):
-  //   K ADDRESS SIZE FUNCTION [SCOPE [FRAME THREAD] VAR]
-  // Globals omit frame/thread; lines without symbol info stop after the
-  // function name.
-  std::string out;
-  out += access_kind_code(rec.kind);
-  out += ' ';
-  out += to_hex(rec.address, 9);
-  out += ' ';
-  out += std::to_string(rec.size);
-  out += ' ';
-  out += pool_.view(rec.function);
-  if (rec.scope != VarScope::Unknown) {
-    out += ' ';
-    out += var_scope_code(rec.scope);
-    if (!is_global_scope(rec.scope)) {
-      out += ' ';
-      out += std::to_string(rec.frame);
-      out += ' ';
-      out += std::to_string(rec.thread);
-    }
-    out += ' ';
-    out += format_var(rec.var);
-  }
-  return out;
+  TextEncoder encoder(*this);
+  encoder.record(rec);
+  const std::string_view line = encoder.bytes();
+  return std::string(line.substr(0, line.size() - 1));  // drop the newline
 }
 
 }  // namespace tdt::trace

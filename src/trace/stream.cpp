@@ -9,7 +9,9 @@ namespace tdt::trace {
 
 TraceFormat guess_trace_format(const std::string& path) noexcept {
   if (ends_with(path, ".tdtb")) return TraceFormat::Tdtb;
-  if (ends_with(path, ".din")) return TraceFormat::Din;
+  if (ends_with(path, ".din") || ends_with(path, ".din.gz")) {
+    return TraceFormat::Din;
+  }
   return TraceFormat::Gleipnir;
 }
 

@@ -20,8 +20,9 @@ namespace tdt::trace {
 /// On-disk trace encodings understood by the pipeline.
 enum class TraceFormat : std::uint8_t { Gleipnir, Din, Tdtb };
 
-/// Picks the format from the file name: ".tdtb" -> Tdtb, ".din" -> Din,
-/// anything else -> Gleipnir text.
+/// Picks the format from the file name: ".tdtb" -> Tdtb, ".din" or
+/// ".din.gz" -> Din, anything else -> Gleipnir text. Text and din inflate
+/// gzip input by its magic, whatever the name.
 [[nodiscard]] TraceFormat guess_trace_format(const std::string& path) noexcept;
 
 /// Records per batch the view DAG pulls from a source. The TDTB reader

@@ -475,17 +475,6 @@ class Evaluator {
     }
   }
 
-  /// The write.* family, summed over the evaluation's TDTB save nodes.
-  static void fold_write_metrics(obs::Registry& reg, const WriteStats& w) {
-    reg.counter("write.records").add(w.records);
-    reg.counter("write.frames").add(w.frames);
-    reg.counter("write.bytes").add(w.bytes);
-    obs::Gauge& encode = reg.gauge("write.encode_seconds");
-    encode.set(encode.value() + w.encode_seconds);
-    obs::Gauge& compress = reg.gauge("write.compress_seconds");
-    compress.set(compress.value() + w.compress_seconds);
-  }
-
   EvalOptions options_;
   std::vector<std::unique_ptr<Stage>> stages_;
   std::unordered_map<ViewNode*, Stage*> by_node_;

@@ -1,5 +1,6 @@
 #include "tracer/interp.hpp"
 
+#include "trace/stream.hpp"
 #include "util/error.hpp"
 
 namespace tdt::tracer {
@@ -16,6 +17,7 @@ Interpreter::Interpreter(layout::TypeTable& types, trace::TraceContext& ctx,
       space_(options.address_space),
       symbols_(types, space_) {
   enabled_ = options_.start_enabled;
+  batch_.reserve(trace::kViewBatch);
 }
 
 Symbol Interpreter::current_function() const {
@@ -30,7 +32,7 @@ void Interpreter::emit(AccessKind kind, std::uint64_t address,
     throw_semantic_error("trace record budget exhausted (" +
                          std::to_string(options_.max_records) + ")");
   }
-  trace::TraceRecord rec;
+  trace::TraceRecord& rec = batch_.emplace_back();
   rec.kind = kind;
   rec.address = address;
   rec.size = size;
@@ -56,7 +58,13 @@ void Interpreter::emit(AccessKind kind, std::uint64_t address,
     }
   }
   ++emitted_;
-  sink_->on_record(rec);
+  if (batch_.size() >= trace::kViewBatch) flush_batch();
+}
+
+void Interpreter::flush_batch() {
+  if (batch_.empty()) return;
+  sink_->push_batch(batch_);
+  batch_.clear();
 }
 
 Value Interpreter::memory_value(std::uint64_t address,
@@ -440,6 +448,7 @@ void Interpreter::run(const Program& program) {
   exec(*main_fn->body);
   call_stack_.pop_back();
   symbols_.pop_scope();
+  flush_batch();
   sink_->on_end();
   program_ = nullptr;
 }

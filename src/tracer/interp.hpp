@@ -3,7 +3,11 @@
 // the stand-in for running a compiled binary under Valgrind+Gleipnir:
 // loop-counter loads, index arithmetic, call overhead stores and the
 // GLEIPNIR_START/STOP instrumentation window all appear in the emitted
-// trace exactly as in the paper's Listing 2 / Figure 5 snippets.
+// trace exactly as in the paper's Listing 2 / Figure 5 snippets. Like
+// Gleipnir it streams: records reach the sink through push_batch in
+// batches of kViewBatch (trace/stream.hpp) while the program runs, so a
+// writer sink checks its stream at the same boundaries as in the view
+// DAG.
 #pragma once
 
 #include <cstdint>
@@ -128,6 +132,9 @@ class Interpreter {
   void emit(trace::AccessKind kind, std::uint64_t address, std::uint32_t size,
             bool annotate = true);
 
+  /// Hands the pending batch to the sink.
+  void flush_batch();
+
   Value load(const Location& loc);
   void store(const Location& loc, const Value& v, bool compound);
 
@@ -145,6 +152,7 @@ class Interpreter {
   memsim::SymbolTable symbols_;
   std::unordered_map<std::uint64_t, Value> memory_;
   std::vector<Symbol> call_stack_;
+  std::vector<trace::TraceRecord> batch_;  // emitted, not yet pushed
   bool enabled_ = false;
   std::uint64_t emitted_ = 0;
   std::uint64_t heap_serial_ = 0;

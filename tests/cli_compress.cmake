@@ -220,6 +220,28 @@ if(rc EQUAL 0)
   check_rc("dinerosim .gz ingest" 0 "${rc}")
   check_same(".gz ingest matches plain text"
              ${WORKDIR}/baseline.stdout ${WORKDIR}/gz.stdout)
+
+  # din goes through the same output stream, so a .gz name gzips it too
+  # (it used to write plain din under the .gz name), and the gzip'd din
+  # simulates exactly like the plain one.
+  foreach(name plain.din plain.din.gz)
+    execute_process(
+      COMMAND ${GTRACER} --kernel t1_soa --len 2048 --din
+              --out ${WORKDIR}/${name}
+      RESULT_VARIABLE rc)
+    check_rc("gtracer --din --out ${name}" 0 "${rc}")
+    execute_process(
+      COMMAND ${DINEROSIM} --trace ${WORKDIR}/${name} --size 4096
+      OUTPUT_FILE ${WORKDIR}/${name}.stdout RESULT_VARIABLE rc)
+    check_rc("dinerosim ${name}" 0 "${rc}")
+  endforeach()
+  file(READ ${WORKDIR}/plain.din.gz din_magic LIMIT 2 HEX)
+  if(NOT din_magic STREQUAL "1f8b")
+    message(FATAL_ERROR "gtracer --din to a .gz name did not gzip "
+                        "(first bytes ${din_magic})")
+  endif()
+  check_same(".gz din matches plain din"
+             ${WORKDIR}/plain.din.stdout ${WORKDIR}/plain.din.gz.stdout)
 elseif(rc EQUAL 2 AND err MATCHES "gzip")
   message(STATUS "zlib not built in; gzip rows skipped")
 else()

@@ -174,6 +174,12 @@ check_rc("transform-digest" 0 "${rc}")
 if(NOT digest_a MATCHES "transform-digest: crc32:[0-9a-f]+ records_in=")
   message(FATAL_ERROR "transform-digest reply malformed: ${digest_a}")
 endif()
+# The digest is a CRC-32 of the transformed trace's text, folded one
+# encoder block at a time; the value is pinned so a change to the text
+# writer or the block folding cannot go unnoticed.
+if(NOT digest_a MATCHES "crc32:c7569739 ")
+  message(FATAL_ERROR "transform-digest value changed: ${digest_a}")
+endif()
 
 # -- Memo: an identical repeat is byte-identical and counted as a hit. --------
 execute_process(

@@ -280,6 +280,69 @@ if(NOT v3_index EQUAL -1)
   endif()
 endif()
 
+# -- gtracer writer rows: the trace is written while the kernel runs. ---------
+# Records reach the writer in 4096-record batches, and writer.flush is
+# drawn at each batch boundary. A failed flush stops the run (exit 2, an
+# Io diagnostic) and removes the partial output, which would otherwise
+# read as a shorter, valid trace. The 4096-record t1 kernel at LEN 512 is
+# one batch, so the fault fires after the whole batch reached the writer.
+set(gtracer_fault_rows "text|gw.out| " "din|gw.din|--din")
+list(FIND tdtb_formats v3 v3_index)
+if(NOT v3_index EQUAL -1)
+  list(APPEND gtracer_fault_rows "v3 zstd|gw.tdtb|--binary --compress zstd")
+endif()
+foreach(row ${gtracer_fault_rows})
+  string(REPLACE "|" ";" fields "${row}")
+  list(GET fields 0 what)
+  list(GET fields 1 file)
+  list(GET fields 2 args)
+  separate_arguments(format_args UNIX_COMMAND "${args}")
+  file(REMOVE ${WORKDIR}/${file})
+  execute_process(
+    COMMAND ${GTRACER} --kernel t1_soa --len 512 ${format_args}
+            --out ${WORKDIR}/${file} --fault-spec "writer.flush:1"
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  check_rc("gtracer ${what} writer fault" 2 "${rc}")
+  if(NOT err MATCHES "io error: .*trace write failed")
+    message(FATAL_ERROR "gtracer ${what} writer fault missing Io diagnostic: "
+                        "${err}")
+  endif()
+  if(EXISTS ${WORKDIR}/${file})
+    message(FATAL_ERROR "gtracer ${what} writer fault left ${file} behind")
+  endif()
+endforeach()
+
+# A --source kernel that fails partway: 4096 stores fill more than one
+# batch and several 64 KiB text blocks before the division by zero, so
+# the file already holds a trace prefix when the run fails. The run
+# exits 2 with the interpreter's message and leaves no output file.
+file(WRITE ${WORKDIR}/fails_late.c [=[
+#define LEN 4096
+int main(int aArgc, char **aArgv) {
+  int lA[LEN];
+  int lZero = 0;
+  GLEIPNIR_START_INSTRUMENTATION;
+  for (int lI = 0; lI < LEN; lI++) {
+    lA[lI] = lI;
+  }
+  lA[0] = LEN / lZero;
+  GLEIPNIR_STOP_INSTRUMENTATION;
+  return (0);
+}
+]=])
+file(REMOVE ${WORKDIR}/fails_late.out)
+execute_process(
+  COMMAND ${GTRACER} --source ${WORKDIR}/fails_late.c
+          --out ${WORKDIR}/fails_late.out
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("gtracer failing --source kernel" 2 "${rc}")
+if(NOT err MATCHES "integer division by zero")
+  message(FATAL_ERROR "failing --source kernel lost its diagnostic: ${err}")
+endif()
+if(EXISTS ${WORKDIR}/fails_late.out)
+  message(FATAL_ERROR "failing --source kernel left a partial trace behind")
+endif()
+
 # -- Queue row: push/pop jitter must never change results. --------------------
 foreach(policy strict skip repair)
   execute_process(

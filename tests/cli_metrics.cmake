@@ -275,10 +275,31 @@ endif()
 # The v2 count+CRC footer and the v3 index and footer count too.
 execute_process(
   COMMAND ${GTRACER} --kernel t1_soa --len 256 --binary
-          --out ${WORKDIR}/t_v2.tdtb
+          --out ${WORKDIR}/t_v2.tdtb --metrics-json ${WORKDIR}/gtracer_v2.json
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "gtracer v2 failed: ${rc}")
+endif()
+
+# gtracer writes while it generates, so a TDTB run reports the write.*
+# family the way a save node does: every generated record was written,
+# and write.bytes is the file. Generating and writing are one phase.
+check_metrics(${WORKDIR}/gtracer_v2.json gtracer gtracer_v2_doc)
+string(JSON v2_generated GET "${gtracer_v2_doc}" counters trace.records)
+string(JSON v2_written GET "${gtracer_v2_doc}" counters write.records)
+if(NOT v2_written EQUAL v2_generated)
+  message(FATAL_ERROR "gtracer --binary: write.records=${v2_written}, "
+                      "trace.records=${v2_generated}")
+endif()
+string(JSON v2_bytes GET "${gtracer_v2_doc}" counters write.bytes)
+file(SIZE ${WORKDIR}/t_v2.tdtb v2_size)
+if(NOT v2_bytes EQUAL v2_size)
+  message(FATAL_ERROR "gtracer --binary: write.bytes=${v2_bytes}, file is "
+                      "${v2_size}")
+endif()
+string(JSON v2_phases GET "${gtracer_v2_doc}" phases)
+if(NOT v2_phases MATCHES "\"generate\"" OR v2_phases MATCHES "\"write\"")
+  message(FATAL_ERROR "gtracer phases must be one 'generate': ${v2_phases}")
 endif()
 execute_process(
   COMMAND ${GTRACER} --kernel t1_soa --len 256 --binary --compress none

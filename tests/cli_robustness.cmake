@@ -128,6 +128,28 @@ execute_process(
   RESULT_VARIABLE rc)
 check_rc("dinerosim bad rules" 2 "${rc}")
 
+# -- gtracer output flags that contradict each other are usage errors. -------
+# --din and --binary each pick the format; a .gz name gzips text and din,
+# while TDTB compresses its frames with --compress. Neither writes a file.
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 64 --din --binary
+          --out ${WORKDIR}/conflict.din
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("gtracer --din --binary" 2 "${rc}")
+if(NOT err MATCHES "--din" OR NOT err MATCHES "--binary")
+  message(FATAL_ERROR "gtracer --din --binary must name both flags: ${err}")
+endif()
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 64 --binary
+          --out ${WORKDIR}/conflict.tdtb.gz
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("gtracer --binary to a .gz name" 2 "${rc}")
+foreach(f conflict.din conflict.tdtb.gz)
+  if(EXISTS ${WORKDIR}/${f})
+    message(FATAL_ERROR "a refused gtracer run left ${f} behind")
+  endif()
+endforeach()
+
 # -- Truncated binary trace: strict -> 2, skip salvages a prefix -> 1. --------
 execute_process(
   COMMAND ${GTRACER} --kernel t1_soa --len 64 --binary
