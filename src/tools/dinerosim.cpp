@@ -90,9 +90,10 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
 
     trace::TraceContext ctx;
 
-    // The pipeline is a view graph: source -> [transform -> save] ->
-    // terminal simulator sink, with the --progress heartbeat and the
-    // affinity profiler reading the raw records next to it.
+    // The pipeline is a view graph: source -> [transform] -> terminal
+    // simulator sink, with the transformed-trace writer ahead of the
+    // simulator on the transform node, and the --progress heartbeat and
+    // the affinity profiler reading the raw records next to it.
     std::optional<core::RuleSet> rules;
     if (!rules_path->empty()) {
       obs::PhaseTimer phase(registry, "parse-rules");
@@ -185,25 +186,24 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     source_options.jobs = static_cast<int>(*common.jobs);
     const trace::View source =
         trace::View::source(ctx, *trace_path, source_options);
-    // Optional transformation stage in front of the terminal sink, with
-    // the transformed trace saved to a file as it streams through.
+    // Optional transformation stage in front of the terminal sink; the
+    // transformed trace is written in the format its name picks.
     trace::View simulated = source;
     std::optional<core::TransformStats> tstats;
+    const std::string xform_path =
+        xform_out->empty() ? "transformed_trace.out" : *xform_out;
+    const trace::TraceFormat xform_format =
+        trace::guess_trace_format(xform_path);
     if (rules.has_value()) {
-      const std::string out_path =
-          xform_out->empty() ? "transformed_trace.out" : *xform_out;
-      const bool binary_out =
-          out_path.size() >= 5 &&
-          out_path.compare(out_path.size() - 5, 5, ".tdtb") == 0;
-      if (common.wants_compress() && !binary_out) {
+      if (common.wants_compress() &&
+          xform_format != trace::TraceFormat::Tdtb) {
         throw_config_error(
             "--compress applies to TDTB output; name the transformed "
             "trace *.tdtb (--xform-out x.tdtb)");
       }
       core::TransformOptions xopt;
       xopt.diags = &diags;
-      simulated = source.transform(*rules, xopt, &tstats.emplace())
-                      .save(out_path, {.binary = common.writer_options()});
+      simulated = source.transform(*rules, xopt, &tstats.emplace());
     }
 
     std::optional<tools::HeartbeatSink> progress;
@@ -238,12 +238,26 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     trace::GraphResult stream_result;
     {
       obs::PhaseTimer phase(registry, "stream");
+      // The writer takes each transformed batch before the simulator does,
+      // and ends before it.
+      std::ofstream xform_file;
+      std::optional<trace::TraceWriter> xform_writer;
+      if (tstats.has_value()) {
+        xform_file.open(xform_path, std::ios::binary);
+        if (!xform_file) {
+          throw_io_error("cannot open '" + xform_path + "' for writing");
+        }
+        xform_writer.emplace(xform_format, ctx, xform_file, 0,
+                             common.writer_options(), registry);
+      }
       trace::Graph graph;
       if (progress.has_value()) graph.add_sink(source, *progress);
+      if (xform_writer.has_value()) graph.add_sink(simulated, *xform_writer);
       graph.add_sink(simulated, *terminal);
       if (affinity_sink != nullptr) graph.add_sink(source, *affinity_sink);
       stream_result =
           graph.run({.registry = registry, .governor = &governor});
+      if (xform_writer.has_value()) xform_writer->fold_metrics();
     }
     if (stream_result.deadline_hit) {
       std::fprintf(io.err,

@@ -197,29 +197,20 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
         source->empty() ? make_kernel(types, *kernel, *len, *sets, *line,
                                       *shuffle, *seed)
                         : tracer::parse_kernel_file(*source, types);
+    const trace::TraceFormat format =
+        *din      ? trace::TraceFormat::Din
+        : *binary ? trace::TraceFormat::Tdtb
+                  : trace::TraceFormat::Gleipnir;
     TraceOutput output(*out, io.out);
     std::uint64_t records = 0;
     try {
-      std::optional<trace::WriterSink> text;
-      std::optional<trace::DinSink> din_sink;
-      std::optional<trace::BinaryTraceSink> tdtb;
-      trace::TraceSink* writer = nullptr;
-      if (*din) {
-        writer = &din_sink.emplace(output.stream());
-      } else if (*binary) {
-        writer = &tdtb.emplace(ctx, output.stream(), *pid,
-                               common.writer_options());
-        if (registry != nullptr) tdtb->time_writes();
-      } else {
-        writer = &text.emplace(ctx, output.stream(), *pid);
-      }
-      ProgressTap tap(*writer, heartbeat ? &*heartbeat : nullptr);
+      trace::TraceWriter writer(format, ctx, output.stream(), *pid,
+                                common.writer_options(), registry);
+      ProgressTap tap(writer, heartbeat ? &*heartbeat : nullptr);
       tracer::Interpreter interp(types, ctx, tap);
       interp.run(prog);
       records = interp.records_emitted();
-      if (registry != nullptr && tdtb.has_value()) {
-        trace::fold_write_metrics(*registry, tdtb->stats());
-      }
+      writer.fold_metrics();
       output.finish();
     } catch (...) {
       output.discard();

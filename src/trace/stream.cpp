@@ -3,6 +3,7 @@
 #include "trace/binary.hpp"
 #include "trace/din.hpp"
 #include "trace/reader.hpp"
+#include "trace/writer.hpp"
 #include "util/string_util.hpp"
 
 namespace tdt::trace {
@@ -17,15 +18,13 @@ TraceFormat guess_trace_format(const std::string& path) noexcept {
 
 namespace {
 
-/// Gleipnir text (file, stdin, .gz, or in-memory) through the reader's
-/// bulk next_batch fast path: records decode straight into the batch.
+/// Gleipnir text (file, stdin or .gz) through the reader's bulk
+/// next_batch fast path: records decode straight into the batch.
 class GleipnirCursor final : public SourceCursor {
  public:
   GleipnirCursor(TraceContext& ctx, std::unique_ptr<ByteSource> source,
                  DiagEngine* diags)
       : reader_(ctx, std::move(source), diags) {}
-  GleipnirCursor(TraceContext& ctx, std::string_view text, DiagEngine* diags)
-      : reader_(ctx, text, diags) {}
 
   std::size_t next_batch(std::vector<TraceRecord>& out,
                          std::size_t max) override {
@@ -94,10 +93,31 @@ std::unique_ptr<SourceCursor> open_trace_cursor(
   return open_tdtb_cursor(ctx, path, options);
 }
 
-std::unique_ptr<SourceCursor> open_text_cursor(TraceContext& ctx,
-                                               std::string_view text,
-                                               DiagEngine* diags) {
-  return std::make_unique<GleipnirCursor>(ctx, text, diags);
+TraceWriter::TraceWriter(TraceFormat format, const TraceContext& ctx,
+                         std::ostream& out, std::uint64_t pid,
+                         const BinaryWriterOptions& binary,
+                         obs::Registry* registry)
+    : registry_(registry) {
+  switch (format) {
+    case TraceFormat::Gleipnir:
+      sink_ = std::make_unique<WriterSink>(ctx, out, pid);
+      return;
+    case TraceFormat::Din:
+      sink_ = std::make_unique<DinSink>(out);
+      return;
+    case TraceFormat::Tdtb:
+      break;
+  }
+  auto tdtb = std::make_unique<BinaryTraceSink>(ctx, out, pid, binary);
+  if (registry_ != nullptr) tdtb->time_writes();
+  tdtb_ = tdtb.get();
+  sink_ = std::move(tdtb);
+}
+
+void TraceWriter::fold_metrics() const {
+  if (registry_ != nullptr && tdtb_ != nullptr) {
+    fold_write_metrics(*registry_, tdtb_->stats());
+  }
 }
 
 }  // namespace tdt::trace

@@ -1,17 +1,20 @@
-// Pull cursors over trace input. This is the one place that turns a
-// trace — Gleipnir text, classic din, or TDTB binary, on disk or in
-// memory — into record batches. The view DAG's source nodes
-// (trace/view.hpp) drive these cursors; nothing else reads a trace, so
-// recovery and simulation work on traces larger than memory (no
-// whole-file slurp, no whole-trace vector).
+// Pull cursors over trace input, and the writer for each trace format.
+// This is the one place that turns a trace — Gleipnir text, classic
+// din, or TDTB binary — into record batches. The view DAG's source
+// nodes (trace/view.hpp) drive these cursors; nothing else reads a
+// trace, so recovery and simulation work on traces larger than memory
+// (no whole-file slurp, no whole-trace vector). On the way out,
+// TraceWriter picks the writer sink for a format.
 #pragma once
 
+#include <iosfwd>
 #include <memory>
+#include <span>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "trace/record.hpp"
+#include "trace/sink.hpp"
 #include "util/diag.hpp"
 #include "util/obs.hpp"
 
@@ -84,9 +87,38 @@ class SourceCursor {
     TraceContext& ctx, const std::string& path,
     const ViewSourceOptions& options);
 
-/// In-memory Gleipnir text, tokenized in place (the reader's zero-copy
-/// fast path). `text` must outlive the cursor.
-[[nodiscard]] std::unique_ptr<SourceCursor> open_text_cursor(
-    TraceContext& ctx, std::string_view text, DiagEngine* diags);
+struct BinaryWriterOptions;
+class BinaryTraceSink;
+
+/// The writer sink for one trace format: Gleipnir text -> WriterSink,
+/// din -> DinSink, TDTB -> BinaryTraceSink laid out by `binary`. Each
+/// writer checks `out` at batch boundaries (fault site writer.flush).
+/// Nothing is timed without a registry: with one, the TDTB writer times
+/// its writes, and fold_metrics() adds its write.* family once the
+/// stream has ended.
+class TraceWriter final : public TraceSink {
+ public:
+  TraceWriter(TraceFormat format, const TraceContext& ctx, std::ostream& out,
+              std::uint64_t pid, const BinaryWriterOptions& binary,
+              obs::Registry* registry);
+
+  void on_record(const TraceRecord& rec) override { sink_->on_record(rec); }
+  void push_batch(std::span<const TraceRecord> batch) override {
+    sink_->push_batch(batch);
+  }
+  void push_batch_shared(SharedBatch batch) override {
+    sink_->push_batch_shared(std::move(batch));
+  }
+  void on_end() override { sink_->on_end(); }
+
+  /// Folds the TDTB writer's write.* family into the registry; text and
+  /// din writers report none.
+  void fold_metrics() const;
+
+ private:
+  std::unique_ptr<TraceSink> sink_;
+  BinaryTraceSink* tdtb_ = nullptr;  // sink_, when it writes TDTB
+  obs::Registry* registry_;
+};
 
 }  // namespace tdt::trace

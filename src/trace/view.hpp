@@ -16,25 +16,10 @@
 // each source pulls batches of at most kViewBatch records from its
 // cursor (trace/stream.hpp) and every batch flows through the DAG once,
 // shared (by pointer, no copy) between all consumers of a node — so one
-// ingest feeds any number of transforms, filters and sinks, and a fault
-// injected at the reader fires once per batch regardless of fan-out.
-// Because nodes with a single upstream can never merge streams, the
-// graph is a forest: each registered source is drained in registration
-// order.
-//
-// Laziness also prunes work: a window([lo,hi)) node that has emitted its
-// last record reports itself satisfied, and when every consumer of a
-// source is satisfied the source stops reading early (sinks still get
-// their on_end exactly once).
-//
-// .cache(bytes) attaches a byte-budgeted memo (util/governor.hpp Budget)
-// to a node: the first evaluation records the node's output batches, and
-// any later evaluation whose consumers sit at or below the cache node
-// replays the memo instead of re-reading and re-transforming upstream.
-// A memo is only ever served when it holds the node's complete output;
-// on budget pressure (its own limit or a denial from the evaluation's
-// shared --max-memory budget) the memo is dropped and evaluation
-// degrades to recompute — never to wrong bytes. See docs/PIPELINE.md.
+// ingest feeds any number of transforms and sinks, and a fault injected
+// at the reader fires once per batch regardless of fan-out. Because
+// nodes with a single upstream can never merge streams, the graph is a
+// forest: each registered source is drained in registration order.
 #pragma once
 
 #include <cstdint>
@@ -44,10 +29,8 @@
 #include <string>
 #include <vector>
 
-#include "trace/binary.hpp"
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
-#include "trace/source.hpp"
 #include "trace/stream.hpp"
 #include "util/diag.hpp"
 #include "util/governor.hpp"
@@ -60,14 +43,6 @@ struct TransformStats;
 }  // namespace tdt::core
 
 namespace tdt::trace {
-
-/// How a .save(path) node writes its stream. The format follows the
-/// extension exactly like the tools' writers: *.tdtb emits a TDTB
-/// container (honouring `binary`), anything else Gleipnir text.
-struct ViewSaveOptions {
-  std::uint64_t pid = 0;
-  BinaryWriterOptions binary;
-};
 
 /// User-defined streaming stage for View::pipe(): consumes input batches
 /// in trace order and appends output records. One instance is created
@@ -99,11 +74,10 @@ class Graph;
 
 /// Per-run evaluation knobs (Graph::run / View::drain / View::collect).
 struct EvalOptions {
-  /// Folds per-node counters (view.<id>.pulls, view.<id>.cache_hits,
-  /// view.<id>.cache_bytes) and the source read.* family after the run.
+  /// Folds per-node counters (view.<id>.pulls) and the source read.*
+  /// family after the run.
   obs::Registry* registry = nullptr;
-  /// Deadline checked at batch granularity; memory budget charged by
-  /// cache memos (spill-on-denial).
+  /// Deadline checked at batch granularity.
   Governor* governor = nullptr;
 };
 
@@ -112,8 +86,6 @@ struct StageStats {
   std::string id;             ///< stable per-run id, e.g. "source0"
   std::uint64_t pulls = 0;    ///< batches the node emitted downstream
   std::uint64_t records = 0;  ///< records the node emitted
-  std::uint64_t cache_hits = 0;   ///< batches served from the memo
-  std::uint64_t cache_bytes = 0;  ///< bytes retained in the memo after the run
 };
 
 /// What one evaluation delivered.
@@ -141,11 +113,6 @@ class View {
   static View source(TraceContext& ctx, std::string path,
                      ViewSourceOptions options = {});
 
-  /// In-memory Gleipnir text source (zero-copy fast-path parse; the text
-  /// is owned by the node).
-  static View source_text(TraceContext& ctx, std::string text,
-                          ViewSourceOptions options = {});
-
   /// In-memory record source (records owned by the node).
   static View source_records(TraceContext& ctx,
                              std::vector<TraceRecord> records);
@@ -155,35 +122,12 @@ class View {
   /// Rule-driven trace transformation (paper §IV; core::TraceTransformer
   /// under the hood, one fresh transformer per evaluation). When
   /// `stats_out` is non-null the transformer's stats are copied there at
-  /// end of stream (left untouched when a cache memo short-circuits the
-  /// node). `rules` must outlive every evaluation. Defined in
+  /// end of stream. `rules` must outlive every evaluation. Defined in
   /// src/core/view_transform.cpp (links with tdt_core).
   [[nodiscard]] View transform(const core::RuleSet& rules) const;
   [[nodiscard]] View transform(const core::RuleSet& rules,
                                const core::TransformOptions& options,
                                core::TransformStats* stats_out = nullptr) const;
-
-  /// Keeps records satisfying `pred` (called in trace order).
-  [[nodiscard]] View filter(
-      std::function<bool(const TraceRecord&)> pred) const;
-
-  /// Keeps the half-open record-index range [lo, hi) of the upstream
-  /// stream. Once hi records have passed, the node is satisfied and the
-  /// source may stop reading early.
-  [[nodiscard]] View window(std::uint64_t lo, std::uint64_t hi) const;
-
-  /// Passes the stream through unchanged while pushing every batch (and
-  /// the on_end) into `sink`. `sink` must outlive every evaluation.
-  [[nodiscard]] View tee(TraceSink& sink) const;
-
-  /// Passes the stream through unchanged while writing it to `path`
-  /// (Gleipnir text, or a TDTB container for *.tdtb). The file is opened
-  /// when evaluation reaches the node and finalized at end of stream.
-  [[nodiscard]] View save(std::string path, ViewSaveOptions options = {}) const;
-
-  /// Attaches a byte-budgeted memo to this point of the graph (see file
-  /// comment). bytes == 0 never retains anything (pure recompute).
-  [[nodiscard]] View cache(std::uint64_t bytes) const;
 
   /// Generic streaming stage (the extension point transform() is built
   /// on). `label` names the node in metrics (view.<label><n>.*).
@@ -202,14 +146,11 @@ class View {
   explicit View(std::shared_ptr<detail::ViewNode> node)
       : node_(std::move(node)) {}
 
-  [[nodiscard]] View derive(detail::ViewNode&& node) const;
-
   std::shared_ptr<detail::ViewNode> node_;
 };
 
 /// An evaluation: terminal sinks attached to views, drained in one pass.
-/// The graph itself is cheap and single-use-per-run; the Views (and any
-/// cache memos they hold) outlive it.
+/// The graph itself is cheap; the Views outlive it.
 class Graph {
  public:
   Graph() = default;
@@ -225,7 +166,7 @@ class Graph {
   /// — and exactly one on_end. Exceptions from sinks or stages propagate
   /// (remaining sinks see neither further batches nor on_end) once the
   /// sources' decode threads are joined. May be called again: later runs
-  /// re-evaluate, reusing any complete cache memos.
+  /// re-read and re-evaluate.
   GraphResult run(const EvalOptions& options = {});
 
  private:

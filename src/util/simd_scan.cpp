@@ -121,18 +121,6 @@ int walk_bitmap(const std::uint64_t* words, std::size_t nwords, std::size_t n,
   }
 }
 
-/// Scalar bitmap builder (reference for the vector builders).
-void build_bitmap_scalar(const char* p, std::size_t n,
-                         std::uint64_t* words) noexcept {
-  const std::size_t nwords = (n + 63) / 64;
-  for (std::size_t w = 0; w < nwords; ++w) words[w] = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (is_ascii_space(p[i])) words[i / 64] |= 1ULL << (i % 64);
-  }
-  // Pad the tail with whitespace so the walk terminates every field.
-  if (n % 64 != 0) words[nwords - 1] |= ~0ULL << (n % 64);
-}
-
 std::size_t find_newline_scalar(const char* p, std::size_t n) noexcept {
   const void* hit = std::memchr(p, '\n', n);
   return hit == nullptr

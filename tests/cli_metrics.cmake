@@ -205,8 +205,8 @@ endforeach()
 
 # ---- dinerosim --xform-out x.tdtb: the write.* family ----------------
 
-# The save node folds write.* when a registry is attached. Timing it must
-# change neither the report nor the container.
+# The --xform-out writer folds write.* when a registry is attached. Timing
+# it must change neither the report nor the container.
 execute_process(
   COMMAND ${DINEROSIM} --trace ${WORKDIR}/t.out --rules ${RULES}
           --xform-out ${WORKDIR}/x_plain.tdtb --compress none --jobs 3
@@ -282,7 +282,7 @@ if(NOT rc EQUAL 0)
 endif()
 
 # gtracer writes while it generates, so a TDTB run reports the write.*
-# family the way a save node does: every generated record was written,
+# family the way dinerosim's writer does: every generated record was written,
 # and write.bytes is the file. Generating and writing are one phase.
 check_metrics(${WORKDIR}/gtracer_v2.json gtracer gtracer_v2_doc)
 string(JSON v2_generated GET "${gtracer_v2_doc}" counters trace.records)

@@ -39,6 +39,32 @@ if(NOT EXISTS ${WORKDIR}/xform.out)
   message(FATAL_ERROR "transformed trace not written")
 endif()
 
+# --xform-out picks its writer from the name, as --trace picks its reader:
+# the same transform written as din reads back through the din reader to
+# the report the text copy gives.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/orig.out --rules ${RULES}
+          --xform-out ${WORKDIR}/xform.din
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "dinerosim --xform-out xform.din failed: ${rc}")
+endif()
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/xform.din
+  RESULT_VARIABLE din_rc OUTPUT_VARIABLE din_report ERROR_VARIABLE din_err)
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/xform.out
+  RESULT_VARIABLE text_rc OUTPUT_VARIABLE text_report)
+if(NOT din_rc EQUAL 0 OR NOT text_rc EQUAL 0)
+  message(FATAL_ERROR "reading the transform back: exit ${din_rc} as din "
+                      "(${din_err}), exit ${text_rc} as text")
+endif()
+if(NOT din_report STREQUAL text_report)
+  message(FATAL_ERROR "din and text copies of one transform differ:\n"
+                      "=== xform.din ===\n${din_report}\n"
+                      "=== xform.out ===\n${text_report}")
+endif()
+
 # tracediff exits 1 when differences exist — which they must here.
 execute_process(
   COMMAND ${TRACEDIFF} ${WORKDIR}/orig.out ${WORKDIR}/xform.out --summary

@@ -579,9 +579,21 @@ class TdtbWriterThread : public ::testing::Test {
     return o;
   }
 
-  [[nodiscard]] View saved(std::uint64_t jobs) {
-    return View::source_records(ctx_, records_)
-        .save(path_.string(), {.binary = options(jobs)});
+  /// Streams records_ to `probe` with a TDTB writer sink registered on
+  /// the source ahead of it. The writer and its file are gone, and so its
+  /// thread joined, by the time this returns or throws.
+  GraphResult save(std::uint64_t jobs, TraceSink& probe,
+                   const EvalOptions& eval = {}) {
+    std::ofstream out(path_, std::ios::binary);
+    TraceWriter writer(TraceFormat::Tdtb, ctx_, out, 0, options(jobs),
+                       eval.registry);
+    const View source = View::source_records(ctx_, records_);
+    Graph graph;
+    graph.add_sink(source, writer);
+    graph.add_sink(source, probe);
+    const GraphResult result = graph.run(eval);
+    writer.fold_metrics();
+    return result;
   }
 
   /// The writer thread ran, and no thread outlived the run.
@@ -600,7 +612,7 @@ class TdtbWriterThread : public ::testing::Test {
 TEST_F(TdtbWriterThread, FinishJoinsAndBytesMatchInline) {
   obs::Registry reg("test");
   ThreadProbe probe;
-  (void)saved(3).drain(probe, {.registry = &reg});
+  (void)save(3, probe, {.registry = &reg});
   EXPECT_EQ(probe.records, records_.size());
   expect_joined(probe);
 
@@ -611,7 +623,7 @@ TEST_F(TdtbWriterThread, FinishJoinsAndBytesMatchInline) {
       write_binary_trace(ctx_, records_, 0, options(1));
   EXPECT_EQ(got, std::string(inline_bytes.begin(), inline_bytes.end()));
 
-  // The save node folds the write.* family.
+  // The writer folds the write.* family.
   EXPECT_EQ(reg.counter("write.records").value(), records_.size());
   EXPECT_EQ(reg.counter("write.frames").value(),
             records_.size() / kFrameRecords);
@@ -623,7 +635,7 @@ TEST_F(TdtbWriterThread, FinishJoinsAndBytesMatchInline) {
 TEST_F(TdtbWriterThread, SinkThrowsWithFramesInFlight) {
   ThreadProbe probe;
   probe.throw_at = 3;
-  EXPECT_THROW((void)saved(3).drain(probe), std::runtime_error);
+  EXPECT_THROW((void)save(3, probe), std::runtime_error);
   expect_joined(probe);
 }
 
@@ -632,7 +644,7 @@ TEST_F(TdtbWriterThread, ExpiredDeadlineStillFinishesTheContainer) {
   governor.set_deadline(1e-9);
   std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ThreadProbe probe;
-  const GraphResult r = saved(3).drain(probe, {.governor = &governor});
+  const GraphResult r = save(3, probe, {.governor = &governor});
   EXPECT_TRUE(r.deadline_hit);
   EXPECT_EQ(probe.records, kViewBatch);  // stopped after the first batch
   expect_joined(probe);

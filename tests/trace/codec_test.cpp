@@ -84,7 +84,9 @@ TEST(Codec, OptionalCodecsRoundTripWhenAvailable) {
         static_cast<char>(garbled[garbled.size() / 2] ^ 0x5A);
     std::string out;
     const bool ok = codec_decompress(c, garbled, src.size(), out);
-    if (ok) EXPECT_NE(out, src) << codec_name(c);
+    if (ok) {
+      EXPECT_NE(out, src) << codec_name(c);
+    }
   }
 }
 

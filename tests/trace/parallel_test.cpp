@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -317,19 +319,25 @@ class NameLengthSink final : public TraceSink {
 };
 
 TEST(ParallelFanOut, WorkersResolveSymbolsWhileReaderInterns) {
-  // ~2000 distinct function and variable names force continuous interning
-  // on the reader while the workers resolve names of earlier records.
-  std::string text = "START PID 1\n";
-  for (int i = 0; i < 2000; ++i) {
-    text += "L 7ff000100 4 fn_" + std::to_string(i) + " LV 0 1 var_" +
-            std::to_string(i) + "\n";
+  // Distinct function and variable names on every line, over three view
+  // batches, keep the reader interning the next batch's names while the
+  // workers resolve names of the batch before.
+  const std::string path =
+      ::testing::TempDir() + "/parallel_interning_trace.out";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "START PID 1\n";
+    for (std::size_t i = 0; i < 3 * kViewBatch; ++i) {
+      out << "L 7ff000100 4 fn_" << i << " LV 0 1 var_" << i << "\n";
+    }
+    ASSERT_TRUE(out.good());
   }
 
   std::uint64_t expected = 0;
   {
     TraceContext ctx;
     NameLengthSink seq(ctx);
-    View::source_text(ctx, text).drain(seq);
+    View::source(ctx, path).drain(seq);
     expected = seq.total();
     ASSERT_GT(expected, 0u);
   }
@@ -341,9 +349,10 @@ TEST(ParallelFanOut, WorkersResolveSymbolsWhileReaderInterns) {
   options.batch_records = 16;
   options.queue_batches = 2;
   ParallelFanOut fanout({&a, &b}, options);
-  View::source_text(ctx, text).drain(fanout);
+  View::source(ctx, path).drain(fanout);
   EXPECT_EQ(a.total(), expected);
   EXPECT_EQ(b.total(), expected);
+  std::filesystem::remove(path);
 }
 
 TEST(ParallelFanOutSupervision, StalledWorkersRecoverBitIdentically) {

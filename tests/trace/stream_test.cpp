@@ -329,21 +329,6 @@ class IndexedSourceEarlyStop : public ::testing::Test {
   std::size_t baseline_threads_ = 0;
 };
 
-TEST_F(IndexedSourceEarlyStop, WindowSatisfiedMidContainer) {
-  TraceContext ctx;
-  obs::Registry reg("test");
-  BatchProbe probe;
-  const GraphResult r =
-      source(ctx).window(0, 12000).drain(probe, {.registry = &reg});
-  EXPECT_EQ(probe.records, 12000u);
-  // Frames hand out 4096 + 904 records; the first batch of frame 2
-  // satisfies the window, and nothing past frame 2 is read.
-  EXPECT_EQ(r.records, 2 * kFrameRecords + kViewBatch);
-  EXPECT_EQ(reg.counter("read.records").value(), r.records);
-  expect_read_through(reg, 3);
-  expect_clean_stop(probe);
-}
-
 TEST_F(IndexedSourceEarlyStop, SinkThrowsMidStream) {
   TraceContext ctx;
   BatchProbe probe;

@@ -1,16 +1,20 @@
 // Differential topology fuzz for the view DAG: random graphs of
-// transform/filter/window/cache nodes (depth <= 4, fan-out <= 4) over
-// randomly shaped structs and record streams, evaluated once through
-// Graph::run with every consumer sharing one ingest — then checked
-// byte-for-byte against the naive baseline that re-reads and re-applies
-// the chain independently per consumer. A second evaluation of the same
-// graph re-checks with warm cache memos (replay must also be identical).
+// transform and reshape nodes (depth <= 4, fan-out <= 4) over randomly
+// shaped structs and record streams, evaluated once through Graph::run
+// with every consumer sharing one ingest — then checked byte-for-byte
+// against the naive baseline that re-reads and re-applies the chain
+// independently per consumer. A reshape node is a stateful pipe stage
+// that drops and duplicates records and holds a tail back until end of
+// stream, so its batches do not line up with its input's. A second
+// evaluation of the same graph gets fresh stages and must match too.
 //
 // The suite/round/record-count macros let the same file run as a small
 // deterministic tier-1 round (tests_trace) and a big slow round
 // (tests_trace_slow, `LABELS slow`).
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -34,21 +38,50 @@ namespace tdt::trace {
 namespace {
 
 struct NodeSpec {
-  enum class Op : std::uint8_t { Source, Transform, Filter, Window, Cache };
+  enum class Op : std::uint8_t { Source, Transform, Reshape };
   Op op = Op::Source;
   int parent = -1;
-  std::uint64_t lo = 0;      // Window
-  std::uint64_t hi = 0;
-  std::uint64_t budget = 0;  // Cache
-  std::uint64_t fk = 0;      // Filter params
-  std::uint64_t fr = 0;
+  std::uint64_t mix = 0;   // Reshape: salts reshape_copies
+  std::size_t hold = 0;    // Reshape: output records held back
 };
 
-/// The filter predicate as pure data, so the DAG node and the naive
-/// baseline apply bit-identical logic.
-bool filter_keeps(const NodeSpec& spec, const TraceRecord& rec) {
-  return (rec.address / 4 + spec.fk) % 5 != spec.fr;
+/// How many copies of the record at `index` of its input stream a
+/// reshape node emits: 0 (dropped), 1 or 2. Pure data, so the DAG node
+/// and the naive baseline apply bit-identical logic.
+unsigned reshape_copies(const NodeSpec& spec, std::uint64_t index,
+                        const TraceRecord& rec) {
+  return static_cast<unsigned>((rec.address / 4 + spec.mix + index) % 3);
 }
+
+/// The reshape node's stage: counts its input records across batches and
+/// holds the last spec.hold output records back until more arrive, or
+/// flushes them at end of stream.
+class Reshape final : public ViewStage {
+ public:
+  explicit Reshape(const NodeSpec& spec) : spec_(spec) {}
+
+  void on_batch(std::span<const TraceRecord> in,
+                std::vector<TraceRecord>& out) override {
+    for (const TraceRecord& rec : in) {
+      for (unsigned c = reshape_copies(spec_, seen_++, rec); c > 0; --c) {
+        held_.push_back(rec);
+      }
+    }
+    if (held_.size() <= spec_.hold) return;
+    const auto cut = held_.end() - static_cast<std::ptrdiff_t>(spec_.hold);
+    out.assign(held_.begin(), cut);
+    held_.erase(held_.begin(), cut);
+  }
+
+  void on_end(std::vector<TraceRecord>& out) override {
+    out = std::move(held_);
+  }
+
+ private:
+  NodeSpec spec_;
+  std::uint64_t seen_ = 0;
+  std::vector<TraceRecord> held_;
+};
 
 class ViewFuzz : public ::testing::TestWithParam<int> {};
 
@@ -151,28 +184,12 @@ TEST_P(ViewFuzz, RandomTopologyMatchesNaiveBaseline) {
     if (parent < 0) break;
     NodeSpec spec;
     spec.parent = parent;
-    switch (rng.next_below(4)) {
-      case 0:
-        spec.op = NodeSpec::Op::Transform;
-        break;
-      case 1:
-        spec.op = NodeSpec::Op::Filter;
-        spec.fk = rng.next_below(1000);
-        spec.fr = rng.next_below(5);
-        break;
-      case 2: {
-        spec.op = NodeSpec::Op::Window;
-        spec.lo = rng.next_below(n + n / 4 + 1);
-        spec.hi = rng.next_below(n + n / 4 + 1);
-        break;
-      }
-      default: {
-        spec.op = NodeSpec::Op::Cache;
-        const std::uint64_t budgets[] = {0, 4096 * sizeof(TraceRecord),
-                                         std::uint64_t{1} << 30};
-        spec.budget = budgets[rng.next_below(3)];
-        break;
-      }
+    if (rng.next_below(2) == 0) {
+      spec.op = NodeSpec::Op::Transform;
+    } else {
+      spec.op = NodeSpec::Op::Reshape;
+      spec.mix = rng.next_below(1000);
+      spec.hold = rng.next_below(2 * kViewBatch + 1);
     }
     ++fanout[parent];
     depth.push_back(depth[parent] + 1);
@@ -186,21 +203,12 @@ TEST_P(ViewFuzz, RandomTopologyMatchesNaiveBaseline) {
   for (std::size_t i = 1; i < specs.size(); ++i) {
     const NodeSpec& spec = specs[i];
     const View& up = views[static_cast<std::size_t>(spec.parent)];
-    switch (spec.op) {
-      case NodeSpec::Op::Transform:
-        views.push_back(up.transform(rules));
-        break;
-      case NodeSpec::Op::Filter:
-        views.push_back(up.filter([spec](const TraceRecord& rec) {
-          return filter_keeps(spec, rec);
-        }));
-        break;
-      case NodeSpec::Op::Window:
-        views.push_back(up.window(spec.lo, spec.hi));
-        break;
-      default:
-        views.push_back(up.cache(spec.budget));
-        break;
+    if (spec.op == NodeSpec::Op::Transform) {
+      views.push_back(up.transform(rules));
+    } else {
+      views.push_back(up.pipe(
+          [spec](TraceContext&) { return std::make_unique<Reshape>(spec); },
+          "reshape"));
     }
   }
 
@@ -213,26 +221,14 @@ TEST_P(ViewFuzz, RandomTopologyMatchesNaiveBaseline) {
     const NodeSpec& spec = specs[i];
     const std::vector<TraceRecord>& up =
         naive[static_cast<std::size_t>(spec.parent)];
-    switch (spec.op) {
-      case NodeSpec::Op::Transform:
-        naive[i] = core::transform_trace(rules, ctx, up);
-        break;
-      case NodeSpec::Op::Filter:
-        for (const TraceRecord& rec : up) {
-          if (filter_keeps(spec, rec)) naive[i].push_back(rec);
+    if (spec.op == NodeSpec::Op::Transform) {
+      naive[i] = core::transform_trace(rules, ctx, up);
+    } else {
+      for (std::size_t k = 0; k < up.size(); ++k) {
+        for (unsigned c = reshape_copies(spec, k, up[k]); c > 0; --c) {
+          naive[i].push_back(up[k]);
         }
-        break;
-      case NodeSpec::Op::Window: {
-        const std::uint64_t lo = std::min<std::uint64_t>(spec.lo, up.size());
-        const std::uint64_t hi = std::min<std::uint64_t>(
-            std::max(spec.lo, spec.hi), up.size());
-        naive[i].assign(up.begin() + static_cast<std::ptrdiff_t>(lo),
-                        up.begin() + static_cast<std::ptrdiff_t>(hi));
-        break;
       }
-      default:
-        naive[i] = up;  // cache is an identity over bytes
-        break;
     }
     have_naive[i] = true;
   }
@@ -243,7 +239,7 @@ TEST_P(ViewFuzz, RandomTopologyMatchesNaiveBaseline) {
     sinked[i] = fanout[i] == 0 || rng.next_below(3) == 0;
   }
 
-  // --- evaluate the DAG twice (cold, then warm memos) ---
+  // --- evaluate the DAG twice: each run builds fresh stages ---
   for (int round = 0; round < 2; ++round) {
     std::vector<std::unique_ptr<VectorSink>> sinks(specs.size());
     Graph graph;

@@ -2,8 +2,8 @@
 // one ingest feeding N consumers delivers every branch its full stream,
 // exactly one on_end per sink, errors out of any branch propagate, and
 // a VectorSink's memory is charged once regardless of fan-out. Plus the
-// view-specific contracts: filter/window/save equivalence, lazy window
-// cut-off, and per-node metrics.
+// view-specific contracts: pipe stages, writing the stream alongside
+// through a writer sink, and per-node metrics.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -55,6 +55,19 @@ class ProbeSink final : public TraceSink {
   int ends = 0;
 };
 
+/// Passes every batch through unchanged: a child node below `v`.
+View passthrough(const View& v) {
+  class Identity final : public ViewStage {
+   public:
+    void on_batch(std::span<const TraceRecord> in,
+                  std::vector<TraceRecord>& out) override {
+      out.assign(in.begin(), in.end());
+    }
+  };
+  return v.pipe([](TraceContext&) { return std::make_unique<Identity>(); },
+                "identity");
+}
+
 /// Fails on the nth delivered batch (1-based); on_end throws if `fatal_end`.
 class FailingSink final : public TraceSink {
  public:
@@ -76,16 +89,16 @@ TEST(ViewGraph, EveryBranchGetsFullStreamAndOneEnd) {
 
   ProbeSink a;
   ProbeSink b;
-  ProbeSink teed;
-  const View tee_view = source.tee(teed);
+  ProbeSink above;  // a second sink on the source, which has a child
 
   Graph graph;
   graph.add_sink(source, a);
-  graph.add_sink(tee_view, b);
+  graph.add_sink(passthrough(source), b);
+  graph.add_sink(source, above);
   const GraphResult result = graph.run();
 
   EXPECT_EQ(result.records, records.size());
-  for (const ProbeSink* sink : {&a, &b, &teed}) {
+  for (const ProbeSink* sink : {&a, &b, &above}) {
     EXPECT_EQ(sink->records, records);
     EXPECT_EQ(sink->ends, 1);
   }
@@ -110,10 +123,10 @@ TEST(ViewGraph, FanOutSinkOnANodeWithChildrenSharesItsBatches) {
   const auto records = make_records(ctx, 3 * kViewBatch + 100);
   const View source = View::source_records(ctx, records);
   for (std::size_t jobs : {0u, 2u}) {
-    // The source feeds a fan-out sink and a tee child; the tee's side
-    // sink sees each source batch's own storage.
+    // The source feeds a fan-out sink, a second sink and a child node;
+    // the second sink sees each source batch's own storage.
     StorageProbe worker_sink;
-    StorageProbe teed;
+    StorageProbe above;
     ProbeSink downstream;
     ParallelOptions options;
     options.jobs = jobs;
@@ -122,20 +135,21 @@ TEST(ViewGraph, FanOutSinkOnANodeWithChildrenSharesItsBatches) {
     ParallelFanOut fanout({&worker_sink}, options);
     Graph graph;
     graph.add_sink(source, fanout);
-    graph.add_sink(source.tee(teed), downstream);
+    graph.add_sink(source, above);
+    graph.add_sink(passthrough(source), downstream);
     graph.run();
 
     EXPECT_EQ(worker_sink.records, records) << "jobs " << jobs;
-    EXPECT_EQ(teed.records, records) << "jobs " << jobs;
+    EXPECT_EQ(above.records, records) << "jobs " << jobs;
     EXPECT_EQ(downstream.records, records) << "jobs " << jobs;
     EXPECT_EQ(downstream.ends, 1) << "jobs " << jobs;
     EXPECT_EQ(fanout.counters().batches, 4u) << "jobs " << jobs;
-    ASSERT_EQ(teed.storage.size(), 4u);
+    ASSERT_EQ(above.storage.size(), 4u);
     ASSERT_EQ(worker_sink.storage.size(), 4u);
     // The three full batches reach the fan-out's sink as the source's
     // own storage, on the worker and inline alike.
     for (std::size_t i = 0; i < 3; ++i) {
-      EXPECT_EQ(worker_sink.storage[i], teed.storage[i])
+      EXPECT_EQ(worker_sink.storage[i], above.storage[i])
           << "jobs " << jobs << " batch " << i;
     }
   }
@@ -156,17 +170,20 @@ TEST(ViewGraph, SinkRegisteredTwiceGetsTwoFullStreams) {
 
 TEST(ViewGraph, IngestHappensOnceRegardlessOfFanOut) {
   TraceContext ctx;
-  std::string text = "START PID 7\n";
-  for (int i = 0; i < 100; ++i) {
-    text += "S 7ff000010 4 main\n";
+  const std::string path = ::testing::TempDir() + "/view_ingest_once.out";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out << "START PID 7\n";
+    for (int i = 0; i < 100; ++i) out << "S 7ff000010 4 main\n";
+    out << "END PID 7\n";
+    ASSERT_TRUE(out.good());
   }
-  text += "END PID 7\n";
 
   obs::Registry registry("test");
   NullSink a;
   NullSink b;
   NullSink c;
-  const View source = View::source_text(ctx, text);
+  const View source = View::source(ctx, path);
   Graph graph;
   graph.add_sink(source, a);
   graph.add_sink(source, b);
@@ -184,6 +201,7 @@ TEST(ViewGraph, IngestHappensOnceRegardlessOfFanOut) {
   const StageStats* stats = result.stage("source0");
   ASSERT_NE(stats, nullptr);
   EXPECT_EQ(stats->records, 100u);
+  std::filesystem::remove(path);
 }
 
 TEST(ViewGraph, ErrorInOneBranchPropagates) {
@@ -206,6 +224,7 @@ TEST(ViewGraph, ErrorInOneBranchPropagates) {
   EXPECT_EQ(after.ends, 0);
 }
 
+// A tee branch: a sink on a node that also feeds a child.
 TEST(ViewGraph, ErrorInTeeBranchPropagates) {
   TraceContext ctx;
   const auto records = make_records(ctx, 10'000);
@@ -213,8 +232,11 @@ TEST(ViewGraph, ErrorInTeeBranchPropagates) {
   ProbeSink downstream;
   const View source = View::source_records(ctx, records);
   Graph graph;
-  graph.add_sink(source.tee(failing), downstream);
+  graph.add_sink(source, failing);
+  graph.add_sink(passthrough(source), downstream);
   EXPECT_THROW(graph.run(), std::runtime_error);
+  // A node's sinks take each batch before its children do.
+  EXPECT_EQ(downstream.batches, 0);
   EXPECT_EQ(downstream.ends, 0);
 }
 
@@ -241,61 +263,45 @@ TEST(ViewGraph, VectorSinkChargedOnceNotPerBranch) {
   EXPECT_EQ(governor.memory.denials(), 0u);
 }
 
-TEST(ViewGraph, FilterAndWindowMatchNaiveSemantics) {
-  TraceContext ctx;
-  const auto records = make_records(ctx, 9'000);
-  const View source = View::source_records(ctx, records);
-
-  const auto pred = [](const TraceRecord& rec) {
-    return rec.kind == AccessKind::Store;
-  };
-  std::vector<TraceRecord> expected;
-  for (const TraceRecord& rec : records) {
-    if (pred(rec)) expected.push_back(rec);
-  }
-  const std::vector<TraceRecord> filtered = source.filter(pred).collect();
-  EXPECT_EQ(filtered, expected);
-
-  const std::vector<TraceRecord> windowed =
-      source.window(4'000, 4'100).collect();
-  EXPECT_EQ(windowed, std::vector<TraceRecord>(records.begin() + 4'000,
-                                               records.begin() + 4'100));
-  EXPECT_TRUE(source.window(5, 5).collect().empty());
-  EXPECT_TRUE(source.window(9, 3).collect().empty());
-  // Window past the end: whatever exists.
-  EXPECT_EQ(source.window(8'999, 20'000).collect().size(), 1u);
-}
-
-TEST(ViewGraph, SatisfiedWindowStopsTheSourceEarly) {
-  TraceContext ctx;
-  const auto records = make_records(ctx, 50'000);
-  const View source = View::source_records(ctx, records);
-  ProbeSink sink;
-  const GraphResult result = source.window(0, 10).drain(sink);
-  EXPECT_EQ(sink.records.size(), 10u);
-  EXPECT_EQ(sink.ends, 1);
-  // Lazy cut-off: the source pulled one batch, not all 50k records.
-  EXPECT_LT(result.records, records.size());
-}
-
 TEST(ViewGraph, SaveWritesTheStreamAlongside) {
   TraceContext ctx;
   const auto records = make_records(ctx, 300);
-  const std::string path =
-      ::testing::TempDir() + "/view_save_roundtrip.out";
-  ViewSaveOptions save_options;
-  save_options.pid = 42;
-  ProbeSink sink;
-  View::source_records(ctx, records)
-      .save(path, save_options)
-      .drain(sink);
-  EXPECT_EQ(sink.records, records);
+  for (const char* name : {"view_save_roundtrip.out",
+                           "view_save_roundtrip.tdtb",
+                           "view_save_roundtrip.din"}) {
+    const std::string path = ::testing::TempDir() + "/" + name;
+    const TraceFormat format = guess_trace_format(path);
+    ProbeSink sink;
+    {
+      // The writer sits on the node ahead of the consumer, as dinerosim's
+      // --xform-out writer does.
+      std::ofstream out(path, std::ios::binary);
+      TraceWriter writer(format, ctx, out, 42, BinaryWriterOptions{},
+                         nullptr);
+      const View source = View::source_records(ctx, records);
+      Graph graph;
+      graph.add_sink(source, writer);
+      graph.add_sink(source, sink);
+      graph.run();
+    }
+    EXPECT_EQ(sink.records, records) << name;
 
-  // The saved Gleipnir file replays to the identical stream.
-  ViewSourceOptions source_options;
-  const std::vector<TraceRecord> replayed =
-      View::source(ctx, path, source_options).collect();
-  EXPECT_EQ(replayed, records);
+    // The saved file replays to the identical stream; din keeps only
+    // each record's kind, address and size.
+    const std::vector<TraceRecord> replayed =
+        View::source(ctx, path, ViewSourceOptions{}).collect();
+    std::filesystem::remove(path);
+    if (format != TraceFormat::Din) {
+      EXPECT_EQ(replayed, records) << name;
+      continue;
+    }
+    ASSERT_EQ(replayed.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(replayed[i].kind, records[i].kind) << i;
+      EXPECT_EQ(replayed[i].address, records[i].address) << i;
+      EXPECT_EQ(replayed[i].size, records[i].size) << i;
+    }
+  }
 }
 
 TEST(ViewGraph, PipeStageTransformsAndFlushesTail) {
@@ -375,8 +381,7 @@ TEST(ViewGraph, IndexedContainerFansOutThroughTheBridge) {
 TEST(ViewGraph, InvalidViewThrowsConfigError) {
   View invalid;
   EXPECT_FALSE(invalid.valid());
-  EXPECT_THROW(invalid.filter([](const TraceRecord&) { return true; }),
-               Error);
+  EXPECT_THROW((void)passthrough(invalid), Error);
   NullSink sink;
   Graph graph;
   EXPECT_THROW(graph.add_sink(invalid, sink), Error);

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <ostream>
 
 #include "trace/reader.hpp"
 #include "util/error.hpp"
@@ -64,6 +65,14 @@ struct RoundTripCase {
   std::uint16_t frame;
 };
 
+// gtest prints a parameter next to each test's name; print the record's
+// shape rather than the struct's bytes, which hold the `var` pointer.
+void PrintTo(const RoundTripCase& c, std::ostream* os) {
+  *os << access_kind_code(c.kind) << '_' << std::hex << c.addr << std::dec
+      << '_' << c.size << '_' << (c.var != nullptr ? c.var : "none") << "_f"
+      << c.frame;
+}
+
 class WriterRoundTrip : public ::testing::TestWithParam<RoundTripCase> {};
 
 TEST_P(WriterRoundTrip, TextSurvives) {
@@ -82,10 +91,6 @@ TEST_P(WriterRoundTrip, TextSurvives) {
   EXPECT_EQ(parsed[0].scope, c.scope);
 }
 
-// gtest names each case after the raw bytes of its RoundTripCase, padding
-// included. A static array is zero-initialised, padding and all, so the
-// names are the same on every run; temporaries passed to Values() carry
-// whatever was on the stack in their padding.
 const RoundTripCase kRoundTripCases[] = {
     {AccessKind::Load, 0x7ff000000, 8, VarScope::Unknown, nullptr, 0},
     {AccessKind::Store, 0x601040, 4, VarScope::GlobalVariable, "glScalar", 0},
