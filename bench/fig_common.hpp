@@ -65,7 +65,10 @@ inline void print_figure(const char* figure_id, const char* caption,
       const std::uint64_t misses =
           it == sim.per_set.end() ? 0 : it->second[s].misses;
       any = any || hits != 0 || misses != 0;
-      row += "," + std::to_string(hits) + "," + std::to_string(misses);
+      row += ',';
+      row += std::to_string(hits);
+      row += ',';
+      row += std::to_string(misses);
     }
     if (any) std::printf("%s\n", row.c_str());
   }

@@ -4,19 +4,20 @@
 // recovery policies (tdt::DiagEngine, docs/robustness.md), the CLI flag
 // parser, text tables, the observability registry with its exporters
 // (docs/OBSERVABILITY.md), deterministic fault injection
-// (tdt::fault::FaultInjector), and resource governance (tdt::Budget /
-// tdt::Governor).
+// (tdt::fault::FaultInjector), resource governance (tdt::Budget /
+// tdt::Governor), and checked whole-file output (tdt::write_file).
 #pragma once
 
 #include "util/crc32.hpp"
 #include "util/diag.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
+#include "util/file_util.hpp"
 #include "util/flags.hpp"
 #include "util/governor.hpp"
 #include "util/obs.hpp"
 #include "util/table.hpp"
 
 // DiagEngine, Error, FlagParser, TextTable, obs::Registry,
-// fault::FaultInjector, Budget, and Governor already live in namespace
-// tdt / tdt::obs / tdt::fault; nothing to re-export.
+// fault::FaultInjector, Budget, Governor, and write_file already live in
+// namespace tdt / tdt::obs / tdt::fault; nothing to re-export.

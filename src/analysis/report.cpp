@@ -1,9 +1,9 @@
 #include "analysis/report.hpp"
 
 #include <cmath>
-#include <fstream>
+#include <sstream>
 
-#include "util/error.hpp"
+#include "util/file_util.hpp"
 #include "util/table.hpp"
 
 namespace tdt::analysis {
@@ -53,13 +53,9 @@ std::string set_csv(const SetActivityCollector& collector,
 void write_gnuplot(const SetActivityCollector& collector,
                    const std::vector<std::string>& variables,
                    const std::string& prefix, const std::string& title) {
-  {
-    std::ofstream dat(prefix + ".dat");
-    if (!dat) throw_io_error("cannot write '" + prefix + ".dat'");
-    dat << "# " << title << '\n' << set_csv(collector, variables);
-  }
-  std::ofstream gp(prefix + ".gp");
-  if (!gp) throw_io_error("cannot write '" + prefix + ".gp'");
+  write_file(prefix + ".dat",
+             "# " + title + '\n' + set_csv(collector, variables));
+  std::ostringstream gp;
   gp << "set title '" << title << "'\n"
      << "set datafile separator ','\n"
      << "set xlabel 'Cache Sets'\n"
@@ -80,7 +76,7 @@ void write_gnuplot(const SetActivityCollector& collector,
        << " with linespoints title '" << variables[i] << "'";
   }
   gp << "\nunset multiplot\n";
-  if (!gp) throw_io_error("write to '" + prefix + ".gp' failed");
+  write_file(prefix + ".gp", gp.str());
 }
 
 namespace {

@@ -70,15 +70,25 @@ std::int64_t Formula::eval(std::int64_t value) const {
 }
 
 std::string Formula::render() const {
+  const auto parenthesized = [&](const char* open, char op) {
+    std::string out = open;
+    out += lhs_->render();
+    if (op != 0) {
+      out += op;
+      out += rhs_->render();
+    }
+    out += ')';
+    return out;
+  };
   switch (op_) {
     case Op::Const: return std::to_string(value_);
     case Op::Var: return name_;
-    case Op::Neg: return "-(" + lhs_->render() + ")";
-    case Op::Add: return "(" + lhs_->render() + "+" + rhs_->render() + ")";
-    case Op::Sub: return "(" + lhs_->render() + "-" + rhs_->render() + ")";
-    case Op::Mul: return "(" + lhs_->render() + "*" + rhs_->render() + ")";
-    case Op::Div: return "(" + lhs_->render() + "/" + rhs_->render() + ")";
-    case Op::Mod: return "(" + lhs_->render() + "%" + rhs_->render() + ")";
+    case Op::Neg: return parenthesized("-(", 0);
+    case Op::Add: return parenthesized("(", '+');
+    case Op::Sub: return parenthesized("(", '-');
+    case Op::Mul: return parenthesized("(", '*');
+    case Op::Div: return parenthesized("(", '/');
+    case Op::Mod: return parenthesized("(", '%');
   }
   return "?";
 }

@@ -6,6 +6,7 @@
 
 #include "layout/decl_parser.hpp"
 #include "util/error.hpp"
+#include "util/file_util.hpp"
 
 namespace tdt::core {
 namespace {
@@ -267,7 +268,9 @@ void render_nested_defs(const TypeTable& types, TypeId struct_type,
       TypeId it = inner.type;
       std::string dims;
       while (types.kind(it) == layout::TypeKind::Array) {
-        dims += "[" + std::to_string(types.array_count(it)) + "]";
+        dims += '[';
+        dims += std::to_string(types.array_count(it));
+        dims += ']';
         it = types.element(it);
       }
       out += "  " + types.render(it) + " " + inner.name + dims + ";\n";
@@ -299,7 +302,9 @@ void render_struct_body(const TypeTable& types, TypeId struct_type,
     TypeId t = f.type;
     std::string dims;
     while (types.kind(t) == layout::TypeKind::Array) {
-      dims += "[" + std::to_string(types.array_count(t)) + "]";
+      dims += '[';
+      dims += std::to_string(types.array_count(t));
+      dims += ']';
       t = types.element(t);
     }
     out += "  " + types.render(t) + " " + f.name + dims + ";\n";
@@ -339,7 +344,11 @@ std::string render_rule(const layout::TypeTable& types,
   render_nested_defs(types, in_struct, emitted, out);
   out += "struct " + sr.in_name;
   render_struct_body(types, in_struct, {}, sr.in_name, out);
-  if (in_count != 0) out += "[" + std::to_string(in_count) + "]";
+  if (in_count != 0) {
+    out += '[';
+    out += std::to_string(in_count);
+    out += ']';
+  }
   out += ";\nout:\n";
   for (const OutVar& o : sr.outs) {
     out += "struct " + o.name;
@@ -350,7 +359,11 @@ std::string render_rule(const layout::TypeTable& types,
       st = types.element(st);
     }
     render_struct_body(types, st, sr.links, o.name, out);
-    if (count != 0) out += "[" + std::to_string(count) + "]";
+    if (count != 0) {
+      out += '[';
+      out += std::to_string(count);
+      out += ']';
+    }
     out += ";\n";
   }
   return out;
@@ -370,11 +383,7 @@ void write_rules(const RuleSet& set, std::ostream& out) {
 }
 
 void write_rules_file(const RuleSet& set, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw_io_error("cannot open rule file '" + path + "' for writing");
-  }
-  write_rules(set, out);
+  write_file(path, write_rules_string(set));
 }
 
 }  // namespace tdt::core

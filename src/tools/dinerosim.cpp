@@ -12,7 +12,6 @@
 // policy from --on-error; exit code 0 = clean, 1 = completed with
 // recovered errors, 2 = fatal (docs/robustness.md).
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -34,7 +33,8 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
         flags.add_string("rules", "", "transformation rule file (optional)");
     const auto* xform_out = flags.add_string(
         "xform-out", "", "write the transformed trace here (default "
-                         "transformed_trace.out when --rules is given)");
+                         "transformed_trace.out when --rules is given; a "
+                         ".gz name gzips text or din)");
     const auto* per_set =
         flags.add_bool("per-set", false, "print per-set activity table");
     const auto* per_var =
@@ -239,25 +239,30 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     {
       obs::PhaseTimer phase(registry, "stream");
       // The writer takes each transformed batch before the simulator does,
-      // and ends before it.
-      std::ofstream xform_file;
-      std::optional<trace::TraceWriter> xform_writer;
+      // and ends before it. A run that fails removes the partial file.
+      std::optional<trace::TraceOutput> xform_output;
       if (tstats.has_value()) {
-        xform_file.open(xform_path, std::ios::binary);
-        if (!xform_file) {
-          throw_io_error("cannot open '" + xform_path + "' for writing");
-        }
-        xform_writer.emplace(xform_format, ctx, xform_file, 0,
-                             common.writer_options(), registry);
+        xform_output.emplace(xform_path, xform_format, nullptr);
       }
-      trace::Graph graph;
-      if (progress.has_value()) graph.add_sink(source, *progress);
-      if (xform_writer.has_value()) graph.add_sink(simulated, *xform_writer);
-      graph.add_sink(simulated, *terminal);
-      if (affinity_sink != nullptr) graph.add_sink(source, *affinity_sink);
-      stream_result =
-          graph.run({.registry = registry, .governor = &governor});
-      if (xform_writer.has_value()) xform_writer->fold_metrics();
+      try {
+        std::optional<trace::TraceWriter> xform_writer;
+        if (xform_output.has_value()) {
+          xform_writer.emplace(xform_format, ctx, xform_output->stream(), 0,
+                               common.writer_options(), registry);
+        }
+        trace::Graph graph;
+        if (progress.has_value()) graph.add_sink(source, *progress);
+        if (xform_writer.has_value()) graph.add_sink(simulated, *xform_writer);
+        graph.add_sink(simulated, *terminal);
+        if (affinity_sink != nullptr) graph.add_sink(source, *affinity_sink);
+        stream_result =
+            graph.run({.registry = registry, .governor = &governor});
+        if (xform_writer.has_value()) xform_writer->fold_metrics();
+        if (xform_output.has_value()) xform_output->finish();
+      } catch (...) {
+        if (xform_output.has_value()) xform_output->discard();
+        throw;
+      }
     }
     if (stream_result.deadline_hit) {
       std::fprintf(io.err,
@@ -278,11 +283,7 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     }
 
     if (affinity.has_value()) {
-      std::ofstream out(*affinity_report);
-      if (!out) {
-        throw_io_error("cannot open '" + *affinity_report + "' for writing");
-      }
-      out << affinity->report();
+      write_file(*affinity_report, affinity->report());
       std::fprintf(io.err,
                    "dinerosim: wrote affinity report for %llu records to %s\n",
                    static_cast<unsigned long long>(affinity->records_seen()),

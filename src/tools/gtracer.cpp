@@ -8,9 +8,8 @@
 //   gtracer --kernel linked_list --len 4096 --shuffle --out list.tdtb --binary
 #include <cinttypes>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <optional>
+#include <ostream>
 
 #include "tdt/tdt.hpp"
 #include "tools/cli_common.hpp"
@@ -47,68 +46,6 @@ tracer::Program make_kernel(layout::TypeTable& types, const std::string& name,
       "t3_contiguous, t3_strided, matmul_ijk, matmul_ikj, row_major, "
       "col_major, linked_list)");
 }
-
-bool gzip_name(const std::string& path) {
-  return path.size() > 3 && path.compare(path.size() - 3, 3, ".gz") == 0;
-}
-
-/// gtracer's one output stream, whatever the format: the tool's standard
-/// output for an empty or "-" --out, else the named file, through a gzip
-/// deflater when the name ends in ".gz".
-class TraceOutput {
- public:
-  TraceOutput(std::string path, std::FILE* stdout_file)
-      : path_(std::move(path)) {
-    if (to_stdout()) {
-      stream_.rdbuf(&stdout_buf_.emplace(stdout_file));
-      return;
-    }
-    file_.open(path_, std::ios::out | std::ios::binary);
-    if (!file_) throw_io_error("cannot open '" + path_ + "' for writing");
-    if (gzip_name(path_)) {
-      stream_.rdbuf(&gzip_.emplace(file_));
-    } else {
-      stream_.rdbuf(file_.rdbuf());
-    }
-  }
-
-  [[nodiscard]] std::ostream& stream() noexcept { return stream_; }
-
-  /// Ends the gzip member and closes the file. Throws Error{Io} when the
-  /// last bytes did not reach it.
-  void finish() {
-    if (to_stdout()) return;
-    if (gzip_.has_value() && !gzip_->finish()) {
-      throw_io_error("gzip compression failed for '" + path_ + "'");
-    }
-    file_.close();
-    if (!file_) throw_io_error("writing '" + path_ + "' failed");
-  }
-
-  /// After a failure: removes the output when it is a regular file, so a
-  /// trace cut short never reads as a shorter, valid one.
-  void discard() noexcept {
-    if (to_stdout()) return;
-    stream_.rdbuf(nullptr);
-    gzip_.reset();
-    file_.close();
-    std::error_code ec;
-    if (std::filesystem::is_regular_file(path_, ec)) {
-      std::filesystem::remove(path_, ec);
-    }
-  }
-
- private:
-  [[nodiscard]] bool to_stdout() const {
-    return path_.empty() || path_ == "-";
-  }
-
-  std::string path_;
-  std::optional<service::FileStreambuf> stdout_buf_;
-  std::ofstream file_;
-  std::optional<trace::GzipDeflater> gzip_;  // writes into file_
-  std::ostream stream_{nullptr};
-};
 
 /// Hands each batch on to the writer and ticks the --progress heartbeat,
 /// when one runs, while the trace is generated.
@@ -173,14 +110,6 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
     if (*binary && (out->empty() || *out == "-")) {
       throw_config_error("--binary requires --out <file>");
     }
-    if (*binary && gzip_name(*out)) {
-      throw_config_error("'" + *out + "': a .gz name gzips text and din; "
-                         "TDTB compresses its frames with --compress");
-    }
-    if (gzip_name(*out) && !trace::gzip_available()) {
-      throw_config_error("'" + *out + "': gzip output needs zlib, which "
-                         "this build does not carry");
-    }
     common.arm_faults();
 
     std::optional<obs::Registry> registry_store;
@@ -201,7 +130,9 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
         *din      ? trace::TraceFormat::Din
         : *binary ? trace::TraceFormat::Tdtb
                   : trace::TraceFormat::Gleipnir;
-    TraceOutput output(*out, io.out);
+    service::FileStreambuf stdout_buf(io.out);
+    std::ostream stdout_stream(&stdout_buf);
+    trace::TraceOutput output(*out, format, &stdout_stream);
     std::uint64_t records = 0;
     try {
       trace::TraceWriter writer(format, ctx, output.stream(), *pid,

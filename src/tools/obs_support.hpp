@@ -1,8 +1,8 @@
-// Shared observability glue for the CLI tools: registers the common
-// --metrics-json / --trace-spans / --progress flags and folds the
-// subsystem statistics structs (DiagEngine, TransformStats, CacheLevel,
-// ParallelSweep) into an obs::Registry under the documented metric
-// names (docs/OBSERVABILITY.md).
+// Shared observability glue for the CLI tools: the --progress heartbeat
+// sink, and folds of the subsystem statistics structs (DiagEngine,
+// TransformStats, CacheLevel, ParallelSweep) into an obs::Registry under
+// the documented metric names (docs/OBSERVABILITY.md). The flags that
+// request them are part of CommonFlags (tools/cli_common.hpp).
 //
 // Everything here follows the null-registry convention: passing nullptr
 // makes every fold a no-op, so the tools call these unconditionally and
@@ -18,42 +18,9 @@
 #include "core/transformer.hpp"
 #include "trace/sink.hpp"
 #include "util/diag.hpp"
-#include "util/flags.hpp"
 #include "util/obs.hpp"
 
 namespace tdt::tools {
-
-/// The three observability flags every tool shares. Register with add()
-/// before FlagParser::parse; export with write() at the end of the run.
-struct ObsFlags {
-  const std::string* metrics_json = nullptr;
-  const std::string* trace_spans = nullptr;
-  const bool* progress = nullptr;
-
-  static ObsFlags add(FlagParser& flags) {
-    ObsFlags f;
-    f.metrics_json = flags.add_string(
-        "metrics-json", "",
-        "write a tdt-metrics/1 JSON metrics snapshot to this file");
-    f.trace_spans = flags.add_string(
-        "trace-spans", "",
-        "write a Chrome trace_event span file (Perfetto-loadable) here");
-    f.progress = flags.add_bool(
-        "progress", false, "periodic one-line records/s heartbeat on stderr");
-    return f;
-  }
-
-  /// True when any export was requested (the tool should build a Registry).
-  [[nodiscard]] bool wants_registry() const {
-    return !metrics_json->empty() || !trace_spans->empty();
-  }
-
-  /// Writes the requested export files; empty paths are skipped.
-  void write(const obs::Registry& registry) const {
-    if (!metrics_json->empty()) registry.write_metrics_file(*metrics_json);
-    if (!trace_spans->empty()) registry.write_spans_file(*trace_spans);
-  }
-};
 
 /// The --progress heartbeat as a terminal sink: attach it to the source
 /// view next to the tool's real consumers. It ticks once per batch of

@@ -13,7 +13,6 @@
 // feeding it back through `dinerosim --rules best.rules --sweep <spec>`
 // reproduces the reported miss counts exactly.
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <optional>
@@ -198,21 +197,13 @@ int tdt::tools::tdtune_run(const tdt::service::ToolIO& io, int argc,
       if (*json_path == "-") {
         std::fputs(result.json().c_str(), io.out);
       } else {
-        std::ofstream out(*json_path);
-        if (!out) {
-          throw_io_error("cannot open '" + *json_path + "' for writing");
-        }
-        out << result.json();
+        write_file(*json_path, result.json());
       }
     }
 
     if (!emit_best->empty()) {
       if (const analysis::RankedCandidate* best = result.best()) {
-        std::ofstream out(*emit_best);
-        if (!out) {
-          throw_io_error("cannot open '" + *emit_best + "' for writing");
-        }
-        out << best->candidate.rules_text;
+        write_file(*emit_best, best->candidate.rules_text);
         std::fprintf(io.err, "tdtune: wrote %s (%s)\n", emit_best->c_str(),
                      best->candidate.name.c_str());
       } else {

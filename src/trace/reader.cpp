@@ -1,7 +1,7 @@
 #include "trace/reader.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <optional>
 
 #include "util/error.hpp"
 #include "util/simd_scan.hpp"
@@ -11,8 +11,7 @@ namespace tdt::trace {
 namespace {
 
 /// A record line has at most 8 fields (kind, address, size, function,
-/// scope, frame, thread, variable); anything longer is malformed and goes
-/// through the slow path for its diagnostic.
+/// scope, frame, thread, variable); anything longer is malformed.
 constexpr std::size_t kMaxRecordFields = 8;
 
 /// Lines longer than this are not worth memoizing (the compare would cost
@@ -76,63 +75,6 @@ GleipnirReader::GleipnirReader(TraceContext& ctx,
       lines_(std::move(source), diags),
       tokenize_(simd::tokenize_fields_fn()) {}
 
-TraceRecord GleipnirReader::parse_record_line(TraceContext& ctx,
-                                              std::string_view line,
-                                              std::uint32_t line_number) {
-  const SourceLoc loc{line_number, 1};
-  const std::vector<std::string_view> f = split_ws(line);
-  if (f.size() < 4) {
-    throw_parse_error("trace line needs at least 4 fields, got " +
-                          std::to_string(f.size()),
-                      loc);
-  }
-  TraceRecord rec;
-  if (f[0].size() != 1 || !parse_access_kind(f[0][0], rec.kind)) {
-    throw_parse_error("bad access kind '" + std::string(f[0]) + "'", loc);
-  }
-  auto addr = parse_hex(f[1]);
-  if (!addr) {
-    throw_parse_error("bad address '" + std::string(f[1]) + "'", loc);
-  }
-  rec.address = *addr;
-  auto size = parse_uint(f[2]);
-  if (!size || *size == 0 || *size > 0xFFFFFFFFull) {
-    throw_parse_error("bad access size '" + std::string(f[2]) + "'", loc);
-  }
-  rec.size = static_cast<std::uint32_t>(*size);
-  rec.function = ctx.intern(f[3]);
-
-  if (f.size() == 4) {
-    return rec;  // no symbol info
-  }
-  if (!parse_var_scope(f[4], rec.scope)) {
-    throw_parse_error("bad scope '" + std::string(f[4]) + "'", loc);
-  }
-  std::size_t i = 5;
-  if (!is_global_scope(rec.scope)) {
-    if (f.size() < 8) {
-      throw_parse_error("local-scope line needs frame, thread and variable",
-                        loc);
-    }
-    auto frame = parse_uint(f[5]);
-    auto thread = parse_uint(f[6]);
-    if (!frame || !thread || *frame > 0xFFFF || *thread > 0xFFFF) {
-      throw_parse_error("bad frame/thread on trace line", loc);
-    }
-    rec.frame = static_cast<std::uint16_t>(*frame);
-    rec.thread = static_cast<std::uint16_t>(*thread);
-    i = 7;
-  }
-  if (i >= f.size()) {
-    throw_parse_error("missing variable reference", loc);
-  }
-  if (i + 1 != f.size()) {
-    throw_parse_error("trailing fields after variable reference", loc);
-  }
-  rec.var = ctx.parse_var(f[i]);
-  return rec;
-}
-
 bool GleipnirReader::probe_line_memo(std::string_view line, TraceRecord& out) {
   // Probe the most recently hit slot first: a loop's scalar lines
   // alternate between one or two entries, so the hit is almost always
@@ -149,159 +91,175 @@ bool GleipnirReader::probe_line_memo(std::string_view line, TraceRecord& out) {
   return false;
 }
 
-bool GleipnirReader::parse_record_fast(TraceContext& ctx,
-                                       std::string_view line,
-                                       TraceRecord& out) {
-  return parse_record_fast_impl(ctx, line, out, nullptr,
-                                simd::tokenize_fields_fn());
-}
-
-bool GleipnirReader::parse_record_fast_impl(TraceContext& ctx,
-                                            std::string_view line,
-                                            TraceRecord& out,
-                                            ParseMemo* memo,
-                                            simd::TokenizeFieldsFn tokenize) {
-  // Mirrors parse_record_line check for check (and in the same order, so
-  // string-pool interning is identical whichever path runs): a line is
-  // accepted here exactly when the slow path accepts it, and produces the
-  // same record. Anything unusual returns false and is re-parsed slowly.
-  const auto remember = [&](const TraceRecord& done) {
-    if (memo == nullptr || line.size() > kMaxMemoLine) return;
-    ParseMemo::LineEntry& slot = memo->lines[memo->next_line];
+GleipnirReader::LineFault GleipnirReader::parse_record(
+    TraceContext& ctx, std::string_view line, TraceRecord& out,
+    ParseMemo& memo, simd::TokenizeFieldsFn tokenize) {
+  using Check = LineFault::Check;
+  const auto remember = [&] {
+    if (line.size() > kMaxMemoLine) return;
+    ParseMemo::LineEntry& slot = memo.lines[memo.next_line];
     slot.text.assign(line);
-    slot.record = done;
-    memo->mru_line = memo->next_line;
-    memo->next_line = (memo->next_line + 1) % 4;
+    slot.record = out;
+    memo.mru_line = memo.next_line;
+    memo.next_line = (memo.next_line + 1) % 4;
   };
   simd::FieldSpan spans[kMaxRecordFields];
   const int nfields = tokenize(line.data(), line.size(), spans,
                                kMaxRecordFields);
-  if (nfields < 4) return false;  // -1 = too many fields; both go slow
-  const std::size_t nf = static_cast<std::size_t>(nfields);
+  // -1 means more than 8 fields, the first 8 of them in `spans`. No check
+  // reads past the eighth field before the field count fails the line,
+  // so it fails at the check, and with the interning, of any longer line.
+  const std::size_t nf = nfields < 0 ? kMaxRecordFields + 1
+                                     : static_cast<std::size_t>(nfields);
+  if (nf < 4) {
+    return {Check::FieldCount, static_cast<std::uint8_t>(nf), {}, 0, 0};
+  }
+  const auto reject = [&](Check check, std::size_t field) noexcept {
+    return LineFault{check, 0, {}, spans[field].begin, spans[field].end};
+  };
   const auto f = [&](std::size_t i) noexcept {
     return line.substr(spans[i].begin, spans[i].end - spans[i].begin);
   };
-  TraceRecord rec;
   if (spans[0].end - spans[0].begin != 1 ||
-      !parse_access_kind(line[spans[0].begin], rec.kind)) {
-    return false;
+      !parse_access_kind(line[spans[0].begin], out.kind)) {
+    return reject(Check::Kind, 0);
   }
-  if (!parse_hex_fast(f(1), rec.address)) return false;
+  if (!parse_hex_fast(f(1), out.address)) return reject(Check::Address, 1);
   std::uint64_t size = 0;
   if (!parse_uint_fast(f(2), size) || size == 0 || size > 0xFFFFFFFFull) {
-    return false;
+    return reject(Check::Size, 2);
   }
-  rec.size = static_cast<std::uint32_t>(size);
-  if (memo != nullptr && f(3) == memo->function) {
-    rec.function = memo->function_sym;
+  out.size = static_cast<std::uint32_t>(size);
+  if (f(3) == memo.function) {
+    out.function = memo.function_sym;
   } else {
-    rec.function = ctx.intern(f(3));
-    if (memo != nullptr) {
-      memo->function.assign(f(3));
-      memo->function_sym = rec.function;
-    }
+    out.function = ctx.intern(f(3));
+    memo.function.assign(f(3));
+    memo.function_sym = out.function;
   }
 
   if (nf == 4) {
-    remember(rec);
-    out = std::move(rec);
-    return true;
+    remember();
+    return {};
   }
-  if (!parse_var_scope(f(4), rec.scope)) return false;
+  if (!parse_var_scope(f(4), out.scope)) return reject(Check::Scope, 4);
   std::size_t i = 5;
-  if (!is_global_scope(rec.scope)) {
-    if (nf < 8) return false;
+  if (!is_global_scope(out.scope)) {
+    if (nf < 8) return reject(Check::LocalFields, 0);
     std::uint64_t frame = 0;
     std::uint64_t thread = 0;
     if (!parse_uint_fast(f(5), frame) || !parse_uint_fast(f(6), thread) ||
         frame > 0xFFFF || thread > 0xFFFF) {
-      return false;
+      return reject(Check::FrameThread, 5);
     }
-    rec.frame = static_cast<std::uint16_t>(frame);
-    rec.thread = static_cast<std::uint16_t>(thread);
+    out.frame = static_cast<std::uint16_t>(frame);
+    out.thread = static_cast<std::uint16_t>(thread);
     i = 7;
   }
-  if (i + 1 != nf) return false;
+  if (i + 1 != nf) {
+    return reject(i >= nf ? Check::MissingVar : Check::TrailingFields, 0);
+  }
   const std::string_view vt = f(i);
-  if (memo != nullptr) {
-    for (const ParseMemo::VarEntry& entry : memo->vars) {
-      if (vt == entry.text && !entry.text.empty()) {
-        rec.var = entry.var;
-        remember(rec);
-        out = std::move(rec);
-        return true;
-      }
+  for (const ParseMemo::VarEntry& entry : memo.vars) {
+    if (vt == entry.text && !entry.text.empty()) {
+      out.var = entry.var;
+      remember();
+      return {};
     }
-    // Array-walk hit: same text through the final '[', only the index
-    // digits differ. parse_uint is exactly the index parse
-    // try_parse_var would run, and the prefix parses independently of
-    // what follows its last '[', so the reused steps plus the fresh
-    // index are the record a full parse would produce. The line itself
-    // will not repeat (the index just changed), so it is not worth a
-    // line-memo slot — leaving the hot scalar lines in place.
-    if (!vt.empty() && vt.back() == ']') {
-      const std::size_t br = vt.rfind('[');
-      if (br != std::string_view::npos) {
-        const std::string_view prefix = vt.substr(0, br + 1);
-        for (const ParseMemo::WalkEntry& entry : memo->walks) {
-          if (prefix == entry.prefix && !entry.prefix.empty()) {
-            std::uint64_t idx = 0;
-            if (parse_uint_fast(vt.substr(br + 1, vt.size() - br - 2), idx)) {
-              rec.var = entry.var;
-              rec.var.steps.back() = VarStep::make_index(idx);
-              out = std::move(rec);
-              return true;
-            }
-            break;  // prefix matched but the digits are unusual: full parse
+  }
+  // Array-walk hit: same text through the final '[', only the index
+  // digits differ. parse_uint is exactly the index parse try_parse_var
+  // would run, and the prefix parses independently of what follows its
+  // last '[', so the reused steps plus the fresh index are the record a
+  // full parse would produce. The line itself will not repeat (the index
+  // just changed), so it is not worth a line-memo slot — leaving the hot
+  // scalar lines in place.
+  if (!vt.empty() && vt.back() == ']') {
+    const std::size_t br = vt.rfind('[');
+    if (br != std::string_view::npos) {
+      const std::string_view prefix = vt.substr(0, br + 1);
+      for (const ParseMemo::WalkEntry& entry : memo.walks) {
+        if (prefix == entry.prefix && !entry.prefix.empty()) {
+          std::uint64_t idx = 0;
+          if (parse_uint_fast(vt.substr(br + 1, vt.size() - br - 2), idx)) {
+            out.var = entry.var;
+            out.var.steps.back() = VarStep::make_index(idx);
+            return {};
           }
+          break;  // prefix matched but the digits are unusual: full parse
         }
       }
     }
   }
-  if (!ctx.try_parse_var(vt, rec.var)) return false;
-  if (memo != nullptr) {
-    ParseMemo::VarEntry& slot = memo->vars[memo->next_var];
-    slot.text.assign(vt);
-    slot.var = rec.var;
-    memo->next_var ^= 1;
-    if (!vt.empty() && vt.back() == ']') {
-      const std::size_t br = vt.rfind('[');
-      if (br != std::string_view::npos) {
-        ParseMemo::WalkEntry& walk = memo->walks[memo->next_walk];
-        walk.prefix.assign(vt.substr(0, br + 1));
-        walk.var = rec.var;
-        memo->next_walk ^= 1;
-      }
+  if (const VarFault why = ctx.try_parse_var(vt, out.var); !why.ok()) {
+    LineFault fault = reject(Check::Var, i);
+    fault.var = why;
+    return fault;
+  }
+  ParseMemo::VarEntry& slot = memo.vars[memo.next_var];
+  slot.text.assign(vt);
+  slot.var = out.var;
+  memo.next_var ^= 1;
+  if (!vt.empty() && vt.back() == ']') {
+    const std::size_t br = vt.rfind('[');
+    if (br != std::string_view::npos) {
+      ParseMemo::WalkEntry& walk = memo.walks[memo.next_walk];
+      walk.prefix.assign(vt.substr(0, br + 1));
+      walk.var = out.var;
+      memo.next_walk ^= 1;
     }
   }
-  remember(rec);
-  out = std::move(rec);
-  return true;
+  remember();
+  return {};
 }
 
-std::optional<TraceRecord> GleipnirReader::salvage_record_line(
-    TraceContext& ctx, std::string_view line) {
-  const std::vector<std::string_view> f = split_ws(line);
-  if (f.size() < 4) return std::nullopt;
-  TraceRecord rec;
-  if (f[0].size() != 1 || !parse_access_kind(f[0][0], rec.kind)) {
-    return std::nullopt;
+[[gnu::cold, gnu::noinline]] std::string GleipnirReader::LineFault::message(
+    std::string_view line) const {
+  const std::string_view field = line.substr(begin, end - begin);
+  std::string out;
+  const auto quoted = [&](const char* what) {
+    out = what;
+    out += " '";
+    out += field;
+    out += '\'';
+    return out;
+  };
+  switch (check) {
+    case Check::None:
+      break;
+    case Check::FieldCount:
+      out = "trace line needs at least 4 fields, got ";
+      out += std::to_string(fields);
+      break;
+    case Check::Kind:
+      return quoted("bad access kind");
+    case Check::Address:
+      return quoted("bad address");
+    case Check::Size:
+      return quoted("bad access size");
+    case Check::Scope:
+      return quoted("bad scope");
+    case Check::LocalFields:
+      out = "local-scope line needs frame, thread and variable";
+      break;
+    case Check::FrameThread:
+      out = "bad frame/thread on trace line";
+      break;
+    case Check::MissingVar:
+      out = "missing variable reference";
+      break;
+    case Check::TrailingFields:
+      out = "trailing fields after variable reference";
+      break;
+    case Check::Var:
+      return var.message(field);
   }
-  const auto addr = parse_hex(f[1]);
-  if (!addr) return std::nullopt;
-  rec.address = *addr;
-  const auto size = parse_uint(f[2]);
-  if (!size || *size == 0 || *size > 0xFFFFFFFFull) return std::nullopt;
-  rec.size = static_cast<std::uint32_t>(*size);
-  if (!is_identifier(f[3])) return std::nullopt;
-  rec.function = ctx.intern(f[3]);
-  // Everything after the function is the (malformed) symbol annotation;
-  // drop it and keep the raw access.
-  return rec;
+  return out;
 }
 
-GleipnirReader::LineOutcome GleipnirReader::consume_cold(std::string_view body,
-                                                         TraceEvent& ev) {
+bool GleipnirReader::consume_cold(std::string_view body,
+                                  const LineFault& fault, TraceRecord& rec) {
+  const SourceLoc loc{lines_.line_number(), 1};
   if (starts_with(body, "START") || starts_with(body, "END")) {
     const bool is_start = starts_with(body, "START");
     const std::vector<std::string_view> f = split_ws(body);
@@ -311,78 +269,44 @@ GleipnirReader::LineOutcome GleipnirReader::consume_cold(std::string_view body,
     if (!pid) {
       if (diags_ == nullptr || diags_->strict()) {
         throw_parse_error("malformed marker line '" + std::string(body) + "'",
-                          {lines_.line_number(), 1});
+                          loc);
       }
       // No useful repair for a marker: drop it and resync.
       diags_->report(DiagSeverity::Error, DiagCode::TraceBadMarker,
                      "malformed marker line '" + std::string(body) + "'",
-                     {lines_.line_number(), 1});
-      return LineOutcome::Skip;
-    }
-    ev.kind = is_start ? TraceEvent::Kind::Start : TraceEvent::Kind::End;
-    ev.pid = *pid;
-    if (is_start && !saw_start_) {
+                     loc);
+    } else if (is_start && !saw_start_) {
       saw_start_ = true;
       start_pid_ = *pid;
     }
-    return LineOutcome::Marker;
-  }
-  ev.kind = TraceEvent::Kind::Record;
-  if (diags_ == nullptr || diags_->strict()) {
-    ev.record = parse_record_line(*ctx_, body, lines_.line_number());
-    ++slow_records_;
-    return LineOutcome::Record;
-  }
-  try {
-    ev.record = parse_record_line(*ctx_, body, lines_.line_number());
-    ++slow_records_;
-    return LineOutcome::Record;
-  } catch (const Error& e) {
-    if (diags_->repair()) {
-      if (auto salvaged = salvage_record_line(*ctx_, body)) {
-        diags_->report(DiagSeverity::Error, DiagCode::TraceRepairedLine,
-                       "repaired trace line (symbol annotation dropped): " +
-                           e.message(),
-                       {lines_.line_number(), 1});
-        ev.record = std::move(*salvaged);
-        ++slow_records_;
-        return LineOutcome::Record;
-      }
+  } else {
+    const std::string message = fault.message(body);
+    if (diags_ == nullptr || diags_->strict()) {
+      // The strict error for a malformed variable reference carries no
+      // line number; the skip and repair diagnostics do.
+      throw_parse_error(message, fault.check == LineFault::Check::Var
+                                     ? SourceLoc{}
+                                     : loc);
     }
-    diags_->report(DiagSeverity::Error, DiagCode::TraceBadLine, e.message(),
-                   {lines_.line_number(), 1});
-    return LineOutcome::Skip;  // resync at the next line
+    // Repair keeps the raw access (kind, address, size and function are
+    // decoded before the scope check) and drops the symbol annotation.
+    if (diags_->repair() && fault.check >= LineFault::Check::Scope &&
+        is_identifier(ctx_->name(rec.function))) {
+      rec.scope = VarScope::Unknown;
+      rec.frame = 0;
+      rec.thread = 1;
+      rec.var = VarRef{};
+      diags_->report(DiagSeverity::Error, DiagCode::TraceRepairedLine,
+                     "repaired trace line (symbol annotation dropped): " +
+                         message,
+                     loc);
+      ++slow_records_;
+      return true;
+    }
+    diags_->report(DiagSeverity::Error, DiagCode::TraceBadLine, message, loc);
   }
-}
-
-std::optional<TraceEvent> GleipnirReader::next() {
-  std::string_view raw;
-  while (lines_.next(raw)) {
-    std::string_view body = raw;
-    if (!body.empty() && (is_ascii_space(body.front()) ||
-                          is_ascii_space(body.back()))) {
-      body = trim(body);
-    }
-    if (body.empty()) continue;
-    TraceEvent ev;
-    // Markers never parse as records (their first field is not a single
-    // access-kind character), so trying the fast path first is safe.
-    if (!force_slow_ &&
-        (probe_line_memo(body, ev.record) ||
-         parse_record_fast_impl(*ctx_, body, ev.record, &memo_, tokenize_))) {
-      ++fast_records_;
-      return ev;
-    }
-    switch (consume_cold(body, ev)) {
-      case LineOutcome::Skip:
-        continue;
-      case LineOutcome::Marker:
-      case LineOutcome::Record:
-        return ev;
-    }
-  }
-  lines_.report_io_failure();
-  return std::nullopt;
+  rec = TraceRecord{};  // the next line decodes into this slot
+  return false;
 }
 
 std::size_t GleipnirReader::next_batch(std::vector<TraceRecord>& out,
@@ -399,19 +323,15 @@ std::size_t GleipnirReader::next_batch(std::vector<TraceRecord>& out,
     }
     if (body.empty()) continue;
     TraceRecord& slot = out[base + produced];
-    if (!force_slow_ &&
-        (probe_line_memo(body, slot) ||
-         parse_record_fast_impl(*ctx_, body, slot, &memo_, tokenize_)))
+    LineFault fault;
+    if (probe_line_memo(body, slot) ||
+        (fault = parse_record(*ctx_, body, slot, memo_, tokenize_)).ok())
         [[likely]] {
       ++fast_records_;
       ++produced;
       continue;
     }
-    TraceEvent ev;
-    if (consume_cold(body, ev) == LineOutcome::Record) {
-      slot = std::move(ev.record);
-      ++produced;
-    }
+    if (consume_cold(body, fault, slot)) ++produced;
   }
   out.resize(base + produced);
   if (produced == 0) lines_.report_io_failure();

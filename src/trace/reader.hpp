@@ -9,7 +9,6 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,43 +20,34 @@
 
 namespace tdt::trace {
 
-/// One parsed trace-file event: either a record or a START/END marker.
-struct TraceEvent {
-  enum class Kind : std::uint8_t { Record, Start, End };
-
-  Kind kind = Kind::Record;
-  TraceRecord record;    // when kind == Record
-  std::uint64_t pid = 0; // when kind == Start / End
-};
-
 /// Streaming line-by-line parser; blank lines are skipped.
 ///
 /// Ingestion is zero-copy on the steady state: a LineSplitter
 /// (trace/source.hpp) cuts the ByteSource's chunks into lines in place —
 /// it also owns CRLF handling, the byte count and the torn-read (T004)
 /// contract — fields are tokenized in place by the SIMD whitespace
-/// classifier (util/simd_scan.hpp), and well-formed records are decoded
-/// by a non-throwing fast parser. Any line the fast parser rejects is
-/// re-parsed by the original diagnostic-rich path, so error messages,
-/// recovery behaviour (--on-error) and exit codes are byte-for-byte
-/// identical to the slow path.
+/// classifier (util/simd_scan.hpp), and each record line is decoded by
+/// one non-throwing parser. A line it rejects comes back as the check
+/// that failed and the field it failed on; only then, off the hot loop,
+/// is a message formatted and the error policy applied.
 ///
-/// Without a DiagEngine (or with a Strict one) it throws Error{Parse}
-/// with the offending line number on malformed input. With a Skip/Repair
-/// engine it reports the diagnostic and resyncs to the next line; Repair
-/// additionally salvages a record's address/size/function when only the
-/// trailing symbol annotation is malformed (the record comes back with
-/// Unknown scope, diagnostic T003).
+/// Without a DiagEngine (or with a Strict one) a rejected line throws
+/// Error{Parse} with the offending line number (a malformed variable
+/// reference carries no line). With a Skip engine it reports T001 and
+/// resyncs at the next line. A Repair engine first salvages a line whose
+/// fault lies in its symbol annotation — the scope check or later — and
+/// whose function is an identifier: the record keeps its kind, address,
+/// size and function and comes back with Unknown scope (T003).
 class GleipnirReader {
  public:
-  /// Ingestion observability: bytes consumed and which parse path decoded
-  /// each record (obs integration; folded into the metrics registry by
-  /// trace/stream.cpp).
+  /// Ingestion observability: bytes consumed and how each record came
+  /// out (folded into the metrics registry as read.bytes,
+  /// read.fast_parses and read.slow_parses by trace/stream.cpp).
   struct Counters {
     std::uint64_t bytes = 0;         ///< input bytes consumed (terminators
                                      ///< counted only when present)
-    std::uint64_t fast_records = 0;  ///< records decoded by the fast parser
-    std::uint64_t slow_records = 0;  ///< records decoded by the slow path
+    std::uint64_t fast_records = 0;  ///< records the parser decoded
+    std::uint64_t slow_records = 0;  ///< records repair salvaged
   };
 
   /// Zero-copy variant: parses `text` in place. `text` must outlive the
@@ -69,18 +59,13 @@ class GleipnirReader {
   GleipnirReader(TraceContext& ctx, std::unique_ptr<ByteSource> source,
                  DiagEngine* diags = nullptr);
 
-  /// Returns the next event, or nullopt at end of input.
-  std::optional<TraceEvent> next();
-
   /// Appends up to `max` records to `out` and returns how many were
   /// produced; 0 means end of input. START/END markers are consumed and
-  /// validated inline (the first START's pid lands in start_pid()), and
-  /// diagnostics/recovery behave exactly as with next(). This is the
-  /// bulk ingest entry point: records decode straight into the batch
-  /// storage, with no per-record TraceEvent staging.
+  /// validated inline (the first START's pid lands in start_pid()).
+  /// Records decode straight into the batch storage.
   std::size_t next_batch(std::vector<TraceRecord>& out, std::size_t max);
 
-  /// True once a START marker was consumed (by next() or next_batch()).
+  /// True once a START marker was consumed.
   [[nodiscard]] bool saw_start() const noexcept { return saw_start_; }
 
   /// Pid of the first START marker; valid when saw_start().
@@ -95,24 +80,6 @@ class GleipnirReader {
   [[nodiscard]] Counters counters() const noexcept {
     return {lines_.bytes(), fast_records_, slow_records_};
   }
-
-  /// Disables the fast record parser so every line goes through the
-  /// original allocating path. Benchmark / equivalence-test hook; the two
-  /// paths must produce identical events, diagnostics and errors.
-  void force_slow_parse(bool v) noexcept { force_slow_ = v; }
-
-  /// Parses a single record line (no START/END handling). Exposed for
-  /// tests and the diff tool. Always throws on malformed input.
-  static TraceRecord parse_record_line(TraceContext& ctx,
-                                       std::string_view line,
-                                       std::uint32_t line_number = 0);
-
-  /// Non-throwing fast twin of parse_record_line: returns false on any
-  /// line it cannot decode (caller falls back to parse_record_line for
-  /// the authoritative error). Accepts exactly the lines
-  /// parse_record_line accepts and produces the identical record.
-  static bool parse_record_fast(TraceContext& ctx, std::string_view line,
-                                TraceRecord& out);
 
  private:
   /// Single-reader parse memo exploiting trace locality: consecutive
@@ -159,31 +126,56 @@ class GleipnirReader {
     std::uint32_t next_walk = 0;
   };
 
-  /// What one non-blank line turned into.
-  enum class LineOutcome : std::uint8_t {
-    Record,  ///< ev.record holds a decoded record
-    Marker,  ///< ev holds a START/END event
-    Skip,    ///< line was dropped (diagnostic reported); resync
+  /// Why parse_record rejected a line: the first check that failed, in
+  /// the order the parser makes them, and the field it failed on.
+  struct LineFault {
+    enum class Check : std::uint8_t {
+      None,            ///< the line decoded
+      FieldCount,      ///< fewer than 4 fields
+      Kind,            ///< field 0 is not an access kind
+      Address,         ///< field 1 is not a hex address
+      Size,            ///< field 2 is not a size in [1, 2^32)
+      Scope,           ///< field 4 is not a scope; the symbol annotation
+                       ///< starts here, and repair salvages from here on
+      LocalFields,     ///< local scope with fewer than 8 fields
+      FrameThread,     ///< frame or thread is not a 16-bit number
+      MissingVar,      ///< global scope with no variable after it
+      TrailingFields,  ///< more fields after the variable
+      Var,             ///< the variable reference; `var` says why
+    };
+    Check check = Check::None;
+    std::uint8_t fields = 0;  ///< fields on the line (FieldCount)
+    VarFault var;             ///< why the variable failed (Var)
+    /// The field a message quotes (Kind, Address, Size, Scope, Var), as
+    /// offsets into the line.
+    std::uint32_t begin = 0;
+    std::uint32_t end = 0;
+
+    [[nodiscard]] bool ok() const noexcept { return check == Check::None; }
+
+    /// The parse error message for `line`, the line that failed.
+    [[nodiscard]] std::string message(std::string_view line) const;
   };
 
-  /// Whole-line memo probe, hoisted out of parse_record_fast_impl so a
-  /// hit (the steady state: a loop's scalar accesses repeat byte for
-  /// byte) never pays the full parser's call overhead.
+  /// Whole-line memo probe, hoisted out of parse_record so a hit (the
+  /// steady state: a loop's scalar accesses repeat byte for byte) never
+  /// pays the full parser's call overhead.
   [[nodiscard]] bool probe_line_memo(std::string_view line, TraceRecord& out);
 
-  /// Full fast parse. Does NOT probe the line memo (callers do that
+  /// The record-line parser. Decodes `line` into `out`, which must hold
+  /// a default TraceRecord. Does NOT probe the line memo (callers do that
   /// first); uses `memo` for the function/variable/walk memos and to
-  /// remember the parsed line.
-  static bool parse_record_fast_impl(TraceContext& ctx, std::string_view line,
-                                     TraceRecord& out, ParseMemo* memo,
-                                     simd::TokenizeFieldsFn tokenize);
-  /// Best-effort salvage of the first four fields (kind, address, size,
-  /// function); nullopt when even those are malformed.
-  static std::optional<TraceRecord> salvage_record_line(TraceContext& ctx,
-                                                        std::string_view line);
+  /// remember the parsed line. On a rejected line `out` holds whatever
+  /// was decoded before the failed check.
+  static LineFault parse_record(TraceContext& ctx, std::string_view line,
+                                TraceRecord& out, ParseMemo& memo,
+                                simd::TokenizeFieldsFn tokenize);
 
-  /// Everything off the fast path: markers, slow re-parse, diagnostics.
-  LineOutcome consume_cold(std::string_view body, TraceEvent& ev);
+  /// Everything off the hot loop for a line parse_record rejected:
+  /// markers, messages and the error policy. Returns true when `rec`
+  /// holds a salvaged record; otherwise `rec` is reset to a default one.
+  bool consume_cold(std::string_view body, const LineFault& fault,
+                    TraceRecord& rec);
 
   TraceContext* ctx_;
   DiagEngine* diags_;
@@ -191,7 +183,6 @@ class GleipnirReader {
   // Active-tier tokenizer, resolved once at construction so the per-line
   // calls skip the dispatch lookup.
   simd::TokenizeFieldsFn tokenize_;
-  bool force_slow_ = false;
   std::uint64_t fast_records_ = 0;
   std::uint64_t slow_records_ = 0;
   ParseMemo memo_;

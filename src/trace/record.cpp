@@ -1,7 +1,6 @@
 #include "trace/record.hpp"
 
 #include "trace/writer.hpp"
-#include "util/error.hpp"
 #include "util/string_util.hpp"
 
 namespace tdt::trace {
@@ -53,12 +52,40 @@ std::string TraceContext::format_var(const VarRef& var) const {
   return std::string(encoder.bytes());
 }
 
-VarRef TraceContext::parse_var(std::string_view text) {
+std::string VarFault::message(std::string_view text) const {
+  std::string out;
+  switch (kind) {
+    case Kind::None:
+      return out;
+    case Kind::NoIdentifier:
+      out = "variable reference must start with an identifier: '";
+      break;
+    case Kind::NoField:
+      out = "expected field after '.' in '";
+      break;
+    case Kind::Unterminated:
+      out = "unterminated '[' in '";
+      break;
+    case Kind::BadIndex:
+      out = "bad index in '";
+      break;
+    case Kind::Unexpected:
+      out = "unexpected '";
+      out += unexpected;
+      out += "' in '";
+      break;
+  }
+  out += text;
+  out += '\'';
+  return out;
+}
+
+VarFault TraceContext::try_parse_var(std::string_view text, VarRef& out) {
+  using Kind = VarFault::Kind;
   VarRef ref;
   std::size_t i = 0;
   if (i >= text.size() || !is_ident_start(text[i])) {
-    throw_parse_error("variable reference must start with an identifier: '" +
-                      std::string(text) + "'");
+    return {Kind::NoIdentifier};
   }
   std::size_t start = i;
   while (i < text.size() && is_ident_char(text[i])) ++i;
@@ -67,10 +94,7 @@ VarRef TraceContext::parse_var(std::string_view text) {
     if (text[i] == '.') {
       ++i;
       start = i;
-      if (i >= text.size() || !is_ident_start(text[i])) {
-        throw_parse_error("expected field after '.' in '" + std::string(text) +
-                          "'");
-      }
+      if (i >= text.size() || !is_ident_start(text[i])) return {Kind::NoField};
       while (i < text.size() && is_ident_char(text[i])) ++i;
       ref.steps.push_back(
           VarStep::make_field(pool_.intern(text.substr(start, i - start))));
@@ -78,53 +102,17 @@ VarRef TraceContext::parse_var(std::string_view text) {
       ++i;
       start = i;
       while (i < text.size() && text[i] != ']') ++i;
-      if (i >= text.size()) {
-        throw_parse_error("unterminated '[' in '" + std::string(text) + "'");
-      }
-      auto idx = parse_uint(text.substr(start, i - start));
-      if (!idx) {
-        throw_parse_error("bad index in '" + std::string(text) + "'");
-      }
-      ref.steps.push_back(VarStep::make_index(*idx));
-      ++i;
-    } else {
-      throw_parse_error("unexpected '" + std::string(1, text[i]) + "' in '" +
-                        std::string(text) + "'");
-    }
-  }
-  return ref;
-}
-
-bool TraceContext::try_parse_var(std::string_view text, VarRef& out) {
-  VarRef ref;
-  std::size_t i = 0;
-  if (i >= text.size() || !is_ident_start(text[i])) return false;
-  std::size_t start = i;
-  while (i < text.size() && is_ident_char(text[i])) ++i;
-  ref.base = pool_.intern(text.substr(start, i - start));
-  while (i < text.size()) {
-    if (text[i] == '.') {
-      ++i;
-      start = i;
-      if (i >= text.size() || !is_ident_start(text[i])) return false;
-      while (i < text.size() && is_ident_char(text[i])) ++i;
-      ref.steps.push_back(
-          VarStep::make_field(pool_.intern(text.substr(start, i - start))));
-    } else if (text[i] == '[') {
-      ++i;
-      start = i;
-      while (i < text.size() && text[i] != ']') ++i;
-      if (i >= text.size()) return false;
+      if (i >= text.size()) return {Kind::Unterminated};
       const auto idx = parse_uint(text.substr(start, i - start));
-      if (!idx) return false;
+      if (!idx) return {Kind::BadIndex};
       ref.steps.push_back(VarStep::make_index(*idx));
       ++i;
     } else {
-      return false;
+      return {Kind::Unexpected, text[i]};
     }
   }
   out = std::move(ref);
-  return true;
+  return {};
 }
 
 std::string TraceContext::format_record(const TraceRecord& rec) const {

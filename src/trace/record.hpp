@@ -89,6 +89,26 @@ struct VarRef {
   }
 };
 
+/// Why a variable reference text did not parse (TraceContext::try_parse_var).
+/// Kind::None means it did.
+struct VarFault {
+  enum class Kind : std::uint8_t {
+    None,          ///< the text parsed
+    NoIdentifier,  ///< the text does not start with an identifier
+    NoField,       ///< a '.' is not followed by a field name
+    Unterminated,  ///< a '[' has no matching ']'
+    BadIndex,      ///< the text between '[' and ']' is not a number
+    Unexpected,    ///< character `unexpected` cannot follow a selector
+  };
+  Kind kind = Kind::None;
+  char unexpected = 0;
+
+  [[nodiscard]] bool ok() const noexcept { return kind == Kind::None; }
+
+  /// The parse error message for `text`, the reference that failed.
+  [[nodiscard]] std::string message(std::string_view text) const;
+};
+
 /// One trace line.
 struct TraceRecord {
   AccessKind kind = AccessKind::Load;
@@ -121,15 +141,11 @@ class TraceContext {
   /// Renders a variable reference ("lSoA.mX[3]").
   [[nodiscard]] std::string format_var(const VarRef& var) const;
 
-  /// Parses a variable reference text into interned form.
-  [[nodiscard]] VarRef parse_var(std::string_view text);
-
-  /// Non-throwing twin of parse_var for the reader's fast path: returns
-  /// false instead of throwing on malformed input. Accepts exactly the
-  /// same texts as parse_var and interns base/field names in the same
-  /// order, so a failed attempt followed by parse_var on the same text
-  /// leaves the pool in the identical state (interning is idempotent).
-  [[nodiscard]] bool try_parse_var(std::string_view text, VarRef& out);
+  /// Parses a variable reference text ("glStructArray[0].dl") into
+  /// interned form in `out`. On malformed text it returns why and leaves
+  /// `out` as it was; the base and field names before the fault are
+  /// interned all the same, in text order.
+  [[nodiscard]] VarFault try_parse_var(std::string_view text, VarRef& out);
 
   /// Renders a full trace line exactly as Gleipnir prints it
   /// (no trailing newline).

@@ -1,9 +1,12 @@
 #include "trace/stream.hpp"
 
 #include "trace/binary.hpp"
+#include "trace/codec.hpp"
 #include "trace/din.hpp"
 #include "trace/reader.hpp"
 #include "trace/writer.hpp"
+#include "util/error.hpp"
+#include "util/file_util.hpp"
 #include "util/string_util.hpp"
 
 namespace tdt::trace {
@@ -118,6 +121,60 @@ void TraceWriter::fold_metrics() const {
   if (registry_ != nullptr && tdtb_ != nullptr) {
     fold_write_metrics(*registry_, tdtb_->stats());
   }
+}
+
+TraceOutput::TraceOutput(std::string path, TraceFormat format,
+                         std::ostream* stdout_stream)
+    : path_(std::move(path)), to_stdout_(path_.empty() || path_ == "-") {
+  if (to_stdout_) {
+    if (stdout_stream == nullptr) {
+      throw_config_error("'-': standard output carries this tool's report; "
+                         "name a file for the trace");
+    }
+    stream_.rdbuf(stdout_stream->rdbuf());
+    return;
+  }
+  const bool gzip = path_.size() > 3 && ends_with(path_, ".gz");
+  if (gzip && format == TraceFormat::Tdtb) {
+    std::string message = "'";
+    message += path_;
+    message += "': a .gz name gzips text and din; TDTB compresses its "
+               "frames with --compress";
+    throw_config_error(std::move(message));
+  }
+  if (gzip && !gzip_available()) {
+    std::string message = "'";
+    message += path_;
+    message += "': gzip output needs zlib, which this build does not carry";
+    throw_config_error(std::move(message));
+  }
+  file_.open(path_, std::ios::out | std::ios::binary);
+  if (!file_) throw_io_error("cannot open '" + path_ + "' for writing");
+  if (gzip) {
+    gzip_ = std::make_unique<GzipDeflater>(file_);
+    stream_.rdbuf(gzip_.get());
+  } else {
+    stream_.rdbuf(file_.rdbuf());
+  }
+}
+
+TraceOutput::~TraceOutput() = default;
+
+void TraceOutput::finish() {
+  if (to_stdout_) return;
+  if (gzip_ != nullptr && !gzip_->finish()) {
+    throw_io_error("gzip compression failed for '" + path_ + "'");
+  }
+  file_.close();
+  if (!file_) throw_io_error("writing '" + path_ + "' failed");
+}
+
+void TraceOutput::discard() noexcept {
+  if (to_stdout_) return;
+  stream_.rdbuf(nullptr);
+  gzip_.reset();
+  file_.close();
+  remove_partial_file(path_);
 }
 
 }  // namespace tdt::trace

@@ -4,11 +4,13 @@
 // nodes (trace/view.hpp) drive these cursors; nothing else reads a
 // trace, so recovery and simulation work on traces larger than memory
 // (no whole-file slurp, no whole-trace vector). On the way out,
-// TraceWriter picks the writer sink for a format.
+// TraceWriter picks the writer sink for a format, and TraceOutput the
+// stream it writes to.
 #pragma once
 
-#include <iosfwd>
+#include <fstream>
 #include <memory>
+#include <ostream>
 #include <span>
 #include <string>
 #include <vector>
@@ -119,6 +121,44 @@ class TraceWriter final : public TraceSink {
   std::unique_ptr<TraceSink> sink_;
   BinaryTraceSink* tdtb_ = nullptr;  // sink_, when it writes TDTB
   obs::Registry* registry_;
+};
+
+class GzipDeflater;
+
+/// Where a written trace goes: the named file, through a streaming gzip
+/// deflater when the name ends in ".gz" (text and din only; TDTB
+/// compresses its own frames), or a tool's standard output for "-" or an
+/// empty path. A tool whose standard output carries its report passes a
+/// null `stdout_stream`, and then "-" is a configuration error. A run
+/// that fails calls discard(), which removes the partial file, so a
+/// trace cut short never reads back as a shorter, valid one.
+class TraceOutput {
+ public:
+  /// Opens the destination. Throws Error{Config} for a name the format
+  /// or the build cannot write, and Error{Io} when the file cannot be
+  /// opened.
+  TraceOutput(std::string path, TraceFormat format,
+              std::ostream* stdout_stream);
+  ~TraceOutput();
+  TraceOutput(const TraceOutput&) = delete;
+  TraceOutput& operator=(const TraceOutput&) = delete;
+
+  [[nodiscard]] std::ostream& stream() noexcept { return stream_; }
+
+  /// Ends the gzip member and closes the file. Throws Error{Io} when the
+  /// last bytes did not reach it.
+  void finish();
+
+  /// After a failure: closes the output and removes it when it is a
+  /// regular file.
+  void discard() noexcept;
+
+ private:
+  std::string path_;
+  bool to_stdout_;
+  std::ofstream file_;
+  std::unique_ptr<GzipDeflater> gzip_;  // writes into file_
+  std::ostream stream_{nullptr};
 };
 
 }  // namespace tdt::trace

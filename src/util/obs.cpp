@@ -3,9 +3,8 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
-#include "util/error.hpp"
+#include "util/file_util.hpp"
 
 namespace tdt::obs {
 
@@ -263,15 +262,11 @@ std::string Registry::spans_json() const {
 }
 
 void Registry::write_metrics_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw_io_error("cannot open metrics file '" + path + "'");
-  out << metrics_json();
+  write_file(path, metrics_json());
 }
 
 void Registry::write_spans_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw_io_error("cannot open span file '" + path + "'");
-  out << spans_json();
+  write_file(path, spans_json());
 }
 
 Heartbeat::Heartbeat(std::string label, std::ostream& out,

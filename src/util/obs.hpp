@@ -189,8 +189,8 @@ class Registry {
   /// Chrome trace_event JSON (Perfetto / chrome://tracing).
   [[nodiscard]] std::string spans_json() const;
 
-  /// Writes metrics_json()/spans_json() to `path`. Throws Error{Io} when
-  /// the file cannot be opened.
+  /// Writes metrics_json()/spans_json() to `path` (write_file). Throws
+  /// Error{Io} when the file cannot be written whole.
   void write_metrics_file(const std::string& path) const;
   void write_spans_file(const std::string& path) const;
 

@@ -7,6 +7,7 @@
 
 #include "cache/hierarchy.hpp"
 #include "trace/reader.hpp"
+#include "../trace/var_ref.hpp"
 
 namespace tdt::analysis {
 namespace {
@@ -163,7 +164,7 @@ TEST(SetActivity, MatchesNaiveReferenceOnRandomStream) {
   std::vector<trace::VarRef> vars;
   for (const char* text : {"zeta", "a", "grid[3].x", "b", "tmp", "lSoA",
                            "mX", "q", "row"}) {
-    vars.push_back(ctx.parse_var(text));
+    vars.push_back(trace::var_ref(ctx, text));
   }
   std::mt19937_64 rng(42);
   std::vector<trace::TraceRecord> records(20'000);

@@ -319,8 +319,16 @@ struct StreamCase {
   [[nodiscard]] std::string name() const {
     static constexpr const char* kSpread[] = {"packed", "wide", "edges"};
     std::string n = kSpread[static_cast<int>(spread)];
-    n += "_" + std::to_string(blocks) + "blk_b" + std::to_string(block_size);
-    n += assoc == 0 ? "_full" : "_a" + std::to_string(assoc);
+    n += '_';
+    n += std::to_string(blocks);
+    n += "blk_b";
+    n += std::to_string(block_size);
+    if (assoc == 0) {
+      n += "_full";
+    } else {
+      n += "_a";
+      n += std::to_string(assoc);
+    }
     n += replacement == ReplacementPolicy::Lru ? "_lru" : "_fifo";
     if (write == WritePolicy::WriteThrough) n += "_wt";
     if (alloc == AllocPolicy::NoWriteAllocate) n += "_nwa";

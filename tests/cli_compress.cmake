@@ -242,6 +242,30 @@ if(rc EQUAL 0)
   endif()
   check_same(".gz din matches plain din"
              ${WORKDIR}/plain.din.stdout ${WORKDIR}/plain.din.gz.stdout)
+
+  # dinerosim's --xform-out writes through the same output stream, so
+  # x.out.gz holds gzip'd text (it used to hold plain text under the .gz
+  # name), and it reads back to the same report as the plain x.out.
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/xf.out --size 4096
+            --rules ${WORKDIR}/t1_16384.rules
+            --xform-out ${WORKDIR}/xf_text.out.gz
+    RESULT_VARIABLE rc)
+  check_rc("dinerosim --xform-out x.out.gz" 0 "${rc}")
+  file(READ ${WORKDIR}/xf_text.out.gz xform_magic LIMIT 2 HEX)
+  if(NOT xform_magic STREQUAL "1f8b")
+    message(FATAL_ERROR "dinerosim --xform-out to a .gz name did not gzip "
+                        "(first bytes ${xform_magic})")
+  endif()
+  foreach(name xf_text.out xf_text.out.gz)
+    execute_process(
+      COMMAND ${DINEROSIM} --trace ${WORKDIR}/${name} --size 4096
+      OUTPUT_FILE ${WORKDIR}/${name}.readback RESULT_VARIABLE rc)
+    check_rc("dinerosim reads back ${name}" 0 "${rc}")
+  endforeach()
+  check_same(".gz --xform-out reads back like the plain one"
+             ${WORKDIR}/xf_text.out.readback
+             ${WORKDIR}/xf_text.out.gz.readback)
 elseif(rc EQUAL 2 AND err MATCHES "gzip")
   message(STATUS "zlib not built in; gzip rows skipped")
 else()

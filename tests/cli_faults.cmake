@@ -206,18 +206,44 @@ check_same("stdin ingest bit-identity" ${WORKDIR}/baseline.stdout
 
 # -- Writer row: the transformed-trace flush fails (ENOSPC). ------------------
 # A write failure is fatal under every policy: skipping output corruption
-# is never an option.
-foreach(policy strict skip repair)
-  execute_process(
-    COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
-            --rules ${RULES} --xform-out ${WORKDIR}/xform_${policy}.out
-            --on-error=${policy} --fault-spec "writer.flush:1"
-    RESULT_VARIABLE rc ERROR_VARIABLE err)
-  check_rc("writer fault ${policy}" 2 "${rc}")
-  if(NOT err MATCHES "trace write failed")
-    message(FATAL_ERROR "writer fault ${policy} missing diagnostic: ${err}")
+# is never an option. The failed run removes the partial transformed
+# trace, which would otherwise read back as a shorter, valid one.
+function(check_no_output what file)
+  if(EXISTS ${file})
+    message(FATAL_ERROR "${what}: a failed write left ${file} behind")
   endif()
+endfunction()
+
+foreach(ext out din)
+  foreach(policy strict skip repair)
+    set(xform ${WORKDIR}/xform_${policy}.${ext})
+    file(REMOVE ${xform})
+    execute_process(
+      COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
+              --rules ${RULES} --xform-out ${xform}
+              --on-error=${policy} --fault-spec "writer.flush:1"
+      RESULT_VARIABLE rc ERROR_VARIABLE err)
+    check_rc("${ext} writer fault ${policy}" 2 "${rc}")
+    if(NOT err MATCHES "trace write failed")
+      message(FATAL_ERROR
+        "${ext} writer fault ${policy} missing diagnostic: ${err}")
+    endif()
+    check_no_output("${ext} writer fault ${policy}" ${xform})
+  endforeach()
 endforeach()
+
+# "-" names no file for --xform-out: dinerosim's standard output carries
+# its report, so the run is refused before it reads a record.
+file(REMOVE ${WORKDIR}/-)
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
+          --rules ${RULES} --xform-out -
+  WORKING_DIRECTORY ${WORKDIR}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+check_rc("--xform-out -" 2 "${rc}")
+if(NOT err MATCHES "standard output" OR EXISTS ${WORKDIR}/-)
+  message(FATAL_ERROR "--xform-out - must be refused without a file: ${err}")
+endif()
 
 # The same failure on a TDTB save: plain v2, and a v3 zstd container,
 # whose frames a writer thread compresses at --jobs 3. The fault is
@@ -239,10 +265,11 @@ foreach(format ${tdtb_formats})
     set(compress_args --compress zstd)
   endif()
   foreach(policy strict skip repair)
+    set(xform ${WORKDIR}/xform_${format}_${policy}.tdtb)
+    file(REMOVE ${xform})
     execute_process(
       COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --size 4096
-              --rules ${RULES}
-              --xform-out ${WORKDIR}/xform_${format}_${policy}.tdtb
+              --rules ${RULES} --xform-out ${xform}
               ${compress_args} --jobs 3
               --on-error=${policy} --fault-spec "writer.flush:1"
       RESULT_VARIABLE rc ERROR_VARIABLE err)
@@ -251,6 +278,7 @@ foreach(format ${tdtb_formats})
       message(FATAL_ERROR
         "${format} writer fault ${policy} missing diagnostic: ${err}")
     endif()
+    check_no_output("${format} writer fault ${policy}" ${xform})
   endforeach()
 endforeach()
 

@@ -254,3 +254,33 @@ if(UNIX AND MKFIFO_TOOL AND SH_TOOL)
 else()
   message(STATUS "mkfifo(1) or sh(1) not found; skipping the FIFO rows")
 endif()
+
+# -- Report files: a write that fails is fatal and names the path. -----------
+# /dev/full opens but takes no bytes. Each report a tool writes checks
+# the whole write, so the run exits 2 with the path in the message
+# instead of announcing a report that never reached the file.
+if(EXISTS /dev/full)
+  function(check_full_report what)
+    execute_process(COMMAND ${ARGN}
+      RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    check_rc("${what} /dev/full" 2 "${rc}")
+    if(NOT err MATCHES "/dev/full")
+      message(FATAL_ERROR "${what} /dev/full must name the path: ${err}")
+    endif()
+    if(err MATCHES "wrote ")
+      message(FATAL_ERROR "${what} /dev/full claims a report: ${err}")
+    endif()
+  endfunction()
+  check_full_report("dinerosim --affinity-report" ${DINEROSIM}
+    --trace ${WORKDIR}/good.out --size 4096 --affinity-report /dev/full)
+  check_full_report("dinerosim --metrics-json" ${DINEROSIM}
+    --trace ${WORKDIR}/good.out --size 4096 --metrics-json /dev/full)
+  check_full_report("dinerosim --trace-spans" ${DINEROSIM}
+    --trace ${WORKDIR}/good.out --size 4096 --trace-spans /dev/full)
+  check_full_report("traceinfo --metrics-json" ${TRACEINFO}
+    ${WORKDIR}/good.out --metrics-json /dev/full)
+  check_full_report("tdtune --json" ${TDTUNE}
+    ${WORKDIR}/good.out --json /dev/full)
+else()
+  message(STATUS "/dev/full not found; the failed-report rows are skipped")
+endif()

@@ -13,6 +13,7 @@
 #include "layout/path.hpp"
 #include "trace/reader.hpp"
 #include "util/rng.hpp"
+#include "../trace/var_ref.hpp"
 
 namespace tdt::core {
 namespace {
@@ -73,7 +74,7 @@ TEST_P(ReorderProperty, RandomStructReorderIsBijective) {
         rec.function = ctx.intern("main");
         rec.scope = trace::VarScope::LocalStructure;
         rec.thread = 1;
-        rec.var = ctx.parse_var(
+        rec.var = trace::var_ref(ctx, 
             "var" + layout::format_path({path.data(), path.size()}));
         records.push_back(rec);
         in_sizes.push_back(t.size_of(leaf));

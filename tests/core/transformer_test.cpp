@@ -249,9 +249,10 @@ TEST(Transformer, OutBaseQueryable) {
   trace::VectorSink sink;
   TraceTransformer transformer(rules, ctx, sink);
   EXPECT_FALSE(transformer.out_base("lSoA", "lAoS").has_value());
-  TraceRecord rec = trace::GleipnirReader::parse_record_line(
-      ctx, "S 7ff000400 4 main LS 0 1 lSoA.mX[0]");
-  transformer.on_record(rec);
+  const auto records =
+      trace::read_trace_string(ctx, "S 7ff000400 4 main LS 0 1 lSoA.mX[0]");
+  ASSERT_EQ(records.size(), 1u);
+  transformer.on_record(records[0]);
   ASSERT_TRUE(transformer.out_base("lSoA", "lAoS").has_value());
   EXPECT_FALSE(transformer.out_base("lSoA", "nothing").has_value());
   EXPECT_FALSE(transformer.out_base("ghost", "lAoS").has_value());

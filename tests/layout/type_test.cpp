@@ -213,11 +213,13 @@ TEST_P(StructLayoutProperty, OffsetsAlignedAndNonOverlapping) {
   const int n = 1 + static_cast<int>(state % 7);
   for (int i = 0; i < n; ++i) {
     state = state * 1664525u + 1013904223u;
-    fields.push_back(
-        {"f" + std::to_string(i), prims[state % 6]});
+    std::string name = "f";
+    name += std::to_string(i);
+    fields.push_back({std::move(name), prims[state % 6]});
   }
-  const TypeId s =
-      t.define_struct("S" + std::to_string(GetParam()), std::move(fields));
+  std::string struct_name = "S";
+  struct_name += std::to_string(GetParam());
+  const TypeId s = t.define_struct(struct_name, std::move(fields));
   std::uint64_t prev_end = 0;
   std::uint64_t max_align = 1;
   for (const FieldInfo& f : t.fields(s)) {

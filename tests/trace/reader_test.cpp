@@ -11,6 +11,14 @@
 namespace tdt::trace {
 namespace {
 
+/// Every record `reader` has left, through its one read loop.
+std::vector<TraceRecord> drain(GleipnirReader& reader) {
+  std::vector<TraceRecord> records;
+  while (reader.next_batch(records, 64) != 0) {
+  }
+  return records;
+}
+
 // A fragment of the paper's Listing 2 trace, verbatim.
 constexpr const char* kPaperSnippet = R"(START PID 13063
 S 7ff0001b0 8 main LV 0 1 _zzq_result
@@ -83,17 +91,16 @@ TEST(Reader, StreamingEventsInOrder) {
   TraceContext ctx;
   std::istringstream in("START PID 9\nL 7ff000000 4 main\nEND PID 9\n");
   GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in));
-  auto e1 = reader.next();
-  ASSERT_TRUE(e1.has_value());
-  EXPECT_EQ(e1->kind, TraceEvent::Kind::Start);
-  EXPECT_EQ(e1->pid, 9u);
-  auto e2 = reader.next();
-  ASSERT_TRUE(e2.has_value());
-  EXPECT_EQ(e2->kind, TraceEvent::Kind::Record);
-  auto e3 = reader.next();
-  ASSERT_TRUE(e3.has_value());
-  EXPECT_EQ(e3->kind, TraceEvent::Kind::End);
-  EXPECT_FALSE(reader.next().has_value());
+  EXPECT_FALSE(reader.saw_start());
+  std::vector<TraceRecord> records;
+  ASSERT_EQ(reader.next_batch(records, 1), 1u);
+  EXPECT_TRUE(reader.saw_start());
+  EXPECT_EQ(reader.start_pid(), 9u);
+  EXPECT_EQ(records[0].address, 0x7ff000000u);
+  EXPECT_EQ(reader.line_number(), 2u);
+  EXPECT_EQ(reader.next_batch(records, 1), 0u);  // END, then end of input
+  EXPECT_EQ(reader.line_number(), 3u);
+  EXPECT_EQ(records.size(), 1u);
 }
 
 TEST(Reader, ErrorsCarryLineNumbers) {
@@ -142,108 +149,17 @@ TEST(Reader, MissingFileThrowsIo) {
   }
 }
 
-// --- zero-copy fast path vs reference slow path ----------------------------
-
-/// Exercises every record shape: global/local scalar and structure
-/// scopes, records without symbol info, selector chains, hex indices,
-/// markers and blank lines.
-constexpr const char* kMixedCorpus = R"(START PID 77
-
-L 7ff0001b0 8 main
-S 000601040 4 main GV glScalar
-S 0006010e0 8 foo GS glStructArray[0].dl
-S 7ff0001bc 4 main LV 0 1 lcScalar
-M 7ff000060 8 foo LS 1 2 lcStrcArray[0xa].dl
-
-L 7ff000180 4 main LS 0 1 lcArray[0]
-END PID 77
-)";
-
-std::vector<TraceRecord> read_slow(TraceContext& ctx, const std::string& text,
-                                   DiagEngine* diags = nullptr) {
-  std::istringstream in(text);
-  GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in), diags);
-  reader.force_slow_parse(true);
-  std::vector<TraceRecord> records;
-  while (auto ev = reader.next()) {
-    if (ev->kind == TraceEvent::Kind::Record) {
-      records.push_back(std::move(ev->record));
-    }
-  }
-  return records;
-}
-
-TEST(Reader, FastAndSlowPathsProduceIdenticalRecords) {
-  TraceContext fast_ctx;
-  TraceContext slow_ctx;
-  const auto fast = read_trace_string(fast_ctx, kMixedCorpus);
-  const auto slow = read_slow(slow_ctx, kMixedCorpus);
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast_ctx.format_record(fast[i]), slow_ctx.format_record(slow[i]));
-    EXPECT_EQ(fast[i].frame, slow[i].frame);
-    EXPECT_EQ(fast[i].thread, slow[i].thread);
-    EXPECT_EQ(fast[i].scope, slow[i].scope);
-  }
-}
-
-TEST(Reader, FastAndSlowPathsReportIdenticalDiagnostics) {
-  const std::string corpus =
-      "L 7ff000000 4 main\n"
-      "BAD LINE HERE EXTRA JUNK FIELDS\n"
-      "L zzz 4 main\n"
-      "L 7ff000004 4 main GV glScalar trailing junk\n"
-      "L 7ff000008 4 main\n";
-  TraceContext fast_ctx;
-  DiagEngine fast_diags(ErrorPolicy::Skip);
-  const auto fast = read_trace_string(fast_ctx, corpus, nullptr, &fast_diags);
-  TraceContext slow_ctx;
-  DiagEngine slow_diags(ErrorPolicy::Skip);
-  const auto slow = read_slow(slow_ctx, corpus, &slow_diags);
-  ASSERT_EQ(fast.size(), slow.size());
-  EXPECT_EQ(fast.size(), 2u);
-  EXPECT_EQ(fast_diags.count(DiagCode::TraceBadLine),
-            slow_diags.count(DiagCode::TraceBadLine));
-  EXPECT_EQ(fast_diags.count(DiagCode::TraceBadLine), 3u);
-  EXPECT_EQ(fast_diags.exit_code(), slow_diags.exit_code());
-}
-
-TEST(Reader, FastAndSlowPathsRepairIdentically) {
-  const std::string corpus =
-      "L 7ff000000 4 main LV 0 1 lGood\n"
-      "L 7ff000004 4 main LV zz 1 lBroken\n";
-  TraceContext fast_ctx;
-  DiagEngine fast_diags(ErrorPolicy::Repair);
-  const auto fast = read_trace_string(fast_ctx, corpus, nullptr, &fast_diags);
-  TraceContext slow_ctx;
-  DiagEngine slow_diags(ErrorPolicy::Repair);
-  const auto slow = read_slow(slow_ctx, corpus, &slow_diags);
-  ASSERT_EQ(fast.size(), 2u);
-  ASSERT_EQ(slow.size(), 2u);
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast_ctx.format_record(fast[i]), slow_ctx.format_record(slow[i]));
-  }
-  EXPECT_EQ(fast_diags.count(DiagCode::TraceRepairedLine),
-            slow_diags.count(DiagCode::TraceRepairedLine));
-  EXPECT_EQ(fast_diags.count(DiagCode::TraceRepairedLine), 1u);
-}
-
 TEST(Reader, StringViewModeStreamsEventsInOrder) {
   TraceContext ctx;
   // No trailing newline on the final line.
   GleipnirReader reader(ctx, "START PID 9\nL 7ff000000 4 main\nEND PID 9");
-  auto e1 = reader.next();
-  ASSERT_TRUE(e1.has_value());
-  EXPECT_EQ(e1->kind, TraceEvent::Kind::Start);
-  EXPECT_EQ(e1->pid, 9u);
-  auto e2 = reader.next();
-  ASSERT_TRUE(e2.has_value());
-  EXPECT_EQ(e2->kind, TraceEvent::Kind::Record);
-  EXPECT_EQ(e2->record.address, 0x7ff000000u);
-  auto e3 = reader.next();
-  ASSERT_TRUE(e3.has_value());
-  EXPECT_EQ(e3->kind, TraceEvent::Kind::End);
-  EXPECT_FALSE(reader.next().has_value());
+  std::vector<TraceRecord> records;
+  ASSERT_EQ(reader.next_batch(records, 1), 1u);
+  EXPECT_EQ(reader.start_pid(), 9u);
+  EXPECT_EQ(records[0].address, 0x7ff000000u);
+  EXPECT_EQ(reader.next_batch(records, 1), 0u);
+  EXPECT_EQ(reader.line_number(), 3u);
+  EXPECT_EQ(records.size(), 1u);
 }
 
 TEST(Reader, LongLinesGrowTheBlockBuffer) {
@@ -256,8 +172,7 @@ TEST(Reader, LongLinesGrowTheBlockBuffer) {
   TraceContext ctx;
   std::istringstream in(corpus);
   GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in));
-  std::vector<TraceRecord> records;
-  while (auto ev = reader.next()) records.push_back(std::move(ev->record));
+  const std::vector<TraceRecord> records = drain(reader);
   ASSERT_EQ(records.size(), 3u);
   EXPECT_EQ(ctx.name(records[0].function), "before");
   EXPECT_EQ(ctx.name(records[1].function), huge);
@@ -266,11 +181,11 @@ TEST(Reader, LongLinesGrowTheBlockBuffer) {
 
 TEST(Reader, ParseRecordLineDirect) {
   TraceContext ctx;
-  const TraceRecord rec = GleipnirReader::parse_record_line(
-      ctx, "M 7ff000044 4 foo LV 0 1 i", 42);
-  EXPECT_EQ(rec.kind, AccessKind::Modify);
-  EXPECT_EQ(ctx.name(rec.function), "foo");
-  EXPECT_EQ(ctx.format_var(rec.var), "i");
+  const auto records = read_trace_string(ctx, "M 7ff000044 4 foo LV 0 1 i");
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].kind, AccessKind::Modify);
+  EXPECT_EQ(ctx.name(records[0].function), "foo");
+  EXPECT_EQ(ctx.format_var(records[0].var), "i");
 }
 
 // Regression (ISSUE satellite 1): read.bytes over-counted the final line
@@ -288,8 +203,7 @@ TEST(Reader, BytesMatchInputSizeWithAndWithoutFinalNewline) {
     {
       TraceContext ctx;
       GleipnirReader reader(ctx, std::string_view(corpus));
-      while (reader.next()) {
-      }
+      (void)drain(reader);
       EXPECT_EQ(reader.counters().bytes, corpus.size())
           << "memory mode, corpus size " << corpus.size();
     }
@@ -298,8 +212,7 @@ TEST(Reader, BytesMatchInputSizeWithAndWithoutFinalNewline) {
       std::istringstream in(corpus);
       TraceContext ctx;
       GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in, 16));
-      while (reader.next()) {
-      }
+      (void)drain(reader);
       EXPECT_EQ(reader.counters().bytes, corpus.size())
           << "streamed, corpus size " << corpus.size();
     }
@@ -327,17 +240,9 @@ TEST(Reader, CrlfCorpusParsesIdenticallyToLf) {
   const auto want = read_trace_string(lf_ctx, lf, &lf_pid);
 
   TraceContext ctx;
-  std::uint64_t pid = 0;
   GleipnirReader reader(ctx, std::string_view(crlf));
-  std::vector<TraceRecord> got;
-  while (auto ev = reader.next()) {
-    if (ev->kind == TraceEvent::Kind::Record) {
-      got.push_back(std::move(ev->record));
-    } else if (ev->kind == TraceEvent::Kind::Start) {
-      pid = ev->pid;
-    }
-  }
-  EXPECT_EQ(pid, lf_pid);
+  const std::vector<TraceRecord> got = drain(reader);
+  EXPECT_EQ(reader.start_pid(), lf_pid);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(ctx.format_record(got[i]), lf_ctx.format_record(want[i]));
@@ -371,12 +276,7 @@ TEST(Reader, TornTailAfterIoFailureIsSuppressed) {
   TraceContext ctx;
   DiagEngine diags(ErrorPolicy::Skip);
   GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in, 48), &diags);
-  std::vector<TraceRecord> records;
-  while (auto ev = reader.next()) {
-    if (ev->kind == TraceEvent::Kind::Record) {
-      records.push_back(std::move(ev->record));
-    }
-  }
+  const std::vector<TraceRecord> records = drain(reader);
   fault::FaultInjector::reset();
 
   // Only the complete line from the delivered block survives; the torn
@@ -408,8 +308,7 @@ TEST(Reader, TornTailIsFatalWhenStrict) {
   GleipnirReader reader(ctx, std::make_unique<OverlappedSource>(in, 24));
   bool threw = false;
   try {
-    while (reader.next()) {
-    }
+    (void)drain(reader);
   } catch (const Error& e) {
     threw = true;
     EXPECT_EQ(e.kind(), ErrorKind::Io);
@@ -419,43 +318,6 @@ TEST(Reader, TornTailIsFatalWhenStrict) {
   }
   fault::FaultInjector::reset();
   EXPECT_TRUE(threw);
-}
-
-// next_batch() is the bulk twin of next(): same records, same order,
-// same counters, markers consumed inline.
-TEST(Reader, NextBatchMatchesNextEventByEvent) {
-  std::string corpus = "START PID 11\n";
-  for (int i = 0; i < 300; ++i) {
-    corpus += "S 7ff000180 4 main LS 0 1 a[" + std::to_string(i) + "]\n";
-    corpus += "L 7ff0001b8 4 main LV 0 1 i\n";
-  }
-  corpus += "END PID 11\n";
-
-  TraceContext one_ctx;
-  std::vector<TraceRecord> one;
-  GleipnirReader one_reader(one_ctx, std::string_view(corpus));
-  while (auto ev = one_reader.next()) {
-    if (ev->kind == TraceEvent::Kind::Record) {
-      one.push_back(std::move(ev->record));
-    }
-  }
-
-  TraceContext batch_ctx;
-  std::vector<TraceRecord> batch;
-  GleipnirReader batch_reader(batch_ctx, std::string_view(corpus));
-  while (batch_reader.next_batch(batch, 97) != 0) {  // odd batch size
-  }
-
-  ASSERT_EQ(batch.size(), one.size());
-  for (std::size_t i = 0; i < one.size(); ++i) {
-    EXPECT_EQ(batch_ctx.format_record(batch[i]),
-              one_ctx.format_record(one[i]));
-  }
-  EXPECT_EQ(batch_reader.start_pid(), 11u);
-  EXPECT_TRUE(batch_reader.saw_start());
-  EXPECT_EQ(batch_reader.counters().bytes, one_reader.counters().bytes);
-  EXPECT_EQ(batch_reader.counters().fast_records,
-            one_reader.counters().fast_records);
 }
 
 }  // namespace

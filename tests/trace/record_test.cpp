@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "util/error.hpp"
+#include "var_ref.hpp"
 
 namespace tdt::trace {
 namespace {
@@ -41,7 +41,7 @@ TEST(VarScope, Predicates) {
 
 TEST(VarRef, ParseAndFormatSimple) {
   TraceContext ctx;
-  const VarRef v = ctx.parse_var("glScalar");
+  const VarRef v = var_ref(ctx, "glScalar");
   EXPECT_EQ(ctx.name(v.base), "glScalar");
   EXPECT_TRUE(v.steps.empty());
   EXPECT_EQ(ctx.format_var(v), "glScalar");
@@ -49,7 +49,7 @@ TEST(VarRef, ParseAndFormatSimple) {
 
 TEST(VarRef, ParseNestedStructureAccess) {
   TraceContext ctx;
-  const VarRef v = ctx.parse_var("glStructArray[0].myArray[1]");
+  const VarRef v = var_ref(ctx, "glStructArray[0].myArray[1]");
   EXPECT_EQ(ctx.name(v.base), "glStructArray");
   ASSERT_EQ(v.steps.size(), 3u);
   EXPECT_FALSE(v.steps[0].is_field);
@@ -65,25 +65,41 @@ TEST(VarRef, RoundTripSweep) {
   for (const char* text :
        {"lSoA.mX[3]", "lAoS[7].mY", "lS1[0].mRarelyUsed.mZ", "_zzq_args[5]",
         "a.b.c.d", "x[1][2][3]"}) {
-    EXPECT_EQ(ctx.format_var(ctx.parse_var(text)), text);
+    EXPECT_EQ(ctx.format_var(var_ref(ctx, text)), text);
   }
 }
 
 TEST(VarRef, ParseErrors) {
   TraceContext ctx;
-  EXPECT_THROW(ctx.parse_var(""), Error);
-  EXPECT_THROW(ctx.parse_var("1bad"), Error);
-  EXPECT_THROW(ctx.parse_var("a..b"), Error);
-  EXPECT_THROW(ctx.parse_var("a[x]"), Error);
-  EXPECT_THROW(ctx.parse_var("a[3"), Error);
-  EXPECT_THROW(ctx.parse_var("a!"), Error);
+  const std::pair<const char*, VarFault::Kind> cases[] = {
+      {"", VarFault::Kind::NoIdentifier},
+      {"1bad", VarFault::Kind::NoIdentifier},
+      {"a..b", VarFault::Kind::NoField},
+      {"a.", VarFault::Kind::NoField},
+      {"a[x]", VarFault::Kind::BadIndex},
+      {"a[3", VarFault::Kind::Unterminated},
+      {"a!", VarFault::Kind::Unexpected},
+  };
+  for (const auto& [text, kind] : cases) {
+    VarRef var = var_ref(ctx, "untouched");
+    const VarRef before = var;
+    const VarFault fault = ctx.try_parse_var(text, var);
+    EXPECT_EQ(fault.kind, kind) << text;
+    EXPECT_EQ(var, before) << text;  // a failed parse leaves `out` alone
+  }
+  VarRef var;
+  EXPECT_EQ(ctx.try_parse_var("a!", var).message("a!"), "unexpected '!' in 'a!'");
+  EXPECT_EQ(ctx.try_parse_var("a[3", var).message("a[3"),
+            "unterminated '[' in 'a[3'");
+  EXPECT_EQ(ctx.try_parse_var("", var).message(""),
+            "variable reference must start with an identifier: ''");
 }
 
 TEST(VarRef, Equality) {
   TraceContext ctx;
-  EXPECT_EQ(ctx.parse_var("a.b[1]"), ctx.parse_var("a.b[1]"));
-  EXPECT_FALSE(ctx.parse_var("a.b[1]") == ctx.parse_var("a.b[2]"));
-  EXPECT_FALSE(ctx.parse_var("a.b[1]") == ctx.parse_var("a.c[1]"));
+  EXPECT_EQ(var_ref(ctx, "a.b[1]"), var_ref(ctx, "a.b[1]"));
+  EXPECT_FALSE(var_ref(ctx, "a.b[1]") == var_ref(ctx, "a.b[2]"));
+  EXPECT_FALSE(var_ref(ctx, "a.b[1]") == var_ref(ctx, "a.c[1]"));
 }
 
 TEST(FormatRecord, LocalScalarMatchesPaperShape) {
@@ -97,7 +113,7 @@ TEST(FormatRecord, LocalScalarMatchesPaperShape) {
   rec.scope = VarScope::LocalVariable;
   rec.frame = 0;
   rec.thread = 1;
-  rec.var = ctx.parse_var("lcScalar");
+  rec.var = var_ref(ctx, "lcScalar");
   EXPECT_EQ(ctx.format_record(rec), "S 7ff0001bc 4 main LV 0 1 lcScalar");
 }
 
@@ -110,7 +126,7 @@ TEST(FormatRecord, GlobalOmitsFrameAndThread) {
   rec.size = 4;
   rec.function = ctx.intern("main");
   rec.scope = VarScope::GlobalVariable;
-  rec.var = ctx.parse_var("glScalar");
+  rec.var = var_ref(ctx, "glScalar");
   EXPECT_EQ(ctx.format_record(rec), "S 000601040 4 main GV glScalar");
 }
 
@@ -134,7 +150,7 @@ TEST(FormatRecord, GlobalStructureElement) {
   rec.size = 8;
   rec.function = ctx.intern("foo");
   rec.scope = VarScope::GlobalStructure;
-  rec.var = ctx.parse_var("glStructArray[0].dl");
+  rec.var = var_ref(ctx, "glStructArray[0].dl");
   EXPECT_EQ(ctx.format_record(rec), "S 0006010e0 8 foo GS glStructArray[0].dl");
 }
 

@@ -106,7 +106,8 @@ std::vector<TraceRecord> random_records(TraceContext& ctx, std::size_t n,
   Xoshiro256 rng(seed);
   std::vector<Symbol> names;
   for (int i = 0; i < 3000; ++i) {
-    std::string name = "s" + std::to_string(i);
+    std::string name = "s";
+    name += std::to_string(i);
     if (i % 500 == 7) name.append(static_cast<std::size_t>(40 * i), 'x');
     names.push_back(ctx.intern(name));
   }

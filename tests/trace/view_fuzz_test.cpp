@@ -23,6 +23,7 @@
 #include "layout/path.hpp"
 #include "trace/view.hpp"
 #include "util/rng.hpp"
+#include "var_ref.hpp"
 
 #ifndef TDT_VIEW_FUZZ_SUITE
 #define TDT_VIEW_FUZZ_SUITE ViewFuzzSmall
@@ -135,13 +136,13 @@ TEST_P(ViewFuzz, RandomTopologyMatchesNaiveBaseline) {
       [&](const layout::Path& path, std::uint64_t offset,
           layout::TypeId leaf) {
         leaves.push_back(
-            {ctx.parse_var("var" +
+            {var_ref(ctx, "var" +
                            layout::format_path({path.data(), path.size()})),
              offset, static_cast<std::uint32_t>(t.size_of(leaf))});
       });
   ASSERT_FALSE(leaves.empty());
   const Symbol fn = ctx.intern("main");
-  const VarRef noise_var = ctx.parse_var("other");
+  const VarRef noise_var = var_ref(ctx, "other");
   const std::uint64_t in_base = 0x7ff200000;
   const std::size_t n = TDT_VIEW_FUZZ_RECORDS / 2 +
                         rng.next_below(TDT_VIEW_FUZZ_RECORDS / 2 + 1);

@@ -15,6 +15,7 @@
 #include "trace/parallel.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"
+#include "var_ref.hpp"
 
 namespace tdt::trace {
 namespace {
@@ -23,7 +24,7 @@ std::vector<TraceRecord> make_records(TraceContext& ctx, std::size_t n) {
   std::vector<TraceRecord> records;
   records.reserve(n);
   const Symbol fn = ctx.intern("main");
-  const VarRef var = ctx.parse_var("buf");
+  const VarRef var = var_ref(ctx, "buf");
   for (std::size_t i = 0; i < n; ++i) {
     TraceRecord rec;
     rec.kind = i % 3 == 0 ? AccessKind::Store : AccessKind::Load;

@@ -8,6 +8,7 @@
 
 #include "trace/reader.hpp"
 #include "util/error.hpp"
+#include "var_ref.hpp"
 
 namespace tdt::trace {
 namespace {
@@ -24,7 +25,7 @@ TraceRecord make_record(TraceContext& ctx, AccessKind kind,
   rec.scope = scope;
   rec.frame = frame;
   rec.thread = 1;
-  if (var != nullptr) rec.var = ctx.parse_var(var);
+  if (var != nullptr) rec.var = var_ref(ctx, var);
   return rec;
 }
 
