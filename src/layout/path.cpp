@@ -48,44 +48,61 @@ Resolved resolve_path(const TypeTable& table, TypeId root,
   return r;
 }
 
-std::optional<Path> path_at_offset(const TypeTable& table, TypeId root,
-                                   std::uint64_t offset,
-                                   std::uint64_t* remainder) {
-  Path path;
+bool offset_steps(const TypeTable& table, TypeId root, std::uint64_t offset,
+                  OffsetPath& out, std::uint64_t* remainder) {
+  out.clear();
   TypeId type = root;
   for (;;) {
-    if (offset >= table.size_of(type)) return std::nullopt;
+    if (offset >= table.size_of(type)) return false;
     switch (table.kind(type)) {
       case TypeKind::Primitive:
       case TypeKind::Pointer:
         if (remainder != nullptr) *remainder = offset;
-        return path;
+        return true;
       case TypeKind::Array: {
         const TypeId elem = table.element(type);
         const std::uint64_t esize = table.size_of(elem);
         const std::uint64_t idx = offset / esize;
-        path.push_back(PathStep::make_index(idx));
+        out.push_back(OffsetStep{kInvalidType, idx});
         offset -= idx * esize;
         type = elem;
         break;
       }
       case TypeKind::Struct: {
-        const FieldInfo* best = nullptr;
-        for (const FieldInfo& f : table.fields(type)) {
+        const std::span<const FieldInfo> fields = table.fields(type);
+        std::size_t at = 0;
+        for (; at < fields.size(); ++at) {
+          const FieldInfo& f = fields[at];
           if (f.offset <= offset &&
               offset < f.offset + table.size_of(f.type)) {
-            best = &f;
             break;
           }
         }
-        if (best == nullptr) return std::nullopt;  // padding
-        path.push_back(PathStep::make_field(best->name));
-        offset -= best->offset;
-        type = best->type;
+        if (at == fields.size()) return false;  // padding
+        out.push_back(OffsetStep{type, at});
+        offset -= fields[at].offset;
+        type = fields[at].type;
         break;
       }
     }
   }
+}
+
+std::optional<Path> path_at_offset(const TypeTable& table, TypeId root,
+                                   std::uint64_t offset,
+                                   std::uint64_t* remainder) {
+  OffsetPath steps;
+  if (!offset_steps(table, root, offset, steps, remainder)) {
+    return std::nullopt;
+  }
+  Path path;
+  for (const OffsetStep& step : steps) {
+    path.push_back(step.is_field()
+                       ? PathStep::make_field(
+                             table.fields(step.owner)[step.index].name)
+                       : PathStep::make_index(step.index));
+  }
+  return path;
 }
 
 namespace {

@@ -57,10 +57,34 @@ struct Resolved {
 [[nodiscard]] Resolved resolve_path(const TypeTable& table, TypeId root,
                                     std::span<const PathStep> path);
 
-/// Maps a byte offset back to the deepest path containing it. Returns
-/// nullopt when `offset` lands in padding or outside the type. On success,
-/// `remainder` receives the offset within the returned leaf (non-zero for
-/// unaligned sub-accesses into a primitive).
+/// One step of an offset walk (offset_steps): a struct field named by its
+/// position in `fields(owner)`, or an array element. It carries no name,
+/// so a caller that wants one looks it up, or maps (owner, index) to a
+/// name it interned once.
+struct OffsetStep {
+  TypeId owner = kInvalidType;  ///< the struct of a field step; invalid
+                                ///< for an element step
+  std::uint64_t index = 0;      ///< field position, or element index
+
+  [[nodiscard]] bool is_field() const noexcept {
+    return owner != kInvalidType;
+  }
+};
+
+/// The steps from a root type down to the leaf holding an offset.
+using OffsetPath = SmallVector<OffsetStep, 4>;
+
+/// Maps a byte offset back to the deepest path containing it, writing the
+/// steps to `out` (cleared first). Returns false when `offset` lands in
+/// padding or outside the type. On success, `remainder` receives the
+/// offset within the leaf (non-zero for unaligned sub-accesses into a
+/// primitive).
+[[nodiscard]] bool offset_steps(const TypeTable& table, TypeId root,
+                                std::uint64_t offset, OffsetPath& out,
+                                std::uint64_t* remainder = nullptr);
+
+/// offset_steps with the field steps named: the deepest path containing
+/// `offset`, or nullopt in padding or outside the type.
 [[nodiscard]] std::optional<Path> path_at_offset(const TypeTable& table,
                                                  TypeId root,
                                                  std::uint64_t offset,

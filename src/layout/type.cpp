@@ -65,11 +65,16 @@ TypeId TypeTable::array_of(TypeId element, std::uint64_t count) {
     const Node& cand = nodes_[it->second];
     if (cand.element == element && cand.count == count) return it->second;
   }
+  const std::uint64_t element_size = size_of(element);
+  if (element_size != 0 && count > UINT64_MAX / element_size) {
+    throw_semantic_error("size of " + render(element) + "[" +
+                         std::to_string(count) + "] does not fit in 64 bits");
+  }
   Node n;
   n.kind = TypeKind::Array;
   n.element = element;
   n.count = count;
-  n.size = size_of(element) * count;
+  n.size = element_size * count;
   n.align = align_of(element);
   const auto id = static_cast<TypeId>(nodes_.size());
   nodes_.push_back(std::move(n));
@@ -90,6 +95,24 @@ TypeId TypeTable::forward_struct(std::string name) {
   struct_index_.emplace(std::move(name), id);
   return id;
 }
+
+namespace {
+
+[[noreturn]] void throw_struct_too_large(const std::string& name) {
+  throw_semantic_error("struct '" + name + "' does not fit in 64 bits");
+}
+
+/// align_up for a struct layout, which throws rather than wrap.
+std::uint64_t checked_align_up(std::uint64_t value, std::uint64_t alignment,
+                               const std::string& struct_name) {
+  const std::uint64_t rem = value % alignment;
+  if (rem != 0 && alignment - rem > UINT64_MAX - value) {
+    throw_struct_too_large(struct_name);
+  }
+  return align_up(value, alignment);
+}
+
+}  // namespace
 
 void TypeTable::complete_struct(TypeId id, std::vector<PendingField> fields) {
   internal_check(id < nodes_.size(), "complete_struct on unknown id");
@@ -116,12 +139,14 @@ void TypeTable::complete_struct(TypeId id, std::vector<PendingField> fields) {
     }
     const std::uint64_t a = align_of(f.type);
     max_align = std::max(max_align, a);
-    offset = align_up(offset, a);
+    offset = checked_align_up(offset, a, n.name);
+    if (size_of(f.type) > UINT64_MAX - offset) throw_struct_too_large(n.name);
     n.fields.push_back(FieldInfo{std::move(f.name), f.type, offset});
     offset += size_of(f.type);
   }
   n.align = max_align;
-  n.size = align_up(std::max<std::uint64_t>(offset, 1), max_align);
+  n.size = checked_align_up(std::max<std::uint64_t>(offset, 1), max_align,
+                            n.name);
   n.complete = true;
 }
 

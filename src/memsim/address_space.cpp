@@ -2,6 +2,7 @@
 
 #include "layout/type.hpp"
 #include "util/error.hpp"
+#include "util/string_util.hpp"
 
 namespace tdt::memsim {
 
@@ -32,11 +33,14 @@ std::uint64_t AddressSpace::alloc_stack(std::uint64_t size,
                                         std::uint64_t align) {
   internal_check(size > 0 && align > 0, "bad stack allocation request");
   Frame& frame = frames_.back();
-  std::uint64_t addr = frame.top - size;
+  // Compare before subtracting: frame.top - size must not wrap.
+  const bool fits = frame.top >= config_.stack_limit &&
+                    size <= frame.top - config_.stack_limit;
+  std::uint64_t addr = fits ? frame.top - size : 0;
   addr -= addr % align;  // align downward
-  if (addr < config_.stack_limit) {
+  if (!fits || addr < config_.stack_limit) {
     throw_config_error("simulated stack overflow (limit 0x" +
-                       std::to_string(config_.stack_limit) + ")");
+                       to_hex(config_.stack_limit) + ")");
   }
   frame.top = addr;
   return addr;

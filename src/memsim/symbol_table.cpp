@@ -26,7 +26,7 @@ const VarInfo& SymbolTable::declare_global(std::string name,
                                            layout::TypeId type) {
   const std::uint64_t addr =
       space_->alloc_global(types_->size_of(type), types_->align_of(type));
-  VarInfo v{std::move(name), type, addr, /*global=*/true, 0};
+  VarInfo v{std::move(name), type, addr, /*global=*/true, 0, {}};
   scopes_[0].push_back(std::move(v));
   return scopes_[0].back();
 }
@@ -36,7 +36,7 @@ const VarInfo& SymbolTable::declare_local(std::string name,
   const std::uint64_t addr =
       space_->alloc_stack(types_->size_of(type), types_->align_of(type));
   VarInfo v{std::move(name), type, addr, /*global=*/false,
-            space_->current_frame()};
+            space_->current_frame(), {}};
   scopes_.back().push_back(std::move(v));
   return scopes_.back().back();
 }
@@ -44,7 +44,7 @@ const VarInfo& SymbolTable::declare_local(std::string name,
 const VarInfo& SymbolTable::declare_at(std::string name, layout::TypeId type,
                                        std::uint64_t address, bool global) {
   VarInfo v{std::move(name), type, address, global,
-            global ? std::uint16_t{0} : space_->current_frame()};
+            global ? std::uint16_t{0} : space_->current_frame(), {}};
   auto& scope = global ? scopes_[0] : scopes_.back();
   scope.push_back(std::move(v));
   return scope.back();
@@ -70,22 +70,19 @@ const VarInfo* SymbolTable::lookup(std::string_view name) const {
   return nullptr;
 }
 
-std::optional<AddressResolution> SymbolTable::resolve_address(
-    std::uint64_t address) const {
+bool SymbolTable::resolve_address(std::uint64_t address,
+                                  AddressResolution& out) const {
   for (std::size_t s = scopes_.size(); s-- > 0;) {
     for (std::size_t i = scopes_[s].size(); i-- > 0;) {
       const VarInfo& v = scopes_[s][i];
-      const std::uint64_t size = types_->size_of(v.type);
-      if (address >= v.base && address < v.base + size) {
-        std::uint64_t remainder = 0;
-        auto path = layout::path_at_offset(*types_, v.type, address - v.base,
-                                           &remainder);
-        if (!path) return std::nullopt;  // padding
-        return AddressResolution{&v, std::move(*path), remainder};
+      if (address >= v.base && address < v.base + types_->size_of(v.type)) {
+        out.var = &v;
+        return layout::offset_steps(*types_, v.type, address - v.base,
+                                    out.steps, &out.offset_in_leaf);
       }
     }
   }
-  return std::nullopt;
+  return false;
 }
 
 std::vector<const VarInfo*> SymbolTable::live_variables() const {

@@ -6,7 +6,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,6 +24,9 @@ struct VarInfo {
   std::uint64_t base = 0;
   bool global = false;
   std::uint16_t frame = 0;  ///< frame id for locals
+  /// `name` interned, once a record names this variable. Left to the
+  /// first record because symbol ids are assigned in first-use order.
+  mutable Symbol symbol;
 
   /// Gleipnir scope code for an access to this variable: LV/LS for locals,
   /// GV/GS for globals, the S variants when the variable is an aggregate.
@@ -32,10 +34,10 @@ struct VarInfo {
 };
 
 /// Result of an address lookup: the variable plus the element path inside
-/// it ("glStructArray" + "[0].myArray[1]").
+/// it ("glStructArray" + "[0].myArray[1]"), with fields by position.
 struct AddressResolution {
   const VarInfo* var = nullptr;
-  layout::Path path;
+  layout::OffsetPath steps;
   std::uint64_t offset_in_leaf = 0;
 };
 
@@ -64,11 +66,12 @@ class SymbolTable {
   /// Innermost-first name lookup. nullptr when not found.
   [[nodiscard]] const VarInfo* lookup(std::string_view name) const;
 
-  /// Maps an address to the variable containing it and the element path;
-  /// nullopt when no live variable covers the address (or it lands in
-  /// struct padding).
-  [[nodiscard]] std::optional<AddressResolution> resolve_address(
-      std::uint64_t address) const;
+  /// Maps an address to the innermost, latest-declared variable covering
+  /// it and the element path inside that variable, written to `out`.
+  /// Returns false when no live variable covers the address, or it lands
+  /// in struct padding.
+  [[nodiscard]] bool resolve_address(std::uint64_t address,
+                                     AddressResolution& out) const;
 
   /// All live variables, globals first, then locals outermost-first.
   [[nodiscard]] std::vector<const VarInfo*> live_variables() const;

@@ -100,6 +100,10 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
     const tools::CommonFlags common = tools::CommonFlags::add(
         flags, {.error_policy = false, .compress = true, .connect = false});
     if (!flags.parse(argc, argv)) return 0;
+    if (*len < 1) {
+      throw_config_error("--len must be at least 1 (got " +
+                         std::to_string(*len) + ")");
+    }
     if (*din && *binary) {
       throw_config_error("--din and --binary each choose the output format; "
                          "give one of them");

@@ -93,6 +93,15 @@ class DinSink final : public TraceSink {
   void push_batch(std::span<const TraceRecord> batch) override;
   void on_end() override;
 
+  /// din lines written so far (Misc records have none).
+  [[nodiscard]] std::uint64_t records_written() const noexcept {
+    return count_;
+  }
+  /// Bytes handed to the stream so far.
+  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
+    return block_.bytes_drained();
+  }
+
  private:
   void write(const TraceRecord& rec);
   void check_health();

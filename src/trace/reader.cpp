@@ -282,11 +282,7 @@ bool GleipnirReader::consume_cold(std::string_view body,
   } else {
     const std::string message = fault.message(body);
     if (diags_ == nullptr || diags_->strict()) {
-      // The strict error for a malformed variable reference carries no
-      // line number; the skip and repair diagnostics do.
-      throw_parse_error(message, fault.check == LineFault::Check::Var
-                                     ? SourceLoc{}
-                                     : loc);
+      throw_parse_error(message, loc);
     }
     // Repair keeps the raw access (kind, address, size and function are
     // decoded before the scope check) and drops the symbol annotation.

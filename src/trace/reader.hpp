@@ -32,12 +32,12 @@ namespace tdt::trace {
 /// is a message formatted and the error policy applied.
 ///
 /// Without a DiagEngine (or with a Strict one) a rejected line throws
-/// Error{Parse} with the offending line number (a malformed variable
-/// reference carries no line). With a Skip engine it reports T001 and
-/// resyncs at the next line. A Repair engine first salvages a line whose
-/// fault lies in its symbol annotation — the scope check or later — and
-/// whose function is an identifier: the record keeps its kind, address,
-/// size and function and comes back with Unknown scope (T003).
+/// Error{Parse} with the offending line number. With a Skip engine it
+/// reports T001 and resyncs at the next line. A Repair engine first
+/// salvages a line whose fault lies in its symbol annotation — the scope
+/// check or later — and whose function is an identifier: the record
+/// keeps its kind, address, size and function and comes back with
+/// Unknown scope (T003).
 class GleipnirReader {
  public:
   /// Ingestion observability: bytes consumed and how each record came

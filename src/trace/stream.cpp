@@ -1,5 +1,7 @@
 #include "trace/stream.hpp"
 
+#include <chrono>
+
 #include "trace/binary.hpp"
 #include "trace/codec.hpp"
 #include "trace/din.hpp"
@@ -102,12 +104,18 @@ TraceWriter::TraceWriter(TraceFormat format, const TraceContext& ctx,
                          obs::Registry* registry)
     : registry_(registry) {
   switch (format) {
-    case TraceFormat::Gleipnir:
-      sink_ = std::make_unique<WriterSink>(ctx, out, pid);
+    case TraceFormat::Gleipnir: {
+      auto text = std::make_unique<WriterSink>(ctx, out, pid);
+      text_ = text.get();
+      sink_ = std::move(text);
       return;
-    case TraceFormat::Din:
-      sink_ = std::make_unique<DinSink>(out);
+    }
+    case TraceFormat::Din: {
+      auto din = std::make_unique<DinSink>(out);
+      din_ = din.get();
+      sink_ = std::move(din);
       return;
+    }
     case TraceFormat::Tdtb:
       break;
   }
@@ -117,10 +125,48 @@ TraceWriter::TraceWriter(TraceFormat format, const TraceContext& ctx,
   sink_ = std::move(tdtb);
 }
 
-void TraceWriter::fold_metrics() const {
-  if (registry_ != nullptr && tdtb_ != nullptr) {
-    fold_write_metrics(*registry_, tdtb_->stats());
+template <typename Write>
+void TraceWriter::timed(const Write& write) {
+  if (registry_ == nullptr || tdtb_ != nullptr) {
+    write();
+    return;
   }
+  const auto t0 = std::chrono::steady_clock::now();
+  write();
+  encode_seconds_ += std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+}
+
+void TraceWriter::on_record(const TraceRecord& rec) {
+  timed([&] { sink_->on_record(rec); });
+}
+
+void TraceWriter::push_batch(std::span<const TraceRecord> batch) {
+  timed([&] { sink_->push_batch(batch); });
+}
+
+void TraceWriter::push_batch_shared(SharedBatch batch) {
+  timed([&] { sink_->push_batch_shared(std::move(batch)); });
+}
+
+void TraceWriter::on_end() {
+  timed([&] { sink_->on_end(); });
+}
+
+void TraceWriter::fold_metrics() const {
+  if (registry_ == nullptr) return;
+  if (tdtb_ != nullptr) {
+    fold_write_metrics(*registry_, tdtb_->stats());
+    return;
+  }
+  WriteStats stats;
+  stats.records =
+      text_ != nullptr ? text_->records_written() : din_->records_written();
+  stats.bytes =
+      text_ != nullptr ? text_->bytes_written() : din_->bytes_written();
+  stats.encode_seconds = encode_seconds_;
+  fold_write_metrics(*registry_, stats);
 }
 
 TraceOutput::TraceOutput(std::string path, TraceFormat format,

@@ -91,36 +91,43 @@ class SourceCursor {
 
 struct BinaryWriterOptions;
 class BinaryTraceSink;
+class DinSink;
+class WriterSink;
 
 /// The writer sink for one trace format: Gleipnir text -> WriterSink,
 /// din -> DinSink, TDTB -> BinaryTraceSink laid out by `binary`. Each
 /// writer checks `out` at batch boundaries (fault site writer.flush).
-/// Nothing is timed without a registry: with one, the TDTB writer times
-/// its writes, and fold_metrics() adds its write.* family once the
-/// stream has ended.
+/// Nothing is timed without a registry: with one, the writes are timed
+/// (the TDTB writer times its own), and fold_metrics() adds the write.*
+/// family once the stream has ended.
 class TraceWriter final : public TraceSink {
  public:
   TraceWriter(TraceFormat format, const TraceContext& ctx, std::ostream& out,
               std::uint64_t pid, const BinaryWriterOptions& binary,
               obs::Registry* registry);
 
-  void on_record(const TraceRecord& rec) override { sink_->on_record(rec); }
-  void push_batch(std::span<const TraceRecord> batch) override {
-    sink_->push_batch(batch);
-  }
-  void push_batch_shared(SharedBatch batch) override {
-    sink_->push_batch_shared(std::move(batch));
-  }
-  void on_end() override { sink_->on_end(); }
+  void on_record(const TraceRecord& rec) override;
+  void push_batch(std::span<const TraceRecord> batch) override;
+  void push_batch_shared(SharedBatch batch) override;
+  void on_end() override;
 
-  /// Folds the TDTB writer's write.* family into the registry; text and
-  /// din writers report none.
+  /// Folds the writer's write.* family into the registry: records and
+  /// bytes written, and the seconds spent writing. Text and din have no
+  /// frames and no compression, and report 0 for them.
   void fold_metrics() const;
 
  private:
+  /// Runs `write`, adding its wall time to encode_seconds_ when a text or
+  /// din write is timed.
+  template <typename Write>
+  void timed(const Write& write);
+
   std::unique_ptr<TraceSink> sink_;
   BinaryTraceSink* tdtb_ = nullptr;  // sink_, when it writes TDTB
+  WriterSink* text_ = nullptr;       // sink_, when it writes text
+  DinSink* din_ = nullptr;           // sink_, when it writes din
   obs::Registry* registry_;
+  double encode_seconds_ = 0;
 };
 
 class GzipDeflater;

@@ -51,6 +51,7 @@ void TextBlock::grow(std::size_t n) {
 
 void TextBlock::drain_to(std::ostream& out) {
   out.write(buf_.data(), static_cast<std::streamsize>(len_));
+  drained_ += len_;
   len_ = 0;
 }
 

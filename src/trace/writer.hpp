@@ -53,11 +53,17 @@ class TextBlock {
   /// Hands the block's bytes to `out` and empties it.
   void drain_to(std::ostream& out);
 
+  /// Bytes handed to a stream so far.
+  [[nodiscard]] std::uint64_t bytes_drained() const noexcept {
+    return drained_;
+  }
+
  private:
   void grow(std::size_t n);
 
   std::string buf_;
   std::size_t len_ = 0;
+  std::uint64_t drained_ = 0;
 };
 
 /// Formats Gleipnir text lines into its block (TraceContext::format_record,
@@ -129,6 +135,11 @@ class GleipnirWriter {
     return count_;
   }
 
+  /// Bytes handed to the stream so far, markers included.
+  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
+    return encoder_.bytes_drained();
+  }
+
  private:
   TextEncoder encoder_;
   std::ostream* out_;
@@ -158,6 +169,9 @@ class WriterSink final : public TraceSink {
 
   [[nodiscard]] std::uint64_t records_written() const noexcept {
     return writer_.records_written();
+  }
+  [[nodiscard]] std::uint64_t bytes_written() const noexcept {
+    return writer_.bytes_written();
   }
 
  private:

@@ -12,7 +12,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "layout/type.hpp"
 #include "memsim/address_space.hpp"
@@ -20,56 +20,9 @@
 #include "trace/record.hpp"
 #include "trace/sink.hpp"
 #include "tracer/ast.hpp"
+#include "tracer/memory.hpp"
 
 namespace tdt::tracer {
-
-/// A runtime value: integer, floating, or pointer.
-struct Value {
-  enum class Kind : std::uint8_t { Int, Real, Ptr };
-
-  Kind kind = Kind::Int;
-  std::int64_t i = 0;
-  double d = 0;
-  std::uint64_t addr = 0;
-  layout::TypeId pointee = layout::kInvalidType;
-
-  static Value from_int(std::int64_t v) {
-    Value out;
-    out.kind = Kind::Int;
-    out.i = v;
-    return out;
-  }
-  static Value from_real(double v) {
-    Value out;
-    out.kind = Kind::Real;
-    out.d = v;
-    return out;
-  }
-  static Value from_ptr(std::uint64_t a, layout::TypeId pointee) {
-    Value out;
-    out.kind = Kind::Ptr;
-    out.addr = a;
-    out.pointee = pointee;
-    return out;
-  }
-
-  [[nodiscard]] std::int64_t as_int() const noexcept {
-    switch (kind) {
-      case Kind::Int: return i;
-      case Kind::Real: return static_cast<std::int64_t>(d);
-      case Kind::Ptr: return static_cast<std::int64_t>(addr);
-    }
-    return 0;
-  }
-  [[nodiscard]] double as_real() const noexcept {
-    switch (kind) {
-      case Kind::Int: return static_cast<double>(i);
-      case Kind::Real: return d;
-      case Kind::Ptr: return static_cast<double>(addr);
-    }
-    return 0;
-  }
-};
 
 /// Interpreter options.
 struct InterpOptions {
@@ -132,6 +85,9 @@ class Interpreter {
   void emit(trace::AccessKind kind, std::uint64_t address, std::uint32_t size,
             bool annotate = true);
 
+  /// The interned name of a field step, interned on first use.
+  Symbol field_symbol(const layout::OffsetStep& step);
+
   /// Hands the pending batch to the sink.
   void flush_batch();
 
@@ -150,7 +106,11 @@ class Interpreter {
 
   memsim::AddressSpace space_;
   memsim::SymbolTable symbols_;
-  std::unordered_map<std::uint64_t, Value> memory_;
+  memsim::AddressResolution where_;  // emit's lookup, reused per record
+  // Field names by struct TypeId and field position; an empty Symbol is
+  // a name not interned yet.
+  std::vector<std::vector<Symbol>> field_symbols_;
+  Memory memory_;
   std::vector<Symbol> call_stack_;
   std::vector<trace::TraceRecord> batch_;  // emitted, not yet pushed
   bool enabled_ = false;

@@ -62,6 +62,28 @@ if(NOT gtracer_err MATCHES "${trace_records} records from kernel")
     "report: ${gtracer_err}")
 endif()
 
+# Every writer format reports the write.* family: the records it wrote,
+# the bytes it handed to the file (so the file size), and the seconds
+# spent writing, which are more than zero once anything was written.
+function(check_write_family what doc records file)
+  string(JSON written GET "${doc}" counters write.records)
+  if(NOT written EQUAL records)
+    message(FATAL_ERROR "${what}: write.records=${written}, want ${records}")
+  endif()
+  string(JSON bytes GET "${doc}" counters write.bytes)
+  file(SIZE ${file} size)
+  if(NOT bytes EQUAL size)
+    message(FATAL_ERROR "${what}: write.bytes=${bytes}, file is ${size}")
+  endif()
+  string(JSON seconds ERROR_VARIABLE err GET "${doc}" gauges
+         write.encode_seconds)
+  if(err OR NOT seconds GREATER 0)
+    message(FATAL_ERROR "${what}: write.encode_seconds=${seconds}, want > 0")
+  endif()
+endfunction()
+check_write_family("gtracer text" "${gtracer_doc}" ${trace_records}
+                   ${WORKDIR}/t.out)
+
 # ---- dinerosim sweep: byte-identity + schema + cross-check -----------
 
 # The sweep spec is quoted inline: storing it in a variable would split
@@ -252,6 +274,19 @@ foreach(gauge encode_seconds compress_seconds)
   endif()
 endforeach()
 
+# A text --xform-out reports the same family.
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/t.out --rules ${RULES}
+          --xform-out ${WORKDIR}/x.out --metrics-json ${WORKDIR}/mxt.json
+  RESULT_VARIABLE rc)
+if(NOT rc EQUAL 0)
+  message(FATAL_ERROR "text xform run failed: ${rc}")
+endif()
+check_metrics(${WORKDIR}/mxt.json dinerosim xform_text_doc)
+string(JSON xform_text_read GET "${xform_text_doc}" counters read.records)
+check_write_family("dinerosim --xform-out x.out" "${xform_text_doc}"
+                   ${xform_text_read} ${WORKDIR}/x.out)
+
 # ---- traceinfo: same byte-identity contract --------------------------
 
 execute_process(
@@ -310,10 +345,14 @@ if(NOT rc EQUAL 0)
 endif()
 execute_process(
   COMMAND ${GTRACER} --kernel t1_soa --len 256 --din --out ${WORKDIR}/t.din
+          --metrics-json ${WORKDIR}/gtracer_din.json
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
   message(FATAL_ERROR "gtracer din failed: ${rc}")
 endif()
+check_metrics(${WORKDIR}/gtracer_din.json gtracer gtracer_din_doc)
+check_write_family("gtracer din" "${gtracer_din_doc}" ${trace_records}
+                   ${WORKDIR}/t.din)
 foreach(input t.out t.din t_v2.tdtb t_v3.tdtb)
   execute_process(
     COMMAND ${TRACEINFO} ${WORKDIR}/${input}

@@ -74,6 +74,17 @@ execute_process(
   RESULT_VARIABLE rc)
 check_rc("traceinfo corrupt --on-error=skip" 1 "${rc}")
 
+# A malformed variable reference names its line under strict, as every
+# other bad record line does.
+file(WRITE ${WORKDIR}/bad_var.out "START PID 1\nL 7ff000000 4 main GV a!\n")
+execute_process(
+  COMMAND ${TRACEINFO} ${WORKDIR}/bad_var.out
+  RESULT_VARIABLE rc ERROR_VARIABLE err)
+check_rc("traceinfo bad variable (strict default)" 2 "${rc}")
+if(NOT err MATCHES "parse error at 2:1: unexpected '!' in 'a!'")
+  message(FATAL_ERROR "strict bad-variable error must name line 2: ${err}")
+endif()
+
 # tracediff: identical files but recovered errors -> exit 1, not 0.
 execute_process(
   COMMAND ${TRACEDIFF} ${WORKDIR}/bad.out ${WORKDIR}/bad.out --summary
@@ -149,6 +160,37 @@ foreach(f conflict.din conflict.tdtb.gz)
     message(FATAL_ERROR "a refused gtracer run left ${f} behind")
   endif()
 endforeach()
+
+# -- gtracer sizes that do not fit are usage errors. --------------------------
+# --len below 1 names the flag. A kernel whose variables overflow the
+# simulated stack, or whose sizes overflow 64 bits, stops with the
+# limit (in hex) or the type. Each row exits 2 and leaves no file. A
+# wrapped size that slipped past the checks would run on instead, and
+# TIMEOUT turns that into a failure.
+function(check_gtracer_size tag pattern)
+  set(out ${WORKDIR}/size_${tag}.out)
+  execute_process(
+    COMMAND ${GTRACER} ${ARGN} --out ${out}
+    RESULT_VARIABLE rc ERROR_VARIABLE err TIMEOUT 30)
+  check_rc("gtracer ${ARGN}" 2 "${rc}")
+  if(NOT err MATCHES "${pattern}")
+    message(FATAL_ERROR "gtracer ${ARGN} must say '${pattern}': ${err}")
+  endif()
+  if(EXISTS ${out})
+    message(FATAL_ERROR "a refused gtracer ${ARGN} left ${out} behind")
+  endif()
+endfunction()
+foreach(kernel linked_list t1_soa t2_inline t3_strided)
+  check_gtracer_size(${kernel}_neg "--len must be at least 1 \\(got -1\\)"
+                     --kernel ${kernel} --len -1)
+endforeach()
+check_gtracer_size(t1_soa_zero "--len must be at least 1 \\(got 0\\)"
+                   --kernel t1_soa --len 0)
+check_gtracer_size(t1_soa_huge
+                   "simulated stack overflow \\(limit 0x7fe000000\\)"
+                   --kernel t1_soa --len 5000000000)
+check_gtracer_size(matmul_huge "does not fit in 64 bits"
+                   --kernel matmul_ijk --len 5000000000)
 
 # -- Truncated binary trace: strict -> 2, skip salvages a prefix -> 1. --------
 execute_process(

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "util/error.hpp"
 
 namespace tdt::layout {
@@ -58,6 +60,50 @@ TEST(TypeTable, ArraysInterned) {
   TypeTable t;
   EXPECT_EQ(t.array_of(t.int_type(), 16), t.array_of(t.int_type(), 16));
   EXPECT_NE(t.array_of(t.int_type(), 16), t.array_of(t.int_type(), 17));
+}
+
+TEST(TypeTable, ArraySizeThatWrapsRejected) {
+  TypeTable t;
+  const auto kind_of = [&](TypeId elem, std::uint64_t count) {
+    try {
+      (void)t.array_of(elem, count);
+    } catch (const Error& e) {
+      return std::optional<ErrorKind>(e.kind());
+    }
+    return std::optional<ErrorKind>();
+  };
+  EXPECT_EQ(kind_of(t.int_type(), ~std::uint64_t{0}), ErrorKind::Semantic);
+  EXPECT_EQ(kind_of(t.long_type(), std::uint64_t{1} << 61),
+            ErrorKind::Semantic);
+  const TypeId big = t.array_of(t.int_type(), std::uint64_t{1} << 40);
+  EXPECT_EQ(kind_of(big, std::uint64_t{1} << 22), ErrorKind::Semantic);
+  // The largest sizes that fit are still accepted.
+  EXPECT_EQ(kind_of(t.char_type(), ~std::uint64_t{0}), std::nullopt);
+  EXPECT_EQ(kind_of(big, std::uint64_t{1} << 21), std::nullopt);
+  EXPECT_EQ(t.size_of(t.array_of(big, std::uint64_t{1} << 21)),
+            std::uint64_t{1} << 63);
+}
+
+TEST(TypeTable, StructSizeThatWrapsRejected) {
+  TypeTable t;
+  const TypeId half = t.array_of(t.char_type(), std::uint64_t{1} << 63);
+  // Two halves end exactly at 2^64: the second field's end wraps.
+  EXPECT_THROW(t.define_struct("Twice", {{"a", half}, {"b", half}}), Error);
+  // Padding before an int after 2^64 - 2 chars wraps in the alignment.
+  const TypeId most = t.array_of(t.char_type(), ~std::uint64_t{0} - 1);
+  EXPECT_THROW(t.define_struct("Tail", {{"a", most}, {"b", t.int_type()}}),
+               Error);
+  // So does the final rounding of the struct size to its alignment:
+  // 4 + (2^64 - 7) bytes end at 2^64 - 3, which rounds up past 2^64.
+  const TypeId odd = t.array_of(t.char_type(), ~std::uint64_t{0} - 6);
+  EXPECT_THROW(t.define_struct("Round", {{"b", t.int_type()}, {"a", odd}}),
+               Error);
+  try {
+    (void)t.define_struct("Named", {{"a", half}, {"b", half}});
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Semantic);
+    EXPECT_NE(std::string(e.what()).find("'Named'"), std::string::npos);
+  }
 }
 
 TEST(TypeTable, ZeroLengthArrayRejected) {

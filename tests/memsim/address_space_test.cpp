@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace tdt::memsim {
@@ -65,6 +67,39 @@ TEST(AddressSpace, StackOverflowDetected) {
   cfg.stack_limit = 0x7fefff000;  // 4 KiB of stack
   AddressSpace space(cfg);
   EXPECT_THROW((void)space.alloc_stack(1 << 20, 8), Error);
+}
+
+TEST(AddressSpace, StackOverflowNamesTheLimitInHex) {
+  AddressSpace space;  // limit 0x7fe000000
+  try {
+    (void)space.alloc_stack(std::uint64_t{1} << 30, 8);
+    FAIL() << "no overflow";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Config);
+    EXPECT_NE(std::string(e.what()).find("limit 0x7fe000000)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AddressSpace, StackAllocationLargerThanTheTopDoesNotWrap) {
+  // frame.top - size would wrap past zero to an address above the limit.
+  AddressSpace space;
+  const std::uint64_t top = space.config().stack_base;
+  EXPECT_THROW((void)space.alloc_stack(top + 64, 8), Error);
+  EXPECT_THROW((void)space.alloc_stack(~std::uint64_t{0} - 7, 8), Error);
+  EXPECT_THROW((void)space.alloc_stack(60'000'000'000ULL, 8), Error);
+  // A failed allocation leaves the frame as it was.
+  EXPECT_EQ(space.alloc_stack(8, 8), top - 8);
+}
+
+TEST(AddressSpace, StackFillsExactlyToTheLimit) {
+  AddressSpaceConfig cfg;
+  cfg.stack_base = 0x7ff000000;
+  cfg.stack_limit = 0x7fefff000;  // 4 KiB of stack
+  AddressSpace space(cfg);
+  EXPECT_EQ(space.alloc_stack(4096, 8), cfg.stack_limit);
+  EXPECT_THROW((void)space.alloc_stack(1, 1), Error);
 }
 
 TEST(AddressSpace, HeapAllocSixteenByteAligned) {

@@ -72,11 +72,11 @@ TEST(SymbolTable, PopOutermostThrows) {
 TEST(SymbolTable, ResolveAddressScalar) {
   Fixture f;
   const VarInfo& v = f.table.declare_global("glScalar", f.types.int_type());
-  auto res = f.table.resolve_address(v.base);
-  ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->var, &v);
-  EXPECT_TRUE(res->path.empty());
-  EXPECT_EQ(res->offset_in_leaf, 0u);
+  AddressResolution res;
+  ASSERT_TRUE(f.table.resolve_address(v.base, res));
+  EXPECT_EQ(res.var, &v);
+  EXPECT_TRUE(res.steps.empty());
+  EXPECT_EQ(res.offset_in_leaf, 0u);
 }
 
 TEST(SymbolTable, ResolveAddressNestedElement) {
@@ -86,12 +86,18 @@ TEST(SymbolTable, ResolveAddressNestedElement) {
                  {"myArray", f.types.array_of(f.types.int_type(), 10)}});
   const VarInfo& v =
       f.table.declare_global("glStructArray", f.types.array_of(type_a, 10));
-  // glStructArray[1].myArray[1] = base + 48 + 8 + 4
-  auto res = f.table.resolve_address(v.base + 60);
-  ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->var, &v);
-  EXPECT_EQ(layout::format_path({res->path.data(), res->path.size()}),
-            "[1].myArray[1]");
+  // glStructArray[1].myArray[1] = base + 48 + 8 + 4, plus 2 bytes in.
+  AddressResolution res;
+  ASSERT_TRUE(f.table.resolve_address(v.base + 62, res));
+  EXPECT_EQ(res.var, &v);
+  ASSERT_EQ(res.steps.size(), 3u);
+  EXPECT_FALSE(res.steps[0].is_field());
+  EXPECT_EQ(res.steps[0].index, 1u);
+  EXPECT_EQ(res.steps[1].owner, type_a);  // field by position: myArray
+  EXPECT_EQ(res.steps[1].index, 1u);
+  EXPECT_FALSE(res.steps[2].is_field());
+  EXPECT_EQ(res.steps[2].index, 1u);
+  EXPECT_EQ(res.offset_in_leaf, 2u);
 }
 
 TEST(SymbolTable, ResolveAddressInPaddingFails) {
@@ -99,13 +105,15 @@ TEST(SymbolTable, ResolveAddressInPaddingFails) {
   const auto s = f.types.define_struct(
       "Padded", {{"a", f.types.int_type()}, {"b", f.types.double_type()}});
   const VarInfo& v = f.table.declare_global("p", s);
-  EXPECT_FALSE(f.table.resolve_address(v.base + 5).has_value());
+  AddressResolution res;
+  EXPECT_FALSE(f.table.resolve_address(v.base + 5, res));
 }
 
 TEST(SymbolTable, ResolveAddressOutsideAllVariables) {
   Fixture f;
   f.table.declare_global("x", f.types.int_type());
-  EXPECT_FALSE(f.table.resolve_address(0xdeadbeef).has_value());
+  AddressResolution res;
+  EXPECT_FALSE(f.table.resolve_address(0xdeadbeef, res));
 }
 
 TEST(SymbolTable, ResolvePrefersInnermostOnOverlap) {
@@ -114,9 +122,22 @@ TEST(SymbolTable, ResolvePrefersInnermostOnOverlap) {
   // Shadow pseudo-variable at the same address via declare_at.
   const VarInfo& shadow =
       f.table.declare_at("shadow", f.types.int_type(), g.base, true);
-  auto res = f.table.resolve_address(g.base);
-  ASSERT_TRUE(res.has_value());
-  EXPECT_EQ(res->var, &shadow);  // later declaration wins
+  AddressResolution res;
+  ASSERT_TRUE(f.table.resolve_address(g.base, res));
+  EXPECT_EQ(res.var, &shadow);  // later declaration wins
+}
+
+TEST(SymbolTable, ResolveReusesTheStepBuffer) {
+  Fixture f;
+  const auto arr = f.types.array_of(f.types.int_type(), 4);
+  const VarInfo& a = f.table.declare_global("a", arr);
+  const VarInfo& x = f.table.declare_global("x", f.types.int_type());
+  AddressResolution res;
+  ASSERT_TRUE(f.table.resolve_address(a.base + 8, res));
+  ASSERT_EQ(res.steps.size(), 1u);
+  ASSERT_TRUE(f.table.resolve_address(x.base, res));
+  EXPECT_EQ(res.var, &x);
+  EXPECT_TRUE(res.steps.empty());  // cleared, not appended to
 }
 
 TEST(SymbolTable, DeclareAtPlacesExactly) {

@@ -127,7 +127,12 @@ TraceRecord ref_parse_record_line(TraceContext& ctx, std::string_view line,
   if (i + 1 != f.size()) {
     throw_parse_error("trailing fields after variable reference", loc);
   }
-  rec.var = ref_parse_var(ctx, f[i]);
+  try {
+    rec.var = ref_parse_var(ctx, f[i]);
+  } catch (const Error& e) {
+    // The reader names the line of a malformed variable reference too.
+    throw_parse_error(e.message(), loc);
+  }
   return rec;
 }
 
