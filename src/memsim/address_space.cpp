@@ -8,6 +8,17 @@ namespace tdt::memsim {
 
 using layout::align_up;
 
+void check_heap_fits(const AddressSpaceConfig& config, std::uint64_t count,
+                     std::uint64_t size) {
+  const std::uint64_t room = config.stack_limit > config.heap_base
+                                 ? config.stack_limit - config.heap_base
+                                 : 0;
+  if (size != 0 && count > room / size) {
+    throw_config_error("simulated heap overflow (limit 0x" +
+                       to_hex(config.stack_limit) + ")");
+  }
+}
+
 AddressSpace::AddressSpace(AddressSpaceConfig config)
     : config_(config),
       global_cursor_(config.global_base),
@@ -57,6 +68,9 @@ std::uint16_t AddressSpace::current_frame() const noexcept {
 
 std::uint64_t AddressSpace::heap_alloc(std::uint64_t size) {
   internal_check(size > 0, "heap_alloc of zero bytes");
+  // A block larger than the whole heap fits nowhere, and checking that
+  // first keeps the rounding from wrapping.
+  check_heap_fits(config_, 1, size);
   size = align_up(size, 16);
   // First fit over the free list.
   for (auto it = heap_free_.begin(); it != heap_free_.end(); ++it) {
@@ -72,6 +86,9 @@ std::uint64_t AddressSpace::heap_alloc(std::uint64_t size) {
       return addr;
     }
   }
+  // The room above the cursor, compared before adding.
+  check_heap_fits(
+      {.heap_base = heap_cursor_, .stack_limit = config_.stack_limit}, 1, size);
   const std::uint64_t addr = heap_cursor_;
   heap_cursor_ += size;
   heap_blocks_.emplace(addr, size);

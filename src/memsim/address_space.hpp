@@ -24,6 +24,12 @@ struct AddressSpaceConfig {
   std::uint64_t stack_limit = 0x7fe000000ULL;  ///< lowest legal stack address
 };
 
+/// Throws Error{Config} "simulated heap overflow" unless `count` objects
+/// of `size` bytes fit in the heap of `config`, the range [heap_base,
+/// stack_limit). When it returns, `count * size` does not overflow.
+void check_heap_fits(const AddressSpaceConfig& config, std::uint64_t count,
+                     std::uint64_t size);
+
 /// Segmented allocator with stack-frame discipline and a first-fit
 /// free-list heap.
 class AddressSpace {
@@ -59,7 +65,8 @@ class AddressSpace {
   // --- heap -------------------------------------------------------------
 
   /// Allocates `size` bytes on the simulated heap (16-byte aligned like
-  /// glibc malloc). Returns the block address.
+  /// glibc malloc). Returns the block address. Throws Error{Config} when
+  /// the block does not fit below `stack_limit`.
   std::uint64_t heap_alloc(std::uint64_t size);
 
   /// Frees a block previously returned by heap_alloc.

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <optional>
 #include <ostream>
+#include <tuple>
 
 #include "tdt/tdt.hpp"
 #include "tools/cli_common.hpp"
@@ -100,9 +101,14 @@ int tdt::tools::gtracer_run(const tdt::service::ToolIO& io, int argc,
     const tools::CommonFlags common = tools::CommonFlags::add(
         flags, {.error_policy = false, .compress = true, .connect = false});
     if (!flags.parse(argc, argv)) return 0;
-    if (*len < 1) {
-      throw_config_error("--len must be at least 1 (got " +
-                         std::to_string(*len) + ")");
+    const std::tuple<const char*, std::int64_t, std::int64_t> minimums[] = {
+        {"len", *len, 1}, {"sets", *sets, 1}, {"cache-line", *line, 4}};
+    for (const auto& [flag, value, min] : minimums) {
+      if (value < min) {
+        throw_config_error(std::string("--") + flag + " must be at least " +
+                           std::to_string(min) + " (got " +
+                           std::to_string(value) + ")");
+      }
     }
     if (*din && *binary) {
       throw_config_error("--din and --binary each choose the output format; "

@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <mutex>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -14,6 +11,7 @@
 #include "util/error.hpp"
 #include "util/fault.hpp"
 #include "util/obs.hpp"
+#include "util/ordered_pool.hpp"
 
 namespace tdt::trace {
 namespace {
@@ -142,21 +140,17 @@ double seconds_since(std::chrono::steady_clock::time_point t0) noexcept {
 
 }  // namespace
 
-/// The writer thread of a threaded v3 writer and the one frame buffer
-/// the caller is not filling. That buffer is either free (`pending`
-/// false: the caller may swap it for the frame it just filled) or holds
-/// a frame of `len` bytes and `records` records that the thread owns
-/// until it has written it.
-struct BinaryTraceWriter::FrameThread {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::string buf;
+/// One v3 frame on its way out: the caller encodes `payload`, a pool
+/// job compresses and checksums it into `stored`, and the caller writes
+/// it in frame order.
+struct BinaryTraceWriter::Frame {
+  std::string payload;  // bytes [0, len) are the encoded records
   std::size_t len = 0;
   std::uint64_t records = 0;
-  bool pending = false;
-  bool closing = false;        // no more frames: exit once idle
-  std::exception_ptr error;    // the thread stopped on this
-  std::thread thread;          // started at the first full frame
+  std::string packed;       // compressed payload, when there is a codec
+  std::string_view stored;  // payload or packed
+  std::uint32_t crc = 0;
+  double seconds = 0;       // compressing and checksumming
 };
 
 BinaryTraceWriter::BinaryTraceWriter(const TraceContext& ctx,
@@ -201,16 +195,20 @@ BinaryTraceWriter::BinaryTraceWriter(const TraceContext& ctx,
     *p++ = static_cast<char>(codec_);  // container default codec
     // The v3 header sits outside every frame: straight to the stream.
     raw_bytes(buf_.data(), static_cast<std::size_t>(p - buf_.data()));
-    // Only compression is worth a thread; stored frames stay inline.
-    if (codec_ != Codec::None && options.jobs > 1) {
-      thread_ = std::make_unique<FrameThread>();
-    }
+    // Only compression is worth a thread; stored frames pack inline. The
+    // window of one frame keeps two payload buffers: one compresses
+    // while the caller encodes into the other.
+    const std::size_t threads =
+        codec_ != Codec::None && options.jobs > 1 ? 1 : 0;
+    pool_ = std::make_unique<OrderedPool<Frame>>(
+        threads, 1, [this](std::uint64_t, Frame& f) { return pack_frame(f); },
+        OrderedPool<Frame>::Start::Fed);
   } else {
     commit(p);
   }
 }
 
-BinaryTraceWriter::~BinaryTraceWriter() { stop_thread(); }
+BinaryTraceWriter::~BinaryTraceWriter() = default;
 
 void BinaryTraceWriter::grow(std::size_t n) {
   buf_.resize(std::max(buf_.size() * 2, len_ + n));
@@ -288,7 +286,7 @@ void BinaryTraceWriter::encode(const TraceRecord& rec) {
   commit(p);
   ++record_count_;
   if (framed) {
-    if (++frame_record_count_ >= frame_target_) end_frame(false);
+    if (++frame_record_count_ >= frame_target_) end_frame();
   } else if (len_ >= kBlockBytes) {
     flush_block();
   }
@@ -307,15 +305,14 @@ void BinaryTraceWriter::write_batch(std::span<const TraceRecord> batch) {
   if (timed_) encode_seconds_ += seconds_since(t0);
 }
 
-void BinaryTraceWriter::end_frame(bool last) {
+void BinaryTraceWriter::end_frame() {
   if (frame_record_count_ == 0 && len_ == 0) return;
-  // A writer thread starts at the first full frame; a trace that fits
-  // one frame never starts it.
-  if (thread_ != nullptr && (!last || thread_->thread.joinable())) {
-    submit_frame();
-  } else {
-    store_frame(std::string_view(buf_.data(), len_), frame_record_count_);
-  }
+  write_pending_frame();
+  Frame& frame = pool_->feed_slot();
+  buf_.swap(frame.payload);
+  frame.len = len_;
+  frame.records = frame_record_count_;
+  pool_->feed();
   ++frames_;
   len_ = 0;
   frame_record_count_ = 0;
@@ -326,26 +323,34 @@ void BinaryTraceWriter::end_frame(bool last) {
   prev_addr_ = 0;
 }
 
-void BinaryTraceWriter::store_frame(std::string_view payload,
-                                    std::uint64_t records) {
-  const auto t0 = timed_ ? std::chrono::steady_clock::now()
-                         : std::chrono::steady_clock::time_point{};
-  std::string_view stored = payload;
+bool BinaryTraceWriter::pack_frame(Frame& frame) const {
+  const auto t0 = std::chrono::steady_clock::now();
+  const std::string_view payload(frame.payload.data(), frame.len);
+  frame.stored = payload;
   if (codec_ != Codec::None) {
-    if (!codec_compress(codec_, level_, payload, comp_buf_)) {
+    if (!codec_compress(codec_, level_, payload, frame.packed)) {
       throw Error(ErrorKind::Io,
                   "TDTB frame compression failed (codec " +
                       std::string(codec_name(codec_)) + ")");
     }
-    stored = comp_buf_;
+    frame.stored = frame.packed;
   }
-  TdtbFrameInfo info;
-  info.offset = offset_;
-  info.records = records;
-  info.usize = payload.size();
-  info.csize = stored.size();
-  info.crc = crc32(stored.data(), stored.size());
-  info.codec = static_cast<std::uint8_t>(codec_);
+  frame.crc = crc32(frame.stored.data(), frame.stored.size());
+  frame.seconds = seconds_since(t0);
+  return true;  // the owner ends a fed pool by not feeding it
+}
+
+void BinaryTraceWriter::write_pending_frame() {
+  if (index_.size() == frames_) return;
+  const Frame& frame = *pool_->take();
+  const auto t0 = timed_ ? std::chrono::steady_clock::now()
+                         : std::chrono::steady_clock::time_point{};
+  const TdtbFrameInfo info{.offset = offset_,
+                           .records = frame.records,
+                           .usize = frame.len,
+                           .csize = frame.stored.size(),
+                           .crc = frame.crc,
+                           .codec = static_cast<std::uint8_t>(codec_)};
 
   char head[kFrameHeadBytes];
   char* p = head;
@@ -356,71 +361,14 @@ void BinaryTraceWriter::store_frame(std::string_view payload,
   p = put_varint(p, info.csize);
   put_le(p, info.crc, 4);
   raw_bytes(head, static_cast<std::size_t>(p + 4 - head));
-  raw_bytes(stored.data(), stored.size());
+  raw_bytes(frame.stored.data(), frame.stored.size());
   index_.push_back(info);
-  if (timed_) compress_seconds_ += seconds_since(t0);
-}
-
-void BinaryTraceWriter::submit_frame() {
-  FrameThread& t = *thread_;
-  if (!t.thread.joinable()) {
-    t.thread = std::thread([this] { frame_thread_main(); });
-  }
-  std::unique_lock<std::mutex> lock(t.mu);
-  t.cv.wait(lock, [&t] { return !t.pending; });
-  if (t.error) std::rethrow_exception(t.error);
-  buf_.swap(t.buf);
-  t.len = len_;
-  t.records = frame_record_count_;
-  t.pending = true;
-  lock.unlock();
-  t.cv.notify_all();
-}
-
-void BinaryTraceWriter::frame_thread_main() {
-  FrameThread& t = *thread_;
-  std::unique_lock<std::mutex> lock(t.mu);
-  for (;;) {
-    t.cv.wait(lock, [&t] { return t.pending || t.closing; });
-    if (!t.pending) return;  // closing and idle
-    lock.unlock();
-    std::exception_ptr error;
-    try {
-      store_frame(std::string_view(t.buf.data(), t.len), t.records);
-      if (!*out_) throw_write_failed();
-    } catch (...) {
-      error = std::current_exception();
-    }
-    lock.lock();
-    t.pending = false;
-    t.error = error;
-    t.cv.notify_all();
-    if (error) return;
-  }
-}
-
-void BinaryTraceWriter::stop_thread() noexcept {
-  if (thread_ == nullptr || !thread_->thread.joinable()) return;
-  {
-    std::lock_guard<std::mutex> lock(thread_->mu);
-    thread_->closing = true;
-  }
-  thread_->cv.notify_all();
-  thread_->thread.join();
+  if (timed_) compress_seconds_ += frame.seconds + seconds_since(t0);
+  pool_->release();
 }
 
 void BinaryTraceWriter::check() {
-  if (thread_ != nullptr) {
-    std::lock_guard<std::mutex> lock(thread_->mu);
-    if (thread_->error) std::rethrow_exception(thread_->error);
-    if (thread_->thread.joinable()) return;  // the thread owns the stream
-  }
   if (!*out_) throw_write_failed();
-}
-
-void BinaryTraceWriter::fail_stream() {
-  stop_thread();
-  out_->setstate(std::ios::failbit);
 }
 
 void fold_write_metrics(obs::Registry& registry, const WriteStats& stats) {
@@ -448,9 +396,8 @@ void BinaryTraceWriter::finish() {
   const auto t0 = timed_ ? std::chrono::steady_clock::now()
                          : std::chrono::steady_clock::time_point{};
   if (version_ >= kTdtbVersionFramed) {
-    end_frame(true);
-    // Join before touching the stream: the writer thread owns it.
-    stop_thread();
+    end_frame();
+    write_pending_frame();
     check();
     std::string index;
     index.resize(index_.size() * (4 * kMaxVarintBytes + 5));
@@ -944,31 +891,25 @@ std::optional<TdtbContainerInfo> probe_tdtb_file(
 
 namespace {
 
-/// A v1/v2 body gives back the pages behind its decode point in steps
-/// of this many bytes.
+/// The reader gives back the pages behind its decode point (v1/v2) or
+/// behind the frame it hands out (v3) in steps of this many bytes.
 constexpr std::size_t kReleaseBytes = 1u << 20;
 
-/// One decoded frame waiting for the consumer: its string definitions,
+/// One frame in the decode pool: its index entry, string definitions,
 /// the decompression buffer they view into, and its records cut into
-/// slices of at most kViewBatch. Buffers cycle worker -> consumer -> free
-/// list, so steady-state decoding performs no per-frame allocation — a
+/// slices of at most kViewBatch; or, when `bad`, why it failed. Recycled
+/// slots keep steady-state decoding free of per-frame allocation — a
 /// large fresh vector per frame would serialize every worker on the
 /// allocator's mmap/page-zero path and erase the parallel speedup.
 struct FrameBuf {
+  TdtbFrameInfo info;
   DecodedFrame frame;   // defs; its records vector is lent by the decoder
   std::string payload;  // decompressed bytes frame.defs views into
   std::vector<std::vector<TraceRecord>> slices;
   std::size_t nslices = 0;  // slices[0, nslices) hold the frame's records
-};
-
-/// One frame's decode state. Workers fill a slot; the consumer drains
-/// it. `done` is guarded by the pool mutex.
-struct FrameSlot {
-  FrameBuf* buf = nullptr;
   bool bad = false;
   DiagCode code = DiagCode::BinFrameCorrupt;
   std::string error;
-  bool done = false;
 };
 
 /// The frame ladder: checks and decodes frame `frame_no`, described by
@@ -978,11 +919,13 @@ struct FrameSlot {
 /// failure marks the slot bad; a payload failure keeps the decoded
 /// prefix, which Skip salvages.
 void decode_frame(std::string_view blob, const TdtbFrameInfo& fi,
-                  bool injected, std::uint64_t frame_no, FrameSlot& slot) {
-  DecodedFrame& frame = slot.buf->frame;
-  std::string& payload_buf = slot.buf->payload;
+                  bool injected, std::uint64_t frame_no, FrameBuf& slot) {
+  DecodedFrame& frame = slot.frame;
+  std::string& payload_buf = slot.payload;
   frame.records.clear();
   frame.defs.clear();
+  slot.info = fi;
+  slot.bad = false;
   auto bad = [&slot](DiagCode code, std::string msg) {
     slot.bad = true;
     slot.code = code;
@@ -1062,22 +1005,21 @@ void decode_frame(std::string_view blob, const TdtbFrameInfo& fi,
   }
 }
 
-/// Decodes frame `frame_no` into `slot`'s buffer and cuts its records
-/// into kViewBatch slices, on the decoding thread. The frame decodes
-/// into the thread's own `scratch` vector, so a buffer waiting for the
-/// consumer holds its records once, in the slices; the slices' storage
-/// is whatever empty batch vectors the consumer traded for earlier ones.
+/// Decodes frame `frame_no` into `buf` and cuts its records into
+/// kViewBatch slices, on the decoding thread. The frame decodes into the
+/// thread's own `scratch` vector, so a buffer waiting for the consumer
+/// holds its records once, in the slices; the slices' storage is
+/// whatever empty batch vectors the consumer traded for earlier ones.
 void decode_frame_slices(std::string_view blob, const TdtbFrameInfo& fi,
-                         bool injected, std::uint64_t frame_no,
-                         FrameSlot& slot, std::vector<TraceRecord>& scratch) {
-  FrameBuf& buf = *slot.buf;
+                         bool injected, std::uint64_t frame_no, FrameBuf& buf,
+                         std::vector<TraceRecord>& scratch) {
   std::vector<TraceRecord>& records = buf.frame.records;
   records.swap(scratch);
   // Warm the scratch vector once per thread; a hostile header cannot
   // drive a giant allocation (the cap).
   records.reserve(static_cast<std::size_t>(
       std::min<std::uint64_t>(fi.records, 64 * 1024)));
-  decode_frame(blob, fi, injected, frame_no, slot);
+  decode_frame(blob, fi, injected, frame_no, buf);
   buf.nslices = (records.size() + kViewBatch - 1) / kViewBatch;
   if (buf.slices.size() < buf.nslices) buf.slices.resize(buf.nslices);
   for (std::size_t i = 0; i < buf.nslices; ++i) {
@@ -1092,21 +1034,21 @@ void decode_frame_slices(std::string_view blob, const TdtbFrameInfo& fi,
 /// The TDTB reader (open_tdtb_cursor). It decodes in place from one byte
 /// view, in the layout the header and probe_tdtb() pick:
 ///
-/// - Indexed: a v3 container whose frame index validated. Workers claim
-///   frames in order and run the thread-safe frame ladder, slices
-///   included, ahead of the consumer; next_batch() binds (interns)
-///   frames strictly in frame order on the calling thread and hands out
-///   one slice per call — by swapping it with the caller's empty batch
+/// - Indexed: a v3 container whose frame index validated. Job k of an
+///   OrderedPool runs the thread-safe frame ladder, slices included, on
+///   frame k, ahead of the consumer; next_batch() binds (interns) frames
+///   strictly in frame order on the calling thread and hands out one
+///   slice per call — by swapping it with the caller's empty batch
 ///   vector, so no record is copied on the consuming thread. So the
 ///   string pool stays single-writer, symbol ids match the inline
 ///   decode, and the batches are byte-identical at any job count. A batch
-///   never spans two frames. A claim window (2x workers) bounds
-///   decoded-but-unconsumed memory to window + 1 frames. One effective
-///   worker decodes inline, with no threads.
+///   never spans two frames. The pool's window (2x workers) bounds the
+///   frames decoded ahead, the one being drained included. One effective
+///   worker decodes inline, on a pool with no threads.
 /// - Walked: a v3 container without a valid index. The frame headers are
 ///   parsed in place from the first frame on, each frame goes through
-///   the same ladder inline, and the index and footer after the end tag
-///   are checked at the end.
+///   the same ladder on a pool with no threads, and the index and footer
+///   after the end tag are checked at the end.
 /// - Flat: a v1/v2 body, decoded in place in batches by the entry decoder
 ///   v3 payloads use. The CRC is folded over each consumed range, the v2
 ///   footer is checked at the end tag, and the pages behind the decode
@@ -1116,9 +1058,9 @@ void decode_frame_slices(std::string_view blob, const TdtbFrameInfo& fi,
 /// ladder and resumes at the next one; Skip, and every structural
 /// failure, ends the trace with the records decoded before it. At the
 /// end of a full v3 pass the footer's record total is compared with the
-/// records delivered, which tells a Repair drop (B011). finish() and the
-/// destructor cancel and join the workers, so a run that ends or stops
-/// early leaves no decode thread behind.
+/// records delivered, which tells a Repair drop (B011). Each v3 frame
+/// handed out releases the pages before it. The destructor cancels and
+/// joins the workers, so no decode thread outlives the cursor.
 class TdtbCursor final : public SourceCursor {
  public:
   /// Decodes `blob`, which `view` owns when given.
@@ -1132,38 +1074,38 @@ class TdtbCursor final : public SourceCursor {
     have_pid_ = true;
     if (version_ < kTdtbVersionFramed) return;
     std::optional<TdtbContainerInfo> info = probe_tdtb(blob_);
-    if (!info || !info->has_index) return;  // walk the frames
-    info_ = std::move(*info);
-    indexed_ = true;
-    const std::size_t nframes = info_.frames.size();
-    // Pre-sample the frame-decode fault site here, once per frame in
-    // frame order — the draw sequence a walk makes — so injected
-    // schedules are identical at any job count.
-    injected_.assign(nframes, 0);
-    if (fault::FaultInjector::enabled()) {
-      for (char& fire : injected_) {
-        fire = fault::should_fire(fault::Site::FrameDecode) ? 1 : 0;
+    std::size_t threads = 0;  // the walk decodes inline
+    if (info && info->has_index) {
+      info_ = std::move(*info);
+      indexed_ = true;
+      const std::size_t nframes = info_.frames.size();
+      // Pre-sample the frame-decode fault site here, once per frame in
+      // frame order — the draw sequence a walk makes — so injected
+      // schedules are identical at any job count.
+      injected_.assign(nframes, 0);
+      if (fault::FaultInjector::enabled()) {
+        for (char& fire : injected_) {
+          fire = fault::should_fire(fault::Site::FrameDecode) ? 1 : 0;
+        }
       }
+      const std::size_t requested =
+          std::min(static_cast<std::size_t>(std::clamp(options.jobs, 1, 256)),
+                   std::max<std::size_t>(nframes, 1));
+      // More decode workers than cores is pure scheduling overhead; clamp
+      // unless a test explicitly wants the threaded machinery exercised.
+      const std::size_t hw =
+          std::max<std::size_t>(1, std::thread::hardware_concurrency());
+      const std::size_t nworkers =
+          options.clamp_jobs ? std::min(requested, hw) : requested;
+      if (nworkers > 1) threads = nworkers;
     }
-    const std::size_t requested =
-        std::min(static_cast<std::size_t>(std::clamp(options.jobs, 1, 256)),
-                 std::max<std::size_t>(nframes, 1));
-    // More decode workers than cores is pure scheduling overhead; clamp
-    // unless a test explicitly wants the threaded machinery exercised.
-    const std::size_t hw =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    const std::size_t nworkers =
-        options.clamp_jobs ? std::min(requested, hw) : requested;
-    if (nworkers <= 1) return;
-    slots_.resize(nframes);
-    window_ = nworkers * 2;
-    pool_.reserve(nworkers);
-    for (std::size_t i = 0; i < nworkers; ++i) {
-      pool_.emplace_back([this] { worker_main(); });
-    }
+    // Each worker's copy of the job decodes into its own scratch vector.
+    pool_.emplace(threads, std::max<std::size_t>(1, 2 * threads),
+                  [this, scratch = std::vector<TraceRecord>()](
+                      std::uint64_t k, FrameBuf& buf) mutable {
+                    return decode_job(k, buf, scratch);
+                  });
   }
-
-  ~TdtbCursor() override { stop_workers(); }
 
   TdtbCursor(const TdtbCursor&) = delete;
   TdtbCursor& operator=(const TdtbCursor&) = delete;
@@ -1195,7 +1137,6 @@ class TdtbCursor final : public SourceCursor {
   }
 
   void finish(obs::Registry* registry) override {
-    stop_workers();
     if (registry == nullptr) return;
     // read.bytes: a complete pass consumed the whole input; an early stop
     // counts through the last entry or frame handed out (for an indexed
@@ -1334,19 +1275,26 @@ class TdtbCursor final : public SourceCursor {
   /// Moves to the next frame in frame order and applies the error policy
   /// to it. Returns false at the end of the trace.
   bool advance() {
-    release_frame();
-    FrameSlot* slot = nullptr;
-    if (!ended_) slot = indexed_ ? next_indexed() : next_walked();
-    if (slot == nullptr) return false;
-    slot_ = slot;
-    buf_ = slot->buf;
+    buf_ = ended_ ? nullptr : pool_->take();
+    if (buf_ == nullptr) {
+      // A walk checks the index and footer itself, at the end tag.
+      if (!std::exchange(ended_, true)) check_total(info_.total_records);
+      return false;
+    }
+    ++next_frame_;
+    stored_bytes_ += buf_->info.csize;
+    // The pool decodes only this frame and the ones after it.
+    if (view_ != nullptr) {
+      view_->release_prefix(static_cast<std::size_t>(buf_->info.offset) /
+                            kReleaseBytes * kReleaseBytes);
+    }
     slice_ = 0;
     slice_pos_ = 0;
-    if (slot->bad) {
+    if (buf_->bad) {
       if (diags_ == nullptr || diags_->strict()) {
-        throw_parse_error(std::move(slot->error));
+        throw_parse_error(std::move(buf_->error));
       }
-      diags_->report(DiagSeverity::Error, slot->code, slot->error);
+      diags_->report(DiagSeverity::Error, buf_->code, buf_->error);
       if (diags_->repair()) {
         // Repair: frame isolation — drop it, resume at the next frame.
         buf_->nslices = 0;
@@ -1363,27 +1311,23 @@ class TdtbCursor final : public SourceCursor {
     return true;
   }
 
-  FrameSlot* next_indexed() {
-    if (next_frame_ == info_.frames.size()) {
-      ended_ = true;
-      check_total(info_.total_records);
-      return nullptr;
+  /// Job k: decodes frame k into `buf`; false past the last frame. The
+  /// indexed layout reads frame k's index entry, on any thread. The walk
+  /// has no workers, so it runs on the consumer: it parses the header at
+  /// pos_ in place, and at the end tag checks the index and footer.
+  bool decode_job(std::uint64_t k, FrameBuf& buf,
+                  std::vector<TraceRecord>& scratch) {
+    if (indexed_) {
+      if (k >= info_.frames.size()) return false;
+      decode_frame_slices(blob_, info_.frames[k], injected_[k] != 0, k, buf,
+                          scratch);
+      return true;
     }
-    const std::size_t i = next_frame_++;
-    stored_bytes_ += info_.frames[i].csize;
-    if (!pool_.empty()) return &await(i);
-    return &decode_inline(info_.frames[i], injected_[i] != 0, i);
-  }
-
-  /// Parses the frame header at pos_ in place; at the end tag, checks the
-  /// index and footer instead. nullptr once the trace ended.
-  FrameSlot* next_walked() {
-    const bool at_end = pos_ < blob_.size() &&
-                        static_cast<std::uint8_t>(blob_[pos_]) == kTagEnd;
-    if (at_end) {
+    if (pos_ < blob_.size() &&
+        static_cast<std::uint8_t>(blob_[pos_]) == kTagEnd) {
       ++pos_;
       check_container_footer();
-      return nullptr;
+      return false;
     }
     // Sampled once per frame, in frame order, as the indexed layout
     // pre-samples it.
@@ -1398,11 +1342,11 @@ class TdtbCursor final : public SourceCursor {
         parse_frame_header(blob_, pos_, &payload_off, &why);
     if (!fi) {
       end_trace(why.code, why.message());
-      return nullptr;
+      return false;
     }
     pos_ = static_cast<std::size_t>(payload_off + fi->csize);
-    stored_bytes_ += fi->csize;
-    return &decode_inline(*fi, injected, next_frame_++);
+    decode_frame_slices(blob_, *fi, injected, k, buf, scratch);
+    return true;
   }
 
   /// After a walk's end tag: the rest of the input must be exactly an
@@ -1447,92 +1391,6 @@ class TdtbCursor final : public SourceCursor {
     check_total(get_le(f, 8));
   }
 
-  FrameSlot& decode_inline(const TdtbFrameInfo& fi, bool injected,
-                           std::size_t frame_no) {
-    solo_slot_ = FrameSlot{};
-    solo_slot_.buf = &solo_buf_;
-    decode_frame_slices(blob_, fi, injected, frame_no, solo_slot_, scratch_);
-    return solo_slot_;
-  }
-
-  FrameSlot& await(std::size_t i) {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return slots_[i].done; });
-    return slots_[i];
-  }
-
-  /// Hands the drained frame's buffer back to the workers and opens the
-  /// claim window by one frame.
-  void release_frame() {
-    if (slot_ == nullptr) return;
-    if (!pool_.empty()) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        free_bufs_.push_back(slot_->buf);
-        released_ = next_frame_;
-      }
-      cv_.notify_all();
-    }
-    slot_->buf = nullptr;
-    slot_ = nullptr;
-    buf_ = nullptr;
-  }
-
-  void worker_main() {
-    const std::size_t nframes = info_.frames.size();
-    std::vector<TraceRecord> scratch;  // this worker's decode target
-    for (;;) {
-      std::size_t idx = 0;
-      FrameBuf* buf = nullptr;
-      {
-        std::unique_lock<std::mutex> lock(mu_);
-        cv_.wait(lock, [&] {
-          return cancel_ || next_claim_ >= nframes ||
-                 next_claim_ < released_ + window_;
-        });
-        if (cancel_ || next_claim_ >= nframes) return;
-        idx = next_claim_++;
-        if (!free_bufs_.empty()) {
-          buf = free_bufs_.back();
-          free_bufs_.pop_back();
-        }
-      }
-      if (buf == nullptr) {
-        auto fresh = std::make_unique<FrameBuf>();
-        buf = fresh.get();
-        std::lock_guard<std::mutex> lock(mu_);
-        buf_storage_.push_back(std::move(fresh));
-      }
-      FrameSlot& slot = slots_[idx];
-      slot.buf = buf;
-      try {
-        decode_frame_slices(blob_, info_.frames[idx], injected_[idx] != 0,
-                            static_cast<std::uint64_t>(idx), slot, scratch);
-      } catch (const std::exception& e) {
-        buf->nslices = 0;
-        slot.bad = true;
-        slot.code = DiagCode::BinFrameCorrupt;
-        slot.error = e.what();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        slot.done = true;
-      }
-      cv_.notify_all();
-    }
-  }
-
-  void stop_workers() noexcept {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      cancel_ = true;
-    }
-    cv_.notify_all();
-    for (std::thread& t : pool_) {
-      if (t.joinable()) t.join();
-    }
-  }
-
   TraceContext* ctx_;
   std::unique_ptr<FileView> view_;  // owns the bytes blob_ views, if set
   std::string_view blob_;
@@ -1547,33 +1405,17 @@ class TdtbCursor final : public SourceCursor {
   Crc32 crc_;                   // flat: through pos_
   std::size_t next_frame_ = 0;  // v3: frames handed out or dropped so far
   std::uint64_t stored_bytes_ = 0;
-  FrameSlot* slot_ = nullptr;   // slot of the frame being drained
-  FrameBuf* buf_ = nullptr;     // its decoded slices
+  FrameBuf* buf_ = nullptr;     // the frame being drained, held from pool_
   std::size_t slice_ = 0;       // next slice of buf_ to hand out
   std::size_t slice_pos_ = 0;   // records of that slice already copied out
-  FrameBuf solo_buf_;           // inline decode
-  FrameSlot solo_slot_;
-  std::vector<TraceRecord> scratch_;
 
   // Indexed layout; read-only once constructed.
   bool indexed_ = false;
   TdtbContainerInfo info_;
   std::vector<char> injected_;  // pre-sampled frame-decode faults
 
-  // Worker pool (empty when decoding inline). Everything below is
-  // guarded by mu_ except the slots' payloads, which `done` publishes.
-  std::vector<FrameSlot> slots_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t next_claim_ = 0;  // next frame a worker decodes
-  std::size_t released_ = 0;    // frames the consumer is done with
-  std::size_t window_ = 0;
-  bool cancel_ = false;
-  // Decode-buffer pool. After warm-up the pipeline recycles buffers and
-  // steady-state decode allocates nothing.
-  std::vector<std::unique_ptr<FrameBuf>> buf_storage_;
-  std::vector<FrameBuf*> free_bufs_;
-  std::vector<std::thread> pool_;
+  // v3: job k decodes frame k. Last: its workers use the members above.
+  std::optional<OrderedPool<FrameBuf>> pool_;
 };
 
 }  // namespace
@@ -1594,7 +1436,7 @@ std::unique_ptr<SourceCursor> open_tdtb_cursor(
 void BinaryTraceSink::check_health() {
   if (fault::FaultInjector::enabled() &&
       fault::should_fire(fault::Site::WriterFlush)) [[unlikely]] {
-    writer_.fail_stream();
+    out_->setstate(std::ios::failbit);  // as a full disk would
   }
   writer_.check();
 }

@@ -23,9 +23,9 @@
 //
 // The writer encodes each record with pointer stores into a staging
 // buffer sized once for the record's worst case. On v3 that buffer is
-// the frame payload; with a codec and `jobs` > 1 one writer thread
-// compresses, checksums and writes each full frame while the caller
-// encodes the next, and the bytes are identical to the inline writer's.
+// the frame payload; with a codec and `jobs` > 1 one pool thread
+// compresses each full frame while the caller encodes the next, and the
+// bytes are identical to the inline writer's.
 //
 // One reader decodes every version in place from one byte view: the
 // file's FileView, or the caller's blob. v1/v2 bodies and v3 frame
@@ -48,6 +48,11 @@
 #include "trace/stream.hpp"
 #include "util/crc32.hpp"
 #include "util/diag.hpp"
+
+namespace tdt {
+template <class Slot>
+class OrderedPool;
+}  // namespace tdt
 
 namespace tdt::obs {
 class Registry;
@@ -82,7 +87,7 @@ struct BinaryWriterOptions {
   int level = 0;                        ///< 0 = codec default
   std::uint32_t frame_records = kDefaultFrameRecords;  ///< v3 frame target
   /// Threads the writer may use (the tools' --jobs). Above 1, a v3
-  /// writer with a codec hands full frames to one writer thread; the
+  /// writer with a codec compresses full frames on one pool thread; the
   /// output bytes are the same at any value.
   std::uint64_t jobs = 1;
 };
@@ -203,13 +208,11 @@ struct TdtbDecodeError {
 ///
 /// Records are encoded into a staging buffer: on v3 it is the current
 /// frame's payload; on v1/v2 it reaches the stream and the running CRC
-/// in blocks. A v3 writer with a codec and `jobs` > 1 starts one writer
-/// thread at its first full frame. From then until finish() (or the
-/// destructor) joins it, that thread alone touches the stream: it
-/// compresses, checksums and writes the frames in order and records
-/// their index entries, while the caller encodes into the second of two
-/// recycled payload buffers. An error on the writer thread is rethrown
-/// by the next write_batch(), check(), or finish().
+/// in blocks. An OrderedPool compresses and checksums each full v3 frame,
+/// on one thread for a codec and `jobs` > 1, else inline, while the
+/// caller encodes the next into a second payload buffer. The caller then
+/// writes the frame and its index entry, so only the calling thread
+/// touches the stream, and a job's error is rethrown there.
 class BinaryTraceWriter {
  public:
   /// `version` selects the on-disk format (1 = legacy footer-less, 2 =
@@ -223,7 +226,7 @@ class BinaryTraceWriter {
   BinaryTraceWriter(const TraceContext& ctx, std::ostream& out,
                     std::uint64_t pid, const BinaryWriterOptions& options);
 
-  /// Joins the writer thread, if one runs; frames not yet written are
+  /// Joins the pool thread, if one runs; frames not yet written are
   /// dropped with the rest of an unfinished container.
   ~BinaryTraceWriter();
 
@@ -238,19 +241,13 @@ class BinaryTraceWriter {
   /// Appends a batch of records (timed when time_writes() is on).
   void write_batch(std::span<const TraceRecord> batch);
 
-  /// Writes the end marker and the version's trailer (v2: count+CRC
-  /// footer; v3: frame index + container footer); further writes are
-  /// invalid. Joins the writer thread first.
+  /// Writes the last frames, the end marker and the version's trailer
+  /// (v2: count+CRC footer; v3: frame index + container footer); further
+  /// writes are invalid.
   void finish();
 
-  /// Throws Error{Io} when the stream has failed or the writer thread
-  /// stopped on an error. Reads the stream state only while no writer
-  /// thread owns it.
+  /// Throws Error{Io} when the stream has failed.
   void check();
-
-  /// Fails the stream as a full disk would (fault injection): joins the
-  /// writer thread, then sets the stream's failbit.
-  void fail_stream();
 
   /// Times encoding and frame compression for stats() from now on.
   void time_writes() noexcept { timed_ = true; }
@@ -269,7 +266,7 @@ class BinaryTraceWriter {
   }
 
  private:
-  struct FrameThread;
+  struct Frame;
 
   void encode(const TraceRecord& rec);
   void define_symbol_if_new(Symbol s) {
@@ -287,11 +284,9 @@ class BinaryTraceWriter {
   }
   void flush_block();                 // v1/v2: staging buffer -> stream
   void raw_bytes(const char* data, std::size_t len);  // v3: straight out
-  void end_frame(bool last);          // v3: hand off or store the frame
-  void store_frame(std::string_view payload, std::uint64_t records);
-  void submit_frame();                // to the writer thread
-  void frame_thread_main();
-  void stop_thread() noexcept;
+  void end_frame();                   // v3: feed the frame to the pool
+  bool pack_frame(Frame& frame) const;  // v3: the pool's job
+  void write_pending_frame();         // v3: take the frame fed before
 
   const TraceContext* ctx_;
   std::ostream* out_;
@@ -311,13 +306,10 @@ class BinaryTraceWriter {
   bool finished_ = false;
   bool timed_ = false;
   double encode_seconds_ = 0;
-  // Frame output state: the writer thread's while it runs, else the
-  // caller's.
-  std::string comp_buf_;  // v3: compression scratch
-  std::vector<TdtbFrameInfo> index_;
+  std::vector<TdtbFrameInfo> index_;  // v3: one entry per frame written
   std::uint64_t offset_ = 0;  // bytes written to out_
   double compress_seconds_ = 0;
-  std::unique_ptr<FrameThread> thread_;  // v3 with a codec and jobs > 1
+  std::unique_ptr<OrderedPool<Frame>> pool_;  // v3; last: joined first
 };
 
 /// TraceSink adapter writing a TDTB trace as records stream through, so
@@ -325,7 +317,7 @@ class BinaryTraceWriter {
 /// without materializing the record vector. finish() runs at on_end();
 /// batch boundaries check stream health (ENOSPC surfaces as Error{Io}),
 /// on the calling thread, so the writer.flush fault schedule is the
-/// same with or without a writer thread.
+/// same with or without a pool thread.
 class BinaryTraceSink final : public TraceSink {
  public:
   BinaryTraceSink(const TraceContext& ctx, std::ostream& out,

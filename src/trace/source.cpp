@@ -74,11 +74,11 @@ void release_pages(const char* base, std::size_t& released,
 // --- OverlappedSource ------------------------------------------------------
 
 OverlappedSource::OverlappedSource(std::istream& in, std::size_t block)
-    : in_(&in) {
-  const std::size_t cap = block == 0 ? kIngestBlock : block;
-  for (Slot& slot : slots_) slot.data.resize(cap);
-  prefetcher_ = std::thread([this] { prefetch_main(); });
-}
+    : in_(&in),
+      block_(block == 0 ? kIngestBlock : block),
+      pool_(1, 2, [this](std::uint64_t /*k*/, Block& b) {
+        return read_block(b);
+      }) {}
 
 std::unique_ptr<OverlappedSource> OverlappedSource::open(
     const std::string& path) {
@@ -90,69 +90,26 @@ std::unique_ptr<OverlappedSource> OverlappedSource::open(
   return source;
 }
 
-OverlappedSource::~OverlappedSource() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    stop_ = true;
+bool OverlappedSource::read_block(Block& block) {
+  if (read_fault_fires()) {
+    failed_ = true;
+    return false;
   }
-  cv_.notify_all();
-  if (prefetcher_.joinable()) prefetcher_.join();
-}
-
-void OverlappedSource::prefetch_main() {
-  for (;;) {
-    std::unique_lock<std::mutex> lock(mu_);
-    Slot& slot = slots_[produce_];
-    cv_.wait(lock, [&] { return stop_ || !slot.ready; });
-    if (stop_) return;
-    lock.unlock();
-
-    // Fill outside the lock: the slot is invisible to the consumer
-    // until ready flips, and the prefetcher is the only producer.
-    bool fire = read_fault_fires();
-    std::size_t got = 0;
-    if (!fire) {
-      in_->read(slot.data.data(),
-                static_cast<std::streamsize>(slot.data.size()));
-      got = static_cast<std::size_t>(in_->gcount());
-    }
-
-    lock.lock();
-    if (fire || got == 0) {
-      eof_ = true;
-      failed_ = fire || in_->bad();
-      lock.unlock();
-      cv_.notify_all();
-      return;
-    }
-    slot.len = got;
-    slot.ready = true;
-    produce_ = (produce_ + 1) % 2;
-    lock.unlock();
-    cv_.notify_all();
+  block.data.resize(block_);
+  in_->read(block.data.data(), static_cast<std::streamsize>(block_));
+  block.len = static_cast<std::size_t>(in_->gcount());
+  if (block.len == 0) {
+    failed_ = in_->bad();
+    return false;
   }
+  return true;
 }
 
 std::string_view OverlappedSource::next_chunk() {
-  std::unique_lock<std::mutex> lock(mu_);
-  if (delivered_ > 0) {
-    // Release the slot delivered by the previous call.
-    Slot& prev = slots_[(consume_ + 1) % 2];
-    prev.ready = false;
-    cv_.notify_all();
-  }
-  Slot& slot = slots_[consume_];
-  cv_.wait(lock, [&] { return slot.ready || eof_; });
-  if (!slot.ready) return {};  // eof (possibly failed) and nothing buffered
-  consume_ = (consume_ + 1) % 2;
-  ++delivered_;
-  return {slot.data.data(), slot.len};
-}
-
-bool OverlappedSource::failed() const noexcept {
-  std::lock_guard<std::mutex> lock(
-      const_cast<OverlappedSource*>(this)->mu_);
-  return failed_;
+  // Gives the block handed out before back to the prefetcher.
+  const Block* block = pool_.take();
+  if (block == nullptr) return {};  // eof (possibly failed)
+  return {block->data.data(), block->len};
 }
 
 // --- GzipSource ------------------------------------------------------------

@@ -7,7 +7,7 @@
 //
 //   MemorySource      caller-owned text, one zero-copy chunk
 //   OverlappedSource  double-buffered reads from a file, pipe, device or
-//                     stdin: a helper thread prefetches block N+1 while
+//                     stdin: a pool thread prefetches block N+1 while
 //                     the parser consumes block N
 //   GzipSource        transparent inflation over another source
 //
@@ -18,18 +18,16 @@
 // docs/robustness.md), so both text formats honour it identically.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <string_view>
-#include <thread>
 
 #include "trace/codec.hpp"
 #include "util/diag.hpp"
+#include "util/ordered_pool.hpp"
 #include "util/simd_scan.hpp"
 
 namespace tdt::trace {
@@ -76,12 +74,12 @@ class MemorySource final : public ByteSource {
   std::string_view text_;
 };
 
-/// Double-buffered overlapped reads: a helper thread fills block N+1
-/// while the consumer parses block N, hiding read latency behind parse
-/// time. The one source for text that is not already in memory. The
-/// prefetch thread is the only one touching the istream, and it passes
-/// the ReaderRead fault site before every read, in read order, so fault
-/// schedules are deterministic.
+/// Double-buffered overlapped reads: an OrderedPool with one thread fills
+/// block N+1 while the consumer parses block N, hiding read latency
+/// behind parse time. The one source for text that is not already in
+/// memory. That thread alone touches the istream, and it passes the
+/// ReaderRead fault site before every read, the last (end-of-file) one
+/// included, in read order, so fault schedules are deterministic.
 class OverlappedSource final : public ByteSource {
  public:
   /// Borrows `in`; the stream must outlive the source. `block` is the
@@ -92,34 +90,27 @@ class OverlappedSource final : public ByteSource {
   /// Opens `path` in binary mode. Throws Error{Io} when it cannot.
   static std::unique_ptr<OverlappedSource> open(const std::string& path);
 
-  ~OverlappedSource() override;
   OverlappedSource(const OverlappedSource&) = delete;
   OverlappedSource& operator=(const OverlappedSource&) = delete;
 
   [[nodiscard]] std::string_view next_chunk() override;
-  [[nodiscard]] bool failed() const noexcept override;
+
+  /// Valid once next_chunk() returned empty, which orders it after the end.
+  [[nodiscard]] bool failed() const noexcept override { return failed_; }
 
  private:
-  struct Slot {
+  struct Block {
     std::string data;
     std::size_t len = 0;
-    bool ready = false;  // filled by the prefetcher, not yet consumed
   };
 
-  void prefetch_main();
+  bool read_block(Block& block);  // the pool's job; false at the end
 
   std::unique_ptr<std::istream> owned_;  // set by open()
   std::istream* in_;
-  Slot slots_[2];
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::size_t produce_ = 0;  // slot the prefetcher fills next
-  std::size_t consume_ = 0;  // slot next_chunk() delivers next
-  bool eof_ = false;         // prefetcher finished (under mu_)
-  bool failed_ = false;      // under mu_ until eof_, then stable
-  bool stop_ = false;        // destructor tells the prefetcher to quit
-  std::size_t delivered_ = 0;  // chunks handed out (consumer thread only)
-  std::thread prefetcher_;
+  std::size_t block_;
+  bool failed_ = false;  // set by the job that ends the stream
+  OrderedPool<Block> pool_;  // last: its thread uses the members above
 };
 
 /// Transparent gzip inflation over any inner source. Construction is

@@ -59,9 +59,8 @@ struct ViewSourceOptions {
 /// read.bytes, read.fast_parses / read.slow_parses for text, and
 /// read.frames / read.compressed_bytes for framed TDTB) into `registry`
 /// once the stream is done — at end of input or when the consumer stops
-/// early — and releases any decode threads; a null registry folds
-/// nothing.
-/// Destroying a cursor mid-stream also joins its threads.
+/// early; a null registry folds nothing. Destroying a cursor joins its
+/// threads.
 class SourceCursor {
  public:
   virtual ~SourceCursor() = default;

@@ -1,8 +1,10 @@
 #include "tracer/kernels.hpp"
 
+#include <limits>
 #include <numeric>
 #include <vector>
 
+#include "memsim/address_space.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -253,6 +255,11 @@ Program make_t3_strided(TypeTable& types, std::int64_t len, std::int64_t sets,
                         std::int64_t cacheline) {
   const TypeId t_int = types.int_type();
   const std::int64_t ipl = cacheline / 4;  // ITEMSPERLINE = CACHELINE/sizeof(int)
+  if (len > 0 && sets > std::numeric_limits<std::int64_t>::max() / len) {
+    throw_semantic_error("t3_strided array of LEN " + std::to_string(len) +
+                         " x SETS " + std::to_string(sets) +
+                         " ints does not fit in 64 bits");
+  }
   Program prog;
   FunctionDef main_fn;
   main_fn.name = "main";
@@ -381,6 +388,11 @@ Program make_linked_list(TypeTable& types, std::int64_t nodes, bool shuffled,
         {{"value", t_int}, {"next", types.pointer_to(node_type)}});
   }
   const TypeId node_ptr = types.pointer_to(node_type);
+  // The default heap would refuse the list only after the link pass
+  // below built a statement per node.
+  memsim::check_heap_fits(memsim::AddressSpaceConfig{},
+                          static_cast<std::uint64_t>(nodes),
+                          types.size_of(node_type));
 
   // Visit order: identity or a seeded Fisher-Yates shuffle.
   std::vector<std::int64_t> order(static_cast<std::size_t>(nodes));

@@ -282,11 +282,11 @@ foreach(format ${tdtb_formats})
   endforeach()
 endforeach()
 
-# A flush that fails while the writer thread owns the stream: at LEN
+# A flush that fails while the frame-compression thread runs: at LEN
 # 16384 the T1 rewrite fills its first 65536-record frame at batch 16,
 # and "writer.flush:1:20" passes 20 batch boundaries and fails the 21st,
-# with that thread running. It is joined before the stream is marked
-# failed.
+# with that thread running. The stream is the calling thread's, so it is
+# marked failed there without waiting for that thread.
 list(FIND tdtb_formats v3 v3_index)
 if(NOT v3_index EQUAL -1)
   execute_process(

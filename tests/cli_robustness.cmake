@@ -191,6 +191,45 @@ check_gtracer_size(t1_soa_huge
                    --kernel t1_soa --len 5000000000)
 check_gtracer_size(matmul_huge "does not fit in 64 bits"
                    --kernel matmul_ijk --len 5000000000)
+# t3_strided's own flags: a cache line below one int and a set count
+# below 1 name the flag, and LEN x SETS that overflows is refused before
+# it wraps to a small array.
+foreach(line 0 3 -8)
+  check_gtracer_size(t3_line_${line}
+                     "--cache-line must be at least 4 \\(got ${line}\\)"
+                     --kernel t3_strided --cache-line ${line} --len 64)
+endforeach()
+foreach(sets 0 -3)
+  check_gtracer_size(t3_sets_${sets}
+                     "--sets must be at least 1 \\(got ${sets}\\)"
+                     --kernel t3_strided --sets ${sets})
+endforeach()
+check_gtracer_size(t3_sets_wrap "does not fit in 64 bits"
+                   --kernel t3_strided --len 400000
+                   --sets 23058430092136940)
+# The simulated heap ends where the stack's range begins: a block past it
+# is refused, whether the sizes add up past the limit, one size wraps
+# 64 bits once rounded, or a kernel would build a statement per node of
+# a list that cannot fit.
+file(WRITE ${WORKDIR}/two_mallocs.c
+  "int main() {\n  int *a;\n  int *b;\n"
+  "  a = malloc(5000000000 * sizeof(int));\n"
+  "  b = malloc(5000000000 * sizeof(int));\n"
+  "  GLEIPNIR_START_INSTRUMENTATION;\n  b[4999999999] = 1;\n"
+  "  GLEIPNIR_STOP_INSTRUMENTATION;\n  return 0;\n}\n")
+file(WRITE ${WORKDIR}/wrap_malloc.c
+  "int main() {\n  double *a;\n  double *b;\n"
+  "  a = malloc(2305843009213693951 * sizeof(double));\n"
+  "  b = malloc(4 * sizeof(double));\n"
+  "  GLEIPNIR_START_INSTRUMENTATION;\n  a[1] = 1.0;\n"
+  "  GLEIPNIR_STOP_INSTRUMENTATION;\n  return 0;\n}\n")
+set(heap_overflow "simulated heap overflow \\(limit 0x7fe000000\\)")
+check_gtracer_size(heap_two_mallocs "${heap_overflow}"
+                   --source ${WORKDIR}/two_mallocs.c)
+check_gtracer_size(heap_wrap_malloc "${heap_overflow}"
+                   --source ${WORKDIR}/wrap_malloc.c)
+check_gtracer_size(linked_list_huge "${heap_overflow}"
+                   --kernel linked_list --len 5000000000)
 
 # -- Truncated binary trace: strict -> 2, skip salvages a prefix -> 1. --------
 execute_process(

@@ -111,6 +111,52 @@ TEST(AddressSpace, HeapAllocSixteenByteAligned) {
   EXPECT_GE(b, a + 16);
 }
 
+TEST(AddressSpace, HeapFillsExactlyToTheLimit) {
+  AddressSpace space;  // heap [0xa00000, 0x7fe000000)
+  const AddressSpaceConfig& cfg = space.config();
+  const std::uint64_t room = cfg.stack_limit - cfg.heap_base;
+  EXPECT_EQ(space.heap_alloc(room - 64), cfg.heap_base);
+  EXPECT_EQ(space.heap_alloc(64), cfg.stack_limit - 64);
+  EXPECT_THROW((void)space.heap_alloc(1), Error);
+  // Freed room is reused up to the limit, and no further.
+  space.heap_free(cfg.stack_limit - 64);
+  EXPECT_EQ(space.heap_alloc(64), cfg.stack_limit - 64);
+}
+
+TEST(AddressSpace, HeapOverflowNamesTheLimitInHex) {
+  AddressSpace space;
+  const AddressSpaceConfig& cfg = space.config();
+  try {
+    (void)space.heap_alloc(cfg.stack_limit - cfg.heap_base + 1);
+    FAIL() << "no overflow";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.kind(), ErrorKind::Config);
+    EXPECT_NE(std::string(e.what()).find("simulated heap overflow (limit "
+                                         "0x7fe000000)"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(AddressSpace, HeapBlockNearTwoToTheSixtyFourDoesNotWrap) {
+  // Rounded up to 16 bytes, these sizes would wrap to a block of 0.
+  AddressSpace space;
+  EXPECT_THROW((void)space.heap_alloc(~std::uint64_t{0} - 7), Error);
+  EXPECT_THROW((void)space.heap_alloc(~std::uint64_t{0}), Error);
+  // A failed allocation leaves the heap as it was.
+  EXPECT_EQ(space.heap_alloc(16), space.config().heap_base);
+  EXPECT_EQ(space.heap_live_bytes(), 16u);
+}
+
+TEST(AddressSpace, HeapFitsChecksCountTimesSizeWithoutOverflow) {
+  const AddressSpaceConfig cfg;
+  const std::uint64_t room = cfg.stack_limit - cfg.heap_base;
+  EXPECT_NO_THROW(check_heap_fits(cfg, room / 16, 16));
+  EXPECT_THROW(check_heap_fits(cfg, room / 16 + 1, 16), Error);
+  // 2^61 x 8 wraps to 0 in 64 bits.
+  EXPECT_THROW(check_heap_fits(cfg, std::uint64_t{1} << 61, 8), Error);
+}
+
 TEST(AddressSpace, HeapLiveBytesTracked) {
   AddressSpace space;
   const std::uint64_t a = space.heap_alloc(32);
