@@ -8,6 +8,8 @@
 #include <iostream>
 #include <string_view>
 
+#include <sys/resource.h>
+
 #include "service/client.hpp"
 #include "util/error.hpp"
 #include "util/fault.hpp"
@@ -109,6 +111,27 @@ void CommonFlags::configure(Governor& governor) const {
                  "tool did not register the governor flags");
   governor.memory.set_limit(parse_byte_size(*max_memory, "--max-memory"));
   governor.set_deadline(parse_seconds(*deadline, "--deadline"));
+}
+
+void CommonFlags::write(obs::Registry& registry) const {
+  rusage usage{};
+  if (getrusage(RUSAGE_SELF, &usage) == 0) {
+    const auto seconds = [](const timeval& tv) {
+      return static_cast<double>(tv.tv_sec) +
+             static_cast<double>(tv.tv_usec) / 1e6;
+    };
+#if defined(__APPLE__)
+    constexpr double kMaxrssBytes = 1;  // ru_maxrss counts bytes here
+#else
+    constexpr double kMaxrssBytes = 1024;  // and KiB on Linux
+#endif
+    registry.gauge("process.peak_rss_bytes")
+        .set(static_cast<double>(usage.ru_maxrss) * kMaxrssBytes);
+    registry.gauge("process.cpu_seconds")
+        .set(seconds(usage.ru_utime) + seconds(usage.ru_stime));
+  }
+  if (!metrics_json->empty()) registry.write_metrics_file(*metrics_json);
+  if (!trace_spans->empty()) registry.write_spans_file(*trace_spans);
 }
 
 CacheFlags CacheFlags::add(FlagParser& flags) {

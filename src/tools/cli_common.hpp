@@ -98,11 +98,10 @@ struct CommonFlags {
     return !metrics_json->empty() || !trace_spans->empty();
   }
 
-  /// Writes the requested export files; empty paths are skipped.
-  void write(const obs::Registry& registry) const {
-    if (!metrics_json->empty()) registry.write_metrics_file(*metrics_json);
-    if (!trace_spans->empty()) registry.write_spans_file(*trace_spans);
-  }
+  /// Sets the process.peak_rss_bytes and process.cpu_seconds gauges from
+  /// getrusage(RUSAGE_SELF), then writes the requested export files;
+  /// empty paths are skipped. Under tdtd the process is the daemon.
+  void write(obs::Registry& registry) const;
 };
 
 /// The cache-geometry flag block shared by dinerosim and tdtune: L1

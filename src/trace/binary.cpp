@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <utility>
@@ -499,27 +500,52 @@ inline bool read_field(const char*& p, const char* end, std::uint64_t& v,
   return false;
 }
 
-/// One v3 frame decoded without touching the shared string pool: records
-/// carry frame-local string ids, and `defs` lists the frame's string
-/// definitions in definition order, viewing into the payload. Workers
-/// decode frames concurrently; the consuming thread interns `defs` in
-/// frame order (intern_frame_defs), so the pool stays single-writer and
-/// symbol ids match the inline decode.
-struct DecodedFrame {
-  std::vector<TraceRecord> records;
+/// One v3 frame in the reader's decode pool, decoded without touching the
+/// shared string pool: its index entry; its records, which carry
+/// frame-local string ids, in slices of at most kViewBatch; `defs`, its
+/// string definitions in definition order, viewing into `payload`; or,
+/// when `bad`, why it failed. Workers decode frames concurrently; the
+/// consuming thread interns `defs` in frame order (intern_frame_defs), so
+/// the pool stays single-writer and symbol ids match the inline decode.
+/// Slots are recycled, so steady-state decoding allocates nothing per
+/// frame — a large fresh vector per frame would serialize every worker
+/// on the allocator's mmap/page-zero path and erase the parallel speedup.
+struct FrameBuf {
+  /// The pool builds its slots on the thread that opens the cursor,
+  /// before any worker starts. Reserving one writer-default frame of
+  /// slices here keeps slot storage in that thread's malloc arena, where
+  /// the evaluator frees the batches it trades in and reserves the next.
+  /// A slice a worker allocated would be freed into the worker's arena,
+  /// which never allocates again, and stay resident: 6–8 MB at --jobs 3.
+  FrameBuf() : slices(kDefaultFrameRecords / kViewBatch) {
+    for (std::vector<TraceRecord>& slice : slices) slice.reserve(kViewBatch);
+  }
+
+  TdtbFrameInfo info;
+  // slices[0, nslices) hold the frame's records, decoded in place. The
+  // consumer trades each for the evaluator's empty batch vector, which
+  // the next frame in this slot decodes into.
+  std::vector<std::vector<TraceRecord>> slices;
+  std::size_t nslices = 0;
   std::vector<std::pair<std::uint64_t, std::string_view>> defs;
-  bool ok = true;  // false: `error` says why, `records` holds the prefix
-  TdtbDecodeError error;
   // Definition-seen map (id -> 1 + index into defs), reused across frames.
   std::vector<std::uint32_t> seen_defs;
   std::vector<std::uint64_t> seen_ids;
+  // Decompressed bytes, grown without zero-fill: only what the codec
+  // writes becomes resident, whatever payload size a header declares.
+  std::unique_ptr<char[]> payload;
+  std::size_t payload_capacity = 0;
+  bool bad = false;
+  DiagCode code = DiagCode::BinFrameCorrupt;
+  std::string error;
 };
 
 /// v3 payload strings: ids are local to the frame, and records keep them
 /// until the consuming thread binds the frame.
 struct FrameStrings {
   static constexpr bool kInFrame = true;
-  DecodedFrame& frame;
+  FrameBuf& frame;
+  std::uint64_t prev_addr = 0;  // zigzag-delta base, carried across slices
 
   bool resolve(std::uint64_t id, Symbol& out) const noexcept {
     if (id >= frame.seen_defs.size() || frame.seen_defs[id] == 0) {
@@ -584,11 +610,12 @@ enum class EntryStop : std::uint8_t { Limit, End, Error };
 /// string definitions and records from [p, end) into `out` until `limit`
 /// records were appended, the entries end, or one is corrupt. `Strings`
 /// makes the three differences. A v3 payload (FrameStrings) delta-codes
-/// its addresses, defines strings per frame and ends at `end`. A v1/v2
-/// body (TraceStrings) stores absolute addresses, defines strings for
-/// the whole trace and ends at its end tag, which is consumed. On error
-/// `p` stays inside the bad entry, its partial record is not kept, and
-/// `err` says why.
+/// its addresses from the base `strings` carries from call to call,
+/// defines strings per frame and ends at `end`. A v1/v2 body
+/// (TraceStrings) stores absolute addresses, defines strings for the
+/// whole trace and ends at its end tag, which is consumed. On error `p`
+/// stays inside the bad entry, its partial record is not kept, and `err`
+/// says why.
 template <class Strings>
 EntryStop decode_entries(Strings& strings, const char*& p, const char* end,
                          std::vector<TraceRecord>& out, std::size_t limit,
@@ -611,14 +638,13 @@ EntryStop decode_entries(Strings& strings, const char*& p, const char* end,
     err = {DiagCode::BinBadSymbol, DecodeKind::Undefined, kInFrame, what, id};
     return false;
   };
-  std::uint64_t prev_addr = 0;  // v3 zigzag-delta base; 0 at frame start
   // The fields after a record's tag and kind|scope byte.
   const auto fields = [&](TraceRecord& rec) {
     std::uint64_t v = 0;
     if (!field(v, ~std::uint64_t{0}, "address")) return false;
     if constexpr (kInFrame) {
-      prev_addr += unzigzag(v);
-      rec.address = prev_addr;
+      strings.prev_addr += unzigzag(v);
+      rec.address = strings.prev_addr;
     } else {
       rec.address = v;
     }
@@ -696,25 +722,39 @@ EntryStop decode_entries(Strings& strings, const char*& p, const char* end,
   }
 }
 
-/// Decodes one uncompressed frame payload into `out`. Thread-safe (no
-/// shared state); `payload` must outlive `out.defs`. Every symbol a
-/// record references must be defined earlier in the same frame.
-void decode_frame_payload(std::string_view payload, DecodedFrame& out) {
-  out.records.clear();
-  out.defs.clear();
-  for (std::uint64_t id : out.seen_ids) out.seen_defs[id] = 0;
-  out.seen_ids.clear();
-  FrameStrings strings{out};
+/// Decodes one uncompressed frame payload straight into `frame`'s slices,
+/// kViewBatch records each but the last; `decoded` counts them. Touches
+/// only `frame`, so workers run it concurrently; `payload` must outlive
+/// `frame.defs`. Every symbol a record references must be defined
+/// earlier in the same frame. False on a corrupt entry: `err` says why,
+/// and the slices keep the records before it.
+bool decode_frame_payload(std::string_view payload, FrameBuf& frame,
+                          std::uint64_t& decoded, TdtbDecodeError& err) {
+  frame.defs.clear();
+  for (std::uint64_t id : frame.seen_ids) frame.seen_defs[id] = 0;
+  frame.seen_ids.clear();
+  frame.nslices = 0;
+  decoded = 0;
+  FrameStrings strings{frame};
   const char* p = payload.data();
-  out.ok = decode_entries(strings, p, payload.data() + payload.size(),
-                          out.records, ~std::size_t{0},
-                          out.error) != EntryStop::Error;
+  const char* const end = payload.data() + payload.size();
+  for (;;) {
+    if (frame.nslices == frame.slices.size()) frame.slices.emplace_back();
+    std::vector<TraceRecord>& slice = frame.slices[frame.nslices];
+    slice.clear();
+    slice.reserve(kViewBatch);  // a no-op on a recycled or traded-in slice
+    const EntryStop stop = decode_entries(strings, p, end, slice, kViewBatch,
+                                          err);
+    decoded += slice.size();
+    if (!slice.empty()) ++frame.nslices;
+    if (stop != EntryStop::Limit) return stop == EntryStop::End;
+  }
 }
 
 /// Interns `frame.defs` in definition order into `symbol_map` (frame id
 /// -> symbol); true when every id interned to itself, so the records
 /// need no remap_frame_records(). Call in frame order from one thread.
-bool intern_frame_defs(TraceContext& ctx, const DecodedFrame& frame,
+bool intern_frame_defs(TraceContext& ctx, const FrameBuf& frame,
                        std::vector<Symbol>& symbol_map) {
   bool identity = true;
   for (const auto& [id, text] : frame.defs) {
@@ -895,22 +935,21 @@ namespace {
 /// behind the frame it hands out (v3) in steps of this many bytes.
 constexpr std::size_t kReleaseBytes = 1u << 20;
 
-/// One frame in the decode pool: its index entry, string definitions,
-/// the decompression buffer they view into, and its records cut into
-/// slices of at most kViewBatch; or, when `bad`, why it failed. Recycled
-/// slots keep steady-state decoding free of per-frame allocation — a
-/// large fresh vector per frame would serialize every worker on the
-/// allocator's mmap/page-zero path and erase the parallel speedup.
-struct FrameBuf {
-  TdtbFrameInfo info;
-  DecodedFrame frame;   // defs; its records vector is lent by the decoder
-  std::string payload;  // decompressed bytes frame.defs views into
-  std::vector<std::vector<TraceRecord>> slices;
-  std::size_t nslices = 0;  // slices[0, nslices) hold the frame's records
-  bool bad = false;
-  DiagCode code = DiagCode::BinFrameCorrupt;
-  std::string error;
-};
+/// Decode threads for `workers` requested on an indexed container. Each
+/// thread decodes one frame ahead of the one the consumer drains, so the
+/// window is threads + 1 frames, and those frames hold at most
+/// (workers + 1) x kDefaultFrameRecords records: a largest frame above
+/// the writer's default runs fewer threads, down to 0, where the
+/// consumer decodes inline. One requested worker decodes inline too.
+std::size_t decode_threads(const std::vector<TdtbFrameInfo>& frames,
+                           std::size_t workers) {
+  if (workers <= 1) return 0;
+  std::uint64_t largest = 1;
+  for (const TdtbFrameInfo& f : frames) largest = std::max(largest, f.records);
+  const std::uint64_t window = (workers + 1) * kDefaultFrameRecords / largest;
+  return static_cast<std::size_t>(
+      std::min<std::uint64_t>(workers, window > 0 ? window - 1 : 0));
+}
 
 /// The frame ladder: checks and decodes frame `frame_no`, described by
 /// `fi`, into the slot — its header against `fi`, then the CRC of the
@@ -920,11 +959,9 @@ struct FrameBuf {
 /// prefix, which Skip salvages.
 void decode_frame(std::string_view blob, const TdtbFrameInfo& fi,
                   bool injected, std::uint64_t frame_no, FrameBuf& slot) {
-  DecodedFrame& frame = slot.frame;
-  std::string& payload_buf = slot.payload;
-  frame.records.clear();
-  frame.defs.clear();
   slot.info = fi;
+  slot.nslices = 0;
+  slot.defs.clear();
   slot.bad = false;
   auto bad = [&slot](DiagCode code, std::string msg) {
     slot.bad = true;
@@ -981,23 +1018,28 @@ void decode_frame(std::string_view blob, const TdtbFrameInfo& fi,
               std::to_string(frame_no));
       return;
     }
-    if (!codec_decompress(*codec, stored, static_cast<std::size_t>(fi.usize),
-                          payload_buf)) {
+    const auto usize = static_cast<std::size_t>(fi.usize);
+    if (slot.payload == nullptr || slot.payload_capacity < usize) {
+      slot.payload.reset();  // freed first: its bytes are not needed
+      slot.payload = std::make_unique_for_overwrite<char[]>(usize);
+      slot.payload_capacity = usize;
+    }
+    if (!codec_decompress(*codec, stored, {slot.payload.get(), usize})) {
       bad(DiagCode::BinFrameCorrupt,
           "frame " + std::to_string(frame_no) + " decompression failed (codec " +
               std::string(codec_name(*codec)) + ")");
       return;
     }
-    payload = payload_buf;
+    payload = std::string_view(slot.payload.get(), usize);
   }
-  decode_frame_payload(payload, frame);
-  if (!frame.ok) {
-    bad(frame.error.code, frame.error.message());
+  std::uint64_t decoded = 0;
+  TdtbDecodeError err;
+  if (!decode_frame_payload(payload, slot, decoded, err)) {
+    bad(err.code, err.message());
     return;
   }
-  if (frame.records.size() != fi.records) {
-    const std::size_t decoded = frame.records.size();
-    frame.records.clear();
+  if (decoded != fi.records) {
+    slot.nslices = 0;
     bad(DiagCode::BinCountMismatch,
         "frame " + std::to_string(frame_no) +
             " record count mismatch: header says " + std::to_string(fi.records) +
@@ -1005,46 +1047,22 @@ void decode_frame(std::string_view blob, const TdtbFrameInfo& fi,
   }
 }
 
-/// Decodes frame `frame_no` into `buf` and cuts its records into
-/// kViewBatch slices, on the decoding thread. The frame decodes into the
-/// thread's own `scratch` vector, so a buffer waiting for the consumer
-/// holds its records once, in the slices; the slices' storage is
-/// whatever empty batch vectors the consumer traded for earlier ones.
-void decode_frame_slices(std::string_view blob, const TdtbFrameInfo& fi,
-                         bool injected, std::uint64_t frame_no, FrameBuf& buf,
-                         std::vector<TraceRecord>& scratch) {
-  std::vector<TraceRecord>& records = buf.frame.records;
-  records.swap(scratch);
-  // Warm the scratch vector once per thread; a hostile header cannot
-  // drive a giant allocation (the cap).
-  records.reserve(static_cast<std::size_t>(
-      std::min<std::uint64_t>(fi.records, 64 * 1024)));
-  decode_frame(blob, fi, injected, frame_no, buf);
-  buf.nslices = (records.size() + kViewBatch - 1) / kViewBatch;
-  if (buf.slices.size() < buf.nslices) buf.slices.resize(buf.nslices);
-  for (std::size_t i = 0; i < buf.nslices; ++i) {
-    const auto first =
-        records.begin() + static_cast<std::ptrdiff_t>(i * kViewBatch);
-    const std::size_t n = std::min(kViewBatch, records.size() - i * kViewBatch);
-    buf.slices[i].assign(first, first + static_cast<std::ptrdiff_t>(n));
-  }
-  records.swap(scratch);
-}
-
 /// The TDTB reader (open_tdtb_cursor). It decodes in place from one byte
 /// view, in the layout the header and probe_tdtb() pick:
 ///
 /// - Indexed: a v3 container whose frame index validated. Job k of an
-///   OrderedPool runs the thread-safe frame ladder, slices included, on
-///   frame k, ahead of the consumer; next_batch() binds (interns) frames
-///   strictly in frame order on the calling thread and hands out one
-///   slice per call — by swapping it with the caller's empty batch
-///   vector, so no record is copied on the consuming thread. So the
-///   string pool stays single-writer, symbol ids match the inline
-///   decode, and the batches are byte-identical at any job count. A batch
-///   never spans two frames. The pool's window (2x workers) bounds the
-///   frames decoded ahead, the one being drained included. One effective
-///   worker decodes inline, on a pool with no threads.
+///   OrderedPool runs the thread-safe frame ladder on frame k, ahead of
+///   the consumer, and decodes the records straight into the slot's
+///   slices; next_batch() binds (interns) frames strictly in frame order
+///   on the calling thread and hands out one slice per call — by swapping
+///   it with the caller's empty batch vector, so no record is copied
+///   after decode. So the string pool stays single-writer, symbol ids
+///   match the inline decode, and the batches are byte-identical at any
+///   job count. A batch never spans two frames. The pool's window is one
+///   frame per decode thread plus the one being drained, and
+///   decode_threads() sizes it from the index so those frames hold at
+///   most (workers + 1) x 65,536 records. With no thread, the consumer
+///   decodes inline, on a pool with no threads.
 /// - Walked: a v3 container without a valid index. The frame headers are
 ///   parsed in place from the first frame on, each frame goes through
 ///   the same ladder on a pool with no threads, and the index and footer
@@ -1095,16 +1113,12 @@ class TdtbCursor final : public SourceCursor {
       // unless a test explicitly wants the threaded machinery exercised.
       const std::size_t hw =
           std::max<std::size_t>(1, std::thread::hardware_concurrency());
-      const std::size_t nworkers =
-          options.clamp_jobs ? std::min(requested, hw) : requested;
-      if (nworkers > 1) threads = nworkers;
+      threads = decode_threads(
+          info_.frames, options.clamp_jobs ? std::min(requested, hw) : requested);
     }
-    // Each worker's copy of the job decodes into its own scratch vector.
-    pool_.emplace(threads, std::max<std::size_t>(1, 2 * threads),
-                  [this, scratch = std::vector<TraceRecord>()](
-                      std::uint64_t k, FrameBuf& buf) mutable {
-                    return decode_job(k, buf, scratch);
-                  });
+    pool_.emplace(threads, threads + 1, [this](std::uint64_t k, FrameBuf& buf) {
+      return decode_job(k, buf);
+    });
   }
 
   TdtbCursor(const TdtbCursor&) = delete;
@@ -1303,7 +1317,7 @@ class TdtbCursor final : public SourceCursor {
       // Skip: salvage the decoded prefix of the bad frame, then end.
       ended_ = true;
     }
-    if (!intern_frame_defs(*ctx_, buf_->frame, symbol_map_)) {
+    if (!intern_frame_defs(*ctx_, *buf_, symbol_map_)) {
       for (std::size_t k = 0; k < buf_->nslices; ++k) {
         remap_frame_records(buf_->slices[k], symbol_map_);
       }
@@ -1315,12 +1329,10 @@ class TdtbCursor final : public SourceCursor {
   /// indexed layout reads frame k's index entry, on any thread. The walk
   /// has no workers, so it runs on the consumer: it parses the header at
   /// pos_ in place, and at the end tag checks the index and footer.
-  bool decode_job(std::uint64_t k, FrameBuf& buf,
-                  std::vector<TraceRecord>& scratch) {
+  bool decode_job(std::uint64_t k, FrameBuf& buf) {
     if (indexed_) {
       if (k >= info_.frames.size()) return false;
-      decode_frame_slices(blob_, info_.frames[k], injected_[k] != 0, k, buf,
-                          scratch);
+      decode_frame(blob_, info_.frames[k], injected_[k] != 0, k, buf);
       return true;
     }
     if (pos_ < blob_.size() &&
@@ -1345,7 +1357,7 @@ class TdtbCursor final : public SourceCursor {
       return false;
     }
     pos_ = static_cast<std::size_t>(payload_off + fi->csize);
-    decode_frame_slices(blob_, *fi, injected, k, buf, scratch);
+    decode_frame(blob_, *fi, injected, k, buf);
     return true;
   }
 

@@ -229,32 +229,29 @@ bool codec_compress(Codec codec, int level, std::string_view src,
   return false;
 }
 
-bool codec_decompress(Codec codec, std::string_view src,
-                      std::size_t uncompressed_size, std::string& dst) {
+bool codec_decompress(Codec codec, std::string_view src, std::span<char> dst) {
   switch (codec) {
     case Codec::None:
-      if (src.size() != uncompressed_size) return false;
-      dst.assign(src.data(), src.size());
+      if (src.size() != dst.size()) return false;
+      std::copy(src.begin(), src.end(), dst.begin());
       return true;
     case Codec::Zstd: {
       if (!codec_available(codec)) return false;
       const ZstdApi& api = zstd_api();
-      dst.resize(uncompressed_size);
       const std::size_t n =
           api.decompress(dst.data(), dst.size(), src.data(), src.size());
-      return api.is_error(n) == 0 && n == uncompressed_size;
+      return api.is_error(n) == 0 && n == dst.size();
     }
     case Codec::Lz4: {
-      if (!codec_available(codec) || uncompressed_size > kLz4MaxBlock ||
+      if (!codec_available(codec) || dst.size() > kLz4MaxBlock ||
           src.size() > kLz4MaxBlock) {
         return false;
       }
       const Lz4Api& api = lz4_api();
-      dst.resize(uncompressed_size);
       const int n = api.decompress_safe(src.data(), dst.data(),
                                         static_cast<int>(src.size()),
                                         static_cast<int>(dst.size()));
-      return n >= 0 && static_cast<std::size_t>(n) == uncompressed_size;
+      return n >= 0 && static_cast<std::size_t>(n) == dst.size();
     }
   }
   return false;

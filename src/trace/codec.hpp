@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <ostream>
+#include <span>
 #include <streambuf>
 #include <string>
 #include <string_view>
@@ -69,12 +70,13 @@ struct CompressSpec {
 bool codec_compress(Codec codec, int level, std::string_view src,
                     std::string& dst);
 
-/// Decompresses `src` into `dst` (replaced, exactly `uncompressed_size`
-/// bytes on success). Returns false on corrupt input, a size mismatch, or
-/// an unavailable codec. Codec::None requires src.size() ==
-/// uncompressed_size and copies.
-bool codec_decompress(Codec codec, std::string_view src,
-                      std::size_t uncompressed_size, std::string& dst);
+/// Decompresses `src` into `dst`, which must come out exactly filled.
+/// Returns false on corrupt input, a size mismatch, or an unavailable
+/// codec. Codec::None requires src.size() == dst.size() and copies. Only
+/// the bytes the codec produces are written: a caller that allocates
+/// `dst` without zero-filling it, as the TDTB reader does, never makes
+/// resident the part of a declared size that corrupt input leaves empty.
+bool codec_decompress(Codec codec, std::string_view src, std::span<char> dst);
 
 // --- gzip (text-trace ingest/export) ---------------------------------------
 

@@ -45,6 +45,17 @@ function(check_metrics file tool out_var)
   set(${out_var} "${doc}" PARENT_SCOPE)
 endfunction()
 
+# Every tool reports its process's peak RSS and CPU time as gauges, read
+# with getrusage(RUSAGE_SELF) just before the metrics file is written.
+function(check_process_gauges what doc)
+  foreach(gauge peak_rss_bytes cpu_seconds)
+    string(JSON value ERROR_VARIABLE err GET "${doc}" gauges process.${gauge})
+    if(err OR NOT value GREATER 0)
+      message(FATAL_ERROR "${what}: process.${gauge}=${value}, want > 0")
+    endif()
+  endforeach()
+endfunction()
+
 # ---- trace to simulate -----------------------------------------------
 
 execute_process(
@@ -55,6 +66,7 @@ if(NOT rc EQUAL 0)
   message(FATAL_ERROR "gtracer failed: ${rc}")
 endif()
 check_metrics(${WORKDIR}/gtracer.json gtracer gtracer_doc)
+check_process_gauges(gtracer "${gtracer_doc}")
 string(JSON trace_records GET "${gtracer_doc}" counters trace.records)
 if(NOT gtracer_err MATCHES "${trace_records} records from kernel")
   message(FATAL_ERROR
@@ -112,6 +124,7 @@ if(NOT inst_err MATCHES "dinerosim: [0-9]+ records .* done")
 endif()
 
 check_metrics(${WORKDIR}/m.json dinerosim metrics_doc)
+check_process_gauges(dinerosim "${metrics_doc}")
 string(JSON simulated GET "${metrics_doc}" counters sim.records_simulated)
 string(JSON read_records GET "${metrics_doc}" counters read.records)
 # t1_soa emits no instruction-fetch records, so every record read is
@@ -299,6 +312,7 @@ if(NOT base_rc EQUAL inst_rc OR NOT base_out STREQUAL inst_out)
   message(FATAL_ERROR "traceinfo output changed under instrumentation")
 endif()
 check_metrics(${WORKDIR}/ti.json traceinfo ti_doc)
+check_process_gauges(traceinfo "${ti_doc}")
 string(JSON ti_records GET "${ti_doc}" counters read.records)
 if(NOT ti_records EQUAL trace_records)
   message(FATAL_ERROR

@@ -1,5 +1,7 @@
 #include "trace/binary.hpp"
 
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -860,6 +862,167 @@ TEST(TdtbReaderTiling, OverwrittenEndTagIsABadTag) {
   bytes[static_cast<std::size_t>(payload_off + info->frames.back().csize)] =
       '\x07';
   expect_bad_tag_everywhere(bytes, records.size());
+}
+
+// --- the decode slots ------------------------------------------------------------
+
+/// `n` records that vary in kind, scope, function and variable, with
+/// addresses that step both ways so the frame deltas do too.
+std::vector<TraceRecord> varied_records(TraceContext& ctx, std::size_t n) {
+  std::vector<TraceRecord> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    TraceRecord& rec = out[i];
+    rec.kind = i % 3 == 0 ? AccessKind::Store : AccessKind::Load;
+    rec.size = 8;
+    rec.address = 0x7ff000000ull + (i * 40) % 65536;
+    rec.function = ctx.intern("fn_" + std::to_string(i % 5));
+    if (i % 2 == 1) {
+      rec.scope = VarScope::GlobalStructure;
+      rec.var.base = ctx.intern("arr_" + std::to_string(i % 3));
+      rec.var.steps.push_back(VarStep::make_index(i % 100));
+    }
+  }
+  return out;
+}
+
+// A v3 frame whose payload goes bad after 9,000 of its 10,000 records, so
+// the bad entry lies in the frame's third kViewBatch slice. The frame CRC
+// and the index are recomputed, so only the entry decoder sees it. Skip
+// hands out exactly the 9,000-record prefix, and Repair drops the frame,
+// from memory and from a file at jobs 1 and 3, with the same diagnostics.
+TEST(TdtbReaderSlices, BadEntryInTheThirdSliceKeepsThePrefixBeforeIt) {
+  constexpr std::size_t kFrame = 10000;
+  constexpr std::size_t kGood = 9000;
+  static_assert(kGood / kViewBatch == 2, "the bad entry is in slice 3");
+  TraceContext ctx;
+  const auto records = varied_records(ctx, 3 * kFrame);
+  const auto blob =
+      write_binary_trace(ctx, records, 1, v3_options(Codec::None, kFrame));
+  std::string bytes(blob.begin(), blob.end());
+  auto info = probe_tdtb(bytes);
+  ASSERT_TRUE(info.has_value() && info->has_index);
+  ASSERT_EQ(info->frames.size(), 3u);
+  TdtbFrameInfo& bad = info->frames[1];
+  std::uint64_t payload_off = 0;
+  ASSERT_TRUE(parse_frame_header(bytes, bad.offset, &payload_off).has_value());
+
+  // The writer encodes a frame front to back, so a frame of the middle
+  // frame's first kGood records is a prefix of its payload, and that
+  // frame's size is where record kGood's entry starts.
+  const auto head = write_binary_trace(
+      ctx, std::span(records).subspan(kFrame, kGood), 1,
+      v3_options(Codec::None, kFrame));
+  const std::string head_bytes(head.begin(), head.end());
+  const auto head_info = probe_tdtb(head_bytes);
+  ASSERT_TRUE(head_info.has_value() && head_info->has_index);
+  std::uint64_t head_off = 0;
+  ASSERT_TRUE(parse_frame_header(head_bytes, head_info->frames[0].offset,
+                                 &head_off)
+                  .has_value());
+  const auto bad_at = static_cast<std::size_t>(head_info->frames[0].usize);
+  ASSERT_EQ(bytes.substr(static_cast<std::size_t>(payload_off), bad_at),
+            head_bytes.substr(static_cast<std::size_t>(head_off), bad_at));
+  bytes[static_cast<std::size_t>(payload_off) + bad_at] = '\x7F';  // bad tag
+
+  // The frame CRC ends the frame header, right before the payload.
+  bad.crc = crc32(bytes.data() + payload_off, static_cast<std::size_t>(bad.csize));
+  std::string crc_bytes;
+  put_le(crc_bytes, bad.crc, 4);
+  bytes.replace(static_cast<std::size_t>(payload_off) - 4, 4, crc_bytes);
+  const TdtbFrameInfo& last = info->frames.back();
+  ASSERT_TRUE(parse_frame_header(bytes, last.offset, &payload_off).has_value());
+  const auto end_tag = static_cast<std::size_t>(payload_off + last.csize);
+  bytes = with_index(bytes.substr(0, end_tag + 1), *info, 0);
+  ASSERT_TRUE(probe_tdtb(bytes)->has_index);
+
+  const TempTdtb file(bytes);
+  const auto want = formatted(ctx, records);
+  for (const ErrorPolicy policy : {ErrorPolicy::Skip, ErrorPolicy::Repair}) {
+    const bool skip = policy == ErrorPolicy::Skip;
+    std::vector<std::string> expect(
+        want.begin(), want.begin() + (skip ? kFrame + kGood : kFrame));
+    if (!skip) expect.insert(expect.end(), want.begin() + 2 * kFrame, want.end());
+    TraceContext mem;
+    DiagEngine mem_diags(policy);
+    const auto parsed = read_binary_trace(
+        mem, std::vector<char>(bytes.begin(), bytes.end()), nullptr,
+        &mem_diags);
+    EXPECT_EQ(formatted(mem, parsed), expect) << "skip " << skip;
+    EXPECT_EQ(mem_diags.count(DiagCode::BinBadTag), 1u) << "skip " << skip;
+    for (const int jobs : {1, 3}) {
+      TraceContext c;
+      DiagEngine diags(policy);
+      VectorSink sink;
+      (void)View::source(c, file.path(),
+                         {.diags = &diags, .jobs = jobs, .clamp_jobs = false})
+          .drain(sink);
+      EXPECT_EQ(formatted(c, sink.records()), expect)
+          << "skip " << skip << " jobs " << jobs;
+      EXPECT_EQ(diags.counts(), mem_diags.counts())
+          << "skip " << skip << " jobs " << jobs;
+      EXPECT_EQ(diags.exit_code(), mem_diags.exit_code());
+    }
+  }
+}
+
+/// This process's peak resident set so far, in bytes.
+std::uint64_t peak_rss_bytes() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return static_cast<std::uint64_t>(usage.ru_maxrss) * 1024;  // KiB on Linux
+}
+
+// Frames that each declare a 128 MiB payload over 16 garbage zstd bytes,
+// with a valid CRC and index. The codec refuses every one, and the
+// declared size must not become resident memory on the way: read by
+// three unclamped decode workers, the process peak grows by less than one
+// declared payload.
+TEST(TdtbReaderHostile, LyingPayloadSizeDoesNotBecomeResident) {
+  if (!codec_available(Codec::Zstd)) GTEST_SKIP() << "zstd not available";
+  constexpr std::uint64_t kDeclared = std::uint64_t{128} << 20;
+  constexpr std::size_t kFrames = 4;
+  const std::string garbage(16, '\xAB');
+  const auto zstd = static_cast<std::uint8_t>(Codec::Zstd);
+  std::string body{'T', 'D', 'T', 'B', 3, 0, static_cast<char>(zstd)};
+  TdtbContainerInfo info;
+  for (std::size_t i = 0; i < kFrames; ++i) {
+    TdtbFrameInfo& f = info.frames.emplace_back();
+    f.offset = body.size();
+    f.records = 1;
+    f.usize = kDeclared;
+    f.csize = garbage.size();
+    f.crc = crc32(garbage);
+    f.codec = zstd;
+    body.push_back('\x03');  // frame tag
+    body.push_back(static_cast<char>(zstd));
+    put_varint(body, f.records);
+    put_varint(body, f.usize);
+    put_varint(body, f.csize);
+    put_le(body, f.crc, 4);
+    body += garbage;
+  }
+  body.push_back('\x02');  // end tag
+  info.total_records = kFrames;
+  const std::string bytes = with_index(body, info, 0);
+  ASSERT_TRUE(probe_tdtb(bytes)->has_index);
+  const TempTdtb file(bytes);
+
+  const std::uint64_t before = peak_rss_bytes();
+  TraceContext ctx;
+  DiagEngine diags(ErrorPolicy::Repair);
+  VectorSink sink;
+  (void)View::source(ctx, file.path(),
+                     {.diags = &diags, .jobs = 3, .clamp_jobs = false})
+      .drain(sink);
+  [[maybe_unused]] const std::uint64_t growth = peak_rss_bytes() - before;
+  EXPECT_TRUE(sink.records().empty());
+  EXPECT_EQ(diags.count(DiagCode::BinFrameCorrupt), kFrames);
+  EXPECT_EQ(diags.exit_code(), 1);
+#if !defined(TDT_SANITIZED_BUILD)
+  // Sanitizer allocators write shadow memory for the blocks they hand
+  // out and take back, so only an uninstrumented build can bound this.
+  EXPECT_LT(growth, kDeclared);
+#endif
 }
 
 }  // namespace

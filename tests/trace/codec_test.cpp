@@ -56,12 +56,12 @@ TEST(Codec, NoneAlwaysRoundTrips) {
   std::string packed;
   ASSERT_TRUE(codec_compress(Codec::None, 0, src, packed));
   EXPECT_EQ(packed, src);  // stored verbatim
-  std::string restored;
-  ASSERT_TRUE(codec_decompress(Codec::None, packed, src.size(), restored));
+  std::string restored(src.size(), '\0');
+  ASSERT_TRUE(codec_decompress(Codec::None, packed, restored));
   EXPECT_EQ(restored, src);
   // None is strict about the declared size.
-  EXPECT_FALSE(codec_decompress(Codec::None, packed, src.size() - 1,
-                                restored));
+  EXPECT_FALSE(codec_decompress(Codec::None, packed,
+                                std::span(restored).first(src.size() - 1)));
 }
 
 TEST(Codec, OptionalCodecsRoundTripWhenAvailable) {
@@ -74,16 +74,15 @@ TEST(Codec, OptionalCodecsRoundTripWhenAvailable) {
     std::string packed;
     ASSERT_TRUE(codec_compress(c, 0, src, packed)) << codec_name(c);
     EXPECT_LT(packed.size(), src.size()) << codec_name(c);
-    std::string restored;
-    ASSERT_TRUE(codec_decompress(c, packed, src.size(), restored))
-        << codec_name(c);
+    std::string restored(src.size(), '\0');
+    ASSERT_TRUE(codec_decompress(c, packed, restored)) << codec_name(c);
     EXPECT_EQ(restored, src) << codec_name(c);
     // Corrupt input must fail cleanly, not crash or return garbage.
     std::string garbled = packed;
     garbled[garbled.size() / 2] =
         static_cast<char>(garbled[garbled.size() / 2] ^ 0x5A);
-    std::string out;
-    const bool ok = codec_decompress(c, garbled, src.size(), out);
+    std::string out(src.size(), '\0');
+    const bool ok = codec_decompress(c, garbled, out);
     if (ok) {
       EXPECT_NE(out, src) << codec_name(c);
     }

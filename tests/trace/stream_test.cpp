@@ -6,9 +6,13 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <span>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "live_threads.hpp"
@@ -219,6 +223,83 @@ TEST(StreamV3, InvalidIndexFallsBackToSequential) {
   std::filesystem::remove(path);
 }
 
+/// Folds every record it receives, formatted, into one digest, and notes
+/// the most threads alive while batches arrive.
+class DigestSink final : public TraceSink {
+ public:
+  explicit DigestSink(TraceContext& ctx) : ctx_(&ctx) {}
+  void on_record(const TraceRecord& rec) override {
+    ++records;
+    digest = (digest ^ std::hash<std::string>{}(ctx_->format_record(rec))) *
+             1099511628211ull;
+  }
+  void push_batch(std::span<const TraceRecord> batch) override {
+    peak_threads = std::max(peak_threads, live_threads());
+    for (const TraceRecord& rec : batch) on_record(rec);
+  }
+
+  std::size_t records = 0;
+  std::uint64_t digest = 14695981039346656037ull;
+  std::size_t peak_threads = 0;
+
+ private:
+  TraceContext* ctx_;
+};
+
+// The decode window holds at most (workers + 1) x 65,536 records. At
+// jobs 3 (unclamped) that is two frames of 2 x 65,536 records, so one
+// decode thread runs, and one frame of 4 x 65,536, so the consumer
+// decodes inline. Three frames each, so the frame count does not cap
+// the workers. Either way the records match jobs 1.
+TEST(StreamV3, LargeFramesRunFewerDecodeThreads) {
+  std::thread([] {}).join();  // TSan's helper thread joins the baseline
+  const std::size_t baseline = live_threads();
+  const auto path = temp_path("tdt_stream_large_frames.tdtb");
+  for (const auto& [multiple, threads] :
+       {std::pair<std::uint32_t, std::size_t>{2, 1}, {4, 0}}) {
+    const std::size_t frame = multiple * std::size_t{kDefaultFrameRecords};
+    const std::size_t total = 2 * frame + 1;
+    {
+      TraceContext ctx;
+      BinaryWriterOptions options;
+      options.version = kTdtbVersionFramed;
+      options.frame_records = static_cast<std::uint32_t>(frame);
+      std::ostringstream out(std::ios::binary);
+      BinaryTraceWriter writer(ctx, out, 1, options);
+      // One frame per batch, so the test never holds the whole trace.
+      for (std::size_t first = 0; first < total; first += frame) {
+        writer.write_batch(big_records(ctx, std::min(frame, total - first)));
+      }
+      writer.finish();
+      write_file(path, out.str());
+    }
+    const auto info = probe_tdtb_file(path.string());
+    ASSERT_TRUE(info.has_value() && info->has_index);
+    ASSERT_EQ(info->frames.size(), 3u);
+
+    std::uint64_t jobs1_digest = 0;
+    for (const int jobs : {1, 3}) {
+      TraceContext ctx;
+      DigestSink sink(ctx);
+      (void)View::source(ctx, path.string(), {.jobs = jobs, .clamp_jobs = false})
+          .drain(sink);
+      const std::string at =
+          "frames of " + std::to_string(frame) + ", jobs " + std::to_string(jobs);
+      EXPECT_EQ(sink.records, total) << at;
+      if (jobs == 1) {
+        jobs1_digest = sink.digest;
+      } else {
+        EXPECT_EQ(sink.digest, jobs1_digest) << at;
+      }
+      if (baseline != 0) {  // no /proc: cannot count threads
+        EXPECT_EQ(sink.peak_threads, baseline + (jobs == 1 ? 0 : threads))
+            << at;
+      }
+    }
+  }
+  std::filesystem::remove(path);
+}
+
 TEST(StreamGz, GzipTextIngestMatchesPlain) {
   if (!gzip_available()) {
     GTEST_LOG_(INFO) << "zlib not built in; skipping";
@@ -268,7 +349,7 @@ class BatchProbe final : public TraceSink {
 
 /// A v3 container of 24 frames x 5000 records, decoded by 4 unclamped
 /// workers. Every frame is larger than one 4096-record view batch, and
-/// the claim window (8 frames) is shorter than the container, so the
+/// the claim window (5 frames) is shorter than the container, so the
 /// workers are alive and waiting when the consumer stops.
 class IndexedSourceEarlyStop : public ::testing::Test {
  protected:
