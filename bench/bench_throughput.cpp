@@ -129,20 +129,38 @@ void BM_BinaryWrite(benchmark::State& state) {
 }
 BENCHMARK(BM_BinaryWrite);
 
+// The eight points of perfbench's sweep8 workload (SWEEP8 in
+// perfbench/run.py), on a t1 trace that leaves L1: LEN 65536 is 524,292
+// records over 768 KiB of arrays. The argument is the point's index.
+constexpr const char* kSweep8 =
+    "assoc=1;assoc=2;assoc=4;assoc=8;size=8k;size=16k;size=64k;block=64";
+constexpr std::int64_t kSweepLen = 65536;
+
+const std::vector<trace::TraceRecord>& sweep_records() {
+  static const std::vector<trace::TraceRecord> records = [] {
+    layout::TypeTable types;
+    trace::TraceContext ctx;
+    return tracer::run_program(types, ctx,
+                               tracer::make_t1_soa(types, kSweepLen));
+  }();
+  return records;
+}
+
 void BM_CacheSim(benchmark::State& state) {
-  SharedTrace& s = shared();
-  cache::CacheConfig cfg = cache::paper_direct_mapped();
-  cfg.assoc = static_cast<std::uint32_t>(state.range(0));
+  const std::vector<trace::TraceRecord>& records = sweep_records();
+  const cache::SweepPoint point = cache::parse_sweep_spec(
+      kSweep8, cache::CacheConfig{})[static_cast<std::size_t>(state.range(0))];
   for (auto _ : state) {
-    cache::CacheHierarchy hierarchy(cfg);
+    cache::CacheHierarchy hierarchy(point.levels);
     cache::TraceCacheSim sim(hierarchy);
-    sim.simulate(s.records);
+    sim.simulate(records);
     benchmark::DoNotOptimize(hierarchy.l1().stats().misses());
     state.SetItemsProcessed(state.items_processed() +
-                            static_cast<std::int64_t>(s.records.size()));
+                            static_cast<std::int64_t>(records.size()));
   }
+  state.SetLabel(point.label());
 }
-BENCHMARK(BM_CacheSim)->Arg(1)->Arg(8)->Arg(64);
+BENCHMARK(BM_CacheSim)->DenseRange(0, 7);
 
 void BM_Transform(benchmark::State& state) {
   SharedTrace& s = shared();

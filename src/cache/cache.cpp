@@ -27,26 +27,28 @@ std::string_view to_string(MissClass c) noexcept {
 }
 
 CacheLevel::CacheLevel(CacheConfig config, CacheLevel* next)
-    : config_(std::move(config)), next_(next), rng_(config_.random_seed) {
-  config_.validate();
-  if (config_.num_blocks() >= kNil) {
+    : config_(std::move(config)),
+      geo_(config_.geometry()),
+      next_(next),
+      rng_(config_.random_seed) {
+  if (geo_.blocks >= kNil) {
     throw_config_error("cache '" + config_.name + "': " +
-                       std::to_string(config_.num_blocks()) +
+                       std::to_string(geo_.blocks) +
                        " blocks is more than a level can track");
   }
-  lines_.assign(config_.num_sets() * config_.effective_assoc(), Line{});
-  rr_cursor_.assign(config_.num_sets(), 0);
-  set_stats_.assign(config_.num_sets(), SetStats{});
+  lines_.assign(geo_.blocks, Line{});
+  rr_cursor_.assign(geo_.sets(), 0);
+  set_stats_.assign(geo_.sets(), SetStats{});
   // At most half full once the shadow holds num_blocks nodes.
-  const std::uint64_t slots = std::bit_ceil(2 * config_.num_blocks());
+  const std::uint64_t slots = std::bit_ceil(2 * geo_.blocks);
   shadow_slots_.assign(slots, ShadowSlot{});
   shadow_shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
 }
 
 void CacheLevel::reset() {
   for (Line& l : lines_) l = Line{};
-  rr_cursor_.assign(config_.num_sets(), 0);
-  set_stats_.assign(config_.num_sets(), SetStats{});
+  rr_cursor_.assign(geo_.sets(), 0);
+  set_stats_.assign(geo_.sets(), SetStats{});
   stats_ = LevelStats{};
   clock_ = 0;
   seen_.clear();
@@ -64,12 +66,12 @@ void CacheLevel::flush() {
     l.valid = false;
     l.dirty = false;
   }
-  rr_cursor_.assign(config_.num_sets(), 0);
+  rr_cursor_.assign(geo_.sets(), 0);
 }
 
 CacheLevel::Line* CacheLevel::find_line(std::uint64_t set,
                                         std::uint64_t block) {
-  const std::uint32_t ways = config_.effective_assoc();
+  const std::uint32_t ways = geo_.ways;
   Line* base = &lines_[set * ways];
   for (std::uint32_t w = 0; w < ways; ++w) {
     if (base[w].valid && base[w].block == block) return &base[w];
@@ -78,7 +80,7 @@ CacheLevel::Line* CacheLevel::find_line(std::uint64_t set,
 }
 
 std::uint32_t CacheLevel::pick_victim(std::uint64_t set) {
-  const std::uint32_t ways = config_.effective_assoc();
+  const std::uint32_t ways = geo_.ways;
   Line* base = &lines_[set * ways];
   // Prefer an invalid way.
   for (std::uint32_t w = 0; w < ways; ++w) {
@@ -103,7 +105,7 @@ std::uint32_t CacheLevel::pick_victim(std::uint64_t set) {
       return static_cast<std::uint32_t>(rng_.next_below(ways));
     case ReplacementPolicy::RoundRobin: {
       const std::uint32_t victim = rr_cursor_[set];
-      rr_cursor_[set] = (victim + 1) % ways;
+      rr_cursor_[set] = victim + 1 == ways ? 0 : victim + 1;
       return victim;
     }
   }
@@ -191,7 +193,7 @@ void CacheLevel::shadow_unlink(std::uint32_t node) {
   }
 }
 
-bool CacheLevel::touch_shadow(std::uint64_t block) {
+inline bool CacheLevel::touch_shadow(std::uint64_t block) {
   // Fully associative LRU of the same block capacity; used to separate
   // capacity misses (miss here too) from conflict misses (hit here).
   if (shadow_head_ != kNil && shadow_nodes_[shadow_head_].block == block) {
@@ -207,8 +209,13 @@ bool CacheLevel::touch_shadow(std::uint64_t block) {
       return true;
     }
   }
+  shadow_insert(block);
+  return false;
+}
+
+void CacheLevel::shadow_insert(std::uint64_t block) {
   std::uint32_t node;
-  if (shadow_nodes_.size() < config_.num_blocks()) {
+  if (shadow_nodes_.size() < geo_.blocks) {
     node = static_cast<std::uint32_t>(shadow_nodes_.size());
     shadow_nodes_.push_back(ShadowNode{block, kNil, kNil});
   } else {
@@ -220,7 +227,6 @@ bool CacheLevel::touch_shadow(std::uint64_t block) {
   }
   shadow_link_front(node);
   shadow_index_insert(block, node);
-  return false;
 }
 
 MissClass CacheLevel::classify_miss(std::uint64_t block, bool in_shadow) {
@@ -230,20 +236,20 @@ MissClass CacheLevel::classify_miss(std::uint64_t block, bool in_shadow) {
 }
 
 void CacheLevel::prefetch_block(std::uint64_t block) {
-  const std::uint64_t set = block % config_.num_sets();
+  const std::uint64_t set = geo_.set_index(block);
   if (find_line(set, block) != nullptr) return;  // already resident
   ++stats_.prefetches;
   if (next_ != nullptr) {
-    next_->access(block * config_.block_size, /*is_write=*/false);
+    next_->access(geo_.base_of(block), /*is_write=*/false);
   }
   const std::uint32_t way = pick_victim(set);
-  Line& victim = lines_[set * config_.effective_assoc() + way];
+  Line& victim = lines_[set * geo_.ways + way];
   if (victim.valid) {
     ++stats_.evictions;
     if (victim.dirty) {
       ++stats_.writebacks;
       if (next_ != nullptr) {
-        next_->access(victim.block * config_.block_size, /*is_write=*/true);
+        next_->access(geo_.base_of(victim.block), /*is_write=*/true);
       }
     }
   }
@@ -277,8 +283,8 @@ void CacheLevel::maybe_prefetch(std::uint64_t block, bool demand_hit,
 
 AccessOutcome CacheLevel::access(std::uint64_t address, bool is_write) {
   ++clock_;
-  const std::uint64_t block = config_.block_of(address);
-  const std::uint64_t set = block % config_.num_sets();
+  const std::uint64_t block = geo_.block_of(address);
+  const std::uint64_t set = geo_.set_index(block);
 
   AccessOutcome out;
   out.set = set;
@@ -332,7 +338,7 @@ AccessOutcome CacheLevel::access(std::uint64_t address, bool is_write) {
       // Demand fetch from the next level.
       if (next_ != nullptr) next_->access(address, /*is_write=*/false);
       const std::uint32_t way = pick_victim(set);
-      Line& victim = lines_[set * config_.effective_assoc() + way];
+      Line& victim = lines_[set * geo_.ways + way];
       if (victim.valid) {
         out.evicted = true;
         out.evicted_block = victim.block;
@@ -341,8 +347,7 @@ AccessOutcome CacheLevel::access(std::uint64_t address, bool is_write) {
           out.writeback = true;
           ++stats_.writebacks;
           if (next_ != nullptr) {
-            next_->access(victim.block * config_.block_size,
-                          /*is_write=*/true);
+            next_->access(geo_.base_of(victim.block), /*is_write=*/true);
           }
         }
       }
@@ -360,21 +365,21 @@ AccessOutcome CacheLevel::access(std::uint64_t address, bool is_write) {
   return out;
 }
 
-AccessOutcome CacheLevel::access_range(std::uint64_t address,
-                                       std::uint64_t size, bool is_write) {
+AccessOutcome CacheLevel::access_blocks(std::uint64_t address,
+                                        std::uint64_t size, bool is_write) {
   internal_check(size > 0, "access_range of zero bytes");
-  const std::uint64_t first_block = config_.block_of(address);
-  const std::uint64_t last_block = config_.block_of(address + size - 1);
-  AccessOutcome first = access(address, is_write);
-  for (std::uint64_t b = first_block + 1; b <= last_block; ++b) {
-    access(b * config_.block_size, is_write);
-  }
+  std::uint64_t block = geo_.block_of(address);
+  std::uint64_t left = geo_.block_of(span_last_byte(address, size)) - block;
+  const AccessOutcome first = access(address, is_write);
+  // Counted: the last block may be UINT64_MAX, which `block <= last`
+  // never passes.
+  for (; left > 0; --left) access(geo_.base_of(++block), is_write);
   return first;
 }
 
 bool CacheLevel::contains_block(std::uint64_t block) const {
-  const std::uint64_t set = block % config_.num_sets();
-  const std::uint32_t ways = config_.effective_assoc();
+  const std::uint64_t set = geo_.set_index(block);
+  const std::uint32_t ways = geo_.ways;
   const Line* base = &lines_[set * ways];
   for (std::uint32_t w = 0; w < ways; ++w) {
     if (base[w].valid && base[w].block == block) return true;
@@ -383,7 +388,7 @@ bool CacheLevel::contains_block(std::uint64_t block) const {
 }
 
 std::uint32_t CacheLevel::set_occupancy(std::uint64_t set) const {
-  const std::uint32_t ways = config_.effective_assoc();
+  const std::uint32_t ways = geo_.ways;
   const Line* base = &lines_[set * ways];
   std::uint32_t n = 0;
   for (std::uint32_t w = 0; w < ways; ++w) {

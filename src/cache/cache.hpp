@@ -95,7 +95,9 @@ class CacheLevel {
 
   /// Accesses an arbitrary [address, address+size) span, splitting on
   /// block boundaries. Returns the outcome of the first block (the
-  /// record's primary access) — follow-on blocks update stats only.
+  /// record's primary access) — follow-on blocks update stats only. A
+  /// span that runs past the top of the address space ends at its last
+  /// byte (span_last_byte).
   AccessOutcome access_range(std::uint64_t address, std::uint64_t size,
                              bool is_write);
 
@@ -128,6 +130,10 @@ class CacheLevel {
     bool prefetched = false;  // filled by the prefetcher, untouched since
   };
 
+  /// access_range's path for a span that leaves its first block, or is
+  /// empty.
+  AccessOutcome access_blocks(std::uint64_t address, std::uint64_t size,
+                              bool is_write);
   Line* find_line(std::uint64_t set, std::uint64_t block);
   std::uint32_t pick_victim(std::uint64_t set);
   MissClass classify_miss(std::uint64_t block, bool in_shadow);
@@ -139,6 +145,9 @@ class CacheLevel {
   /// recycling the tail at capacity) when absent. Returns whether it was
   /// present before the touch.
   bool touch_shadow(std::uint64_t block);
+  /// touch_shadow's miss path: links `block` in at the front. Kept out
+  /// of line so that the hit path inlines into access().
+  void shadow_insert(std::uint64_t block);
   void shadow_index_insert(std::uint64_t block, std::uint32_t node);
   void shadow_index_erase(std::uint32_t node);
   void shadow_link_front(std::uint32_t node);
@@ -152,6 +161,7 @@ class CacheLevel {
                       bool hit_on_prefetched);
 
   CacheConfig config_;
+  CacheGeometry geo_;
   CacheLevel* next_;
   std::vector<Line> lines_;  // sets * ways, row-major by set
   std::vector<std::uint32_t> rr_cursor_;
@@ -186,5 +196,17 @@ class CacheLevel {
   std::uint32_t shadow_head_ = kNil;  // most recently used
   std::uint32_t shadow_tail_ = kNil;  // least recently used
 };
+
+inline AccessOutcome CacheLevel::access_range(std::uint64_t address,
+                                              std::uint64_t size,
+                                              bool is_write) {
+  // A span whose last byte is in its first block is one access. Size 0
+  // wraps size - 1 to UINT64_MAX and takes the checked path.
+  if (size - 1 <= geo_.offset_mask() - (address & geo_.offset_mask()))
+      [[likely]] {
+    return access(address, is_write);
+  }
+  return access_blocks(address, size, is_write);
+}
 
 }  // namespace tdt::cache

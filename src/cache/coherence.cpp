@@ -17,18 +17,15 @@ std::string_view to_string(Mesi m) noexcept {
 }
 
 MesiSystem::MesiSystem(CacheConfig config, std::uint32_t cores)
-    : config_(std::move(config)) {
-  config_.validate();
+    : config_(std::move(config)), geo_(config_.geometry()) {
   internal_check(cores >= 1, "MesiSystem needs at least one core");
   per_core_.resize(cores);
-  for (Core& c : per_core_) {
-    c.lines.assign(config_.num_sets() * config_.effective_assoc(), Line{});
-  }
+  for (Core& c : per_core_) c.lines.assign(geo_.blocks, Line{});
 }
 
 MesiSystem::Line* MesiSystem::find_line(Core& core, std::uint64_t block) {
-  const std::uint64_t set = block % config_.num_sets();
-  const std::uint32_t ways = config_.effective_assoc();
+  const std::uint64_t set = geo_.set_index(block);
+  const std::uint32_t ways = geo_.ways;
   Line* base = &core.lines[set * ways];
   for (std::uint32_t w = 0; w < ways; ++w) {
     if (base[w].state != Mesi::Invalid && base[w].block == block) {
@@ -39,7 +36,7 @@ MesiSystem::Line* MesiSystem::find_line(Core& core, std::uint64_t block) {
 }
 
 MesiSystem::Line& MesiSystem::victim_line(Core& core, std::uint64_t set) {
-  const std::uint32_t ways = config_.effective_assoc();
+  const std::uint32_t ways = geo_.ways;
   Line* base = &core.lines[set * ways];
   Line* victim = base;
   for (std::uint32_t w = 0; w < ways; ++w) {
@@ -54,8 +51,8 @@ CoherenceOutcome MesiSystem::access(std::uint32_t core_id,
   internal_check(core_id < per_core_.size(), "core id out of range");
   ++clock_;
   Core& self = per_core_[core_id];
-  const std::uint64_t block = config_.block_of(address);
-  const std::uint64_t set = block % config_.num_sets();
+  const std::uint64_t block = geo_.block_of(address);
+  const std::uint64_t set = geo_.set_index(block);
 
   CoherenceOutcome out;
   out.core = core_id;
@@ -150,8 +147,8 @@ std::uint64_t MesiSystem::total_invalidations() const noexcept {
 Mesi MesiSystem::state_of(std::uint32_t core, std::uint64_t block) const {
   internal_check(core < per_core_.size(), "core id out of range");
   // const_cast-free scan.
-  const std::uint64_t set = block % config_.num_sets();
-  const std::uint32_t ways = config_.effective_assoc();
+  const std::uint64_t set = geo_.set_index(block);
+  const std::uint32_t ways = geo_.ways;
   const Line* base = &per_core_[core].lines[set * ways];
   for (std::uint32_t w = 0; w < ways; ++w) {
     if (base[w].state != Mesi::Invalid && base[w].block == block) {

@@ -75,6 +75,7 @@ class MesiSystem {
   }
   [[nodiscard]] const CoreStats& core_stats(std::uint32_t core) const;
   [[nodiscard]] const CacheConfig& config() const noexcept { return config_; }
+  [[nodiscard]] const CacheGeometry& geometry() const noexcept { return geo_; }
 
   /// Sum of invalidations across cores.
   [[nodiscard]] std::uint64_t total_invalidations() const noexcept;
@@ -104,6 +105,7 @@ class MesiSystem {
   Line& victim_line(Core& core, std::uint64_t set);
 
   CacheConfig config_;
+  CacheGeometry geo_;
   std::vector<Core> per_core_;
   std::uint64_t clock_ = 0;
 };

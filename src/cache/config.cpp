@@ -1,5 +1,7 @@
 #include "cache/config.hpp"
 
+#include <bit>
+
 #include "util/error.hpp"
 #include "util/string_util.hpp"
 
@@ -66,6 +68,16 @@ void CacheConfig::validate() const {
     throw_config_error("cache '" + name + "': set count " +
                        std::to_string(num_sets()) + " is not a power of two");
   }
+}
+
+CacheGeometry CacheConfig::geometry() const {
+  validate();
+  CacheGeometry g;
+  g.block_shift = static_cast<unsigned>(std::countr_zero(block_size));
+  g.set_mask = num_sets() - 1;
+  g.ways = effective_assoc();
+  g.blocks = num_blocks();
+  return g;
 }
 
 std::string CacheConfig::describe() const {

@@ -45,6 +45,40 @@ enum class PrefetchPolicy : std::uint8_t {
 [[nodiscard]] std::string_view to_string(WritePolicy p) noexcept;
 [[nodiscard]] std::string_view to_string(AllocPolicy p) noexcept;
 
+/// The geometry a valid CacheConfig implies, as shifts and masks. A
+/// level decides it once, so no per-access path divides by a
+/// configuration value.
+struct CacheGeometry {
+  unsigned block_shift = 0;    ///< log2(block_size)
+  std::uint64_t set_mask = 0;  ///< set count - 1
+  std::uint32_t ways = 1;      ///< effective associativity
+  std::uint64_t blocks = 0;    ///< lines in the level
+
+  [[nodiscard]] std::uint64_t block_of(std::uint64_t address) const noexcept {
+    return address >> block_shift;
+  }
+  [[nodiscard]] std::uint64_t set_index(std::uint64_t block) const noexcept {
+    return block & set_mask;
+  }
+  /// First byte of `block`.
+  [[nodiscard]] std::uint64_t base_of(std::uint64_t block) const noexcept {
+    return block << block_shift;
+  }
+  /// block_size - 1: an address's offset within its block.
+  [[nodiscard]] std::uint64_t offset_mask() const noexcept {
+    return (std::uint64_t{1} << block_shift) - 1;
+  }
+  [[nodiscard]] std::uint64_t sets() const noexcept { return set_mask + 1; }
+};
+
+/// The last byte of the span [address, address + size), size >= 1. A
+/// span that runs past the top of the address space ends at its last
+/// byte; it does not wrap to address 0.
+[[nodiscard]] constexpr std::uint64_t span_last_byte(
+    std::uint64_t address, std::uint64_t size) noexcept {
+  return size - 1 > UINT64_MAX - address ? UINT64_MAX : address + (size - 1);
+}
+
 /// Geometry + policies of one cache level.
 struct CacheConfig {
   std::string name = "L1";
@@ -69,12 +103,9 @@ struct CacheConfig {
   [[nodiscard]] std::uint64_t num_sets() const noexcept {
     return num_blocks() / effective_assoc();
   }
-  [[nodiscard]] std::uint64_t block_of(std::uint64_t address) const noexcept {
-    return address / block_size;
-  }
-  [[nodiscard]] std::uint64_t set_of(std::uint64_t address) const noexcept {
-    return block_of(address) % num_sets();
-  }
+
+  /// Validates, then returns the geometry as shifts and masks.
+  [[nodiscard]] CacheGeometry geometry() const;
 
   /// One-line description, e.g. "L1 32 KiB, 32 B blocks, 1-way
   /// associative, lru, write-back"; a prefetch policy other than none is

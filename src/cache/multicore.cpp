@@ -1,5 +1,7 @@
 #include "cache/multicore.hpp"
 
+#include <algorithm>
+
 #include "util/error.hpp"
 
 namespace tdt::cache {
@@ -12,25 +14,28 @@ std::uint64_t touch_key(std::uint32_t core, std::uint64_t block) {
 }  // namespace
 
 MultiCoreSim::MultiCoreSim(MesiSystem& system, const trace::TraceContext& ctx)
-    : system_(&system), ctx_(&ctx) {}
+    : system_(&system), geo_(system.geometry()), ctx_(&ctx) {}
 
 void MultiCoreSim::on_record(const trace::TraceRecord& rec) {
-  if (rec.kind == trace::AccessKind::Instr) return;
+  // A record of no bytes touches no block.
+  if (rec.kind == trace::AccessKind::Instr || rec.size == 0) return;
   const std::uint32_t core =
       (rec.thread == 0 ? 0u : static_cast<std::uint32_t>(rec.thread) - 1u) %
       system_->cores();
   const bool is_write = rec.kind == trace::AccessKind::Store ||
                         rec.kind == trace::AccessKind::Modify;
-  const CacheConfig& cfg = system_->config();
-  const std::uint64_t first = cfg.block_of(rec.address);
-  const std::uint64_t last = cfg.block_of(rec.address + rec.size - 1);
+  const std::uint64_t rec_last = span_last_byte(rec.address, rec.size);
+  std::uint64_t block = geo_.block_of(rec.address);
 
-  for (std::uint64_t block = first; block <= last; ++block) {
-    const std::uint64_t begin =
-        std::max(rec.address, block * cfg.block_size);
-    const std::uint64_t end = std::min(rec.address + rec.size,
-                                       (block + 1) * cfg.block_size);
-    const CoherenceOutcome outcome = system_->access(core, begin, is_write);
+  // Counted: the last block may be UINT64_MAX, which `block <= last`
+  // never passes.
+  for (std::uint64_t left = geo_.block_of(rec_last) - block + 1; left > 0;
+       --left, ++block) {
+    // This block's share of the record, as an inclusive byte range.
+    const std::uint64_t first = std::max(rec.address, geo_.base_of(block));
+    const std::uint64_t last =
+        std::min(rec_last, geo_.base_of(block) | geo_.offset_mask());
+    const CoherenceOutcome outcome = system_->access(core, first, is_write);
 
     if (outcome.invalidated != 0) {
       // Classify each remote copy we killed by whether the victim's last
@@ -40,7 +45,7 @@ void MultiCoreSim::on_record(const trace::TraceRecord& rec) {
         auto it = last_touch_.find(touch_key(other, block));
         if (it == last_touch_.end() || !it->second.valid) continue;
         const Touch& t = it->second;
-        const bool overlap = begin < t.end && t.begin < end;
+        const bool overlap = first <= t.last && t.first <= last;
         if (overlap) {
           ++true_sharing_;
         } else {
@@ -58,8 +63,8 @@ void MultiCoreSim::on_record(const trace::TraceRecord& rec) {
     }
     // Record this core's touch.
     Touch& mine = last_touch_[touch_key(core, block)];
-    mine.begin = begin;
-    mine.end = end;
+    mine.first = first;
+    mine.last = last;
     mine.var = rec.var.base;
     mine.valid = true;
   }

@@ -51,14 +51,16 @@ class MultiCoreSim final : public trace::TraceSink {
   [[nodiscard]] std::string report() const;
 
  private:
+  /// The bytes [first, last] a core last touched in a block.
   struct Touch {
-    std::uint64_t begin = 0;
-    std::uint64_t end = 0;
+    std::uint64_t first = 0;
+    std::uint64_t last = 0;
     Symbol var;
     bool valid = false;
   };
 
   MesiSystem* system_;
+  CacheGeometry geo_;
   const trace::TraceContext* ctx_;
   // last touch per (core, block)
   std::unordered_map<std::uint64_t, Touch> last_touch_;

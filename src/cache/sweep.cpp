@@ -44,6 +44,7 @@ namespace {
 
 // "8k" -> 8192, "2M" -> 2097152, "64" -> 64.
 std::uint64_t parse_size_value(std::string_view text, std::string_view key) {
+  const std::string_view whole = text;
   std::uint64_t scale = 1;
   if (!text.empty()) {
     const char last = text.back();
@@ -56,6 +57,10 @@ std::uint64_t parse_size_value(std::string_view text, std::string_view key) {
     throw_config_error("sweep key '" + std::string(key) +
                        "' expects an unsigned size, got '" + std::string(text) +
                        "'");
+  }
+  if (*value > UINT64_MAX / scale) {
+    throw_config_error("sweep key '" + std::string(key) + "' size '" +
+                       std::string(whole) + "' does not fit in 64 bits");
   }
   return *value * scale;
 }
@@ -70,6 +75,11 @@ void apply_override(CacheConfig& config, std::string_view key,
     const auto v = parse_uint(value);
     if (!v.has_value()) {
       throw_config_error("sweep key 'assoc' expects an unsigned value, got '" +
+                         std::string(value) + "'");
+    }
+    if (*v > UINT32_MAX) {
+      throw_config_error("sweep key 'assoc' must be at most " +
+                         std::to_string(UINT32_MAX) + ", got '" +
                          std::string(value) + "'");
     }
     config.assoc = static_cast<std::uint32_t>(*v);

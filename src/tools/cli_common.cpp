@@ -160,11 +160,25 @@ CacheFlags CacheFlags::add(FlagParser& flags) {
   return f;
 }
 
+namespace {
+
+/// A way count from a 64-bit flag value; above 32 bits it names the flag.
+std::uint32_t ways_flag(std::uint64_t value, std::string_view flag) {
+  if (value > UINT32_MAX) {
+    throw_config_error("--" + std::string(flag) + " must be at most " +
+                       std::to_string(UINT32_MAX) + " (got " +
+                       std::to_string(value) + ")");
+  }
+  return static_cast<std::uint32_t>(value);
+}
+
+}  // namespace
+
 cache::CacheConfig CacheFlags::l1_geometry() const {
   cache::CacheConfig config;
   config.size = *size;
   config.block_size = *block;
-  config.assoc = static_cast<std::uint32_t>(*assoc);
+  config.assoc = ways_flag(*assoc, "assoc");
   return config;
 }
 
@@ -181,7 +195,7 @@ std::vector<cache::CacheConfig> CacheFlags::extra_levels() const {
     cache::CacheConfig l2;
     l2.name = "L2";
     l2.size = *l2_size;
-    l2.assoc = static_cast<std::uint32_t>(*l2_assoc);
+    l2.assoc = ways_flag(*l2_assoc, "l2-assoc");
     l2.block_size = *l2_block;
     levels.push_back(l2);
   }

@@ -155,6 +155,29 @@ TEST(Cache, AccessRangeWithinBlockSingleAccess) {
   EXPECT_EQ(cache.stats().accesses(), 1u);
 }
 
+TEST(Cache, AccessRangeEndsAtTheTopOfTheAddressSpace) {
+  CacheConfig c;
+  c.size = 1024;
+  c.block_size = 1;
+  c.assoc = 1;
+  CacheLevel cache(c);
+  // The record's block is UINT64_MAX, which `block <= last` never passes.
+  (void)cache.access_range(UINT64_MAX, 1, false);
+  EXPECT_EQ(cache.stats().accesses(), 1u);
+  // A span that runs past the top ends at its last byte: two blocks, and
+  // no wrap onto block 0.
+  (void)cache.access_range(UINT64_MAX - 1, 4, false);
+  EXPECT_EQ(cache.stats().accesses(), 3u);
+  EXPECT_TRUE(cache.contains_block(UINT64_MAX - 1));
+  EXPECT_FALSE(cache.contains_block(0));
+
+  CacheLevel wide(tiny_dm());
+  (void)wide.access_range(UINT64_MAX - 40, 100, true);
+  EXPECT_EQ(wide.stats().accesses(), 2u);
+  EXPECT_TRUE(wide.contains_block(UINT64_MAX / 32));
+  EXPECT_FALSE(wide.contains_block(0));
+}
+
 TEST(Cache, ZeroSizeRangeRejected) {
   CacheLevel cache(tiny_dm());
   EXPECT_THROW((void)cache.access_range(0x1000, 0, false), Error);

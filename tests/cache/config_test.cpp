@@ -15,6 +15,12 @@ TEST(Config, GeometryDerivations) {
   EXPECT_EQ(c.num_blocks(), 1024u);
   EXPECT_EQ(c.num_sets(), 1024u);
   EXPECT_EQ(c.effective_assoc(), 1u);
+  const CacheGeometry g = c.geometry();
+  EXPECT_EQ(g.block_shift, 5u);
+  EXPECT_EQ(g.set_mask, 1023u);
+  EXPECT_EQ(g.ways, 1u);
+  EXPECT_EQ(g.blocks, 1024u);
+  EXPECT_EQ(g.offset_mask(), 31u);
 }
 
 TEST(Config, FullyAssociativeHasOneSet) {
@@ -24,6 +30,8 @@ TEST(Config, FullyAssociativeHasOneSet) {
   c.assoc = 0;
   EXPECT_EQ(c.effective_assoc(), 64u);
   EXPECT_EQ(c.num_sets(), 1u);
+  EXPECT_EQ(c.geometry().set_mask, 0u);
+  EXPECT_EQ(c.geometry().ways, 64u);
 }
 
 TEST(Config, SetMappingModulo) {
@@ -32,11 +40,24 @@ TEST(Config, SetMappingModulo) {
   c.block_size = 32;
   c.assoc = 64;  // 16 sets (PPC440)
   EXPECT_EQ(c.num_sets(), 16u);
-  EXPECT_EQ(c.set_of(0), 0u);
-  EXPECT_EQ(c.set_of(32), 1u);
-  EXPECT_EQ(c.set_of(16 * 32), 0u);
-  EXPECT_EQ(c.set_of(512 + 31), 0u);
-  EXPECT_EQ(c.block_of(95), 2u);
+  const CacheGeometry g = c.geometry();
+  const auto set_of = [&](std::uint64_t address) {
+    return g.set_index(g.block_of(address));
+  };
+  EXPECT_EQ(set_of(0), 0u);
+  EXPECT_EQ(set_of(32), 1u);
+  EXPECT_EQ(set_of(16 * 32), 0u);
+  EXPECT_EQ(set_of(512 + 31), 0u);
+  EXPECT_EQ(g.block_of(95), 2u);
+  EXPECT_EQ(g.base_of(2), 64u);
+}
+
+TEST(Config, SpanLastByteStopsAtTheTopOfTheAddressSpace) {
+  EXPECT_EQ(span_last_byte(0x1000, 8), 0x1007u);
+  EXPECT_EQ(span_last_byte(UINT64_MAX, 1), UINT64_MAX);
+  EXPECT_EQ(span_last_byte(UINT64_MAX - 1, 2), UINT64_MAX);
+  EXPECT_EQ(span_last_byte(UINT64_MAX - 1, 3), UINT64_MAX);
+  EXPECT_EQ(span_last_byte(UINT64_MAX, 0xFFFFFFFF), UINT64_MAX);
 }
 
 TEST(Config, ValidateRejectsNonPowerOfTwo) {
@@ -47,6 +68,7 @@ TEST(Config, ValidateRejectsNonPowerOfTwo) {
   c.size = 32768;
   c.block_size = 48;
   EXPECT_THROW(c.validate(), Error);
+  EXPECT_THROW((void)c.geometry(), Error);
 }
 
 TEST(Config, ValidateRejectsBadAssociativity) {

@@ -41,6 +41,30 @@ TEST(MultiCore, ThreadIdsWrapAroundCores) {
   EXPECT_EQ(sys.core_stats(0).accesses(), 1u);
 }
 
+TEST(MultiCore, RecordAtTheTopOfTheAddressSpaceEnds) {
+  TraceContext ctx;
+  CacheConfig c;
+  c.size = 1024;
+  c.block_size = 1;
+  c.assoc = 1;
+  MesiSystem sys(c, 2);
+  MultiCoreSim sim(sys, ctx);
+  // The record's block is UINT64_MAX, which `block <= last` never passes.
+  TraceRecord rec;
+  rec.address = UINT64_MAX;
+  rec.size = 1;
+  sim.on_record(rec);
+  EXPECT_EQ(sys.core_stats(0).accesses(), 1u);
+  // A span that runs past the top ends at its last byte: two blocks, and
+  // no wrap onto block 0.
+  rec.address = UINT64_MAX - 1;
+  rec.size = 4;
+  sim.on_record(rec);
+  EXPECT_EQ(sys.core_stats(0).accesses(), 3u);
+  EXPECT_EQ(sys.state_of(0, UINT64_MAX - 1), Mesi::Exclusive);
+  EXPECT_EQ(sys.state_of(0, 0), Mesi::Invalid);
+}
+
 TEST(MultiCore, FalseSharingDetectedOnDisjointBytes) {
   TraceContext ctx;
   // Two counters in the same 32-byte line, each written by its own core.

@@ -1,7 +1,10 @@
 // Differential oracle for the cache simulator: an obviously-correct
 // list-based reference cache is replayed access-by-access against
 // CacheLevel (and a CacheHierarchy's L1) on fixed-seed random streams,
-// comparing every AccessOutcome field and the final LevelStats.
+// comparing every AccessOutcome field and the final LevelStats. Record
+// streams drive CacheLevel::access_range and TraceCacheSim::push_batch
+// the same way, against a reference that splits each span into blocks
+// itself, and also compare the per-set counters.
 //
 // The reference trades all efficiency for transparency: each set is an
 // ordered vector (LRU recency order / FIFO fill order), the shadow cache
@@ -14,20 +17,28 @@
 // shares its trigger's timestamp; prefetching rows therefore use at
 // least two sets, so block and block + 1 never compete for one set.
 //
-// tests_cache runs the tier-1 rows (200k accesses each); tests_cache_slow
-// compiles this file again with TDT_REFMODEL_LONG for 1M-access rows.
+// The reference divides by the block size and takes the set index modulo
+// the set count on purpose: it must not share the simulator's shifts and
+// masks. tests_cache runs the tier-1 rows (200k accesses each);
+// tests_cache_slow compiles this file again with TDT_REFMODEL_LONG for
+// 1M-access rows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <ostream>
 #include <random>
 #include <set>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cache.hpp"
 #include "cache/hierarchy.hpp"
+#include "cache/sim.hpp"
 
 namespace tdt::cache {
 namespace {
@@ -47,7 +58,25 @@ struct RefOutcome {
 class ReferenceCache {
  public:
   explicit ReferenceCache(const CacheConfig& config)
-      : config_(config), sets_(config.num_sets()) {}
+      : config_(config),
+        sets_(config.num_sets()),
+        set_stats_(config.num_sets()) {}
+
+  /// Accesses every block of [address, address + size) in order and
+  /// returns the first block's outcome. A span that runs past the top of
+  /// the address space ends at its last byte.
+  RefOutcome access_range(std::uint64_t address, std::uint64_t size,
+                          bool is_write) {
+    const std::uint64_t bs = config_.block_size;
+    const std::uint64_t last_byte =
+        size - 1 > UINT64_MAX - address ? UINT64_MAX : address + size - 1;
+    const RefOutcome first = access(address, is_write);
+    for (std::uint64_t b = address / bs; b != last_byte / bs;) {
+      ++b;
+      access(b * bs, is_write);
+    }
+    return first;
+  }
 
   RefOutcome access(std::uint64_t address, bool is_write) {
     const std::uint64_t block = address / config_.block_size;
@@ -107,6 +136,7 @@ class ReferenceCache {
     } else {
       ++(out.hit ? stats_.read_hits : stats_.read_misses);
     }
+    ++(out.hit ? set_stats_[set_idx].hits : set_stats_[set_idx].misses);
     ever_seen_.insert(block);
     touch_shadow(block);
 
@@ -121,12 +151,16 @@ class ReferenceCache {
 
   void reset() {
     sets_.assign(config_.num_sets(), {});
+    set_stats_.assign(config_.num_sets(), SetStats{});
     shadow_.clear();
     ever_seen_.clear();
     stats_ = LevelStats{};
   }
 
   [[nodiscard]] const LevelStats& stats() const { return stats_; }
+  [[nodiscard]] const std::vector<SetStats>& set_stats() const {
+    return set_stats_;
+  }
 
  private:
   struct Entry {
@@ -183,6 +217,7 @@ class ReferenceCache {
 
   CacheConfig config_;
   std::vector<std::vector<Entry>> sets_;
+  std::vector<SetStats> set_stats_;
   std::deque<std::uint64_t> shadow_;
   std::set<std::uint64_t> ever_seen_;
   LevelStats stats_;
@@ -345,48 +380,61 @@ struct StreamCase {
 // rather than the struct's bytes, padding included.
 void PrintTo(const StreamCase& c, std::ostream* os) { *os << c.name(); }
 
-/// A fixed-seed stream that mixes short sequential runs (hits, and
-/// prefetch hits), a hot working set of half the cache (conflicts in
-/// low-associativity caches), a cold pool four times the cache (capacity
-/// misses) and occasional fresh blocks (compulsory misses). Run starts
-/// are pool entries; each access lands at a random byte inside its block.
-std::vector<Access> make_stream(const StreamCase& c, std::uint64_t seed) {
-  std::mt19937_64 rng(seed);
-  const std::uint64_t bs = c.block_size;
-  const auto fresh_start = [&]() -> std::uint64_t {
-    switch (c.spread) {
+/// Where each run of blocks starts: mostly an entry of a hot working set
+/// of half the cache (conflicts in low-associativity caches), else of a
+/// cold pool four times the cache (capacity misses), and now and then a
+/// fresh block (compulsory misses).
+class RunStarts {
+ public:
+  RunStarts(const StreamCase& c, std::mt19937_64& rng)
+      : c_(c), rng_(rng), pool_(4 * c.blocks + 4) {
+    for (std::uint64_t& start : pool_) start = fresh();
+    if (c.spread == Spread::Edges) {
+      pool_[0] = UINT64_MAX;  // the last block of the address space
+      pool_[1] = 0;
+    }
+  }
+
+  std::uint64_t next() {
+    const std::uint64_t roll = rng_() % 100;
+    if (roll < 2) return fresh();
+    if (roll < 60) return pool_[rng_() % (c_.blocks / 2 + 1)];
+    return pool_[rng_() % pool_.size()];
+  }
+
+ private:
+  std::uint64_t fresh() {
+    const std::uint64_t bs = c_.block_size;
+    switch (c_.spread) {
       case Spread::Packed:
-        return 0x10000 + (rng() % (4 * c.blocks)) * bs;
+        return 0x10000 + (rng_() % (4 * c_.blocks)) * bs;
       case Spread::Wide:
-        return rng() / bs * bs;
+        return rng_() / bs * bs;
       case Spread::Edges: {
         // Within 4 * blocks of either end of the address space.
-        const std::uint64_t d = rng() % (4 * c.blocks);
-        return rng() % 2 == 0 ? d : UINT64_MAX - d;
+        const std::uint64_t d = rng_() % (4 * c_.blocks);
+        return rng_() % 2 == 0 ? d : UINT64_MAX - d;
       }
     }
     return 0;
-  };
-  std::vector<std::uint64_t> pool(4 * c.blocks + 4);
-  for (std::uint64_t& start : pool) start = fresh_start();
-  if (c.spread == Spread::Edges) {
-    pool[0] = UINT64_MAX;  // the last block of the address space
-    pool[1] = 0;
   }
-  const std::size_t hot = c.blocks / 2 + 1;
 
+  const StreamCase& c_;
+  std::mt19937_64& rng_;
+  std::vector<std::uint64_t> pool_;
+};
+
+/// A fixed-seed stream of short sequential runs (hits, and prefetch
+/// hits) from RunStarts. Each access lands at a random byte inside its
+/// block.
+std::vector<Access> make_stream(const StreamCase& c, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  RunStarts starts(c, rng);
+  const std::uint64_t bs = c.block_size;
   std::vector<Access> accesses;
   accesses.reserve(kStreamAccesses);
   while (accesses.size() < kStreamAccesses) {
-    const std::uint64_t roll = rng() % 100;
-    std::uint64_t start;
-    if (roll < 2) {
-      start = fresh_start();
-    } else if (roll < 60) {
-      start = pool[rng() % hot];
-    } else {
-      start = pool[rng() % pool.size()];
-    }
+    const std::uint64_t start = starts.next();
     // A run of 1-4 blocks, each touched 1-3 times; block arithmetic
     // wraps at the top of the address space.
     const std::uint64_t run = 1 + rng() % 4;
@@ -499,6 +547,170 @@ INSTANTIATE_TEST_SUITE_P(
     Streams,
 #endif
     ReferenceStreamTest, ::testing::ValuesIn(stream_cases()),
+    [](const auto& info) { return info.param.name(); });
+
+// ---- record streams: access_range and TraceCacheSim ----------------------
+
+/// Records over the same run starts, each of kind L, S, M or I. A record
+/// starts at a random byte of its block and spans 1-3 blocks, so spans
+/// cross block boundaries and, in the Edges rows, run past the top of the
+/// address space. Half as many records as a stream has accesses keeps
+/// the block accesses near kStreamAccesses.
+std::vector<trace::TraceRecord> make_records(const StreamCase& c,
+                                             std::uint64_t seed) {
+  using trace::AccessKind;
+  static constexpr AccessKind kKinds[] = {AccessKind::Load, AccessKind::Store,
+                                          AccessKind::Modify,
+                                          AccessKind::Instr};
+  std::mt19937_64 rng(seed);
+  RunStarts starts(c, rng);
+  const std::uint64_t bs = c.block_size;
+  const std::size_t count = kStreamAccesses / 2;
+  std::vector<trace::TraceRecord> records;
+  records.reserve(count);
+  while (records.size() < count) {
+    const std::uint64_t start = starts.next();
+    const std::uint64_t run = 1 + rng() % 4;
+    for (std::uint64_t b = 0; b < run; ++b) {
+      const std::uint64_t blocks = 1 + rng() % 3;
+      // Offsets of the first byte in the first block and of the last
+      // byte in the last block.
+      std::uint64_t first = rng() % bs;
+      std::uint64_t last = rng() % bs;
+      if (blocks == 1 && last < first) std::swap(first, last);
+      trace::TraceRecord rec;
+      rec.kind = kKinds[rng() % 4];
+      rec.address = start + b * bs + first;
+      rec.size =
+          static_cast<std::uint32_t>((blocks - 1) * bs + last - first + 1);
+      records.push_back(rec);
+    }
+  }
+  records.resize(count);
+  return records;
+}
+
+/// TraceCacheSim's contract, over the reference: instruction fetches are
+/// skipped, and a Modify is a write, or a read and then a write when
+/// modify_is_read_write is set; the write's outcome is the one observed.
+std::optional<RefOutcome> reference_step(ReferenceCache& reference,
+                                         const trace::TraceRecord& rec,
+                                         bool modify_is_read_write) {
+  using trace::AccessKind;
+  if (rec.kind == AccessKind::Instr) return std::nullopt;
+  if (rec.kind == AccessKind::Modify && modify_is_read_write) {
+    reference.access_range(rec.address, rec.size, /*is_write=*/false);
+  }
+  const bool is_write =
+      rec.kind == AccessKind::Store || rec.kind == AccessKind::Modify;
+  return reference.access_range(rec.address, rec.size, is_write);
+}
+
+/// Keeps every outcome TraceCacheSim hands its observers.
+class OutcomeLog final : public AccessObserver {
+ public:
+  void on_access(const trace::TraceRecord&,
+                 const AccessOutcome& outcome) override {
+    outcomes.push_back(outcome);
+  }
+  std::vector<AccessOutcome> outcomes;
+};
+
+struct RecordCase {
+  StreamCase stream;
+  bool modify_is_read_write;
+
+  [[nodiscard]] std::string name() const {
+    return stream.name() + (modify_is_read_write ? "_rmw" : "");
+  }
+};
+
+void PrintTo(const RecordCase& c, std::ostream* os) { *os << c.name(); }
+
+class ReferenceRecordTest : public ::testing::TestWithParam<RecordCase> {};
+
+TEST_P(ReferenceRecordTest, RangesAndBatchesMatch) {
+  const RecordCase& rc = GetParam();
+  const StreamCase& c = rc.stream;
+  const CacheConfig config = c.config();
+  const std::vector<trace::TraceRecord> records =
+      make_records(c, 0x5EED1000u + c.blocks * 131 + c.assoc);
+
+  if (!rc.modify_is_read_write) {
+    // access_range on a bare level, one record at a time; L and I read,
+    // S and M write.
+    ReferenceCache reference(config);
+    CacheLevel level(config);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const trace::TraceRecord& rec = records[i];
+      const bool is_write = rec.kind == trace::AccessKind::Store ||
+                            rec.kind == trace::AccessKind::Modify;
+      expect_same(reference.access_range(rec.address, rec.size, is_write),
+                  level.access_range(rec.address, rec.size, is_write), i);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(reference.stats(), level.stats());
+    EXPECT_EQ(reference.set_stats(), level.set_stats());
+  }
+
+  // TraceCacheSim::push_batch over batches of 1-4096 records.
+  ReferenceCache reference(config);
+  CacheHierarchy hierarchy(config);
+  SimOptions options;
+  options.modify_is_read_write = rc.modify_is_read_write;
+  TraceCacheSim sim(hierarchy, options);
+  OutcomeLog log;
+  sim.add_observer(&log);
+  std::mt19937_64 rng(c.blocks * 7 + c.assoc);
+  const std::span<const trace::TraceRecord> all(records);
+  for (std::size_t at = 0; at < records.size();) {
+    const std::size_t n =
+        std::min<std::size_t>(1 + rng() % 4096, records.size() - at);
+    log.outcomes.clear();
+    sim.push_batch(all.subspan(at, n));
+    std::size_t observed = 0;
+    for (std::size_t i = at; i < at + n; ++i) {
+      const std::optional<RefOutcome> expected =
+          reference_step(reference, records[i], rc.modify_is_read_write);
+      if (!expected.has_value()) continue;
+      ASSERT_LT(observed, log.outcomes.size()) << "record " << i;
+      expect_same(*expected, log.outcomes[observed++], i);
+      if (HasFatalFailure()) return;
+    }
+    ASSERT_EQ(observed, log.outcomes.size()) << "batch at " << at;
+    at += n;
+  }
+  const CacheLevel& l1 = hierarchy.l1();
+  EXPECT_EQ(reference.stats(), l1.stats());
+  EXPECT_EQ(reference.set_stats(), l1.set_stats());
+
+  // Sanity: the records reached every miss class and eviction path.
+  const LevelStats& s = l1.stats();
+  EXPECT_GT(s.hits(), 0u);
+  EXPECT_GT(s.compulsory, 0u);
+  EXPECT_GT(s.capacity, 0u);
+  EXPECT_GT(s.evictions, 0u);
+  if (c.write == WritePolicy::WriteBack) {
+    EXPECT_GT(s.writebacks, 0u);
+  }
+}
+
+std::vector<RecordCase> record_cases() {
+  std::vector<RecordCase> cases;
+  for (const StreamCase& c : stream_cases()) {
+    cases.push_back({c, false});
+    cases.push_back({c, true});
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+#ifdef TDT_REFMODEL_LONG
+    LongRecords,
+#else
+    Records,
+#endif
+    ReferenceRecordTest, ::testing::ValuesIn(record_cases()),
     [](const auto& info) { return info.param.name(); });
 
 }  // namespace

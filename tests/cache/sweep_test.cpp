@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <span>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "trace/parallel.hpp"
@@ -123,6 +125,22 @@ TEST(SweepSpec, RejectsMalformedSpecs) {
   EXPECT_THROW(parse_sweep_spec("", base), Error);
   // Invalid geometry (non-power-of-two) is caught by validate().
   EXPECT_THROW(parse_sweep_spec("size=1000", base), Error);
+  // Values that would wrap to a valid geometry name their key and text:
+  // 2^32 + 1 ways, and sizes of 2^64 + 1 MiB and 2^64 + 1 KiB.
+  for (const auto& [spec, key, text] :
+       {std::tuple{"assoc=4294967297", "'assoc'", "4294967297"},
+        std::tuple{"size=17592186044417M", "'size'", "17592186044417M"},
+        std::tuple{"block=18014398509481985k", "'block'",
+                   "18014398509481985k"}}) {
+    try {
+      (void)parse_sweep_spec(spec, base);
+      ADD_FAILURE() << spec << " was accepted";
+    } catch (const Error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(key), std::string::npos) << what;
+      EXPECT_NE(what.find(text), std::string::npos) << what;
+    }
+  }
 }
 
 TEST(LevelStatsMerge, SumsEveryField) {

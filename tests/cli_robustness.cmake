@@ -131,6 +131,43 @@ if(NOT err MATCHES "--window")
   message(FATAL_ERROR "tdtune --window 2^32 error must name the flag: ${err}")
 endif()
 
+# -- Way counts wider than 32 bits are usage errors. --------------------------
+# CacheConfig holds 32-bit ways; 2^32 + 1 must not wrap to 1 way, nor 2^32
+# to fully associative, nor 2^32 + 8 to an 8-way L2.
+foreach(row "--assoc;4294967297;--assoc" "--assoc;4294967296;--assoc"
+            "--l2-size;262144;--l2-assoc;4294967304;--l2-assoc")
+  list(POP_BACK row flag)
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out ${row}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  check_rc("dinerosim ${row}" 2 "${rc}")
+  if(NOT err MATCHES "${flag} must be at most 4294967295")
+    message(FATAL_ERROR "dinerosim ${row} must name ${flag}: ${err}")
+  endif()
+endforeach()
+
+# -- A record that ends at the last byte of the address space. ----------------
+# With 1-byte blocks its block is UINT64_MAX, where a `block <= last`
+# loop never ends; TIMEOUT turns a hang into a failure. Each run
+# simulates exactly one access.
+file(WRITE ${WORKDIR}/top.out "START PID 1\nL ffffffffffffffff 1 main\n")
+foreach(extra "" "--sweep;assoc=1" "--cores;2")
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/top.out --block 1 --size 1024
+            ${extra}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err TIMEOUT 30)
+  check_rc("dinerosim top-of-space record ${extra}" 0 "${rc}")
+  if(extra MATCHES "cores")
+    set(one_access "core 0: 0 hits, 1 misses")
+  else()
+    set(one_access "accesses +1 +0 +1\n")
+  endif()
+  if(NOT out MATCHES "${one_access}")
+    message(FATAL_ERROR
+      "top-of-space record ${extra} must be one access: ${out}${err}")
+  endif()
+endforeach()
+
 # -- Bad rules file is fatal regardless of policy. ----------------------------
 file(WRITE ${WORKDIR}/bad.rules "in:\nthis is not a rule file\nout:\nnope\n")
 execute_process(

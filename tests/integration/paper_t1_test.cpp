@@ -59,14 +59,14 @@ TEST_F(T1, SoAFieldsOccupyDisjointSetRanges) {
   // Figure 3's "banded" pattern: in SoA the mX and mY stores hit disjoint
   // address regions, hence (mostly) disjoint cache sets.
   std::set<std::uint64_t> mx_sets, my_sets;
-  const cache::CacheConfig cfg = cache::paper_direct_mapped();
+  const cache::CacheGeometry g = cache::paper_direct_mapped().geometry();
   for (const trace::TraceRecord& r : result.original) {
     if (r.var.empty() || std::string(ctx.name(r.var.base)) != "lSoA") {
       continue;
     }
     const std::string var = ctx.format_var(r.var);
     (var.find(".mX") != std::string::npos ? mx_sets : my_sets)
-        .insert(cfg.set_of(r.address));
+        .insert(g.set_index(g.block_of(r.address)));
   }
   // 4 KiB of mX -> 128 sets; 8 KiB of mY -> 256 sets; disjoint.
   EXPECT_EQ(mx_sets.size(), 128u);
@@ -79,10 +79,10 @@ TEST_F(T1, AoSSpansContiguousRangeTouchedUniformly) {
   // one contiguous 16 KiB region (1024 padded 16-byte elements) = 512
   // consecutive sets, each touched by both fields.
   std::set<std::uint64_t> sets;
-  const cache::CacheConfig cfg = cache::paper_direct_mapped();
+  const cache::CacheGeometry g = cache::paper_direct_mapped().geometry();
   for (const trace::TraceRecord& r : result.transformed) {
     if (!r.var.empty() && std::string(ctx.name(r.var.base)) == "lAoS") {
-      sets.insert(cfg.set_of(r.address));
+      sets.insert(g.set_index(g.block_of(r.address)));
     }
   }
   EXPECT_EQ(sets.size(), 512u);
