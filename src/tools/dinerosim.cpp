@@ -117,11 +117,12 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
                              *cache_flags.page_seed);
 
     cache::CacheConfig config = cache_flags.l1_geometry();
-
-    analysis::SetActivityCollector sets(ctx, config.num_sets());
-    analysis::VarStatsCollector vars(ctx);
-    analysis::ConflictCollector conf(ctx);
-    analysis::AdjacencyCollector adj(ctx, config.block_size);
+    // The single-config run's observers, built once its hierarchy has
+    // validated the L1 they are sized from.
+    std::optional<analysis::SetActivityCollector> sets;
+    std::optional<analysis::VarStatsCollector> vars;
+    std::optional<analysis::ConflictCollector> conf;
+    std::optional<analysis::AdjacencyCollector> adj;
 
     trace::ParallelOptions pipeline_options;
     pipeline_options.jobs = *common.jobs <= 1 ? 0 : *common.jobs;
@@ -167,10 +168,12 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
         sim_options.page_mapper = &mapper;
       }
       sim.emplace(*hierarchy, sim_options);
-      if (*per_set || !gnuplot->empty()) sim->add_observer(&sets);
-      if (*per_var || *advise) sim->add_observer(&vars);
-      if (*conflicts || *advise) sim->add_observer(&conf);
-      if (*advise) sim->add_observer(&adj);
+      if (*per_set || !gnuplot->empty()) {
+        sim->add_observer(&sets.emplace(ctx, config.num_sets()));
+      }
+      if (*per_var || *advise) sim->add_observer(&vars.emplace(ctx));
+      if (*conflicts || *advise) sim->add_observer(&conf.emplace(ctx));
+      if (*advise) sim->add_observer(&adj.emplace(ctx, config.block_size));
       terminal = &*sim;
       if (*common.jobs > 1) {
         // Single-config pipeline: one worker simulates while the reader
@@ -298,18 +301,18 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     } else {
       std::fputs(hierarchy->report().c_str(), io.out);
       if (*per_set) {
-        std::fputs(analysis::set_table(sets, sets.variables()).c_str(),
+        std::fputs(analysis::set_table(*sets, sets->variables()).c_str(),
                    io.out);
       }
-      if (*per_var) std::fputs(vars.report().c_str(), io.out);
-      if (*conflicts) std::fputs(conf.report().c_str(), io.out);
+      if (*per_var) std::fputs(vars->report().c_str(), io.out);
+      if (*conflicts) std::fputs(conf->report().c_str(), io.out);
       if (*advise) {
-        std::fputs(
-            analysis::render(analysis::advise(vars, conf, {}, &adj)).c_str(),
-            io.out);
+        std::fputs(analysis::render(analysis::advise(*vars, *conf, {}, &*adj))
+                       .c_str(),
+                   io.out);
       }
       if (!gnuplot->empty()) {
-        analysis::write_gnuplot(sets, sets.variables(), *gnuplot,
+        analysis::write_gnuplot(*sets, sets->variables(), *gnuplot,
                                 config.describe());
         std::fprintf(io.err, "dinerosim: wrote %s.dat and %s.gp\n",
                      gnuplot->c_str(), gnuplot->c_str());

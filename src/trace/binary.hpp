@@ -153,6 +153,7 @@ struct TdtbDecodeError {
     VarintEof,          ///< input ends inside the varint field `what`
     BadVarint,          ///< `what` overflows 64 bits or runs past 10 bytes
     OverLimit,          ///< `what` holds `value`, above `limit`
+    Invalid,            ///< `what` holds `value`, which no record may hold
     ShortString,        ///< input ends inside a string definition
     Redefined,          ///< string id `value` redefined within a frame
     BadTag,             ///< unknown entry tag `value`

@@ -1,14 +1,20 @@
 // SmallVector<T, N>: vector with inline storage for the first N elements.
 // VarRef selector chains (a handful of field/index steps) and transformer
 // output bursts (1-3 records) are tiny in the common case; keeping them
-// inline removes an allocation per trace line on the hot path.
+// inline removes an allocation per trace line on the hot path. Size and
+// capacity are 32-bit, which keeps the header at 16 bytes next to the
+// inline elements; a request for more than max_size() elements throws
+// std::length_error before anything is allocated.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <memory>
 #include <new>
+#include <stdexcept>
 #include <type_traits>
 #include <utility>
 
@@ -17,6 +23,8 @@ namespace tdt {
 template <typename T, std::size_t N>
 class SmallVector {
   static_assert(N > 0, "inline capacity must be positive");
+  static_assert(N < std::numeric_limits<std::uint32_t>::max(),
+                "inline capacity must fit the 32-bit counters");
 
  public:
   using value_type = T;
@@ -63,6 +71,9 @@ class SmallVector {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] static constexpr std::size_t max_size() noexcept {
+    return std::numeric_limits<std::uint32_t>::max();
+  }
   /// True while elements still live in the inline buffer (no heap spill).
   [[nodiscard]] bool is_inline() const noexcept { return data_ == inline_ptr(); }
 
@@ -87,7 +98,12 @@ class SmallVector {
 
   template <typename... Args>
   T& emplace_back(Args&&... args) {
-    if (size_ == capacity_) grow(capacity_ * 2);
+    if (size_ == capacity_) {
+      // Doubling in 64 bits, capped at max_size(); only a full vector at
+      // max_size() fails.
+      grow(std::max(std::min(std::size_t{capacity_} * 2, max_size()),
+                    std::size_t{size_} + 1));
+    }
     T* slot = data_ + size_;
     ::new (static_cast<void*>(slot)) T(std::forward<Args>(args)...);
     ++size_;
@@ -124,6 +140,9 @@ class SmallVector {
   }
 
   void grow(std::size_t new_cap) {
+    if (new_cap > max_size()) {
+      throw std::length_error("SmallVector: more than 2^32 - 1 elements");
+    }
     new_cap = std::max(new_cap, N + 1);
     T* fresh = static_cast<T*>(::operator new(new_cap * sizeof(T)));
     for (std::size_t i = 0; i < size_; ++i) {
@@ -132,7 +151,7 @@ class SmallVector {
     }
     if (!is_inline()) ::operator delete(data_);
     data_ = fresh;
-    capacity_ = new_cap;
+    capacity_ = static_cast<std::uint32_t>(new_cap);
   }
 
   void move_from(SmallVector&& other) {
@@ -166,8 +185,8 @@ class SmallVector {
 
   alignas(T) unsigned char inline_storage_[N * sizeof(T)];
   T* data_ = inline_ptr();
-  std::size_t size_ = 0;
-  std::size_t capacity_ = N;
+  std::uint32_t size_ = 0;
+  std::uint32_t capacity_ = N;
 };
 
 }  // namespace tdt

@@ -1,14 +1,14 @@
 # Reader memory gate (ROADMAP item 5): the TDTB v3 decode window is
 # bounded in records. traceinfo reads one 17-frame t2 trace at --jobs 1
 # and at --jobs 3, and its process.peak_rss_bytes gauge at --jobs 3 must
-# exceed the --jobs 1 one by less than 4 x 65,536 records of 136 B
-# (sizeof(TraceRecord)): the three more writer-default frames the
-# window holds at --jobs 3, plus one frame of slack. Registered only
-# without sanitizers, whose allocators inflate RSS.
+# exceed the --jobs 1 one by less than 4 x 65,536 records of 96 B
+# (sizeof(TraceRecord), 25,165,824 B): the three more writer-default
+# frames the window holds at --jobs 3, plus one frame of slack.
+# Registered only without sanitizers, whose allocators inflate RSS.
 file(MAKE_DIRECTORY ${WORKDIR})
 set(trace ${WORKDIR}/t2.tdtb)
 set(frames 17)  # 1,100,004 records in frames of 65,536
-math(EXPR bound "4 * 65536 * 136")
+math(EXPR bound "4 * 65536 * 96")
 
 execute_process(
   COMMAND ${GTRACER} --kernel t2_inline --len 100000 --binary

@@ -146,6 +146,33 @@ foreach(row "--assoc;4294967297;--assoc" "--assoc;4294967296;--assoc"
   endif()
 endforeach()
 
+# -- An L1 the single-config collectors cannot be sized from. -----------------
+# The per-set and per-variable collectors are built from the L1 only after
+# the hierarchy has validated it, so each geometry gets its config error
+# (exit 2) instead of a SIGFPE or an internal error. A sweep never builds
+# them, so one valid point runs whatever the base --assoc says.
+foreach(row "--block;0;block_size 0 is not a power of two"
+            "--size;0;size 0 must be a power of two"
+            "--assoc;2048;associativity 2048 does not divide 1024 blocks")
+  list(POP_BACK row want)
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out ${row}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  check_rc("dinerosim ${row}" 2 "${rc}")
+  if(NOT err MATCHES "config error: cache 'L1': ${want}" OR
+     err MATCHES "internal error")
+    message(FATAL_ERROR "dinerosim ${row} must be an L1 config error: ${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --assoc 2048
+          --sweep assoc=1
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+check_rc("dinerosim --assoc 2048 --sweep assoc=1" 0 "${rc}")
+if(NOT out MATCHES "sweep point 0: L1 32 KiB, 32 B blocks, 1-way")
+  message(FATAL_ERROR "the one sweep point must run: ${out}${err}")
+endif()
+
 # -- A record that ends at the last byte of the address space. ----------------
 # With 1-byte blocks its block is UINT64_MAX, where a `block <= last`
 # loop never ends; TIMEOUT turns a hang into a failure. Each run
@@ -307,6 +334,45 @@ if(HEAD_TOOL)
   endif()
 else()
   message(STATUS "head(1) not found; skipping binary truncation checks")
+endif()
+
+# -- A TDTB record of size 0 is a decode error. -------------------------------
+# Two v2 records, the second of size 0, with a footer whose count and CRC
+# hold. The text and din readers refuse that size, and so does TDTB:
+# B005 names the field, strict exits 2 and skip keeps the first record.
+# CMake cannot write NUL bytes, so printf(1) writes the file.
+find_program(PRINTF_TOOL printf)
+if(PRINTF_TOOL)
+  string(CONCAT size0_bytes
+    "TDTB\\002\\001"                           # magic, version 2, pid 1
+    "\\001\\001\\004main"                      # string 1 is "main"
+    "\\000\\000\\200\\100\\004\\001\\000\\001"  # L 0x2000, size 4, main
+    "\\000\\000\\200\\100\\000\\001\\000\\001"  # L 0x2000, size 0, main
+    "\\002"                                    # end tag
+    "\\002\\000\\000\\000\\000\\000\\000\\000"  # footer: 2 records
+    "\\073q\\272\\370")                        # footer: CRC-32 up to here
+  execute_process(
+    COMMAND ${PRINTF_TOOL} "${size0_bytes}"
+    OUTPUT_FILE ${WORKDIR}/size0.tdtb
+    RESULT_VARIABLE rc)
+  check_rc("printf size0.tdtb" 0 "${rc}")
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/size0.tdtb
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  check_rc("dinerosim size-0 tdtb (strict default)" 2 "${rc}")
+  if(NOT err MATCHES "access size" OR err MATCHES "internal error")
+    message(FATAL_ERROR "size-0 record must be a decode error: ${err}")
+  endif()
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/size0.tdtb --on-error=skip
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  check_rc("dinerosim size-0 tdtb --on-error=skip" 1 "${rc}")
+  if(NOT err MATCHES "B005 \\(bin-field-overflow\\): access size" OR
+     NOT out MATCHES "accesses +1 +0 +1\n")
+    message(FATAL_ERROR "skip must keep the first record: ${out}${err}")
+  endif()
+else()
+  message(STATUS "printf(1) not found; skipping the size-0 TDTB rows")
 endif()
 
 # -- Named pipes: a FIFO is read like the file it carries. --------------------

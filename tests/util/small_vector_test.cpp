@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstdint>
 #include <memory>
+#include <stdexcept>
 #include <string>
 
 namespace tdt {
@@ -150,6 +153,54 @@ TEST(SmallVector, StressAgainstStdVector) {
   }
   ASSERT_EQ(sv.size(), ref.size());
   for (std::size_t i = 0; i < ref.size(); ++i) EXPECT_EQ(sv[i], ref[i]);
+}
+
+// The counters are 32-bit: a request for more elements throws before any
+// allocation. 2^32 elements of 64 KiB would be 2^48 bytes, more than an
+// address space holds, so a reserve that allocated first would throw
+// std::bad_alloc instead.
+TEST(SmallVector, ReserveAboveMaxSizeThrowsBeforeAllocating) {
+  using Big = std::array<char, 65536>;
+  static_assert(SmallVector<Big, 1>::max_size() == UINT32_MAX);
+  SmallVector<Big, 1> v;
+  v.push_back(Big{'x'});
+  const Big* data = v.data();
+  EXPECT_THROW(v.reserve(std::size_t{UINT32_MAX} + 1), std::length_error);
+  EXPECT_THROW(v.resize(std::size_t{1} << 40), std::length_error);
+  EXPECT_EQ(v.data(), data);
+  EXPECT_TRUE(v.is_inline());
+  EXPECT_EQ(v.capacity(), 1u);
+  ASSERT_EQ(v.size(), 1u);
+  EXPECT_EQ(v[0][0], 'x');
+}
+
+// Elements move intact when the storage changes: out of the inline
+// buffer at the fourth element of a SmallVector<T, 3> (VarRef's steps),
+// and from 4 to 8 slots when a SmallVector<T, 4> spills and then doubles.
+TEST(SmallVector, ElementsSurviveEachStorageMove) {
+  SmallVector<std::unique_ptr<int>, 3> three;
+  for (int i = 0; i < 7; ++i) {
+    three.push_back(std::make_unique<int>(i));
+    EXPECT_EQ(three.is_inline(), i < 3) << i;
+    for (int k = 0; k <= i; ++k) {
+      ASSERT_EQ(*three[static_cast<std::size_t>(k)], k) << "after " << i;
+    }
+  }
+  EXPECT_EQ(three.capacity(), 12u);  // 3 inline, then 6, then 12
+
+  SmallVector<std::string, 4> four;
+  std::vector<std::size_t> capacities;
+  for (int i = 0; i < 9; ++i) {
+    four.push_back("element " + std::to_string(i));
+    capacities.push_back(four.capacity());
+    for (int k = 0; k <= i; ++k) {
+      ASSERT_EQ(four[static_cast<std::size_t>(k)],
+                "element " + std::to_string(k))
+          << "after " << i;
+    }
+  }
+  EXPECT_EQ(capacities,
+            (std::vector<std::size_t>{4, 4, 4, 4, 8, 8, 8, 8, 16}));
 }
 
 }  // namespace
