@@ -158,8 +158,13 @@ std::vector<InjectSpec> parse_injects(Lexer& lex) {
     }
     spec.name =
         std::string(lex.expect(TokKind::Ident, "inject variable name").text);
-    spec.size = static_cast<std::uint32_t>(
-        lex.expect(TokKind::Number, "access size").number());
+    const Token size = lex.expect(TokKind::Number, "access size");
+    if (!trace::legal_access_size(size.number())) {
+      throw_parse_error("bad inject access size '" + std::string(size.text) +
+                            "' (1 to 4294967295 bytes)",
+                        size.loc);
+    }
+    spec.size = static_cast<std::uint32_t>(size.number());
     lex.expect(";");
     out.push_back(std::move(spec));
   }

@@ -67,8 +67,7 @@ bool DinReader::parse_line(std::string_view body, TraceRecord& rec) {
     if (nfields == 3) {
       // A record's size is 32 bits; a wider one must not wrap.
       std::uint64_t size = 0;
-      if (!parse_hex_fast(field(2), size) || size == 0 ||
-          size > 0xFFFFFFFFull) {
+      if (!parse_hex_fast(field(2), size) || !legal_access_size(size)) {
         if (recoverable && diags_->repair()) {
           // Label and address parsed: salvage with the default size.
           diags_->report(DiagSeverity::Error, DiagCode::DinRepairedLine,

@@ -126,7 +126,7 @@ GleipnirReader::LineFault GleipnirReader::parse_record(
   }
   if (!parse_hex_fast(f(1), out.address)) return reject(Check::Address, 1);
   std::uint64_t size = 0;
-  if (!parse_uint_fast(f(2), size) || size == 0 || size > 0xFFFFFFFFull) {
+  if (!parse_uint_fast(f(2), size) || !legal_access_size(size)) {
     return reject(Check::Size, 2);
   }
   out.size = static_cast<std::uint32_t>(size);

@@ -202,6 +202,27 @@ Q x 4;
   EXPECT_THROW((void)parse_rules(text), Error);
 }
 
+TEST(RuleParser, BadInjectSizeRejected) {
+  // A record covers 1 to 2^32 - 1 bytes; 2^32 must not wrap to 0.
+  for (const char* size : {"0", "4294967296"}) {
+    const std::string text = std::string(R"(
+in:
+int a[8]:b;
+out:
+int b[64(lI)];
+inject:
+L x )") + size + ";\n";
+    try {
+      (void)parse_rules(text);
+      ADD_FAILURE() << "inject size " << size << " accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("bad inject access size"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(RuleParser, SizeChangeIsWarningNotError) {
   // Narrowing double -> float is allowed but flagged.
   const char* text = R"(
