@@ -20,7 +20,7 @@
 #pragma once
 
 // Single integer, bumped on incompatible changes to the facade surface.
-#define TDT_API_VERSION 5
+#define TDT_API_VERSION 6
 
 #include "tdt/analysis.hpp"
 #include "tdt/cache.hpp"

@@ -6,7 +6,6 @@
 
 #include "layout/decl_parser.hpp"
 #include "util/error.hpp"
-#include "util/file_util.hpp"
 
 namespace tdt::core {
 namespace {
@@ -385,10 +384,6 @@ std::string write_rules_string(const RuleSet& set) {
 void write_rules(const RuleSet& set, std::ostream& out) {
   const std::string text = write_rules_string(set);
   out.write(text.data(), static_cast<std::streamsize>(text.size()));
-}
-
-void write_rules_file(const RuleSet& set, const std::string& path) {
-  write_file(path, write_rules_string(set));
 }
 
 }  // namespace tdt::core

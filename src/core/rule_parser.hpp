@@ -47,8 +47,4 @@ void write_rules(const RuleSet& set, std::ostream& out);
 /// String form of write_rules.
 [[nodiscard]] std::string write_rules_string(const RuleSet& set);
 
-/// Writes a rule file to disk. Throws Error{Io} when the file cannot be
-/// opened.
-void write_rules_file(const RuleSet& set, const std::string& path);
-
 }  // namespace tdt::core

@@ -57,11 +57,6 @@ class AddressSpace {
   /// Current frame id; 0 when only the outermost frame is open.
   [[nodiscard]] std::uint16_t current_frame() const noexcept;
 
-  /// Number of open frames.
-  [[nodiscard]] std::size_t frame_depth() const noexcept {
-    return frames_.size();
-  }
-
   // --- heap -------------------------------------------------------------
 
   /// Allocates `size` bytes on the simulated heap (16-byte aligned like

@@ -29,11 +29,6 @@ CommonFlags CommonFlags::add(FlagParser& flags, CommonFlagChoices choices) {
     f.jobs = flags.add_uint(
         "jobs", 1, "worker threads for the one-pass pipeline (1 = inline; "
                    "results are identical at any job count)");
-    f.worker_timeout = flags.add_string(
-        "worker-timeout", "0",
-        "seconds without worker progress before the watchdog declares it "
-        "stalled and re-simulates its share sequentially (0 = off; "
-        "recovery exits 1)");
   }
   if (choices.governor) {
     f.max_memory = flags.add_string(
@@ -99,11 +94,6 @@ trace::BinaryWriterOptions CommonFlags::writer_options() const {
   options.codec = spec.codec;
   options.level = spec.level;
   return options;
-}
-
-double CommonFlags::worker_timeout_seconds() const {
-  if (worker_timeout == nullptr) return 0;
-  return parse_seconds(*worker_timeout, "--worker-timeout");
 }
 
 void CommonFlags::configure(Governor& governor) const {

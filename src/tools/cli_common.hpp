@@ -35,7 +35,7 @@ namespace tdt::tools {
 /// Which optional members of the common flag block a tool registers.
 struct CommonFlagChoices {
   bool error_policy = true;  ///< --on-error / --max-errors
-  bool jobs = false;         ///< --jobs / --worker-timeout (pipeline tools)
+  bool jobs = false;         ///< --jobs (pipeline tools)
   bool governor = false;     ///< --max-memory / --deadline (streaming tools)
   bool compress = false;     ///< --compress (TDTB-writing tools)
   bool connect = true;       ///< --connect (daemon-routable tools)
@@ -48,7 +48,6 @@ struct CommonFlags {
   const std::string* on_error = nullptr;
   const std::uint64_t* max_errors = nullptr;
   const std::uint64_t* jobs = nullptr;
-  const std::string* worker_timeout = nullptr;
   const std::string* max_memory = nullptr;
   const std::string* deadline = nullptr;
   const std::string* compress = nullptr;
@@ -69,10 +68,6 @@ struct CommonFlags {
   /// any trace I/O or pipeline threads. Throws Error{Config} on a bad
   /// spec.
   void arm_faults() const;
-
-  /// --worker-timeout in seconds (0 = supervision off). Throws
-  /// Error{Config} on a malformed value.
-  [[nodiscard]] double worker_timeout_seconds() const;
 
   /// True when --compress was registered and given a value (the tool
   /// should write the TDTB v3 framed container).

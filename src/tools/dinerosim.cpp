@@ -62,6 +62,11 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     const auto* affinity_window = flags.add_uint(
         "affinity-window", 32,
         "co-access reuse window in records for --affinity-report");
+    const auto* worker_timeout = flags.add_string(
+        "worker-timeout", "0",
+        "seconds a --jobs worker may hold one batch before it is declared "
+        "stalled and its share is re-simulated sequentially (0 = off; "
+        "recovery exits 1)");
     const tools::CacheFlags cache_flags = tools::CacheFlags::add(flags);
     const tools::CommonFlags common = tools::CommonFlags::add(
         flags, {.error_policy = true, .jobs = true, .governor = true,
@@ -127,7 +132,8 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
     trace::ParallelOptions pipeline_options;
     pipeline_options.jobs = *common.jobs <= 1 ? 0 : *common.jobs;
     pipeline_options.registry = registry;
-    pipeline_options.worker_timeout = common.worker_timeout_seconds();
+    pipeline_options.worker_timeout =
+        tools::parse_seconds(*worker_timeout, "--worker-timeout");
     pipeline_options.memory = &governor.memory;
 
     std::optional<cache::ParallelSweep> sweep_engine;
@@ -332,10 +338,10 @@ int tdt::tools::dinerosim_run(const tdt::service::ToolIO& io, int argc,
       recovered += fc.recovered_workers;
     }
     if (recovered > 0) {
-      // Stalls are the watchdog's catch (P001); throws and premature
-      // exits surface at join (P002). Either way the replay restored
-      // full results, so these are warnings — but the run was degraded,
-      // and finalize_exit floors the code at 1.
+      // Stalls are caught while the reader waits on a worker (P001);
+      // throws and premature exits surface at join (P002). Either way
+      // the replay restored full results, so these are warnings — but
+      // the run was degraded, and finalize_exit floors the code at 1.
       const std::string tail =
           " worker(s) by sequential re-simulation; results are complete";
       if (stalled > 0) {

@@ -1129,6 +1129,9 @@ class TdtbCursor final : public SourceCursor {
     have_pid_ = true;
     if (version_ < kTdtbVersionFramed) return;
     std::optional<TdtbContainerInfo> info = probe_tdtb(blob_);
+    // The probe read every frame header; the kernel mapped the pages
+    // around each. Give them back: decode faults in what it reads.
+    if (view_ != nullptr) view_->drop_resident();
     std::size_t threads = 0;  // the walk decodes inline
     if (info && info->has_index) {
       info_ = std::move(*info);

@@ -1,6 +1,5 @@
 #include "trace/din.hpp"
 
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -167,17 +166,6 @@ std::string write_din_string(std::span<const TraceRecord> records) {
   sink.push_batch(records);
   sink.on_end();
   return out.str();
-}
-
-void write_din_file(std::span<const TraceRecord> records,
-                    const std::string& path) {
-  std::ofstream out(path, std::ios::out | std::ios::binary);
-  if (!out) {
-    throw_io_error("cannot open '" + path + "' for writing");
-  }
-  DinSink sink(out);
-  sink.push_batch(records);
-  sink.on_end();
 }
 
 }  // namespace tdt::trace

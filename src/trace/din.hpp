@@ -114,8 +114,4 @@ class DinSink final : public TraceSink {
 /// Renders records as din text (see DinSink).
 std::string write_din_string(std::span<const TraceRecord> records);
 
-/// Writes a din file. Throws Error{Io} on failure.
-void write_din_file(std::span<const TraceRecord> records,
-                    const std::string& path);
-
 }  // namespace tdt::trace

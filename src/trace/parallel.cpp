@@ -62,6 +62,7 @@ ParallelFanOut::ParallelFanOut(std::vector<TraceSink*> sinks,
   if (options_.queue_batches == 0) options_.queue_batches = 1;
   pending_.reserve(options_.batch_records);
   sink_time_.assign(sinks_.size(), {});
+  received_.assign(sinks_.size(), 0);
 
   const std::size_t jobs = std::min(options_.jobs, sinks_.size());
   counters_.family = options_.family;
@@ -70,47 +71,36 @@ ParallelFanOut::ParallelFanOut(std::vector<TraceSink*> sinks,
   counters_.queue_batches = options_.queue_batches;
   counters_.worker_timeout = options_.worker_timeout;
   if (jobs == 0) return;
-  workers_.reserve(jobs);
-  for (std::size_t w = 0; w < jobs; ++w) {
-    workers_.push_back(std::make_unique<Worker>(options_.queue_batches));
-  }
+  workers_.resize(jobs);
+  for (auto& worker : workers_) worker = std::make_unique<Worker>();
   for (std::size_t i = 0; i < sinks_.size(); ++i) {
     workers_[i % jobs]->sinks.push_back(i);
   }
   for (auto& worker : workers_) {
     worker->thread = std::thread([this, &w = *worker] { worker_main(w); });
   }
-  if (supervised()) {
-    watchdog_ = std::thread([this] { watchdog_main(); });
-  }
 }
 
 ParallelFanOut::~ParallelFanOut() {
   if (!finished_) {
-    // Error unwinding: tear the pipeline down without draining.
+    // Error unwinding: stop the workers without draining.
     if (supervised()) fault::FaultInjector::release_stalls();
-    for (auto& worker : workers_) worker->queue.abort();
-  }
-  if (watchdog_.joinable()) {
     {
-      std::lock_guard lock(sup_mu_);
-      watchdog_stop_ = true;
+      std::lock_guard lock(mu_);
+      closed_ = aborted_ = true;
     }
-    sup_cv_.notify_all();
-    watchdog_.join();
+    published_.notify_all();
   }
   for (auto& worker : workers_) {
     if (worker->abandoned) {
-      // The wedged thread may still touch its Worker (heartbeat, queue);
-      // leak the struct deliberately rather than free it under a live
-      // thread. Only reachable after a real (non-injected) wedge, and
-      // the process is about to exit 2 anyway.
+      // A wedged thread may still touch its Worker: leak it rather than
+      // free it under a live thread (only after a real wedge; exit 2).
       static_cast<void>(worker.release());
-      continue;
+    } else if (worker->thread.joinable()) {
+      worker->thread.join();
     }
-    if (worker->thread.joinable()) worker->thread.join();
   }
-  drop_replay();
+  if (options_.memory != nullptr) options_.memory->release(charged_);
 }
 
 namespace {
@@ -122,193 +112,215 @@ std::uint64_t elapsed_us(std::chrono::steady_clock::time_point begin,
           .count());
 }
 
-/// All sink deliveries funnel through here so the sink.push-batch fault
-/// site covers the inline, worker, and fast-forward paths alike.
-void deliver_batch(TraceSink* sink, std::span<const TraceRecord> records) {
-  if (fault::FaultInjector::enabled() &&
-      fault::should_fire(fault::Site::SinkPushBatch)) [[unlikely]] {
-    throw_io_error("sink rejected batch (injected fault)");
-  }
-  sink->push_batch(records);
+std::uint64_t charge_bytes(const RecordBatch& batch) {
+  return batch.size() * sizeof(TraceRecord) + sizeof(RecordBatch);
 }
 
 }  // namespace
 
 template <class Ids>
-std::chrono::steady_clock::time_point ParallelFanOut::deliver_timed(
+std::chrono::steady_clock::time_point ParallelFanOut::deliver(
     const Ids& ids, std::span<const TraceRecord> records,
-    std::chrono::steady_clock::time_point begin) {
+    obs::HistogramData& latency, Delivery& progress) {
+  const bool timed = options_.registry != nullptr;
+  const auto begin = timed ? std::chrono::steady_clock::now()
+                           : std::chrono::steady_clock::time_point{};
   auto mark = begin;
   for (std::size_t i : ids) {
-    deliver_batch(sinks_[i], records);
-    const auto now = std::chrono::steady_clock::now();
-    sink_time_[i] += now - mark;
-    mark = now;
+    // The fault fires before the sink is called, so its state is known.
+    if (fault::FaultInjector::enabled() &&
+        fault::should_fire(fault::Site::SinkPushBatch)) [[unlikely]] {
+      throw_io_error("sink rejected batch (injected fault)");
+    }
+    progress.in_sink = true;
+    sinks_[i]->push_batch(records);
+    progress.in_sink = false;
+    ++progress.whole;
+    if (timed) {
+      const auto now = std::chrono::steady_clock::now();
+      sink_time_[i] += now - mark;
+      mark = now;
+    }
   }
+  if (timed) latency.record(elapsed_us(begin, mark));
   return mark;
 }
 
 void ParallelFanOut::worker_main(Worker& worker) {
-  const bool timed = options_.registry != nullptr;
-  const bool sup = supervised();
-  const auto beat = [&] {
-    if (sup) {
-      worker.heartbeat_us.store(
-          elapsed_us(start_, std::chrono::steady_clock::now()),
-          std::memory_order_release);
-    }
-  };
-  beat();
-  bool premature = false;
+  Delivery progress;
+  // Held across take(), so the window never frees a batch under its lock.
+  SharedBatch batch;
   try {
-    while (auto batch = worker.queue.pop()) {
-      beat();
-      if (sup && worker.failed.load(std::memory_order_acquire)) {
-        break;  // the watchdog already reassigned this shard
-      }
+    while ((batch = take(worker, progress))) {
+      progress = {};
       if (fault::FaultInjector::enabled()) [[unlikely]] {
-        // Worker-body faults fire at batch boundaries, so `completed` is
-        // exact and recovery replays precisely the undelivered suffix.
+        // Worker-body faults fire before any of its sinks has the batch.
+        // A stalled worker the reader gave up on still hands back what it
+        // delivers; replay resumes after it.
         if (fault::should_fire(fault::Site::WorkerThrow)) {
           throw Error(ErrorKind::Internal,
                       "worker thread failure (injected fault)");
         }
         if (fault::should_fire(fault::Site::WorkerExit)) {
-          premature = true;
-          break;
+          throw Error(ErrorKind::Internal,
+                      "worker exited prematurely (injected fault)");
         }
-        if (fault::maybe_stall() &&
-            worker.failed.load(std::memory_order_acquire)) {
-          break;  // stalled past the watchdog; batch now owed to replay
-        }
+        static_cast<void>(fault::maybe_stall());
       }
-      const RecordBatch& records = **batch;
-      if (timed) {
-        const auto begin = std::chrono::steady_clock::now();
-        if (worker.batches == 0) worker.first_batch = begin;
-        worker.last_batch = deliver_timed(worker.sinks, records, begin);
-        worker.batch_latency_us.record(elapsed_us(begin, worker.last_batch));
-      } else {
-        for (std::size_t i : worker.sinks) deliver_batch(sinks_[i], records);
+      WorkerCounters& stats = worker.stats;
+      if (options_.registry != nullptr && stats.batches == 0) {
+        worker.first_batch = std::chrono::steady_clock::now();
       }
-      worker.records += records.size();
-      ++worker.batches;
-      worker.completed.store(worker.batches, std::memory_order_release);
-      beat();
+      worker.last_batch =
+          deliver(worker.sinks, *batch, stats.batch_latency_us, progress);
+      stats.records += batch->size();
+      ++stats.batches;
     }
-    if (premature) {
-      worker.error = std::make_exception_ptr(Error(
-          ErrorKind::Internal, "worker exited prematurely (injected fault)"));
-      worker.queue.abort();
-    } else if (!worker.failed.load(std::memory_order_acquire)) {
-      for (std::size_t i : worker.sinks) sinks_[i]->on_end();
-    }
-    // A failed (watchdog-flagged) worker must not finish its sinks:
-    // supervised_join() replays the missed batches and ends them.
   } catch (...) {
     worker.error = std::current_exception();
-    // Unblock the reader: its pushes to this queue now return false.
-    worker.queue.abort();
   }
-  worker.done.store(true, std::memory_order_release);
-  if (sup) {
-    { std::lock_guard lock(sup_mu_); }  // pair with the waiters' predicates
-    sup_cv_.notify_all();
+  {
+    std::lock_guard lock(mu_);
+    hand_back(worker, progress);
+    worker.done = true;
+    // A sink that threw from inside its own call is in an unknown state.
+    if (worker.error != nullptr &&
+        (!supervised() || spilled_ || progress.in_sink)) {
+      worker.lost = true;
+    }
+    trim();
+  }
+  progressed_.notify_one();
+}
+
+SharedBatch ParallelFanOut::take(Worker& worker, const Delivery& progress) {
+  if (fault::FaultInjector::enabled()) [[unlikely]] {
+    fault::maybe_delay(fault::Site::QueuePopDelay);
+  }
+  std::unique_lock lock(mu_);
+  hand_back(worker, progress);
+  trim();
+  const auto ready = [&] {
+    return worker.cursor < end() || closed_ || worker.stalled;
+  };
+  if (!ready()) {
+    ++worker.stats.pop_stalls;
+    published_.wait(lock, ready);
+  }
+  if (aborted_ || worker.stalled || worker.cursor == end()) return nullptr;
+  SharedBatch batch = window_[worker.cursor++ - first_];
+  worker.busy = true;
+  worker.heartbeat_us = elapsed_us(start_, std::chrono::steady_clock::now());
+  lock.unlock();
+  progressed_.notify_one();
+  return batch;
+}
+
+void ParallelFanOut::hand_back(Worker& worker, const Delivery& progress) {
+  if (!std::exchange(worker.busy, false)) return;
+  for (std::size_t k = 0; k < progress.whole; ++k) {
+    received_[worker.sinks[k]] = worker.cursor;
   }
 }
 
-void ParallelFanOut::watchdog_main() {
-  const std::uint64_t timeout_us =
-      static_cast<std::uint64_t>(options_.worker_timeout * 1e6);
+void ParallelFanOut::trim() {
+  std::uint64_t keep = end();
+  for (std::size_t i = 0; i < sinks_.size(); ++i) {
+    if (!workers_[i % workers_.size()]->lost) {
+      keep = std::min(keep, received_[i]);
+    }
+  }
+  for (; first_ < keep; ++first_) {
+    if (charged_ != 0) {
+      const std::uint64_t bytes = charge_bytes(*window_.front());
+      charged_ -= bytes;
+      if (options_.memory != nullptr) options_.memory->release(bytes);
+    }
+    window_.pop_front();
+  }
+}
+
+template <class Pending>
+void ParallelFanOut::wait_on_workers(std::unique_lock<std::mutex>& lock,
+                                     Pending pending) {
   // Poll at a quarter of the timeout, clamped to [1, 100] ms: detection
-  // within ~1.25x the configured timeout, negligible idle cost.
+  // within ~1.25x the configured timeout.
   const auto poll = std::chrono::milliseconds(std::clamp<std::int64_t>(
       static_cast<std::int64_t>(options_.worker_timeout * 250), 1, 100));
-  std::vector<obs::Gauge*> gauges;
-  if (options_.registry != nullptr) {
-    gauges.reserve(workers_.size());
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      gauges.push_back(&options_.registry->gauge(
-          options_.family + ".worker" + std::to_string(i) + ".heartbeat_us"));
+  const auto timeout_us =
+      static_cast<std::uint64_t>(options_.worker_timeout * 1e6);
+  while (pending()) {
+    if (!supervised()) {
+      progressed_.wait(lock);
+      continue;
     }
-  }
-  std::unique_lock lock(sup_mu_);
-  while (!watchdog_stop_) {
-    sup_cv_.wait_for(lock, poll);
-    if (watchdog_stop_) break;
+    progressed_.wait_for(lock, poll);
     const auto now = std::chrono::steady_clock::now();
     const std::uint64_t now_us = elapsed_us(start_, now);
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      Worker& w = *workers_[i];
-      const std::uint64_t hb = w.heartbeat_us.load(std::memory_order_acquire);
-      if (!gauges.empty()) gauges[i]->set(static_cast<double>(hb));
-      if (w.done.load(std::memory_order_acquire) ||
-          w.failed.load(std::memory_order_acquire)) {
+    for (auto& w : workers_) {
+      // Only a worker holding a batch can stall; one waiting for a batch
+      // is merely starved (the reader is the slow side).
+      if (w->done || w->stalled || !w->busy ||
+          now_us < w->heartbeat_us + timeout_us) {
         continue;
       }
-      // Only a worker that holds work can be stalled; one blocked on an
-      // empty queue is merely starved (the reader is the slow side).
-      const bool in_flight =
-          w.queue.counters().pops >
-          w.completed.load(std::memory_order_acquire);
-      if (!in_flight && w.queue.size() == 0) continue;
-      if (now_us <= hb || now_us - hb < timeout_us) continue;
-      w.failed.store(true, std::memory_order_release);
-      w.failed_at = now;
-      // Abort (not close): the reader must never block pushing to a dead
-      // shard, and whatever is queued will come from the replay buffer.
-      w.queue.abort();
+      w->stalled = true;
+      w->stalled_at = now;
+      if (spilled_) w->lost = true;
       fault::FaultInjector::release_stalls();
     }
+    trim();
   }
 }
 
-void ParallelFanOut::supervised_join() {
-  // Give a flagged worker this long to notice and exit before declaring
-  // its thread wedged beyond recovery.
-  const auto grace =
-      std::chrono::duration<double>(std::max(options_.worker_timeout, 0.5));
-  {
-    std::unique_lock lock(sup_mu_);
-    for (;;) {
-      bool settled = true;
-      const auto now = std::chrono::steady_clock::now();
-      for (auto& wp : workers_) {
-        Worker& w = *wp;
-        if (w.done.load(std::memory_order_acquire) || w.abandoned) continue;
-        if (w.failed.load(std::memory_order_acquire) &&
-            now - w.failed_at > grace) {
-          w.abandoned = true;
-          continue;
-        }
-        settled = false;
+void ParallelFanOut::publish(SharedBatch batch) {
+  if (fault::FaultInjector::enabled()) [[unlikely]] {
+    fault::maybe_delay(fault::Site::QueuePushDelay);
+  }
+  std::unique_lock lock(mu_);
+  const auto behind = [&](const std::unique_ptr<Worker>& w) {
+    return !w->done && !w->stalled &&
+           end() - w->cursor >= options_.queue_batches;
+  };
+  const auto full = [&] { return std::ranges::any_of(workers_, behind); };
+  if (full()) {
+    for (auto& w : workers_) w->stats.push_stalls += behind(w) ? 1 : 0;
+    wait_on_workers(lock, full);
+  }
+  if (supervised() && !spilled_) {
+    const std::uint64_t bytes = charge_bytes(*batch);
+    if (options_.memory == nullptr || options_.memory->try_charge(bytes)) {
+      charged_ += bytes;
+    } else {
+      // Spill: give the charge back and keep nothing for failed workers,
+      // which become lost, instead of failing the run.
+      spilled_ = true;
+      options_.memory->release(charged_);
+      charged_ = 0;
+      for (auto& w : workers_) {
+        if (w->stalled || (w->done && w->error != nullptr)) w->lost = true;
       }
-      if (settled) break;
-      sup_cv_.wait_for(lock, std::chrono::milliseconds(10));
+      trim();
     }
-    watchdog_stop_ = true;
   }
-  sup_cv_.notify_all();
-  if (watchdog_.joinable()) watchdog_.join();
+  window_.push_back(std::move(batch));
+  trim();  // drops it at once when every worker is lost
+  for (auto& w : workers_) {
+    if (w->done || w->stalled) continue;
+    const std::uint64_t left = end() - w->cursor;
+    w->stats.occupancy_sum += left;
+    w->stats.peak_occupancy = std::max(w->stats.peak_occupancy, left);
+  }
+  lock.unlock();
+  published_.notify_all();
+}
+
+void ParallelFanOut::replay() {
   for (auto& wp : workers_) {
     Worker& w = *wp;
-    if (w.abandoned) {
-      w.thread.detach();
-      continue;
-    }
-    if (w.thread.joinable()) w.thread.join();
-  }
-  // Recovery: re-simulate each failed worker's missed suffix sequentially
-  // into its own sinks. Threads are joined, so worker state is safe, and
-  // batches are replayed in publish order — the recovered sinks see the
-  // exact record stream a clean run would have, hence bit-identity.
-  for (auto& wp : workers_) {
-    Worker& w = *wp;
-    if (w.failed.load(std::memory_order_relaxed)) ++counters_.stalled_workers;
-    const bool needs_recovery =
-        w.failed.load(std::memory_order_relaxed) || w.error != nullptr;
-    if (!needs_recovery) continue;
-    if (w.abandoned || replay_spilled_) {
+    if (w.stalled) ++counters_.stalled_workers;
+    if (!w.stalled && w.error == nullptr) continue;
+    if (w.lost) {
       ++counters_.lost_workers;
       if (w.error == nullptr) {
         w.error = std::make_exception_ptr(Error(
@@ -320,61 +332,26 @@ void ParallelFanOut::supervised_join() {
       }
       continue;
     }
-    const std::uint64_t done_batches =
-        w.completed.load(std::memory_order_relaxed);
-    // Replay bypasses the sink.push-batch fault site deliberately: the
-    // recovery path is the fallback of last resort, not a fault target.
-    for (std::size_t b = done_batches; b < replay_.size(); ++b) {
-      const RecordBatch& records = *replay_[b];
-      for (std::size_t i : w.sinks) sinks_[i]->push_batch(records);
-      w.records += records.size();
-      ++w.batches;
+    // Each sink resumes from its own count, in publish order, so it sees
+    // the exact record stream of a clean run. Replay bypasses the
+    // sink.push-batch fault site: it is the fallback of last resort.
+    std::uint64_t from = end();
+    for (std::size_t i : w.sinks) from = std::min(from, received_[i]);
+    for (std::uint64_t b = from; b < end(); ++b) {
+      const RecordBatch& records = *window_[b - first_];
+      for (std::size_t i : w.sinks) {
+        if (received_[i] > b) continue;
+        sinks_[i]->push_batch(records);
+        received_[i] = b + 1;
+      }
+      w.stats.records += records.size();
+      ++w.stats.batches;
       ++counters_.replayed_batches;
     }
-    for (std::size_t i : w.sinks) sinks_[i]->on_end();
-    w.recovered = true;
     w.error = nullptr;
     ++counters_.recovered_workers;
   }
-  counters_.replay_spilled = replay_spilled_;
-  drop_replay();
-}
-
-void ParallelFanOut::drop_replay() noexcept {
-  if (options_.memory != nullptr && replay_charged_ != 0) {
-    options_.memory->release(replay_charged_);
-  }
-  replay_charged_ = 0;
-  replay_.clear();
-  replay_.shrink_to_fit();
-}
-
-void ParallelFanOut::publish(SharedBatch batch) {
-  if (supervised() && !replay_spilled_) {
-    const std::uint64_t bytes =
-        batch->size() * sizeof(TraceRecord) + sizeof(RecordBatch);
-    if (options_.memory == nullptr || options_.memory->try_charge(bytes)) {
-      replay_.push_back(batch);
-      replay_charged_ += bytes;
-    } else {
-      // Spill: shed the retention capability (recovery becomes
-      // unavailable for later failures) instead of failing the run.
-      drop_replay();
-      replay_spilled_ = true;
-    }
-  }
-  for (auto& worker : workers_) worker->queue.push(batch);
-}
-
-void ParallelFanOut::deliver_inline(std::span<const TraceRecord> records) {
-  if (options_.registry == nullptr) {
-    for (TraceSink* sink : sinks_) deliver_batch(sink, records);
-    return;
-  }
-  const auto begin = std::chrono::steady_clock::now();
-  const auto end = deliver_timed(
-      std::views::iota(std::size_t{0}, sinks_.size()), records, begin);
-  inline_latency_.record(elapsed_us(begin, end));
+  counters_.replay_spilled = spilled_;
 }
 
 void ParallelFanOut::flush_pending() {
@@ -382,7 +359,9 @@ void ParallelFanOut::flush_pending() {
   counters_.records += pending_.size();
   ++counters_.batches;
   if (workers_.empty()) {
-    deliver_inline(pending_);
+    Delivery unused;
+    deliver(std::views::iota(std::size_t{0}, sinks_.size()), pending_,
+            inline_latency_, unused);
     pending_.clear();
     return;
   }
@@ -401,8 +380,8 @@ void ParallelFanOut::push_batch(std::span<const TraceRecord> batch) {
   // Any span, however long, goes out in batch_records slices: full
   // slices are forwarded (inline) or published (parallel) without
   // restaging, the rest tops up the pending batch. So no sink ever sees
-  // more than batch_records records at once, and the queues never hold
-  // more than queue_batches x batch_records copied records.
+  // more than batch_records records at once, and the window never holds
+  // more than queue_batches x batch_records copied records per worker.
   while (!batch.empty()) {
     if (pending_.empty() && batch.size() >= options_.batch_records) {
       const std::span<const TraceRecord> slice =
@@ -414,7 +393,9 @@ void ParallelFanOut::push_batch(std::span<const TraceRecord> batch) {
         publish(
             std::make_shared<const RecordBatch>(slice.begin(), slice.end()));
       } else {
-        deliver_inline(slice);
+        Delivery unused;
+        deliver(std::views::iota(std::size_t{0}, sinks_.size()), slice,
+                inline_latency_, unused);
       }
       continue;
     }
@@ -429,7 +410,7 @@ void ParallelFanOut::push_batch(std::span<const TraceRecord> batch) {
 
 void ParallelFanOut::push_batch_shared(SharedBatch batch) {
   // Same staging policy as push_batch, but a full batch is published as
-  // it is: the queues share the caller's storage, so whatever its size
+  // it is: the window shares the caller's storage, so whatever its size
   // and however many other consumers hold it, no record is copied.
   if (pending_.empty() && batch->size() >= options_.batch_records &&
       !workers_.empty()) {
@@ -445,41 +426,49 @@ void ParallelFanOut::on_end() {
   if (finished_) return;
   finished_ = true;
   flush_pending();
-  if (workers_.empty()) {
-    for (TraceSink* sink : sinks_) sink->on_end();
-  } else {
-    for (auto& worker : workers_) worker->queue.close();
-    if (supervised()) {
-      supervised_join();
-    } else {
-      for (auto& worker : workers_) {
-        if (worker->thread.joinable()) worker->thread.join();
+  // The lock is held to the end: a thread abandoned below may still hand
+  // back, and must not touch the window while replay reads it.
+  std::unique_lock lock(mu_);
+  if (!workers_.empty()) {
+    closed_ = true;
+    published_.notify_all();
+    // Give a worker the reader gave up on this long to notice and exit
+    // before declaring its thread wedged beyond recovery.
+    const auto grace = std::chrono::duration<double>(
+        std::max(options_.worker_timeout, 0.5));
+    wait_on_workers(lock, [&] {
+      bool pending = false;
+      for (auto& w : workers_) {
+        if (w->done || w->abandoned) continue;
+        if (w->stalled &&
+            std::chrono::steady_clock::now() - w->stalled_at > grace) {
+          w->abandoned = w->lost = true;
+          continue;
+        }
+        pending = true;
       }
+      return pending;
+    });
+    // Every thread left is done: none needs the lock to exit.
+    for (auto& w : workers_) {
+      w->abandoned ? w->thread.detach() : w->thread.join();
+    }
+    if (supervised()) replay();
+    trim();
+  }
+  for (std::size_t i = 0; i < sinks_.size(); ++i) {
+    if (workers_.empty() || !workers_[i % workers_.size()]->lost) {
+      sinks_[i]->on_end();
     }
   }
   counters_.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();
-  counters_.workers.clear();
   counters_.workers.reserve(workers_.size());
-  for (const auto& worker : workers_) {
-    const auto q = worker->queue.counters();
-    WorkerCounters wc;
-    wc.sinks = worker->sinks.size();
-    if (worker->abandoned) {
-      // The wedged thread still owns the non-atomic stats; report only
-      // what the atomics say.
-      wc.batches = worker->completed.load(std::memory_order_relaxed);
-    } else {
-      wc.records = worker->records;
-      wc.batches = worker->batches;
-      wc.batch_latency_us = worker->batch_latency_us;
-    }
-    wc.push_stalls = q.push_stalls;
-    wc.pop_stalls = q.pop_stalls;
-    wc.occupancy_sum = q.occupancy_sum;
-    wc.peak_occupancy = q.peak_occupancy;
-    counters_.workers.push_back(wc);
+  for (const auto& w : workers_) {
+    // A wedged thread still owns its counts.
+    counters_.workers.push_back(w->abandoned ? WorkerCounters{} : w->stats);
+    counters_.workers.back().sinks = w->sinks.size();
   }
   if (obs::Registry* reg = options_.registry) {
     const std::string prefix = options_.family + ".";
@@ -505,10 +494,9 @@ void ParallelFanOut::on_end() {
       pop_stalls += wc.pop_stalls;
       occupancy_sum += wc.occupancy_sum;
       occupancy_peak = std::max(occupancy_peak, wc.peak_occupancy);
-      const Worker& worker = *workers_[i];
-      if (!worker.abandoned && worker.batches > 0) {
-        reg->add_span(lane_name + std::to_string(i), worker.first_batch,
-                      worker.last_batch,
+      if (wc.batches > 0) {
+        reg->add_span(lane_name + std::to_string(i), workers_[i]->first_batch,
+                      workers_[i]->last_batch,
                       options_.first_lane + static_cast<std::uint32_t>(i));
       }
     }
@@ -522,16 +510,11 @@ void ParallelFanOut::on_end() {
     reg->gauge(prefix + "queue_peak_occupancy")
         .set(static_cast<double>(occupancy_peak));
     // A wedged worker may still be writing its sinks' slots; skip them.
-    const auto export_sink = [&](std::size_t i) {
-      reg->gauge(prefix + "sink" + std::to_string(i) + ".seconds")
-          .set(std::chrono::duration<double>(sink_time_[i]).count());
-    };
-    if (workers_.empty()) {
-      for (std::size_t i = 0; i < sinks_.size(); ++i) export_sink(i);
-    }
-    for (const auto& worker : workers_) {
-      if (worker->abandoned) continue;
-      for (std::size_t i : worker->sinks) export_sink(i);
+    for (std::size_t i = 0; i < sinks_.size(); ++i) {
+      if (workers_.empty() || !workers_[i % workers_.size()]->abandoned) {
+        reg->gauge(prefix + "sink" + std::to_string(i) + ".seconds")
+            .set(std::chrono::duration<double>(sink_time_[i]).count());
+      }
     }
     if (supervised()) {
       reg->counter(prefix + "stalled_workers")
@@ -543,8 +526,7 @@ void ParallelFanOut::on_end() {
           .add(counters_.replayed_batches);
       for (std::size_t i = 0; i < workers_.size(); ++i) {
         reg->gauge(prefix + "worker" + std::to_string(i) + ".heartbeat_us")
-            .set(static_cast<double>(
-                workers_[i]->heartbeat_us.load(std::memory_order_relaxed)));
+            .set(static_cast<double>(workers_[i]->heartbeat_us));
       }
     }
   }

@@ -222,6 +222,13 @@ void FileView::release_prefix(std::size_t n) noexcept {
 #endif
 }
 
+void FileView::drop_resident() noexcept {
+#if TDT_HAVE_MMAP
+  std::size_t from = released_;
+  if (mapped_) release_pages(base_, from, size_);
+#endif
+}
+
 // --- Backend selection -----------------------------------------------------
 
 namespace {

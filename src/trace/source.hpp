@@ -167,6 +167,11 @@ class FileView {
   /// file). No-op on a buffered view.
   void release_prefix(std::size_t n) noexcept;
 
+  /// Gives every resident page back without moving the release point,
+  /// for a reader that touched pages far ahead of where it reads (the
+  /// v3 index probe). No-op on a buffered view.
+  void drop_resident() noexcept;
+
  private:
   FileView() = default;
 

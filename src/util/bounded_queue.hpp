@@ -1,20 +1,18 @@
-// Bounded blocking queue over a fixed ring buffer — the stage-connecting
-// primitive of the parallel trace pipeline (reader -> workers). Producers
-// block while the ring is full (backpressure) and consumers block while
-// it is empty (starvation); both stall kinds and the queue occupancy are
-// counted so the pipeline can report where time is lost. close() ends
+// Bounded blocking queue over a fixed ring buffer. Its one user is the
+// tdtd daemon's request scheduler (service/daemon.hpp): sessions push
+// jobs, the worker pool pops them, and try_push() turns a full queue
+// into a "busy" reply. Producers block while the ring is full
+// (backpressure) and consumers block while it is empty (starvation);
+// both stall kinds and the queue occupancy are counted. close() ends
 // the stream gracefully (consumers drain what is queued); abort() tears
-// it down (pending items dropped, everyone wakes immediately).
+// it down (pending items dropped, everyone wakes immediately). The trace
+// pipeline's fan-out keeps its own window (trace/parallel.hpp).
 //
 // Multi-producer / multi-consumer safe; all state lives under one mutex,
-// which is plenty for batch-granular traffic (thousands of operations
-// per second, not millions). close() and abort() are idempotent and safe
-// to race with each other and with concurrent push/pop from any thread —
-// the supervision watchdog aborts queues out from under live workers.
-//
-// Fault sites queue.push-delay / queue.pop-delay inject scheduling
-// jitter here (timing perturbation only — results must stay
-// bit-identical, which is exactly what the chaos tests assert).
+// which is plenty for request-granular traffic. close() and abort() are
+// idempotent and safe to race with each other and with concurrent
+// push/pop from any thread.
+
 #pragma once
 
 #include <algorithm>
@@ -23,8 +21,6 @@
 #include <mutex>
 #include <optional>
 #include <vector>
-
-#include "util/fault.hpp"
 
 namespace tdt {
 
@@ -50,9 +46,6 @@ class BoundedQueue {
   /// Blocks while full. Returns false (item dropped) when the queue is
   /// closed or aborted.
   bool push(T item) {
-    if (fault::FaultInjector::enabled()) [[unlikely]] {
-      fault::maybe_delay(fault::Site::QueuePushDelay);
-    }
     std::unique_lock lock(mu_);
     if (count_ == ring_.size() && !closed_) {
       ++counters_.push_stalls;
@@ -91,9 +84,6 @@ class BoundedQueue {
   /// Blocks while empty. Returns nullopt once the queue is closed and
   /// drained, or aborted.
   std::optional<T> pop() {
-    if (fault::FaultInjector::enabled()) [[unlikely]] {
-      fault::maybe_delay(fault::Site::QueuePopDelay);
-    }
     std::unique_lock lock(mu_);
     if (count_ == 0 && !closed_) {
       ++counters_.pop_stalls;

@@ -70,7 +70,7 @@ enum class DiagCode : std::uint8_t {
   XformUnmatchedVar,  ///< matched rule but no out mapping; passed through
   XformFailedRecord,  ///< mapping raised an error; passed through
   // Pipeline supervision.
-  PipeWorkerStalled,  ///< watchdog detected a stalled worker; recovered
+  PipeWorkerStalled,  ///< a worker held a batch past the timeout; recovered
   PipeWorkerFailed,   ///< worker thread threw or exited early; recovered
 };
 

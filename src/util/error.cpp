@@ -57,10 +57,6 @@ void throw_io_error(std::string message) {
   throw Error(ErrorKind::Io, std::move(message));
 }
 
-void throw_resource_error(std::string message) {
-  throw Error(ErrorKind::Resource, std::move(message));
-}
-
 void internal_check(bool condition, std::string_view what) {
   if (!condition) {
     throw Error(ErrorKind::Internal, std::string(what));

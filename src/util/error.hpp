@@ -63,9 +63,6 @@ class Error : public std::runtime_error {
 /// Throws Error{ErrorKind::Io, ...}.
 [[noreturn]] void throw_io_error(std::string message);
 
-/// Throws Error{ErrorKind::Resource, ...}.
-[[noreturn]] void throw_resource_error(std::string message);
-
 /// Checks an internal invariant; throws Error{ErrorKind::Internal} when
 /// `condition` is false. Used where a failed check indicates a tdt bug
 /// rather than bad user input.

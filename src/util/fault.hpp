@@ -45,10 +45,10 @@ enum class Site : std::uint8_t {
   BinaryCrcFlip,    ///< TDTB running CRC corrupted (bit-flip simulation)
   BinaryBadFooter,  ///< TDTB v2 footer read comes back short
   WriterFlush,      ///< trace writer flush fails (ENOSPC simulation)
-  QueuePushDelay,   ///< bounded-queue push delayed (backpressure jitter)
-  QueuePopDelay,    ///< bounded-queue pop delayed (consumer jitter)
+  QueuePushDelay,   ///< fan-out publish delayed (backpressure jitter)
+  QueuePopDelay,    ///< fan-out worker take delayed (consumer jitter)
   WorkerThrow,      ///< pipeline worker throws before a batch
-  WorkerStall,      ///< pipeline worker stalls (watchdog fodder)
+  WorkerStall,      ///< pipeline worker stalls (supervision fodder)
   WorkerExit,       ///< pipeline worker exits without draining its queue
   SinkPushBatch,    ///< sink push_batch throws
   FrameDecode,      ///< TDTB v3 frame fails to decode (corrupt shard)
@@ -105,9 +105,9 @@ class FaultInjector {
   [[nodiscard]] const Rule& rule(Site site) const noexcept;
   [[nodiscard]] std::uint64_t seed() const noexcept { return seed_; }
 
-  /// Injected worker stalls park in maybe_stall() until the watchdog
-  /// declares the worker dead and releases them (so the stalled thread
-  /// can exit and be joined). Real stalls have no such courtesy; the
+  /// Injected worker stalls park in maybe_stall() until the supervisor
+  /// gives up on the worker and releases them (so the stalled thread can
+  /// exit and be joined). Real stalls have no such courtesy; the
   /// supervisor abandons threads that ignore the release.
   static void release_stalls() noexcept;
   [[nodiscard]] static bool stalls_released() noexcept;

@@ -443,6 +443,36 @@ check_rc("worker exit recovery" 1 "${rc}")
 check_same("worker exit bit-identity" ${WORKDIR}/sweep_baseline.stdout
            ${WORKDIR}/worker_exit.stdout)
 
+# A sink fault on one of a worker's two sinks, after the other took the
+# batch: replay resumes each sink from its own count, so no point counts
+# a batch twice. LEN 20000 gives 40 batches; --jobs 2 over four points
+# gives each worker two sinks.
+execute_process(
+  COMMAND ${GTRACER} --kernel t1_soa --len 20000
+          --out ${WORKDIR}/sink_fault.out
+  RESULT_VARIABLE rc)
+check_rc("gtracer sink fault trace" 0 "${rc}")
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/sink_fault.out --size 4096
+          --sweep "${SWEEP}"
+  OUTPUT_FILE ${WORKDIR}/sink_fault_baseline.stdout RESULT_VARIABLE rc)
+check_rc("sink fault baseline" 0 "${rc}")
+foreach(seed 1 2 3)
+  execute_process(
+    COMMAND ${DINEROSIM} --trace ${WORKDIR}/sink_fault.out --size 4096
+            --sweep "${SWEEP}" --jobs 2 --worker-timeout 5
+            --fault-spec "seed=${seed};sink.push-batch:1:1"
+    OUTPUT_FILE ${WORKDIR}/sink_fault_${seed}.stdout
+    RESULT_VARIABLE rc ERROR_VARIABLE err)
+  check_rc("sink fault seed ${seed}" 1 "${rc}")
+  if(NOT err MATCHES "pipe-worker")
+    message(FATAL_ERROR "sink fault seed ${seed} missing P002: ${err}")
+  endif()
+  check_same("sink fault seed ${seed} bit-identity"
+             ${WORKDIR}/sink_fault_baseline.stdout
+             ${WORKDIR}/sink_fault_${seed}.stdout)
+endforeach()
+
 # Without supervision the same worker fault is fatal (the original
 # contract: exit 2, error on stderr).
 execute_process(

@@ -113,6 +113,31 @@ if(NOT err MATCHES "unknown flag --ingest")
   message(FATAL_ERROR "--ingest must be reported as unknown: ${err}")
 endif()
 
+# -- --worker-timeout belongs to dinerosim alone. ------------------------------
+# It supervises dinerosim's fan-out workers; the other --jobs tools have
+# no such worker, so they refuse the flag instead of ignoring its value.
+foreach(tool TRACEINFO TDTUNE)
+  execute_process(
+    COMMAND ${${tool}} ${WORKDIR}/good.out --worker-timeout 1
+    RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+  check_rc("${tool} --worker-timeout 1" 2 "${rc}")
+  if(NOT err MATCHES "unknown flag --worker-timeout")
+    message(FATAL_ERROR "${tool} must refuse --worker-timeout: ${err}")
+  endif()
+endforeach()
+execute_process(
+  COMMAND ${TRACEDIFF} ${WORKDIR}/good.out ${WORKDIR}/good.out
+          --worker-timeout 1
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+check_rc("tracediff --worker-timeout 1" 2 "${rc}")
+if(NOT err MATCHES "unknown flag --worker-timeout")
+  message(FATAL_ERROR "tracediff must refuse --worker-timeout: ${err}")
+endif()
+execute_process(
+  COMMAND ${DINEROSIM} --trace ${WORKDIR}/good.out --worker-timeout abc
+  RESULT_VARIABLE rc ERROR_VARIABLE err OUTPUT_QUIET)
+check_rc("dinerosim --worker-timeout abc" 2 "${rc}")
+
 # -- Window flags wider than 32 bits are usage errors. -------------------------
 # The profiler's window is 32-bit; 2^32 must not wrap to a window of 0 or 1.
 execute_process(

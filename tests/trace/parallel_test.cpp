@@ -7,8 +7,10 @@
 #include <fstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "live_threads.hpp"
 #include "trace/reader.hpp"
 #include "trace/view.hpp"
 #include "util/error.hpp"
@@ -476,6 +478,125 @@ TEST(ParallelFanOutSupervision, CleanSupervisedRunRetainsNothingVisible) {
   // print it verbatim and clean output stays byte-identical.
   EXPECT_EQ(fanout.counters().summary().find("supervision:"),
             std::string::npos);
+}
+
+// One worker drives two sinks, and the injected fault rejects the first
+// batch at the second sink after the first sink took it. Each sink must
+// resume from its own count: the first sink must not get the batch twice.
+TEST(ParallelFanOutSupervision, ReplayResumesEachSinkFromItsOwnCount) {
+  TraceContext ctx;
+  const auto input = make_records(ctx, 300);
+  FaultGuard guard("sink.push-batch:1:1");
+  VectorSink a, b;
+  ParallelOptions options;
+  options.jobs = 1;
+  options.batch_records = 16;
+  options.worker_timeout = 0.2;
+  ParallelFanOut fanout({&a, &b}, options);
+  feed(fanout, input);  // must not throw: the failure is recovered
+  EXPECT_EQ(fanout.counters().recovered_workers, 1u);
+  EXPECT_EQ(fanout.counters().lost_workers, 0u);
+  EXPECT_TRUE(a.records() == input);
+  EXPECT_TRUE(b.records() == input);
+}
+
+/// Keeps what it is handed and throws once from inside push_batch, after
+/// taking the first half of its `fail_batch`-th batch.
+class HalfBatchThrowingSink final : public TraceSink {
+ public:
+  explicit HalfBatchThrowingSink(std::size_t fail_batch)
+      : fail_batch_(fail_batch) {}
+  void on_record(const TraceRecord& rec) override { records.push_back(rec); }
+  void push_batch(std::span<const TraceRecord> batch) override {
+    if (batches_++ == fail_batch_) {
+      const std::span<const TraceRecord> half = batch.first(batch.size() / 2);
+      records.insert(records.end(), half.begin(), half.end());
+      throw std::runtime_error("sink failed mid-batch");
+    }
+    records.insert(records.end(), batch.begin(), batch.end());
+  }
+
+  std::vector<TraceRecord> records;
+
+ private:
+  std::size_t batches_ = 0;
+  std::size_t fail_batch_;
+};
+
+// A sink that threw from inside its own push_batch is in an unknown
+// state; replaying into it would deliver part of a batch twice.
+TEST(ParallelFanOutSupervision, SinkThatThrewInsideItsBatchIsLost) {
+  TraceContext ctx;
+  const auto input = make_records(ctx, 300);
+  HalfBatchThrowingSink bad(2);
+  VectorSink good;
+  ParallelOptions options;
+  options.jobs = 2;
+  options.batch_records = 16;
+  options.worker_timeout = 0.2;
+  ParallelFanOut fanout({&bad, &good}, options);
+  for (const TraceRecord& rec : input) fanout.on_record(rec);
+  EXPECT_THROW(fanout.on_end(), std::runtime_error);
+  EXPECT_EQ(fanout.counters().lost_workers, 1u);
+  EXPECT_EQ(fanout.counters().recovered_workers, 0u);
+  EXPECT_TRUE(good.records() == input);
+}
+
+// Supervision keeps no copy of the stream: a clean run holds no more
+// than the window, so a budget of a few batches never spills.
+TEST(ParallelFanOutSupervision, CleanRunHoldsOnlyTheWindow) {
+  TraceContext ctx;
+  ParallelOptions options;
+  options.jobs = 2;
+  options.batch_records = 16;
+  options.queue_batches = 4;
+  options.worker_timeout = 5;
+  const auto input = make_records(ctx, 200 * options.batch_records);
+  const std::uint64_t batch_bytes =
+      options.batch_records * sizeof(TraceRecord) + sizeof(RecordBatch);
+  Budget budget((options.queue_batches + 2) * batch_bytes);
+  options.memory = &budget;
+  VectorSink a, b;
+  ParallelFanOut fanout({&a, &b}, options);
+  feed(fanout, input);
+  EXPECT_FALSE(fanout.counters().replay_spilled);
+  EXPECT_EQ(budget.denials(), 0u);
+  EXPECT_GT(budget.peak(), 0u);
+  EXPECT_EQ(budget.used(), 0u);
+  EXPECT_TRUE(a.records() == input);
+  EXPECT_TRUE(b.records() == input);
+}
+
+/// Notes the most threads alive while batches arrive.
+class ThreadCountSink final : public TraceSink {
+ public:
+  void on_record(const TraceRecord&) override {}
+  void push_batch(std::span<const TraceRecord>) override {
+    peak = std::max(peak, live_threads());
+  }
+  std::size_t peak = 0;
+};
+
+// Supervision runs on the reader thread: the fan-out starts its workers
+// and nothing else.
+TEST(ParallelFanOutSupervision, StartsNoThreadBesidesItsWorkers) {
+  std::thread([] {}).join();  // TSan's helper thread joins the baseline
+  const std::size_t baseline = live_threads();
+  if (baseline == 0) GTEST_SKIP() << "no /proc/self/task";
+  TraceContext ctx;
+  const auto input = make_records(ctx, 64);
+  ThreadCountSink a, b;
+  ParallelOptions options;
+  options.jobs = 2;
+  options.batch_records = 16;
+  options.worker_timeout = 5;
+  {
+    ParallelFanOut fanout({&a, &b}, options);
+    EXPECT_EQ(live_threads(), baseline + 2);
+    feed(fanout, input);
+  }
+  EXPECT_EQ(std::max(a.peak, b.peak), baseline + 2);
+  EXPECT_TRUE(threads_settle(baseline));
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <span>
 #include <sstream>
 #include <stdexcept>
@@ -199,6 +200,59 @@ TEST(StreamV3, CursorHonoursSmallBatchLimits) {
   cursor->finish(nullptr);
   EXPECT_EQ(formatted(c, got), formatted(ctx, records));
   EXPECT_EQ(calls, 12u);  // per frame: 4 x 1000 + 96, then 904
+  std::filesystem::remove(path);
+}
+
+/// Resident bytes of this process's mapping of `path`, from
+/// /proc/self/smaps; nullopt when the file is not mapped or there is no
+/// /proc.
+std::optional<std::uint64_t> mapped_rss(const std::filesystem::path& path) {
+  std::ifstream smaps("/proc/self/smaps");
+  const std::string name = std::filesystem::canonical(path).string();
+  bool in_mapping = false;
+  for (std::string line; std::getline(smaps, line);) {
+    if (line.size() > name.size() && line.ends_with(" " + name)) {
+      in_mapping = true;
+    } else if (in_mapping && line.starts_with("Rss:")) {
+      return std::stoull(line.substr(4)) * 1024;
+    }
+  }
+  return std::nullopt;
+}
+
+// Opening a mapped v3 file checks every index entry against its frame
+// header, which faults in the pages around each header. They must be
+// given back before decode starts: one batch in, the mapping holds what
+// decode read, not a window around every frame of the file.
+TEST(StreamV3, IndexProbeLeavesNoFramePagesResident) {
+  const auto path = temp_path("tdt_stream_probe_rss.tdtb");
+  {
+    TraceContext ctx;
+    BinaryWriterOptions options;
+    options.version = kTdtbVersionFramed;
+    options.frame_records = 16384;
+    std::ofstream out(path, std::ios::binary);
+    BinaryTraceWriter writer(ctx, out, 1, options);
+    // One frame per batch, so the test never holds the whole trace.
+    for (int frame = 0; frame < 128; ++frame) {
+      writer.write_batch(big_records(ctx, options.frame_records));
+    }
+    writer.finish();
+  }
+  ASSERT_EQ(probe_tdtb_file(path.string())->frames.size(), 128u);
+  const std::uintmax_t file_bytes = std::filesystem::file_size(path);
+
+  TraceContext c;
+  const auto cursor = open_trace_cursor(c, path.string(), {.jobs = 1});
+  std::vector<TraceRecord> got;
+  ASSERT_GT(cursor->next_batch(got, kViewBatch), 0u);
+  const std::optional<std::uint64_t> rss = mapped_rss(path);
+  if (!rss) GTEST_SKIP() << "no /proc/self/smaps entry for the mapping";
+  // Decode has read two of 128 frames. The kernel maps more than the
+  // pages read (a fault-around window, or a whole large folio), but not
+  // a quarter of the file unless every frame was touched.
+  EXPECT_LT(*rss, file_bytes / 4) << "of a " << file_bytes << "-byte file";
+  cursor->finish(nullptr);
   std::filesystem::remove(path);
 }
 
